@@ -54,6 +54,13 @@ def _accounting(arg):
     return {"payload": "payload-only", "full": "full"}[arg]
 
 
+def _report_violations(violations) -> int:
+    """Print each violation to stderr; exit code 1 if there are any."""
+    for v in violations:
+        print(f"VIOLATION: {v}", file=sys.stderr)
+    return 1 if violations else 0
+
+
 def cmd_run(args) -> int:
     scn = load_scenario(args.scenario)
     seeds = [args.seed] if args.seed is not None else \
@@ -81,9 +88,7 @@ def cmd_run(args) -> int:
             f.write(text)
     else:
         sys.stdout.write(text)
-    for v in violations:
-        print(f"VIOLATION: {v}", file=sys.stderr)
-    return 1 if violations else 0
+    return _report_violations(violations)
 
 
 def cmd_sweep(args) -> int:
@@ -92,14 +97,14 @@ def cmd_sweep(args) -> int:
         n_list = [int(x) for x in args.n.split(",") if x.strip()]
     except ValueError:
         raise ScenarioError(f"bad --n list {args.n!r}")
-    rows = sweep(scn, n_list, args.seeds)
+    rows, violations = sweep(scn, n_list, args.seeds)
     print("n,t,pbit_max,ratio")
     worst = 0.0
     for (n, t, pbit_max, ratio) in rows:
         worst = max(worst, float(ratio))
         print(f"{n},{t},{pbit_max},{float(ratio):.3f}")
     print(f"C = {worst:.3f}")
-    return 0
+    return _report_violations(violations)
 
 
 def cmd_oracle(args) -> int:

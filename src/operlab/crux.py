@@ -28,8 +28,12 @@ class CruxParams:
     n: int
     t: int
     delta: int
-    delta_shift: int
     value_width: int = DEFAULT_VALUE_WIDTH
+
+    @property
+    def delta_shift(self) -> int:
+        """Start-time spread a view's timers must absorb: 2 * delta."""
+        return 2 * self.delta
 
     @property
     def delta1(self) -> int:
@@ -153,7 +157,7 @@ class CruxCore(Automaton):
             return []
         self.sync_started = True
         v1, _ = self.gc1_out
-        return [ToChild("as", Request("start", (v1,)))]
+        return [ToChild("as", Request("propose", (v1,)))]
 
     def _after_sync(self):
         if self.gc2_started or self.abandoned:

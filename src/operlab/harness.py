@@ -11,7 +11,6 @@ every run.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,8 +18,9 @@ from .core import ValidityPredicate, valid
 from .crux import CruxParams
 from .oper import make_oper
 from .simnet import (AdversarySpec, SimConfig, STRATEGY_KINDS, Trace,
-                     latency, pbit_post_gst, run)
-from .sync_ba import RoundSimAdapter, SyncMachine, budget, lockstep_run, rounds
+                     pbit_post_gst, run)
+from .sync_ba import (RecordingMachine, RoundSimAdapter, SyncMachine,
+                      lockstep_run)
 
 
 class ScenarioError(ValueError):
@@ -126,24 +126,18 @@ def scenario_adversary(scn: dict) -> AdversarySpec:
 
 def oper_params(config: SimConfig) -> CruxParams:
     return CruxParams(n=config.n, t=config.t, delta=config.delta,
-                      delta_shift=2 * config.delta,
                       value_width=config.value_width)
-
-
-def max_virtual_time(config: SimConfig) -> int:
-    env = os.environ.get("OPERLAB_MAXTIME")
-    if env:
-        return int(env)
-    return config.gst + 100 * oper_params(config).delta_total
 
 
 def run_oper(config: SimConfig, adversary: AdversarySpec,
              collect_rows=False) -> Trace:
+    """One full-protocol run, capped at GST + 100 view durations."""
     def factory(pid):
         return make_oper(config.n, config.t, config.delta, pid,
                          value_width=config.value_width, pred=config.validity)
-    return run(config, adversary, factory,
-               max_time=max_virtual_time(config), collect_rows=collect_rows)
+    max_time = config.gst + 100 * oper_params(config).delta_total
+    return run(config, adversary, factory, max_time=max_time,
+               collect_rows=collect_rows)
 
 
 # -- theorem checks ---------------------------------------------------------
@@ -242,10 +236,11 @@ def run_and_check(config: SimConfig, adversary: AdversarySpec,
 
 
 def sweep(scn: dict, n_list, seeds: int):
-    """Per-n complexity table rows: (n, t, pbit_max, ratio)."""
-    rows = []
+    """Per-n complexity table rows (n, t, pbit_max, ratio), and the
+    violations of every run as "n=N seed=S: ..." strings."""
+    rows, violations = [], []
     if seeds <= 0:
-        return rows
+        return rows, violations
     base_seed = scn.get("seed", 0)
     for n in n_list:
         t = (n - 1) // 3
@@ -264,12 +259,14 @@ def sweep(scn: dict, n_list, seeds: int):
         for k in range(seeds):
             config = scenario_config(sub, seed=base_seed + k)
             report = run_and_check(config, scenario_adversary(sub))
+            violations.extend(f"n={n} seed={config.seed}: {v}"
+                              for v in report.violations)
             pbit_max = max(pbit_max, *(pbit_post_gst(report.trace, p)
                                        for p in config.correct))
         width = scn.get("value_width", 32)
         ratio = Fraction(pbit_max, n * (8 + width))
         rows.append((n, t, pbit_max, ratio))
-    return rows
+    return rows, violations
 
 
 # -- lock-step equivalence oracle -------------------------------------------
@@ -283,39 +280,37 @@ def oracle_sim(scn: dict, seed=None, parity_flip_pid=None):
     """
     config = scenario_config(scn, seed=seed)
     adversary = scenario_adversary(scn)
+    params = oper_params(config)
     starts = [config.propose_at.get(p, 0) for p in config.correct]
-    for p in config.correct:
-        at = config.propose_at.get(p, 0)
+    for p, at in zip(config.correct, starts):
         if at < config.gst:
             raise ScenarioError(
                 f"oracle scenario: process {p} starts at {at} before GST")
-    if starts and max(starts) - min(starts) > 2 * config.delta:
-        raise ScenarioError("oracle scenario: start spread exceeds 2*delta")
+    if starts and max(starts) - min(starts) > params.delta_shift:
+        raise ScenarioError("oracle scenario: start spread exceeds "
+                            f"delta_shift = {params.delta_shift}")
 
     members = list(range(config.n))
-    total = rounds(config.n)
-    cap = 2 * budget(config.n, config.value_width)
-    delta_sync = 3 * config.delta  # delta_shift = 2*delta plus delta
-    adapters: dict = {}
+    total = params.R
+    recorders: dict = {}   # pid -> the RecordingMachine its adapter drives
 
     def factory(pid):
         def machine_factory(proposal):
-            return SyncMachine(pid, members, proposal)
-        a = RoundSimAdapter(machine_factory, total, delta_sync, cap,
-                            config.value_width,
-                            parity_flip=(pid == parity_flip_pid))
-        adapters[pid] = a
-        return a
+            recorders[pid] = RecordingMachine(pid, members, proposal)
+            return recorders[pid]
+        return RoundSimAdapter(machine_factory, total, params.delta_sync,
+                               params.bit_cap, config.value_width,
+                               parity_flip=(pid == parity_flip_pid))
 
-    trace = run(config, adversary, factory,
-                max_time=max(starts, default=0) + (total + 2) * delta_sync
-                + config.gst)
+    run(config, adversary, factory,
+        max_time=max(starts, default=0) + (total + 2) * params.delta_sync
+        + config.gst)
 
     # reference: identical machines in perfect lock-step, with the Byzantine
     # round inputs observed by each correct process injected verbatim
     inject: dict = {}
     for pid in config.correct:
-        for r, batch in enumerate(adapters[pid].absorbed_log):
+        for r, batch in enumerate(recorders[pid].absorbed):
             bad = [(s, p) for (s, p) in batch if s in config.faulty]
             if bad:
                 inject[(r, pid)] = bad
@@ -324,7 +319,7 @@ def oracle_sim(scn: dict, seed=None, parity_flip_pid=None):
     ref = lockstep_run(machines, total, inject=inject)
 
     for pid in config.correct:
-        got = adapters[pid].digests
+        got = recorders[pid].digests
         want = ref[pid]
         if len(got) != len(want):
             return False, (f"process {pid}: {len(got)} simulated rounds vs "
@@ -332,5 +327,4 @@ def oracle_sim(scn: dict, seed=None, parity_flip_pid=None):
         for r, (g, w) in enumerate(zip(got, want)):
             if g != w:
                 return False, f"process {pid}: state diverges at round {r}"
-    _ = trace
     return True, f"{len(config.correct)} processes, {total} rounds bit-exact"

@@ -27,13 +27,13 @@ def crux_tag(view: int) -> str:
 
 
 def _tag_view(tag: str):
-    if tag.startswith(CRUX_TAG_PREFIX):
-        try:
-            v = int(tag[len(CRUX_TAG_PREFIX):])
-        except ValueError:
-            return None
-        return v if v >= 1 else None
-    return None
+    """View v >= 1 if tag is exactly crux_tag(v), else None: aliases that
+    int() accepts ("crux@01", "crux@+1", "crux@1_0") are not view tags."""
+    try:
+        v = int(tag[len(CRUX_TAG_PREFIX):])
+    except ValueError:
+        return None
+    return v if v >= 1 and tag == crux_tag(v) else None
 
 
 class OperCore(Automaton):
@@ -133,10 +133,8 @@ class Oper(Composite):
 
     def __init__(self, n: int, t: int, delta: int,
                  value_width: int = DEFAULT_VALUE_WIDTH,
-                 pred: ValidityPredicate | None = None, pid: int = 0,
-                 buffer_cap: int = 256):
+                 pred: ValidityPredicate | None = None, pid: int = 0):
         self.params = CruxParams(n=n, t=t, delta=delta,
-                                 delta_shift=2 * delta,
                                  value_width=value_width)
         self.pred = pred or ValidityPredicate.always_true()
         self.pid = pid
@@ -144,7 +142,7 @@ class Oper(Composite):
         super().__init__(core, children={"fin": Finisher(n, t)},
                          factory=self._make_view,
                          buffer_tags=lambda tag: _tag_view(tag) is not None,
-                         buffer_cap=buffer_cap)
+                         buffer_cap=256)
 
     def _make_view(self, tag: str):
         if _tag_view(tag) is None:
@@ -161,11 +159,7 @@ class Oper(Composite):
                 and self.core.own is not None and self.pending:
             for tag in sorted(self.pending, key=_tag_view):
                 if tag not in self.children:
-                    child = self._make_view(tag)
-                    if child is not None:
-                        self.children[tag] = child
-                        for buffered in self.pending.pop(tag, ()):
-                            out.extend(self._step_child(tag, buffered))
+                    out.extend(self.spawn(tag, self._make_view(tag)))
         return out
 
 

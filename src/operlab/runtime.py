@@ -116,8 +116,8 @@ class Composite(Automaton):
 
     factory(tag) may return a fresh automaton to spawn on first use of an
     unknown tag; buffer_tags(tag) marks tags whose early messages are buffered
-    (bounded, oldest dropped) until an explicit spawn. Anything else is
-    dropped and counted as misrouted.
+    (bounded, oldest dropped) and replayed when the tag is spawned. Anything
+    else is dropped and counted as misrouted.
     """
 
     def __init__(self, core: Automaton, children=None, factory=None,
@@ -134,13 +134,16 @@ class Composite(Automaton):
 
     # -- public --------------------------------------------------------
 
-    def spawn(self, tag: str, child: Automaton) -> list:
-        """Register a child and replay its buffered messages in arrival order."""
+    def spawn(self, tag: str, child: Automaton, event=None) -> list:
+        """Register a child, replay its buffered messages in arrival order,
+        then deliver `event` (the one that caused the spawn), if given."""
         if tag in self.children:
             raise ValueError(f"duplicate child tag {tag!r}")
         self.children[tag] = child
         out = []
-        for event in self.pending.pop(tag, ()):
+        for buffered in self.pending.pop(tag, ()):
+            out.extend(self._step_child(tag, buffered))
+        if event is not None:
             out.extend(self._step_child(tag, event))
         return out
 
@@ -148,12 +151,9 @@ class Composite(Automaton):
         if isinstance(event, MessageArrival) and event.path:
             tag, rest = event.path[0], event.path[1:]
             stripped = MessageArrival(event.sender, event.payload, rest)
-            if tag not in self.children and self.factory is not None:
-                child = self.factory(tag)
-                if child is not None:
-                    self.children[tag] = child
-            if tag in self.children:
-                return self._step_child(tag, stripped)
+            out = self._deliver_to_child(tag, stripped)
+            if out is not None:
+                return out
             if self.buffer_tags is not None and self.buffer_tags(tag):
                 buf = self.pending.setdefault(tag, deque(maxlen=self.buffer_cap))
                 if len(buf) == self.buffer_cap:
@@ -182,7 +182,11 @@ class Composite(Automaton):
             if self.halted:
                 break
             if isinstance(a, ToChild):
-                out.extend(self._deliver_to_child(a.tag, a.event))
+                delivered = self._deliver_to_child(a.tag, a.event)
+                if delivered is None:
+                    self.misrouted += 1
+                else:
+                    out.extend(delivered)
             elif isinstance(a, Halt):
                 self.halted = True
                 out.append(a)
@@ -190,20 +194,15 @@ class Composite(Automaton):
                 out.append(a)
         return out
 
-    def _deliver_to_child(self, tag: str, event) -> list:
-        if tag not in self.children:
-            if self.factory is not None:
-                child = self.factory(tag)
-                if child is not None:
-                    self.children[tag] = child
-                    out = []
-                    for buffered in self.pending.pop(tag, ()):
-                        out.extend(self._step_child(tag, buffered))
-                    out.extend(self._step_child(tag, event))
-                    return out
-            self.misrouted += 1
-            return []
-        return self._step_child(tag, event)
+    def _deliver_to_child(self, tag: str, event):
+        """Step child `tag`, spawning it through the factory on first use.
+        None when there is no such child and the factory declines."""
+        if tag in self.children:
+            return self._step_child(tag, event)
+        child = self.factory(tag) if self.factory is not None else None
+        if child is None:
+            return None
+        return self.spawn(tag, child, event)
 
     def _step_child(self, tag: str, event) -> list:
         out = []

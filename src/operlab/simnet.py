@@ -71,9 +71,8 @@ def schedule_delivery(now, gst, delta, rule, rng):
     elif kind == "exact":
         raw = now + rule[1]
     elif kind == "uniform":
-        raw = now if now >= gst else rng.randint(now, bound)
-        if now >= gst:
-            raw = now + rng.randint(0, delta)
+        raw = now + rng.randint(0, delta) if now >= gst \
+            else rng.randint(now, bound)
     else:
         raise ValueError(f"unknown delay rule {kind!r}")
     return min(max(raw, now), bound)
@@ -281,21 +280,16 @@ def latency(trace: Trace) -> Fraction:
 # -- event loop -------------------------------------------------------------
 
 
-def default_max_time(config: SimConfig, delta_total=None) -> int:
-    if delta_total is None:
-        delta_total = 100 * config.delta
-    return config.gst + 100 * delta_total
-
-
 def run(config: SimConfig, adversary: AdversarySpec, root_factory,
         max_time=None, collect_rows=False) -> Trace:
     """Execute one deterministic simulation.
 
     root_factory(pid) builds the protocol automaton for each process; faulty
-    processes get theirs wrapped in (or replaced by) their strategy.
+    processes get theirs wrapped in (or replaced by) their strategy. Without
+    max_time the run stops at GST + 10,000 delta.
     """
     if max_time is None:
-        max_time = default_max_time(config)
+        max_time = config.gst + 10_000 * config.delta
     rng = random.Random(config.seed)
     trace = Trace(config)
 
@@ -384,10 +378,10 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
         v = config.proposals.get(pid, 0)
         push(at, pid, Request("propose", (v,)))
 
+    # correct processes not yet halted; a process halts only in its own step
+    running = {p for p in config.correct if not autos[p].halted}
     now = 0
-    while queue:
-        if all(autos[p].halted for p in config.correct):
-            break
+    while queue and running:
         fire_at, _, pid, event = heapq.heappop(queue)
         now = fire_at
         if now > max_time:
@@ -407,6 +401,8 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
         auto.now = now
         auto.rng = rng
         absorb(now, pid, auto.step(event))
+        if auto.halted:
+            running.discard(pid)
     trace.end_time = now
     return trace
 

@@ -70,9 +70,8 @@ class LockstepGC:
     delivered (to every member, including self) at the end of that round.
     """
 
-    def __init__(self, members, pid, proposal):
+    def __init__(self, members, proposal):
         self.members = list(members)
-        self.pid = pid
         self.auto = GradedConsensus(len(self.members), _sub_t(len(self.members)))
         self.proposal = proposal
         self.outbox = None   # payloads queued for the next outbound call
@@ -113,7 +112,6 @@ class SyncMachine:
         self.gc = None
         self.gc_grade = None
         self.child = None
-        self.reports: dict = {}
         self.stages = []
         n = len(self.members)
         if n > 1:
@@ -143,7 +141,7 @@ class SyncMachine:
         out = []
         if kind == "gc":
             if local == 0:
-                self.gc = LockstepGC(self.members, self.pid, self.b)
+                self.gc = LockstepGC(self.members, self.b)
                 self.gc_grade = None
             out = self.gc.outbound(local)
         elif kind == "half":
@@ -181,13 +179,13 @@ class SyncMachine:
                 self.child.absorb(local, received)
         elif kind == "report":
             half = stage[3]
-            self.reports = {}
+            reports: dict = {}   # first report per sender of that half
             for sender, payload in received:
                 if payload.kind == "HALF-REPORT" and sender in half \
-                        and sender not in self.reports:
-                    self.reports[sender] = payload.value
+                        and sender not in reports:
+                    reports[sender] = payload.value
             tally: dict = {}
-            for v in self.reports.values():
+            for v in reports.values():
                 tally[v] = tally.get(v, 0) + 1
             if tally:
                 best = min((v for v, c in tally.items()
@@ -231,14 +229,12 @@ class RoundSimAdapter(Automaton):
         self.round = 0
         self.sent_bits = 0
         self.received: list = []     # (sender, parity, inner payload)
-        self.absorbed_log: list = [] # per round: [(sender, inner payload)]
-        self.digests: list = []      # machine digest after each absorbed round
         self.done = False
         self._timer = None
 
     def on_event(self, event):
         if isinstance(event, Request):
-            if event.name in ("start", "propose"):
+            if event.name == "propose":
                 return self._start(event.args[0])
             if event.name == "abandon":
                 self.abandoned = True
@@ -284,8 +280,6 @@ class RoundSimAdapter(Automaton):
         self.received = [(s, par, inner) for s, par, inner in self.received
                          if par != want]
         self.machine.absorb(self.round, current)
-        self.absorbed_log.append(current)
-        self.digests.append(self.machine.state_digest())
         self.round += 1
         if self.round >= self.total_rounds:
             self.done = True
@@ -298,6 +292,21 @@ class RoundSimAdapter(Automaton):
     def _decision(self):
         d = self.machine.decision()
         return BOT if d is None else d
+
+
+class RecordingMachine(SyncMachine):
+    """SyncMachine that keeps, per absorbed round, its input and its state
+    digest afterwards: what the lock-step equivalence oracle compares."""
+
+    def __init__(self, pid, members, proposal):
+        super().__init__(pid, members, proposal)
+        self.absorbed: list = []   # per round: [(sender, payload)]
+        self.digests: list = []
+
+    def absorb(self, r, received):
+        super().absorb(r, received)
+        self.absorbed.append(received)
+        self.digests.append(self.state_digest())
 
 
 def lockstep_run(machines: dict, total_rounds: int, inject=None):

@@ -1,5 +1,6 @@
 import json
 
+from operlab import harness
 from operlab.cli import main
 from operlab.simnet import CSV_HEADER
 
@@ -53,6 +54,17 @@ def test_sweep_table(tmp_path, capsys):
     assert out[0] == "n,t,pbit_max,ratio"
     assert out[1].startswith("4,1,")
     assert out[-1].startswith("C = ")
+
+
+def test_sweep_reports_violations_and_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "check_trace",
+                        lambda trace, params: ["agreement: forced"])
+    rc = main(["sweep", write_scn(tmp_path, BASE), "--n", "4", "--seeds", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out.splitlines()[0] == "n,t,pbit_max,ratio"
+    assert captured.err.splitlines() == [
+        "VIOLATION: n=4 seed=0: agreement: forced"]
 
 
 def test_sweep_bad_n_list_exits_2(tmp_path):

@@ -5,7 +5,7 @@ from operlab.simnet import AdversarySpec, SimConfig, run
 
 
 def params(n=4, t=1, delta=10):
-    return CruxParams(n=n, t=t, delta=delta, delta_shift=2 * delta)
+    return CruxParams(n=n, t=t, delta=delta)
 
 
 def test_timing_parameters():

@@ -1,0 +1,85 @@
+"""Byte-identical behaviour pins for full-protocol runs.
+
+For a fixed set of (scenario, seed) runs, the CSV row and the sha256 of the
+exported trace lines are pinned. A refactor that claims to keep behaviour
+must leave every pin as it is; a change that alters behaviour on purpose
+updates the pins and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from operlab.harness import run_and_check, scenario_adversary, scenario_config
+from operlab.simnet import csv_row, trace_lines
+
+DELTA = 10
+
+
+def _view_change(seed):
+    # n=10 at GST = 8 * delta_total with pre-GST timer drift and three
+    # equivocating processes: some seeds reach view 2, seed 1 stalls.
+    faulty = [7, 8, 9]
+    return {"n": 10, "t": 3, "delta": DELTA, "gst": 36000, "seed": seed,
+            "faulty": faulty,
+            "strategies": {str(p): ["equivocate"] for p in faulty},
+            "proposals": {str(p): (p % 3) + 1 for p in range(10)},
+            "pre_gst_delay": ["uniform"], "drift": ["uniform"]}
+
+
+def _flood_random(seed):
+    return {"n": 7, "t": 2, "delta": DELTA, "gst": 2000, "seed": seed,
+            "faulty": [5, 6],
+            "strategies": {"5": ["flood", DELTA], "6": ["random"]},
+            "proposals": {str(p): (p % 2) + 1 for p in range(7)}}
+
+
+UNANIMOUS = {"n": 4, "delta": DELTA, "gst": 0, "seed": 0, "proposal": 7}
+
+# (label, scenario, csv row, sha256 of the trace lines joined by newlines)
+GOLDEN = [
+    ("view-change-0", _view_change(0),
+     "0,10,3,36000,10,36399,34026.142857142855,891.4,2,1",
+     "a17fe897e6da085409cacb28a22bb1512976f7f46bab57ba24a6a3d416cbd168"),
+    ("view-change-1", _view_change(1),
+     "1,10,3,36000,10,14380,13121.285714285714,,1,1",
+     "305c5d2369f35225b9a5a7bc12994c932a8eb2ca0a83334019f2fc695080644e"),
+    ("view-change-2", _view_change(2),
+     "2,10,3,36000,10,15058,13266.142857142857,438.1,1,1",
+     "90397632bfa31a49e09a0a404c86cd14a2f7928e257958e40aa6d9418264a75d"),
+    ("view-change-3", _view_change(3),
+     "3,10,3,36000,10,31647,29431.428571428572,889.3,2,1",
+     "212240c8a4868e703ec47ca5812a3174a1508d53dcc443adc4e35ac40b18cbec"),
+    ("flood-random-0", _flood_random(0),
+     "0,7,2,2000,10,10605,10011.4,298.4,1,1",
+     "b73e86cedaf7463adca0aa62e1bbc36523b9f7657d50c5f38cdbbef05b8497fd"),
+    ("flood-random-1", _flood_random(1),
+     "1,7,2,2000,10,11081,10185.0,298.3,1,1",
+     "174565cb59c60e67f1d04cd1e08be0f4c3ab510818e3edbadf6ee984f5ed1c60"),
+    ("unanimous-n4", UNANIMOUS,
+     "0,4,1,0,10,5314,5234.0,162.6,1,1",
+     "ac751f88f3b011480b27950ecaad4b06ed70bab88e942c3b5d19294d039de0b1"),
+]
+
+
+def golden_run(scn):
+    report = run_and_check(scenario_config(scn), scenario_adversary(scn),
+                           collect_rows=True)
+    text = "\n".join(trace_lines(report.trace))
+    return csv_row(report.trace), hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("label,scn,want_csv,want_sha", GOLDEN,
+                         ids=[g[0] for g in GOLDEN])
+def test_golden_trace(label, scn, want_csv, want_sha):
+    got_csv, got_sha = golden_run(scn)
+    assert got_csv == want_csv
+    assert got_sha == want_sha
+
+
+def test_golden_set_covers_view_change_and_stall():
+    views = {label: int(csv.split(",")[8]) for label, _, csv, _ in GOLDEN}
+    # an empty latency field means some correct process never decided
+    stalled = {label for label, _, csv, _ in GOLDEN if csv.split(",")[7] == ""}
+    assert views["view-change-0"] >= 2 and views["view-change-3"] >= 2
+    assert stalled == {"view-change-1"}

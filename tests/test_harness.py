@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -135,16 +136,38 @@ def test_run_and_check_adversarial_scenario():
 
 
 def test_sweep_zero_seeds_is_empty():
-    assert sweep(BASE, [4, 7], 0) == []
+    assert sweep(BASE, [4, 7], 0) == ([], [])
 
 
 def test_sweep_rows():
-    rows = sweep(BASE, [4], 1)
+    rows, violations = sweep(BASE, [4], 1)
+    assert violations == []
     assert len(rows) == 1
     n, t, pbit_max, ratio = rows[0]
     assert (n, t) == (4, 1)
     assert pbit_max > 0
     assert float(ratio) == pbit_max / (4 * 40)
+
+
+def test_sync_phase_bits_within_cap_on_full_runs():
+    # n=10 with pre-GST drift and equivocators; seed 0 enters view 2, so two
+    # per-view sync phases are charged separately
+    faulty = [7, 8, 9]
+    scn = {"n": 10, "t": 3, "delta": 10, "gst": 36000, "seed": 0,
+           "faulty": faulty,
+           "strategies": {str(p): ["equivocate"] for p in faulty},
+           "proposals": {str(p): (p % 3) + 1 for p in range(10)},
+           "drift": ["uniform"]}
+    config = scenario_config(scn)
+    trace = run_and_check(config, scenario_adversary(scn),
+                          collect_rows=True).trace
+    as_bits: Counter = Counter()   # (pid, view tag) -> wire bits sent
+    for (_, pid, kind, path, _, bits) in trace.rows:
+        if kind in ("send", "broadcast") and pid in config.correct \
+                and path[1:] == ("as",):
+            as_bits[(pid, path[0])] += bits
+    assert {tag for (_, tag) in as_bits} == {"crux@1", "crux@2"}
+    assert max(as_bits.values()) <= oper_params(config).bit_cap
 
 
 ORACLE = {"n": 4, "t": 1, "delta": 10,

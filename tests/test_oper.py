@@ -5,12 +5,29 @@ from operlab.simnet import AdversarySpec, SimConfig, run
 from operlab.harness import oper_params
 
 
+NON_CANONICAL = ("crux@0001", "crux@01", "crux@+1", "crux@1_0", "crux@ 1")
+
+
 def test_view_tags_roundtrip():
     assert crux_tag(3) == "crux@3"
     assert _tag_view("crux@3") == 3
     assert _tag_view("crux@0") is None
     assert _tag_view("crux@x") is None
     assert _tag_view("fin") is None
+    for tag in NON_CANONICAL:
+        assert _tag_view(tag) is None, tag
+
+
+def test_non_canonical_view_tags_spawn_no_instance():
+    oper = Oper(4, 1, 10, pid=0)
+    for tag in NON_CANONICAL:   # before the proposal: not buffered either
+        oper.step(MessageArrival(1, Payload("ECHO", value=5), path=(tag, "gc1")))
+    assert not oper.pending
+    oper.step(Request("propose", (5,)))
+    for tag in NON_CANONICAL:
+        oper.step(MessageArrival(1, Payload("ECHO", value=5), path=(tag, "gc1")))
+    assert sorted(oper.children) == [crux_tag(1), "fin"]
+    assert oper.misrouted == 2 * len(NON_CANONICAL)
 
 
 def run_oper_net(proposals, faulty=frozenset(), gst=0, seed=0,

@@ -2,8 +2,8 @@ import pytest
 
 from operlab.core import BOT, Payload
 from operlab.runtime import Indicate, Request, Send, SetTimer, TimerFired
-from operlab.sync_ba import (GC_ROUNDS, RoundSimAdapter, SyncMachine, budget,
-                             lockstep_run, mc, rounds)
+from operlab.sync_ba import (GC_ROUNDS, RecordingMachine, RoundSimAdapter,
+                             SyncMachine, budget, lockstep_run, mc, rounds)
 
 
 def test_round_recurrence_values():
@@ -81,7 +81,7 @@ class AdapterDriver:
 
     def start(self, proposals):
         for pid, a in self.adapters.items():
-            self._dispatch(pid, a.step(Request("start", (proposals[pid],))))
+            self._dispatch(pid, a.step(Request("propose", (proposals[pid],))))
         while self.pending:
             batch, self.pending = self.pending, []
             for pid, timer in batch:
@@ -104,7 +104,7 @@ class AdapterDriver:
 def make_adapters(n, parity_flip_pid=None):
     members = list(range(n))
     return {p: RoundSimAdapter(
-        (lambda pid: lambda b: SyncMachine(pid, members, b))(p),
+        (lambda pid: lambda b: RecordingMachine(pid, members, b))(p),
         rounds(n), delta_sync=30, bit_cap=2 * budget(n, 32),
         value_width=32, parity_flip=(p == parity_flip_pid))
         for p in range(n)}
@@ -125,26 +125,26 @@ def test_adapter_matches_lockstep_reference():
     reference = {p: SyncMachine(p, [0, 1], b) for p, b in ((0, 3), (1, 8))}
     ref_digests = lockstep_run(reference, rounds(2))
     for pid, a in adapters.items():
-        assert a.digests == ref_digests[pid]
+        assert a.machine.digests == ref_digests[pid]
 
 
 def test_adapter_bit_cap_suppresses_sends():
     a = RoundSimAdapter(lambda b: SyncMachine(0, [0, 1], b),
                         rounds(2), delta_sync=30, bit_cap=0,
                         value_width=32)
-    out = a.step(Request("start", (5,)))
+    out = a.step(Request("propose", (5,)))
     assert not any(isinstance(act, Send) for act in out)
     assert a.sent_bits == 0
 
 
 def test_adapter_parity_tagging():
     a = make_adapters(2)[0]
-    out = a.step(Request("start", (5,)))
+    out = a.step(Request("propose", (5,)))
     sends = [act for act in out if isinstance(act, Send)]
     assert sends and all(s.payload.parity == 0 for s in sends)
 
     flipped = make_adapters(2, parity_flip_pid=0)[0]
-    out = flipped.step(Request("start", (5,)))
+    out = flipped.step(Request("propose", (5,)))
     sends = [act for act in out if isinstance(act, Send)]
     assert sends and all(s.payload.parity == 1 for s in sends)
 
@@ -152,7 +152,7 @@ def test_adapter_parity_tagging():
 def test_adapter_trivial_membership_finishes_immediately():
     a = RoundSimAdapter(lambda b: SyncMachine(0, [0], b), rounds(1),
                         delta_sync=30, bit_cap=100, value_width=32)
-    out = a.step(Request("start", (6,)))
+    out = a.step(Request("propose", (6,)))
     assert out == [Indicate("sync-done", (6,))]
 
 
