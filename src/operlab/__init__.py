@@ -2,7 +2,7 @@
 synchronous Byzantine agreement with constant-size values."""
 
 from .core import (BOT, DEFAULT_VALUE_WIDTH, Payload, PayloadError,
-                   ValidityPredicate, decode, encode, payload_bits, valid)
+                   ValidityPredicate, payload_bits, valid)
 from .crux import CruxParams, est_rule, make_crux
 from .finisher import Finisher
 from .graded_consensus import GradedConsensus
@@ -16,7 +16,7 @@ from .validation_broadcast import make_validation_broadcast
 
 __all__ = [
     "BOT", "DEFAULT_VALUE_WIDTH", "Payload", "PayloadError",
-    "ValidityPredicate", "decode", "encode", "payload_bits", "valid",
+    "ValidityPredicate", "payload_bits", "valid",
     "CruxParams", "est_rule", "make_crux", "Finisher", "GradedConsensus",
     "Oper", "make_oper", "ReducingBroadcast", "AdversarySpec", "SimConfig",
     "Trace", "latency", "pbit_post_gst", "run", "schedule_delivery",

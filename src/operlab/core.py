@@ -43,7 +43,7 @@ def value_sort_key(v):
 
 
 class PayloadError(ValueError):
-    """Raised when decoding a malformed payload byte string."""
+    """Raised when a payload is built with an unknown kind or missing fields."""
 
 
 # Message kinds. ECHO..ECHO5 serve both the graded-consensus cascade and the
@@ -60,7 +60,7 @@ KINDS = (
     "SYNC-ROUND",
     "HALF-REPORT",
 )
-_KIND_INDEX = {k: i for i, k in enumerate(KINDS)}
+_KIND_SET = frozenset(KINDS)
 
 # Which optional fields each kind carries.
 _VALUE_KINDS = frozenset(
@@ -80,7 +80,7 @@ class Payload:
     inner: "Payload | None" = None
 
     def __post_init__(self):
-        if self.kind not in _KIND_INDEX:
+        if self.kind not in _KIND_SET:
             raise PayloadError(f"unknown payload kind {self.kind!r}")
         if self.kind == "SYNC-ROUND":
             if self.parity not in (0, 1) or self.inner is None:
@@ -155,90 +155,3 @@ def path_bits(path: tuple, policy: str) -> int:
         return PATH_SEGMENT_BITS * len(path)
     return 0
 
-
-# -- canonical byte encoding ------------------------------------------------
-
-_VALUE_ABSENT, _VALUE_PRESENT, _VALUE_BOT = 0, 1, 2
-
-
-def _value_bytes(value_width: int) -> int:
-    return (value_width + 7) // 8
-
-
-def encode(p: Payload, value_width: int = DEFAULT_VALUE_WIDTH) -> bytes:
-    out = bytearray()
-    out.append(_KIND_INDEX[p.kind])
-    if p.value is None:
-        out.append(_VALUE_ABSENT)
-    elif p.value is BOT:
-        out.append(_VALUE_BOT)
-    else:
-        out.append(_VALUE_PRESENT)
-        out += int(p.value).to_bytes(_value_bytes(value_width), "big")
-    if p.view is not None:
-        out.append(1)
-        out += p.view.to_bytes(4, "big")
-    else:
-        out.append(0)
-    if p.parity is not None:
-        out.append(1)
-        out.append(p.parity)
-    else:
-        out.append(0)
-    if p.inner is not None:
-        out.append(1)
-        out += encode(p.inner, value_width)
-    else:
-        out.append(0)
-    return bytes(out)
-
-
-def decode(data: bytes, value_width: int = DEFAULT_VALUE_WIDTH) -> Payload:
-    p, rest = _decode_prefix(data, value_width)
-    if rest:
-        raise PayloadError(f"{len(rest)} trailing bytes after payload")
-    return p
-
-
-def _decode_prefix(data: bytes, value_width: int):
-    if len(data) < 1:
-        raise PayloadError("empty payload")
-    kind_idx = data[0]
-    if kind_idx >= len(KINDS):
-        raise PayloadError(f"unknown kind byte {kind_idx}")
-    kind = KINDS[kind_idx]
-    pos = 1
-
-    def take(k):
-        nonlocal pos
-        if pos + k > len(data):
-            raise PayloadError("truncated payload")
-        chunk = data[pos:pos + k]
-        pos += k
-        return chunk
-
-    flag = take(1)[0]
-    if flag == _VALUE_ABSENT:
-        value = None
-    elif flag == _VALUE_BOT:
-        value = BOT
-    elif flag == _VALUE_PRESENT:
-        value = int.from_bytes(take(_value_bytes(value_width)), "big")
-    else:
-        raise PayloadError(f"bad value flag {flag}")
-    view = None
-    if take(1)[0]:
-        view = int.from_bytes(take(4), "big")
-    parity = None
-    if take(1)[0]:
-        parity = take(1)[0]
-        if parity not in (0, 1):
-            raise PayloadError(f"bad parity byte {parity}")
-    inner = None
-    if take(1)[0]:
-        inner, tail = _decode_prefix(data[pos:], value_width)
-        pos = len(data) - len(tail)
-    try:
-        return Payload(kind, value=value, view=view, parity=parity, inner=inner), data[pos:]
-    except PayloadError:
-        raise

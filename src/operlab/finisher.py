@@ -31,26 +31,27 @@ class Finisher(Automaton):
             p = event.payload
             if p.kind != "FINISH" or p.value is BOT:
                 return []
-            self.finish_from.setdefault(p.value, set()).add(event.sender)
-            return self._evaluate()
+            senders = self.finish_from.setdefault(p.value, set())
+            senders.add(event.sender)
+            return self._evaluate(p.value, len(senders))
         return []
 
     def _to_finish(self, v):
         if self.started or self.abandoned:
             return []
         self.started = True
-        return [Broadcast(Payload("FINISH", value=v))] + self._evaluate()
+        return [Broadcast(Payload("FINISH", value=v))]
 
-    def _evaluate(self):
+    def _evaluate(self, v, support):
+        """Thresholds reached by value v, the only tally that just changed;
+        every other value's thresholds were checked when its tally last grew."""
         out = []
-        for v in sorted(self.finish_from):
-            senders = self.finish_from[v]
-            if not self.started and len(senders) >= self.t + 1:
-                self.started = True
-                if not self.abandoned:
-                    out.append(Broadcast(Payload("FINISH", value=v)))
-            if not self.finished and len(senders) >= 2 * self.t + 1:
-                self.finished = True
-                if not self.abandoned:
-                    out.append(Indicate("finish", (v,)))
+        if not self.started and support >= self.t + 1:
+            self.started = True
+            if not self.abandoned:
+                out.append(Broadcast(Payload("FINISH", value=v)))
+        if not self.finished and support >= 2 * self.t + 1:
+            self.finished = True
+            if not self.abandoned:
+                out.append(Indicate("finish", (v,)))
         return out

@@ -3,9 +3,11 @@ seed sweeps, and the lock-step equivalence oracle.
 
 A scenario is a JSON object with a closed key set; unknown keys are a hard
 error. The default check bundle evaluates agreement, strong validity,
-external validity, the termination deadline, the view ceiling, per-view
-START-VIEW budgets, post-halt silence, and the delivery-time envelope on
-every run.
+external validity, the termination deadline, the view ceiling and per-view
+START-VIEW budgets on every run. Post-halt silence and the delivery-time
+envelope hold by construction (`Automaton.step` drops every action after
+`Halt`; `simnet.schedule_delivery` clamps into the envelope), so unit tests
+cover them instead of per-run checks.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ def check_trace(trace: Trace, params: CruxParams) -> list:
     out = []
     decided = {p: trace.decisions[p] for p in cfg.correct
                if p in trace.decisions}
-    if trace.timed_out or len(decided) < len(cfg.correct):
+    if not trace.terminated:
         missing = sorted(set(cfg.correct) - set(decided))
         out.append(f"termination: NON-TERMINATED, undecided {missing}")
     values = sorted({v for (v, _) in decided.values()},
@@ -193,7 +195,7 @@ def check_trace(trace: Trace, params: CruxParams) -> list:
         if not valid(cfg.validity, v):
             out.append(f"external-validity: decided invalid {v!r}")
     fv = final_view(trace)
-    if fv is not None and len(decided) == len(cfg.correct):
+    if fv is not None and trace.terminated:
         view, tau = fv
         deadline = tau + params.delta_total + 2 * cfg.delta
         for p, (_, tm) in sorted(decided.items()):
@@ -210,12 +212,6 @@ def check_trace(trace: Trace, params: CruxParams) -> list:
         if count > 2:
             out.append(f"start-view-count: process {pid} broadcast "
                        f"START-VIEW({view}) {count} times")
-    if trace.sends_after_halt:
-        out.append(f"post-halt-silence: {trace.sends_after_halt} sends "
-                   f"after halt")
-    if trace.envelope_violations:
-        out.append(f"delivery-bound: {trace.envelope_violations} envelopes "
-                   f"outside max(send, GST) + delta")
     return out
 
 

@@ -141,8 +141,7 @@ class Oper(Composite):
         core = OperCore(n, t)
         super().__init__(core, children={"fin": Finisher(n, t)},
                          factory=self._make_view,
-                         buffer_tags=lambda tag: _tag_view(tag) is not None,
-                         buffer_cap=256)
+                         buffer_tags=lambda tag: _tag_view(tag) is not None)
 
     def _make_view(self, tag: str):
         if _tag_view(tag) is None:

@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 
 from .core import Payload
 
+# Messages buffered per not-yet-spawned child tag; the oldest is dropped first.
+BUFFER_CAP = 256
+
 # -- events -----------------------------------------------------------------
 
 
@@ -116,18 +119,17 @@ class Composite(Automaton):
 
     factory(tag) may return a fresh automaton to spawn on first use of an
     unknown tag; buffer_tags(tag) marks tags whose early messages are buffered
-    (bounded, oldest dropped) and replayed when the tag is spawned. Anything
-    else is dropped and counted as misrouted.
+    (up to BUFFER_CAP per tag, oldest dropped) and replayed when the tag is
+    spawned. Anything else is dropped and counted as misrouted.
     """
 
     def __init__(self, core: Automaton, children=None, factory=None,
-                 buffer_tags=None, buffer_cap=64):
+                 buffer_tags=None):
         super().__init__()
         self.core = core
         self.children: dict[str, Automaton] = dict(children or {})
         self.factory = factory
         self.buffer_tags = buffer_tags
-        self.buffer_cap = buffer_cap
         self.pending: dict[str, deque] = {}
         self.misrouted = 0
         self.buffer_dropped = 0
@@ -155,8 +157,8 @@ class Composite(Automaton):
             if out is not None:
                 return out
             if self.buffer_tags is not None and self.buffer_tags(tag):
-                buf = self.pending.setdefault(tag, deque(maxlen=self.buffer_cap))
-                if len(buf) == self.buffer_cap:
+                buf = self.pending.setdefault(tag, deque(maxlen=BUFFER_CAP))
+                if len(buf) == BUFFER_CAP:
                     self.buffer_dropped += 1
                 buf.append(stripped)
                 return []

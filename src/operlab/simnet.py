@@ -250,14 +250,11 @@ class Trace:
     indications: list = field(default_factory=list)    # (time, pid, name, args)
     sv_counts: dict = field(default_factory=dict)      # (pid, view) -> broadcasts
     pbit: dict = field(default_factory=dict)           # pid -> bits sent >= gst
-    envelope_violations: int = 0
-    sends_after_halt: int = 0
-    timed_out: bool = False
-    end_time: int = 0
 
     @property
     def terminated(self) -> bool:
-        return not self.timed_out
+        """Every correct process decided."""
+        return all(p in self.decisions for p in self.config.correct)
 
     def views_entered(self, pid):
         return [v for (_, p, v) in self.enters if p == pid]
@@ -268,12 +265,10 @@ def pbit_post_gst(trace: Trace, pid: int) -> int:
 
 
 def latency(trace: Trace) -> Fraction:
-    times = [t for (_, t) in
-             (trace.decisions[p] for p in trace.config.correct
-              if p in trace.decisions)]
-    if len(times) < len(trace.config.correct):
+    if not trace.terminated:
         raise ValueError("latency undefined: NON-TERMINATED trace")
-    return max(Fraction(max(times) - trace.config.gst, trace.config.delta),
+    last = max(trace.decisions[p][1] for p in trace.config.correct)
+    return max(Fraction(last - trace.config.gst, trace.config.delta),
                Fraction(0))
 
 
@@ -281,15 +276,12 @@ def latency(trace: Trace) -> Fraction:
 
 
 def run(config: SimConfig, adversary: AdversarySpec, root_factory,
-        max_time=None, collect_rows=False) -> Trace:
-    """Execute one deterministic simulation.
+        max_time: int, collect_rows=False) -> Trace:
+    """Execute one deterministic simulation, up to virtual time max_time.
 
     root_factory(pid) builds the protocol automaton for each process; faulty
-    processes get theirs wrapped in (or replaced by) their strategy. Without
-    max_time the run stops at GST + 10,000 delta.
+    processes get theirs wrapped in (or replaced by) their strategy.
     """
-    if max_time is None:
-        max_time = config.gst + 10_000 * config.delta
     rng = random.Random(config.seed)
     trace = Trace(config)
 
@@ -305,7 +297,6 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
     queue: list = []
     seq = 0
     active_timers: set = set()
-    halted_sends: set = set()
 
     def push(fire_at, pid, event):
         nonlocal seq
@@ -322,8 +313,6 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
         correct = pid not in config.faulty
         for a in actions:
             if isinstance(a, (Send, Broadcast)):
-                if correct and auto.halted and pid in halted_sends:
-                    trace.sends_after_halt += 1
                 bits = payload_bits(a.payload, config.accounting,
                                     config.value_width) \
                     + path_bits(a.path, config.accounting)
@@ -349,8 +338,6 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                     else:
                         at = schedule_delivery(now, config.gst, config.delta,
                                                adversary.pre_gst_delay, rng)
-                    if at > max(now, config.gst) + config.delta or at < now:
-                        trace.envelope_violations += 1
                     push(at, dest, MessageArrival(pid, a.payload, a.path))
             elif isinstance(a, SetTimer):
                 at = schedule_timer(now, config.gst, a.duration,
@@ -367,7 +354,6 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                 elif a.name == "enter-view":
                     trace.enters.append((now, pid, a.args[0]))
             elif isinstance(a, Halt):
-                halted_sends.add(pid)
                 log(now, pid, "halt", (), "-", 0)
 
     # kick off every process with its proposal
@@ -380,20 +366,16 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
 
     # correct processes not yet halted; a process halts only in its own step
     running = {p for p in config.correct if not autos[p].halted}
-    now = 0
     while queue and running:
-        fire_at, _, pid, event = heapq.heappop(queue)
-        now = fire_at
+        now, _, pid, event = heapq.heappop(queue)
         if now > max_time:
-            trace.timed_out = any(p not in trace.decisions
-                                  for p in config.correct)
             break
         if isinstance(event, TimerFired):
             if (pid, event.timer_id) not in active_timers:
                 continue
             active_timers.discard((pid, event.timer_id))
             log(now, pid, "timer-fire", event.timer_id, "-", 0)
-        elif isinstance(event, MessageArrival):
+        elif collect_rows and isinstance(event, MessageArrival):
             log(now, pid, "deliver", event.path, event.payload.kind,
                 payload_bits(event.payload, config.accounting,
                              config.value_width))
@@ -403,7 +385,6 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
         absorb(now, pid, auto.step(event))
         if auto.halted:
             running.discard(pid)
-    trace.end_time = now
     return trace
 
 

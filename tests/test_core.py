@@ -1,9 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
 
-from operlab.core import (BOT, KINDS, Payload, PayloadError, ValidityPredicate,
-                          decode, encode, path_bits, payload_bits, valid,
-                          value_sort_key)
+from operlab.core import (BOT, Payload, PayloadError, ValidityPredicate,
+                          path_bits, payload_bits, valid, value_sort_key)
 
 
 def test_value_payload_is_40_bits():
@@ -54,49 +52,6 @@ def test_bot_is_singleton():
 def test_malformed_payload_rejected(kind, kwargs):
     with pytest.raises(PayloadError):
         Payload(kind, **kwargs)
-
-
-def test_encode_decode_samples():
-    samples = [
-        Payload("ECHO", value=7),
-        Payload("ECHO3", value=BOT),
-        Payload("START-VIEW", view=12),
-        Payload("SYNC-ROUND", parity=1, inner=Payload("HALF-REPORT", value=9)),
-    ]
-    for p in samples:
-        assert decode(encode(p)) == p
-
-
-@given(st.sampled_from([k for k in KINDS
-                        if k not in ("START-VIEW", "SYNC-ROUND")]),
-       st.one_of(st.integers(min_value=0, max_value=2**32 - 1),
-                 st.just(BOT)))
-def test_encode_decode_roundtrip(kind, value):
-    p = Payload(kind, value=value)
-    assert decode(encode(p)) == p
-
-
-@given(st.binary(max_size=20))
-def test_decode_never_crashes(data):
-    try:
-        p = decode(data)
-    except PayloadError:
-        return
-    assert encode(p) == data
-
-
-def test_decode_rejects_trailing_bytes():
-    data = encode(Payload("ECHO", value=1)) + b"\x00"
-    with pytest.raises(PayloadError):
-        decode(data)
-
-
-def test_decode_rejects_truncation():
-    data = encode(Payload("ECHO", value=1))
-    with pytest.raises(PayloadError):
-        decode(data[:-2])
-    with pytest.raises(PayloadError):
-        decode(b"")
 
 
 def test_validity_predicates():

@@ -34,6 +34,27 @@ def test_adopt_and_rebroadcast_without_own_start():
     assert Indicate("finish", (7,)) in out
 
 
+def test_thresholds_fire_amid_junk_values():
+    # n=7, t=2: junk values from every sender, some with t supporters, are
+    # interleaved with FINISH(7); adoption comes on the 3rd matching message
+    # (t+1) and the finish indication on the 5th (2t+1), nowhere else
+    f = Finisher(7, 2)
+    junk = [(s, v) for v in (3, 9, 11) for s in (5, 6)] + [(0, 20), (1, 21)]
+    adopt_at = finish_at = None
+    for k, sender in enumerate((0, 1, 2, 3, 4), start=1):
+        for s, v in junk[2 * k - 2:2 * k]:
+            assert f.step(finish_msg(s, v)) == []
+        out = f.step(finish_msg(sender, 7))
+        if Broadcast(Payload("FINISH", value=7)) in out:
+            assert adopt_at is None
+            adopt_at = k
+        if Indicate("finish", (7,)) in out:
+            assert finish_at is None
+            finish_at = k
+    assert (adopt_at, finish_at) == (3, 5)
+    assert len(f.finish_from) == 6
+
+
 def test_finishes_at_most_once():
     f = Finisher(4, 1)
     f.step(Request("to_finish", (7,)))

@@ -42,7 +42,7 @@ GOLDEN = [
      "0,10,3,36000,10,36399,34026.142857142855,891.4,2,1",
      "a17fe897e6da085409cacb28a22bb1512976f7f46bab57ba24a6a3d416cbd168"),
     ("view-change-1", _view_change(1),
-     "1,10,3,36000,10,14380,13121.285714285714,,1,1",
+     "1,10,3,36000,10,14380,13121.285714285714,,1,0",
      "305c5d2369f35225b9a5a7bc12994c932a8eb2ca0a83334019f2fc695080644e"),
     ("view-change-2", _view_change(2),
      "2,10,3,36000,10,15058,13266.142857142857,438.1,1,1",

@@ -31,14 +31,15 @@ def test_non_canonical_view_tags_spawn_no_instance():
 
 
 def run_oper_net(proposals, faulty=frozenset(), gst=0, seed=0,
-                 adversary=None, delta=10):
+                 adversary=None, delta=10, collect_rows=False):
     n = 4
     config = SimConfig(n=n, t=1, faulty=frozenset(faulty), delta=delta,
                        gst=gst, seed=seed, proposals=proposals)
     adversary = adversary or AdversarySpec()
     trace = run(config, adversary,
                 lambda pid: make_oper(n, 1, delta, pid),
-                max_time=gst + 20 * oper_params(config).delta_total)
+                max_time=gst + 20 * oper_params(config).delta_total,
+                collect_rows=collect_rows)
     return config, trace
 
 
@@ -88,8 +89,14 @@ def test_view_messages_buffered_until_proposal():
 
 
 def test_decision_halts_the_process():
-    config, trace = run_oper_net({p: 7 for p in range(4)})
-    assert trace.sends_after_halt == 0
+    config, trace = run_oper_net({p: 7 for p in range(4)}, collect_rows=True)
+    halted = set()
+    for (_, pid, kind, _, _, _) in trace.rows:
+        if kind == "halt":
+            halted.add(pid)
+        elif kind in ("send", "broadcast"):
+            assert pid not in halted, f"process {pid} sent after its halt"
+    assert halted == set(config.correct)
     # decision indications recorded exactly once per process
     decides = [(pid, args) for (_, pid, name, args) in trace.indications
                if name == "decide"]

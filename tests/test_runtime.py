@@ -1,9 +1,9 @@
 import pytest
 
 from operlab.core import Payload
-from operlab.runtime import (Automaton, Broadcast, CancelTimer, Composite,
-                             Halt, Indicate, MessageArrival, Request, Send,
-                             SetTimer, TimerFired, ToChild)
+from operlab.runtime import (BUFFER_CAP, Automaton, Broadcast, CancelTimer,
+                             Composite, Halt, Indicate, MessageArrival,
+                             Request, Send, SetTimer, TimerFired, ToChild)
 
 
 class Echoer(Automaton):
@@ -64,13 +64,13 @@ def test_buffering_and_spawn_replay():
 
 
 def test_buffer_cap_drops_oldest():
-    comp = Composite(Recorder(), buffer_tags=lambda tag: True, buffer_cap=2)
-    for v in (1, 2, 3):
+    comp = Composite(Recorder(), buffer_tags=lambda tag: True)
+    for v in range(1, BUFFER_CAP + 2):
         comp.step(msg(0, value=v, path=("x",)))
     assert comp.buffer_dropped == 1
     out = comp.spawn("x", Echoer())
     values = [a.payload.value for a in out if isinstance(a, Broadcast)]
-    assert values == [2, 3]
+    assert values == list(range(2, BUFFER_CAP + 2))
 
 
 def test_duplicate_spawn_rejected():
@@ -97,6 +97,25 @@ def test_halt_is_absorbing():
     auto.step(Request("halt"))
     assert auto.halted
     assert auto.step(msg()) == []
+
+
+class HaltMidStep(Automaton):
+    """Emits a send, then halts, then tries to send again in the same step."""
+
+    def on_event(self, event):
+        return [Broadcast(Payload("INIT", value=1)), Halt(),
+                Broadcast(Payload("INIT", value=2)), Indicate("late")]
+
+
+def test_actions_after_halt_in_one_step_are_dropped():
+    leaf = HaltMidStep()
+    assert leaf.step(Request("go")) == [Broadcast(Payload("INIT", value=1)),
+                                        Halt()]
+    assert leaf.halted
+    comp = Composite(HaltMidStep())
+    assert comp.step(Request("go")) == [Broadcast(Payload("INIT", value=1)),
+                                        Halt()]
+    assert comp.halted
 
 
 def test_composite_halts_with_core():
