@@ -40,7 +40,7 @@ class Finisher(Automaton):
         if self.started or self.abandoned:
             return []
         self.started = True
-        return [Broadcast(Payload("FINISH", value=v))]
+        return [Broadcast(Payload("FINISH", value=v), self.path)]
 
     def _evaluate(self, v, support):
         """Thresholds reached by value v, the only tally that just changed;
@@ -49,7 +49,7 @@ class Finisher(Automaton):
         if not self.started and support >= self.t + 1:
             self.started = True
             if not self.abandoned:
-                out.append(Broadcast(Payload("FINISH", value=v)))
+                out.append(Broadcast(Payload("FINISH", value=v), self.path))
         if not self.finished and support >= 2 * self.t + 1:
             self.finished = True
             if not self.abandoned:

@@ -55,8 +55,7 @@ class GradedConsensus(Automaton):
         self.proposed = True
         self.own = v
         self.sent1.add(v)
-        out = [] if self.abandoned else [Broadcast(Payload("ECHO", value=v))]
-        return out + self._evaluate()
+        return self._send(Payload("ECHO", value=v)) + self._evaluate()
 
     def _receive(self, sender, payload):
         stage = _KIND_STAGE.get(payload.kind)
@@ -92,7 +91,7 @@ class GradedConsensus(Automaton):
         return out
 
     def _send(self, payload):
-        return [] if self.abandoned else [Broadcast(payload)]
+        return [] if self.abandoned else [Broadcast(payload, self.path)]
 
     def _mixed(self) -> bool:
         return len(self.approved) > 1 or BOT in self.approved

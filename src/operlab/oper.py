@@ -74,7 +74,8 @@ class OperCore(Automaton):
                     ToChild("fin", Request("abandon"))]
         if name == "completed":
             if args and args[0] == crux_tag(self.view) and not self.abandoned:
-                return [Broadcast(Payload("START-VIEW", view=self.view + 1))]
+                return [Broadcast(Payload("START-VIEW", view=self.view + 1),
+                                  self.path)]
             return []
         if name == "validate":
             w = _tag_view(args[0]) if args else None
@@ -106,7 +107,8 @@ class OperCore(Automaton):
         if len(senders) >= self.t + 1 and v not in self.helped:
             self.helped.add(v)
             if not self.abandoned:
-                out.append(Broadcast(Payload("START-VIEW", view=v)))
+                out.append(Broadcast(Payload("START-VIEW", view=v),
+                                     self.path))
         if len(senders) >= 2 * self.t + 1 and v > self.view:
             if self.pending_target is None or v > self.pending_target:
                 self.pending_target = v

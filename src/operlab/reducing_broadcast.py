@@ -43,7 +43,8 @@ class ReducingBroadcast(Automaton):
             return []
         self.broadcast_done = True
         self.own = v
-        return [Broadcast(Payload("INIT", value=v))] + self._evaluate()
+        return [Broadcast(Payload("INIT", value=v), self.path)] \
+            + self._evaluate()
 
     def _receive(self, sender, payload):
         if payload.kind == "INIT" and payload.value is not BOT:
@@ -68,7 +69,8 @@ class ReducingBroadcast(Automaton):
                     and len(self.init_from[v]) >= self.t + 1:
                 self.echoed.add(v)
                 if not self.abandoned:
-                    out.append(Broadcast(Payload("ECHO", value=v)))
+                    out.append(Broadcast(Payload("ECHO", value=v),
+                                         self.path))
         if not self.broadcast_done or self.delivered or self.abandoned:
             return out
         # conflicting-value evidence: t+1 supporters of a non-own value

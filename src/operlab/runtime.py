@@ -5,6 +5,14 @@ A Composite hosts a core automaton plus tagged children; inbound messages
 carry an instance path (tuple of string segments) that routes them to exactly
 one automaton. Child indications surface to the core as Request events whose
 args are prefixed with the child's tag.
+
+Paths are absolute. When a Composite is attached (as the root, as a
+constructor child or through `spawn`) it records its path, once, on itself,
+its core and its children, down the whole tree. An automaton builds each
+Send, Broadcast and SetTimer with its own `path` in front, so a parent passes
+its children's actions up unchanged. A Composite at depth d routes an
+inbound message by reference on `event.path[d]`; a timer id is cut to the
+owner's local id once, by the Composite that owns the timer's automaton.
 """
 
 from __future__ import annotations
@@ -84,34 +92,50 @@ class ToChild:
     event: object
 
 
+# actions a parent passes up from a child unchanged
+_PASS_UP = (Send, Broadcast, SetTimer, CancelTimer)
+
+
 class Automaton:
-    """Deterministic event-driven state machine. Halt is absorbing."""
+    """Deterministic event-driven state machine. Halt is absorbing.
+
+    `path` is this automaton's absolute instance path, recorded by the
+    Composite it is attached to; the actions it sends or sets carry it.
+    """
+
+    path: tuple = ()
 
     def __init__(self):
         self.halted = False
         self.abandoned = False
         self._timer_seq = 0
 
+    def attach(self, path: tuple):
+        self.path = path
+
     def step(self, event) -> list:
         if self.halted:
             return []
-        actions = list(self.on_event(event) or ())
-        out = []
-        for a in actions:
-            out.append(a)
+        actions = self.on_event(event)
+        if not actions:
+            return []
+        for i, a in enumerate(actions):
             if isinstance(a, Halt):
                 self.halted = True
-                break
-        return out
+                return actions[:i + 1]
+        return actions
 
     def on_event(self, event):  # pragma: no cover - abstract
+        """Returns a list of actions (or None for none)."""
         raise NotImplementedError
 
     def new_timer(self, duration: int):
-        """Returns (SetTimer action, timer id). Ids are local (int,) tuples."""
+        """Returns (SetTimer action, local timer id). The action carries the
+        absolute id, this automaton's path plus the local (int,) id that the
+        automaton's TimerFired events carry."""
         self._timer_seq += 1
         tid = (self._timer_seq,)
-        return SetTimer(duration, tid), tid
+        return SetTimer(duration, self.path + tid), tid
 
 
 class Composite(Automaton):
@@ -133,6 +157,14 @@ class Composite(Automaton):
         self.pending: dict[str, deque] = {}
         self.misrouted = 0
         self.buffer_dropped = 0
+        self.attach(())
+
+    def attach(self, path: tuple):
+        self.path = path
+        self.depth = len(path)
+        self.core.attach(path)
+        for tag, child in self.children.items():
+            child.attach(path + (tag,))
 
     # -- public --------------------------------------------------------
 
@@ -142,6 +174,7 @@ class Composite(Automaton):
         if tag in self.children:
             raise ValueError(f"duplicate child tag {tag!r}")
         self.children[tag] = child
+        child.attach(self.path + (tag,))
         out = []
         for buffered in self.pending.pop(tag, ()):
             out.extend(self._step_child(tag, buffered))
@@ -150,27 +183,35 @@ class Composite(Automaton):
         return out
 
     def on_event(self, event):
-        if isinstance(event, MessageArrival) and event.path:
-            tag, rest = event.path[0], event.path[1:]
-            stripped = MessageArrival(event.sender, event.payload, rest)
-            out = self._deliver_to_child(tag, stripped)
+        depth = self.depth
+        if isinstance(event, MessageArrival):
+            if len(event.path) <= depth:
+                return self._step_core(event)
+            tag = event.path[depth]
+            out = self._deliver_to_child(tag, event)
             if out is not None:
                 return out
             if self.buffer_tags is not None and self.buffer_tags(tag):
                 buf = self.pending.setdefault(tag, deque(maxlen=BUFFER_CAP))
                 if len(buf) == BUFFER_CAP:
                     self.buffer_dropped += 1
-                buf.append(stripped)
+                buf.append(event)
                 return []
             self.misrouted += 1
             return []
-        if isinstance(event, TimerFired) and event.timer_id and \
-                isinstance(event.timer_id[0], str):
-            tag = event.timer_id[0]
-            if tag in self.children:
-                return self._step_child(tag, TimerFired(event.timer_id[1:]))
-            self.misrouted += 1
-            return []
+        if isinstance(event, TimerFired):
+            tid = event.timer_id
+            if len(tid) > depth and isinstance(tid[depth], str):
+                tag = tid[depth]
+                child = self.children.get(tag)
+                if child is None:
+                    self.misrouted += 1
+                    return []
+                if not isinstance(child, Composite):
+                    event = TimerFired(tid[depth + 1:])
+                return self._step_child(tag, event)
+            if depth:
+                event = TimerFired(tid[depth:])
         return self._step_core(event)
 
     # -- internals -----------------------------------------------------
@@ -207,21 +248,20 @@ class Composite(Automaton):
         return self.spawn(tag, child, event)
 
     def _step_child(self, tag: str, event) -> list:
+        """The child's actions, already on absolute paths, pass up unchanged;
+        its indications become tag-prefixed requests to the core."""
+        actions = self.children[tag].step(event)
         out = []
-        for a in self.children[tag].step(event):
-            if self.halted:
-                break
-            if isinstance(a, Send):
-                out.append(Send(a.to, a.payload, (tag,) + a.path))
-            elif isinstance(a, Broadcast):
-                out.append(Broadcast(a.payload, (tag,) + a.path))
-            elif isinstance(a, SetTimer):
-                out.append(SetTimer(a.duration, (tag,) + a.timer_id))
-            elif isinstance(a, CancelTimer):
-                out.append(CancelTimer((tag,) + a.timer_id))
+        if self.halted:
+            return out
+        for a in actions:
+            if isinstance(a, _PASS_UP):
+                out.append(a)
             elif isinstance(a, Indicate):
                 out.extend(self._absorb_core(
                     self.core.step(Request(a.name, (tag,) + a.args))))
+                if self.halted:
+                    break
             elif isinstance(a, Halt):
                 pass  # child-local; the child's own flag absorbs it
             elif isinstance(a, ToChild):  # pragma: no cover - cores only

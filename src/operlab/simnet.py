@@ -78,6 +78,18 @@ def schedule_delivery(now, gst, delta, rule, rng):
     return min(max(raw, now), bound)
 
 
+def schedule_deliveries(now, gst, delta, rule, rng, k):
+    """Delivery times of k copies sent at `now`: the same times and the same
+    rng draws, in the same order, as k schedule_delivery calls."""
+    if not k:
+        return []
+    if rule[0] == "uniform":
+        if now >= gst:
+            return [now + rng.randint(0, delta) for _ in range(k)]
+        return [rng.randint(now, gst + delta) for _ in range(k)]
+    return [schedule_delivery(now, gst, delta, rule, rng)] * k
+
+
 def schedule_timer(now, gst, d, rule, rng):
     """Fire time for a timer of duration d set at `now`."""
     if now >= gst:
@@ -293,7 +305,14 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
             autos[pid] = make_strategy(spec, inner, config)
         else:
             autos[pid] = inner
+    # strategies read the clock and the rng; a delayer's copies all take
+    # the maximal delay, which is the "max" rule
+    strategy_pids = {p for p, auto in autos.items()
+                     if isinstance(auto, Strategy)}
+    delay_rule = {p: ("max",) if getattr(auto, "delay_outputs", False)
+                  else adversary.pre_gst_delay for p, auto in autos.items()}
 
+    n, gst, delta = config.n, config.gst, config.delta
     queue: list = []
     seq = 0
     active_timers: set = set()
@@ -308,40 +327,35 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
             trace.rows.append((now, pid, kind, path, pkind, bits))
 
     def absorb(now, pid, actions):
-        auto = autos[pid]
-        delay_all = getattr(auto, "delay_outputs", False)
         correct = pid not in config.faulty
         for a in actions:
             if isinstance(a, (Send, Broadcast)):
-                bits = payload_bits(a.payload, config.accounting,
+                payload = a.payload
+                bits = payload_bits(payload, config.accounting,
                                     config.value_width) \
                     + path_bits(a.path, config.accounting)
                 if isinstance(a, Broadcast):
-                    dests = range(config.n)
-                    total = bits * config.n
-                    if correct and a.payload.kind == "START-VIEW":
-                        key = (pid, a.payload.view)
+                    dests = range(n)
+                    total = bits * n
+                    if correct and payload.kind == "START-VIEW":
+                        key = (pid, payload.view)
                         trace.sv_counts[key] = trace.sv_counts.get(key, 0) + 1
                 else:
-                    dests = (a.to,)
+                    dests = (a.to,) if 0 <= a.to < n else ()
                     total = bits
-                if correct and now >= config.gst:
+                if correct and now >= gst:
                     trace.pbit[pid] = trace.pbit.get(pid, 0) + total
                 log(now, pid,
                     "broadcast" if isinstance(a, Broadcast) else "send",
-                    a.path, a.payload.kind, total)
-                for dest in dests:
-                    if not 0 <= dest < config.n:
-                        continue
-                    if delay_all:
-                        at = max(now, config.gst) + config.delta
-                    else:
-                        at = schedule_delivery(now, config.gst, config.delta,
-                                               adversary.pre_gst_delay, rng)
-                    push(at, dest, MessageArrival(pid, a.payload, a.path))
+                    a.path, payload.kind, total)
+                # one arrival, shared by every copy
+                arrival = MessageArrival(pid, payload, a.path)
+                times = schedule_deliveries(now, gst, delta, delay_rule[pid],
+                                            rng, len(dests))
+                for dest, at in zip(dests, times):
+                    push(at, dest, arrival)
             elif isinstance(a, SetTimer):
-                at = schedule_timer(now, config.gst, a.duration,
-                                    adversary.drift, rng)
+                at = schedule_timer(now, gst, a.duration, adversary.drift, rng)
                 active_timers.add((pid, a.timer_id))
                 push(at, pid, TimerFired(a.timer_id))
             elif isinstance(a, CancelTimer):
@@ -380,8 +394,9 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                 payload_bits(event.payload, config.accounting,
                              config.value_width))
         auto = autos[pid]
-        auto.now = now
-        auto.rng = rng
+        if pid in strategy_pids:
+            auto.now = now
+            auto.rng = rng
         absorb(now, pid, auto.step(event))
         if auto.halted:
             running.discard(pid)

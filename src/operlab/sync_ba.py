@@ -240,7 +240,7 @@ class RoundSimAdapter(Automaton):
                 self.abandoned = True
                 if self._timer is not None:
                     tid, self._timer = self._timer, None
-                    return [CancelTimer(tid)]
+                    return [CancelTimer(self.path + tid)]
             return []
         if isinstance(event, MessageArrival):
             p = event.payload
@@ -264,14 +264,21 @@ class RoundSimAdapter(Automaton):
         return out + [timer]
 
     def _send_round(self):
+        """One SYNC-ROUND wrapper and one bit count per inner payload: the
+        machine lists each payload's destinations one after another."""
         out = []
         parity = (self.round ^ self.parity_flip) & 1
-        for dest, inner in self.machine.outbound(self.round):
-            inner_bits = payload_bits(inner, "payload-only", self.value_width)
+        inner = wrapped = None
+        for dest, payload in self.machine.outbound(self.round):
+            if payload is not inner:
+                inner = payload
+                inner_bits = payload_bits(inner, "payload-only",
+                                          self.value_width)
+                wrapped = Payload("SYNC-ROUND", parity=parity, inner=inner)
             if self.sent_bits + inner_bits > self.bit_cap:
                 continue  # budget exhausted: suppress silently
             self.sent_bits += inner_bits
-            out.append(Send(dest, Payload("SYNC-ROUND", parity=parity, inner=inner)))
+            out.append(Send(dest, wrapped, self.path))
         return out
 
     def _finish_round(self):

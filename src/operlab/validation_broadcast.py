@@ -41,7 +41,8 @@ class ValidationCore(Automaton):
                 # reduced value (possibly BOT) -> INIT round
                 if self.abandoned:
                     return []
-                return [Broadcast(Payload("INIT", value=event.args[1]))]
+                return [Broadcast(Payload("INIT", value=event.args[1]),
+                                  self.path)]
             if event.name == "abandon":
                 self.abandoned = True
                 return [ToChild("rb", Request("abandon"))]
@@ -69,14 +70,16 @@ class ValidationCore(Automaton):
             if v not in self.echo_sent and len(self.init_from[v]) >= self.t + 1:
                 self.echo_sent.add(v)
                 if not self.abandoned:
-                    out.append(Broadcast(Payload("ECHO", value=v)))
+                    out.append(Broadcast(Payload("ECHO", value=v),
+                                         self.path))
         # most-frequent gap -> BOT echo
         if BOT not in self.echo_sent and self.init_from:
             top = max(len(s) for s in self.init_from.values())
             if len(self.init_seen) - top >= self.t + 1:
                 self.echo_sent.add(BOT)
                 if not self.abandoned:
-                    out.append(Broadcast(Payload("ECHO", value=BOT)))
+                    out.append(Broadcast(Payload("ECHO", value=BOT),
+                                         self.path))
         # completion (broadcasters only, once)
         if not self.completed and self.broadcast_done and not self.abandoned:
             for v in self.echo_from.values():

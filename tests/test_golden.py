@@ -34,6 +34,23 @@ def _flood_random(seed):
             "proposals": {str(p): (p % 2) + 1 for p in range(7)}}
 
 
+def _max_delayer_crash(seed):
+    # every pre-GST message takes the maximal delay; one faulty process is a
+    # delayer (its own maximal-delay branch), the other crashes before GST
+    return {"n": 7, "t": 2, "delta": DELTA, "gst": 2000, "seed": seed,
+            "faulty": [5, 6],
+            "strategies": {"5": ["delayer"], "6": ["crash", 700]},
+            "proposals": {str(p): (p % 3) + 1 for p in range(7)},
+            "pre_gst_delay": ["max"], "drift": ["uniform"]}
+
+
+def _exact_drift_max(seed):
+    return {"n": 7, "t": 2, "delta": DELTA, "gst": 2000, "seed": seed,
+            "faulty": [6], "strategies": {"6": ["equivocate"]},
+            "proposals": {str(p): (p % 2) + 1 for p in range(7)},
+            "pre_gst_delay": ["exact", 3], "drift": ["max"]}
+
+
 UNANIMOUS = {"n": 4, "delta": DELTA, "gst": 0, "seed": 0, "proposal": 7}
 
 # (label, scenario, csv row, sha256 of the trace lines joined by newlines)
@@ -56,6 +73,12 @@ GOLDEN = [
     ("flood-random-1", _flood_random(1),
      "1,7,2,2000,10,11081,10185.0,298.3,1,1",
      "174565cb59c60e67f1d04cd1e08be0f4c3ab510818e3edbadf6ee984f5ed1c60"),
+    ("max-delayer-crash-0", _max_delayer_crash(0),
+     "0,7,2,2000,10,11578,10848.6,303.0,1,1",
+     "04d638b8d6bd55ded2d1d3678054d3ad5f71651a491e5c5ef593ecc5600d26ac"),
+    ("exact3-drift-max-0", _exact_drift_max(0),
+     "0,7,2,2000,10,10241,9800.0,306.3,1,1",
+     "b1a4d4e9b45d37c475423051d51f18356dc318182d1d9b77e8549cfe3098070e"),
     ("unanimous-n4", UNANIMOUS,
      "0,4,1,0,10,5314,5234.0,162.6,1,1",
      "ac751f88f3b011480b27950ecaad4b06ed70bab88e942c3b5d19294d039de0b1"),

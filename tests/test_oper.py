@@ -1,6 +1,6 @@
 from operlab.core import Payload
 from operlab.oper import Oper, crux_tag, _tag_view, make_oper
-from operlab.runtime import MessageArrival, Request
+from operlab.runtime import Halt, MessageArrival, Request
 from operlab.simnet import AdversarySpec, SimConfig, run
 from operlab.harness import oper_params
 
@@ -101,6 +101,20 @@ def test_decision_halts_the_process():
     decides = [(pid, args) for (_, pid, name, args) in trace.indications
                if name == "decide"]
     assert sorted(pid for pid, _ in decides) == config.correct
+
+
+def test_halted_oper_ignores_start_view_quorum():
+    oper = Oper(4, 1, 10, pid=0)
+    oper.step(Request("propose", (5,)))
+    out = []
+    for sender in (1, 2, 3):
+        out += oper.step(MessageArrival(sender, Payload("FINISH", value=5),
+                                        path=("fin",)))
+    assert oper.halted and out[-1] == Halt()
+    # a live process would amplify and broadcast START-VIEW(2) here
+    for sender in (1, 2, 3):
+        assert oper.step(MessageArrival(
+            sender, Payload("START-VIEW", view=2))) == []
 
 
 def test_determinism_same_seed_same_trace():

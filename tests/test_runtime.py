@@ -11,7 +11,7 @@ class Echoer(Automaton):
 
     def on_event(self, event):
         if isinstance(event, MessageArrival):
-            return [Broadcast(event.payload),
+            return [Broadcast(event.payload, self.path),
                     Indicate("saw", (event.sender,))]
         if isinstance(event, Request) and event.name == "halt":
             return [Halt()]
@@ -131,6 +131,20 @@ def test_composite_halts_with_core():
     assert comp.step(msg(path=("a",))) == []
 
 
+class Forwarder(Recorder):
+    """Records its events and forwards a "go" request to child `tag`."""
+
+    def __init__(self, tag):
+        super().__init__()
+        self.tag = tag
+
+    def on_event(self, event):
+        super().on_event(event)
+        if isinstance(event, Request) and event.name == "go":
+            return [ToChild(self.tag, event)]
+        return []
+
+
 def test_child_timers_get_tag_prefix():
     class TimerChild(Automaton):
         def on_event(self, event):
@@ -141,10 +155,8 @@ def test_child_timers_get_tag_prefix():
                 return [Indicate("fired", event.timer_id)]
             return []
 
-    comp = Composite(Recorder(), children={"tc": TimerChild()})
+    comp = Composite(Forwarder("tc"), children={"tc": TimerChild()})
     out = comp.step(Request("go"))
-    # core requests are seen by the core, not children; drive child directly
-    out = comp._step_child("tc", Request("go"))
     (timer,) = [a for a in out if isinstance(a, SetTimer)]
     assert timer.timer_id[0] == "tc"
     comp.step(TimerFired(timer.timer_id))
@@ -163,8 +175,92 @@ def test_new_timer_ids_are_unique():
 def test_send_path_prefixing():
     class Sender(Automaton):
         def on_event(self, event):
-            return [Send(2, Payload("INIT", value=4), ("deep",))]
+            return [Send(2, Payload("INIT", value=4), self.path + ("deep",))]
 
-    comp = Composite(Recorder(), children={"s": Sender()})
-    out = comp._step_child("s", Request("go"))
+    comp = Composite(Forwarder("s"), children={"s": Sender()})
+    out = comp.step(Request("go"))
     assert out == [Send(2, Payload("INIT", value=4), ("s", "deep"))]
+
+
+# -- absolute paths at depth 2 ----------------------------------------------
+
+
+class Leaf(Recorder):
+    """Records its events; on a message: broadcasts it, sends it on a
+    deeper path, arms a timer and reports the sender."""
+
+    def on_event(self, event):
+        super().on_event(event)
+        if isinstance(event, MessageArrival):
+            timer, _ = self.new_timer(5)
+            return [Broadcast(event.payload, self.path),
+                    Send(1, event.payload, self.path + ("x",)), timer,
+                    Indicate("saw", (event.sender,))]
+        if isinstance(event, TimerFired):
+            return [Indicate("fired", event.timer_id)]
+        return []
+
+
+class TimedCore(Recorder):
+    """Records its events and arms a timer on every message."""
+
+    def on_event(self, event):
+        super().on_event(event)
+        if isinstance(event, MessageArrival):
+            timer, _ = self.new_timer(3)
+            return [timer]
+        return []
+
+
+def nested():
+    """root -> lazily spawned "mid" composite -> prebuilt child "leaf"."""
+    leaf = Leaf()
+    mid = Composite(TimedCore(), children={"leaf": leaf})
+    root = Composite(Recorder(),
+                     factory=lambda tag: mid if tag == "mid" else None)
+    return root, mid, leaf
+
+
+def test_depth_two_actions_carry_absolute_paths():
+    root, mid, leaf = nested()
+    out = root.step(msg(3, path=("mid", "leaf")))
+    assert root.children == {"mid": mid}
+    assert leaf.path == ("mid", "leaf") and mid.core.path == ("mid",)
+    assert out == [Broadcast(Payload("INIT", value=1), ("mid", "leaf")),
+                   Send(1, Payload("INIT", value=1), ("mid", "leaf", "x")),
+                   SetTimer(5, ("mid", "leaf", 1))]
+    assert mid.core.events[-1] == Request("saw", ("leaf", 3))
+
+
+def test_depth_two_timer_returns_local_id():
+    root, mid, leaf = nested()
+    root.step(msg(path=("mid", "leaf")))
+    root.step(TimerFired(("mid", "leaf", 1)))
+    assert leaf.events[-1] == TimerFired((1,))
+    assert mid.core.events[-1] == Request("fired", ("leaf", 1))
+
+
+def test_depth_two_trailing_segments_reach_the_leaf():
+    root, mid, leaf = nested()
+    event = msg(4, path=("mid", "leaf", "extra", "more"))
+    out = root.step(event)
+    assert leaf.events == [event]
+    assert Broadcast(Payload("INIT", value=1), ("mid", "leaf")) in out
+
+
+def test_path_ending_at_nested_composite_reaches_its_core():
+    root, mid, leaf = nested()
+    event = msg(2, path=("mid",))
+    out = root.step(event)
+    assert mid.core.events == [event] and leaf.events == []
+    assert out == [SetTimer(3, ("mid", 1))]
+    root.step(TimerFired(("mid", 1)))
+    assert mid.core.events[-1] == TimerFired((1,))
+
+
+def test_unknown_tag_at_depth_two_counts_in_that_composite():
+    root, mid, leaf = nested()
+    root.step(msg(path=("mid",)))
+    assert root.step(msg(path=("mid", "ghost"))) == []
+    assert root.step(TimerFired(("mid", "ghost", 1))) == []
+    assert (root.misrouted, mid.misrouted) == (0, 2)

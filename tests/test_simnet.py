@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 
 from operlab.core import Payload
 from operlab.runtime import (Automaton, Broadcast, Indicate, MessageArrival,
-                             Request)
+                             Request, Send)
 from operlab.simnet import (AdversarySpec, CSV_HEADER, SimConfig,
                             STRATEGY_KINDS, csv_row, latency, make_strategy,
-                            pbit_post_gst, run, schedule_delivery,
-                            schedule_timer, trace_lines)
+                            pbit_post_gst, run, schedule_deliveries,
+                            schedule_delivery, schedule_timer, trace_lines)
 
 
 # -- envelope schedules ------------------------------------------------------
@@ -34,6 +34,49 @@ def test_timer_always_within_envelope(now, gst, d, seed):
             assert at == now + d
         else:
             assert now < at <= gst + d
+
+
+DELAY_RULES = (("uniform",), ("max",), ("exact", 3), ("exact", 10**6))
+
+
+@given(st.integers(0, 1000), st.integers(0, 1000), st.integers(1, 50),
+       st.integers(0, 12), st.integers(0, 10_000))
+def test_batched_deliveries_match_sequential_draws(now, gst, delta, k, seed):
+    for rule in DELAY_RULES:
+        batched, sequential = random.Random(seed), random.Random(seed)
+        times = schedule_deliveries(now, gst, delta, rule, batched, k)
+        assert times == [schedule_delivery(now, gst, delta, rule, sequential)
+                         for _ in range(k)]
+        assert batched.getstate() == sequential.getstate()
+
+
+class Pinger(Automaton):
+    """Broadcasts on its proposal, after `extra` actions."""
+
+    def __init__(self, extra):
+        super().__init__()
+        self.extra = extra
+
+    def on_event(self, event):
+        if isinstance(event, Request):
+            return self.extra + [Broadcast(Payload("INIT", value=1))]
+        return []
+
+
+def test_send_to_out_of_range_destination_draws_nothing():
+    stray = [Send(9, Payload("INIT", value=2)),
+             Send(-1, Payload("INIT", value=3))]
+
+    def deliveries(extra):
+        trace = run(SimConfig(n=4, t=1, seed=3), AdversarySpec(),
+                    lambda pid: Pinger(extra), max_time=100,
+                    collect_rows=True)
+        return [row for row in trace.rows if row[2] == "deliver"]
+
+    # the stray sends are charged but never delivered, and the broadcasts
+    # after them get the same rng draws as without them
+    assert deliveries(stray) == deliveries([])
+    assert len(deliveries([])) == 16
 
 
 def test_unknown_rules_rejected():
