@@ -8,7 +8,7 @@ under a bit cap; (3) the estimate rule; (4) second graded consensus, gated
 the same way; (5) decide iff the second grade is 1; (6) broadcast the second
 value through the validation broadcast; (7) completed once that broadcast
 completes. Validations are relayed outward unconditionally, even after an
-abandon.
+abandon (the runtime lets them through).
 """
 
 from __future__ import annotations
@@ -110,12 +110,6 @@ class CruxCore(Automaton):
         name, args = event.name, event.args
         if name == "propose":
             return self._propose(args[0])
-        if name == "abandon":
-            self.abandoned = True
-            return [ToChild("gc1", Request("abandon")),
-                    ToChild("gc2", Request("abandon")),
-                    ToChild("as", Request("abandon")),
-                    ToChild("vb", Request("abandon"))]
         # child indications, tag-prefixed
         if name == "decide" and args and args[0] == "gc1":
             if self.gc1_out is None:
@@ -133,17 +127,16 @@ class CruxCore(Automaton):
                 return self._after_gc2()
             return []
         if name == "validate" and args and args[0] == "vb":
-            # relayed unconditionally, even after abandon
             return [Indicate("validate", (args[1],))]
         if name == "completed" and args and args[0] == "vb":
-            if not self.completed and not self.abandoned:
+            if not self.completed:
                 self.completed = True
                 return [Indicate("completed")]
             return []
         return []
 
     def _propose(self, v):
-        if self.own is not None or self.abandoned:
+        if self.own is not None:
             return []
         self.own = v
         timer, self._timer1 = self.new_timer(
@@ -153,14 +146,14 @@ class CruxCore(Automaton):
     def _after_gc1(self):
         if not (self.timer1_done and self.gc1_out is not None):
             return []
-        if self.sync_started or self.abandoned:
+        if self.sync_started:
             return []
         self.sync_started = True
         v1, _ = self.gc1_out
         return [ToChild("as", Request("propose", (v1,)))]
 
     def _after_sync(self):
-        if self.gc2_started or self.abandoned:
+        if self.gc2_started:
             return []
         self.gc2_started = True
         v1, g1 = self.gc1_out
@@ -172,7 +165,7 @@ class CruxCore(Automaton):
     def _after_gc2(self):
         if not (self.timer2_done and self.gc2_out is not None):
             return []
-        if self.vb_started or self.abandoned:
+        if self.vb_started:
             return []
         self.vb_started = True
         v2, g2 = self.gc2_out

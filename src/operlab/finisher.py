@@ -24,8 +24,6 @@ class Finisher(Automaton):
         if isinstance(event, Request):
             if event.name == "to_finish":
                 return self._to_finish(event.args[0])
-            if event.name == "abandon":
-                self.abandoned = True
             return []
         if isinstance(event, MessageArrival):
             p = event.payload
@@ -37,7 +35,7 @@ class Finisher(Automaton):
         return []
 
     def _to_finish(self, v):
-        if self.started or self.abandoned:
+        if self.started:
             return []
         self.started = True
         return [Broadcast(Payload("FINISH", value=v), self.path)]
@@ -48,10 +46,8 @@ class Finisher(Automaton):
         out = []
         if not self.started and support >= self.t + 1:
             self.started = True
-            if not self.abandoned:
-                out.append(Broadcast(Payload("FINISH", value=v), self.path))
+            out.append(Broadcast(Payload("FINISH", value=v), self.path))
         if not self.finished and support >= 2 * self.t + 1:
             self.finished = True
-            if not self.abandoned:
-                out.append(Indicate("finish", (v,)))
+            out.append(Indicate("finish", (v,)))
         return out

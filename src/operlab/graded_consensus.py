@@ -42,20 +42,19 @@ class GradedConsensus(Automaton):
         if isinstance(event, Request):
             if event.name == "propose":
                 return self._propose(event.args[0])
-            if event.name == "abandon":
-                self.abandoned = True
             return []
         if isinstance(event, MessageArrival):
             return self._receive(event.sender, event.payload)
         return []
 
     def _propose(self, v):
-        if self.proposed or self.abandoned:
+        if self.proposed:
             return []
         self.proposed = True
         self.own = v
         self.sent1.add(v)
-        return self._send(Payload("ECHO", value=v)) + self._evaluate()
+        return [Broadcast(Payload("ECHO", value=v), self.path)] \
+            + self._evaluate()
 
     def _receive(self, sender, payload):
         stage = _KIND_STAGE.get(payload.kind)
@@ -90,9 +89,6 @@ class GradedConsensus(Automaton):
                     progressed = True
         return out
 
-    def _send(self, payload):
-        return [] if self.abandoned else [Broadcast(payload, self.path)]
-
     def _mixed(self) -> bool:
         return len(self.approved) > 1 or BOT in self.approved
 
@@ -101,7 +97,7 @@ class GradedConsensus(Automaton):
         for v in sorted(self.counts[1], key=value_sort_key):
             if v not in self.sent1 and len(self.counts[1][v]) >= self.t + 1:
                 self.sent1.add(v)
-                out.extend(self._send(Payload("ECHO", value=v)))
+                out.append(Broadcast(Payload("ECHO", value=v), self.path))
         return out
 
     def _gap_echo(self):
@@ -113,7 +109,7 @@ class GradedConsensus(Automaton):
         top = max(len(s) for s in self.counts[1].values())
         if total - top >= self.t + 1:
             self.sent1.add(BOT)
-            return self._send(Payload("ECHO", value=BOT))
+            return [Broadcast(Payload("ECHO", value=BOT), self.path)]
         return []
 
     def _approve(self):
@@ -124,10 +120,10 @@ class GradedConsensus(Automaton):
             self.approved.add(v)
             if 2 not in self.sent:
                 self.sent[2] = v
-                out.extend(self._send(Payload("ECHO2", value=v)))
+                out.append(Broadcast(Payload("ECHO2", value=v), self.path))
             if len(self.approved) > 1 and 3 not in self.sent:
                 self.sent[3] = BOT
-                out.extend(self._send(Payload("ECHO3", value=BOT)))
+                out.append(Broadcast(Payload("ECHO3", value=BOT), self.path))
         return out
 
     def _quorum_value(self, stage):
@@ -143,7 +139,7 @@ class GradedConsensus(Automaton):
         if v is None:
             return []
         self.sent[3] = v
-        return self._send(Payload("ECHO3", value=v))
+        return [Broadcast(Payload("ECHO3", value=v), self.path)]
 
     def _stage4(self):
         if 4 in self.sent:
@@ -156,7 +152,7 @@ class GradedConsensus(Automaton):
             if send is None:
                 return []
         self.sent[4] = send
-        return self._send(Payload("ECHO4", value=send))
+        return [Broadcast(Payload("ECHO4", value=send), self.path)]
 
     def _stage5(self):
         if 5 in self.sent:
@@ -168,7 +164,7 @@ class GradedConsensus(Automaton):
             else:
                 return []
         self.sent[5] = send
-        return self._send(Payload("ECHO5", value=send))
+        return [Broadcast(Payload("ECHO5", value=send), self.path)]
 
     def _resolve_decision(self):
         if self.decided:
@@ -188,8 +184,6 @@ class GradedConsensus(Automaton):
     def _decide(self, v, g):
         self.decided = True
         self.gbca_outcome = (v, g)
-        if self.abandoned:
-            return []
         mapped = map_decision((v, g), self.own)
         if mapped is None:
             return []

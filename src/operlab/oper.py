@@ -26,9 +26,12 @@ def crux_tag(view: int) -> str:
     return CRUX_TAG_PREFIX + str(view)
 
 
-def _tag_view(tag: str):
+def _tag_view(tag):
     """View v >= 1 if tag is exactly crux_tag(v), else None: aliases that
-    int() accepts ("crux@01", "crux@+1", "crux@1_0") are not view tags."""
+    int() accepts ("crux@01", "crux@+1", "crux@1_0") and non-string path
+    segments are not view tags."""
+    if not isinstance(tag, str):
+        return None
     try:
         v = int(tag[len(CRUX_TAG_PREFIX):])
     except ValueError:
@@ -62,18 +65,14 @@ class OperCore(Automaton):
     def _request(self, event):
         name, args = event.name, event.args
         if name == "propose":
-            if self.entered or self.abandoned:
+            if self.entered:
                 return []
             self.own = args[0]
             self.entered = True
             return [Indicate("enter-view", (1,)),
                     ToChild(crux_tag(1), Request("propose", (args[0],)))]
-        if name == "abandon":
-            self.abandoned = True
-            return [ToChild(crux_tag(self.view), Request("abandon")),
-                    ToChild("fin", Request("abandon"))]
         if name == "completed":
-            if args and args[0] == crux_tag(self.view) and not self.abandoned:
+            if args and args[0] == crux_tag(self.view):
                 return [Broadcast(Payload("START-VIEW", view=self.view + 1),
                                   self.path)]
             return []
@@ -84,11 +83,11 @@ class OperCore(Automaton):
                 return self._try_advance()
             return []
         if name == "decide":
-            if args and args[0] == crux_tag(self.view) and not self.abandoned:
+            if args and args[0] == crux_tag(self.view):
                 return [ToChild("fin", Request("to_finish", (args[1],)))]
             return []
         if name == "finish" and args and args[0] == "fin":
-            if self.decided or self.abandoned:
+            if self.decided:
                 return []
             self.decided = True
             return [Indicate("decide", (args[1],)),
@@ -106,9 +105,7 @@ class OperCore(Automaton):
         out = []
         if len(senders) >= self.t + 1 and v not in self.helped:
             self.helped.add(v)
-            if not self.abandoned:
-                out.append(Broadcast(Payload("START-VIEW", view=v),
-                                     self.path))
+            out.append(Broadcast(Payload("START-VIEW", view=v), self.path))
         if len(senders) >= 2 * self.t + 1 and v > self.view:
             if self.pending_target is None or v > self.pending_target:
                 self.pending_target = v
@@ -120,7 +117,7 @@ class OperCore(Automaton):
         while (self.pending_target is not None
                and self.pending_target > self.view
                and self.pending_target - 1 in self.validated
-               and self.entered and not self.abandoned):
+               and self.entered):
             target = self.pending_target
             value = self.validated[target - 1]
             out.append(ToChild(crux_tag(self.view), Request("abandon")))

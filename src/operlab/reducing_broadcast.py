@@ -31,15 +31,13 @@ class ReducingBroadcast(Automaton):
         if isinstance(event, Request):
             if event.name == "broadcast":
                 return self._broadcast(event.args[0])
-            if event.name == "abandon":
-                self.abandoned = True
             return []
         if isinstance(event, MessageArrival):
             return self._receive(event.sender, event.payload)
         return []
 
     def _broadcast(self, v):
-        if self.broadcast_done or self.abandoned:
+        if self.broadcast_done:
             return []
         self.broadcast_done = True
         self.own = v
@@ -68,10 +66,8 @@ class ReducingBroadcast(Automaton):
             if v != self.own and v not in self.echoed \
                     and len(self.init_from[v]) >= self.t + 1:
                 self.echoed.add(v)
-                if not self.abandoned:
-                    out.append(Broadcast(Payload("ECHO", value=v),
-                                         self.path))
-        if not self.broadcast_done or self.delivered or self.abandoned:
+                out.append(Broadcast(Payload("ECHO", value=v), self.path))
+        if not self.broadcast_done or self.delivered:
             return out
         # conflicting-value evidence: t+1 supporters of a non-own value
         for v in sorted(set(self.init_from) | set(self.echo_from), key=value_sort_key):

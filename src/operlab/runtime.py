@@ -13,6 +13,15 @@ Send, Broadcast and SetTimer with its own `path` in front, so a parent passes
 its children's actions up unchanged. A Composite at depth d routes an
 inbound message by reference on `event.path[d]`; a timer id is cut to the
 owner's local id once, by the Composite that owns the timer's automaton.
+
+Abandon is a runtime operation. The view loop sends Request("abandon") to a
+per-view core when it moves to a later view or finishes; `Automaton.step`
+answers it with `abandon()`, which a Composite applies to its core and every
+child, down the whole tree. From then on the automaton keeps its state and
+keeps processing events, but `step` mutes it: only CancelTimer and
+Indicate("validate") leave it. Validations outlive the view because the
+next view is proposed with a value the old view's validation broadcast
+validated.
 """
 
 from __future__ import annotations
@@ -97,7 +106,8 @@ _PASS_UP = (Send, Broadcast, SetTimer, CancelTimer)
 
 
 class Automaton:
-    """Deterministic event-driven state machine. Halt is absorbing.
+    """Deterministic event-driven state machine. Halt is absorbing; an
+    abandoned automaton is muted (see the module docstring).
 
     `path` is this automaton's absolute instance path, recorded by the
     Composite it is attached to; the actions it sends or sets carry it.
@@ -116,14 +126,26 @@ class Automaton:
     def step(self, event) -> list:
         if self.halted:
             return []
+        if isinstance(event, Request) and event.name == "abandon":
+            return self.abandon()
         actions = self.on_event(event)
         if not actions:
             return []
+        if self.abandoned:
+            # validations outlive a view: OperCore._try_advance proposes
+            # view V with view V-1's validated value
+            return [a for a in actions if isinstance(a, CancelTimer)
+                    or isinstance(a, Indicate) and a.name == "validate"]
         for i, a in enumerate(actions):
             if isinstance(a, Halt):
                 self.halted = True
                 return actions[:i + 1]
         return actions
+
+    def abandon(self) -> list:
+        """Mute this automaton; returns the actions that wind it down."""
+        self.abandoned = True
+        return []
 
     def on_event(self, event):  # pragma: no cover - abstract
         """Returns a list of actions (or None for none)."""
@@ -167,6 +189,13 @@ class Composite(Automaton):
             child.attach(path + (tag,))
 
     # -- public --------------------------------------------------------
+
+    def abandon(self) -> list:
+        """Abandon the core and every child, down the whole tree."""
+        out = super().abandon() + self.core.abandon()
+        for child in self.children.values():
+            out.extend(child.abandon())
+        return out
 
     def spawn(self, tag: str, child: Automaton, event=None) -> list:
         """Register a child, replay its buffered messages in arrival order,

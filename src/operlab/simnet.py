@@ -185,12 +185,12 @@ class FloodStrategy(Strategy):
         self.max_value = (1 << value_width) - 1
 
     def on_event(self, event):
-        actions = list(self.inner.step(event)) if self.inner else []
         if isinstance(event, TimerFired) and event.timer_id == ("flood",):
-            actions = actions + self._flood()
+            return self._flood()   # the strategy's own timer, not the inner's
+        actions = super().on_event(event)
         if isinstance(event, Request) and event.name == "propose":
             actions = actions + [SetTimer(self.interval, ("flood",))]
-        return self.rewrite(actions)
+        return actions
 
     def _flood(self):
         if self.now >= self.gst:

@@ -15,8 +15,8 @@ bit cap.
 from __future__ import annotations
 
 from .core import BOT, Payload, payload_bits, value_sort_key
-from .runtime import (Automaton, CancelTimer, Indicate, MessageArrival,
-                      Request, Send)
+from .runtime import (Automaton, Broadcast, CancelTimer, Indicate,
+                      MessageArrival, Request, Send)
 from .graded_consensus import GradedConsensus
 
 # Lock-step round budget for one graded-consensus stage: five echo stages of
@@ -78,7 +78,6 @@ class LockstepGC:
         self.decision = None
 
     def _collect(self, actions):
-        from .runtime import Broadcast
         for a in actions:
             if isinstance(a, Broadcast):
                 self.outbox.append(a.payload)
@@ -189,8 +188,7 @@ class SyncMachine:
                 tally[v] = tally.get(v, 0) + 1
             if tally:
                 best = min((v for v, c in tally.items()
-                            if c == max(tally.values())),
-                           key=lambda v: (v is BOT, v if v is not BOT else 0))
+                            if c == max(tally.values())), key=value_sort_key)
                 if tally[best] > len(half) / 2 and self.gc_grade == 0 \
                         and best is not BOT:
                     self.b = best
@@ -236,11 +234,6 @@ class RoundSimAdapter(Automaton):
         if isinstance(event, Request):
             if event.name == "propose":
                 return self._start(event.args[0])
-            if event.name == "abandon":
-                self.abandoned = True
-                if self._timer is not None:
-                    tid, self._timer = self._timer, None
-                    return [CancelTimer(self.path + tid)]
             return []
         if isinstance(event, MessageArrival):
             p = event.payload
@@ -248,12 +241,12 @@ class RoundSimAdapter(Automaton):
                 self.received.append((event.sender, p.parity, p.inner))
             return []
         # timer: close out the current round
-        if self.machine is None or self.done or self.abandoned:
+        if self.machine is None or self.done:
             return []
         return self._finish_round()
 
     def _start(self, proposal):
-        if self.machine is not None or self.abandoned:
+        if self.machine is not None:
             return []
         self.machine = self.machine_factory(proposal)
         if self.total_rounds == 0:
@@ -262,6 +255,14 @@ class RoundSimAdapter(Automaton):
         out = self._send_round()
         timer, self._timer = self.new_timer(self.delta_sync)
         return out + [timer]
+
+    def abandon(self):
+        """Mute the adapter and cancel its pending round timer."""
+        super().abandon()
+        if self._timer is None:
+            return []
+        tid, self._timer = self._timer, None
+        return [CancelTimer(self.path + tid)]
 
     def _send_round(self):
         """One SYNC-ROUND wrapper and one bit count per inner payload: the

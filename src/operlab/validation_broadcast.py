@@ -5,7 +5,8 @@ Composite of a core echo layer over an embedded reducing-broadcast child
 echoes values with t+1 INIT support (plus a most-frequent-gap BOT echo),
 completes on a 2t+1 echo quorum (broadcasters only), and validates on t+1
 echoes -- substituting this process's default value for BOT. Validation
-indications keep firing after completion and after abandon.
+indications keep firing after completion and after abandon (the runtime lets
+them through).
 """
 
 from __future__ import annotations
@@ -33,19 +34,14 @@ class ValidationCore(Automaton):
     def on_event(self, event):
         if isinstance(event, Request):
             if event.name == "broadcast":
-                if self.broadcast_done or self.abandoned:
+                if self.broadcast_done:
                     return []
                 self.broadcast_done = True
                 return [ToChild("rb", Request("broadcast", event.args))]
             if event.name == "deliver" and event.args[0] == "rb":
                 # reduced value (possibly BOT) -> INIT round
-                if self.abandoned:
-                    return []
                 return [Broadcast(Payload("INIT", value=event.args[1]),
                                   self.path)]
-            if event.name == "abandon":
-                self.abandoned = True
-                return [ToChild("rb", Request("abandon"))]
             return []
         if isinstance(event, MessageArrival):
             return self._receive(event.sender, event.payload)
@@ -69,25 +65,21 @@ class ValidationCore(Automaton):
         for v in sorted(self.init_from, key=value_sort_key):
             if v not in self.echo_sent and len(self.init_from[v]) >= self.t + 1:
                 self.echo_sent.add(v)
-                if not self.abandoned:
-                    out.append(Broadcast(Payload("ECHO", value=v),
-                                         self.path))
+                out.append(Broadcast(Payload("ECHO", value=v), self.path))
         # most-frequent gap -> BOT echo
         if BOT not in self.echo_sent and self.init_from:
             top = max(len(s) for s in self.init_from.values())
             if len(self.init_seen) - top >= self.t + 1:
                 self.echo_sent.add(BOT)
-                if not self.abandoned:
-                    out.append(Broadcast(Payload("ECHO", value=BOT),
-                                         self.path))
+                out.append(Broadcast(Payload("ECHO", value=BOT), self.path))
         # completion (broadcasters only, once)
-        if not self.completed and self.broadcast_done and not self.abandoned:
+        if not self.completed and self.broadcast_done:
             for v in self.echo_from.values():
                 if len(v) >= 2 * self.t + 1:
                     self.completed = True
                     out.append(Indicate("completed"))
                     break
-        # validation: fires regardless of completion/abandon state
+        # validation: fires regardless of completion
         for v in sorted(self.echo_from, key=value_sort_key):
             if len(self.echo_from[v]) >= self.t + 1:
                 x = self.default if v is BOT else v

@@ -1,6 +1,6 @@
 from operlab.core import BOT, ValidityPredicate
 from operlab.crux import CruxCore, CruxParams, est_rule, make_crux
-from operlab.runtime import Indicate, Request
+from operlab.runtime import CancelTimer, Indicate, Request, TimerFired
 from operlab.simnet import AdversarySpec, SimConfig, run
 
 
@@ -102,3 +102,13 @@ def test_propose_is_idempotent():
     first = comp.step(Request("propose", (5,)))
     assert first
     assert comp.step(Request("propose", (6,))) == []
+
+
+def test_abandon_cancels_the_pending_sync_round_timer():
+    comp = make_crux(CruxParams(4, 1, 10), 0, 0)
+    comp.attach(("crux@1",))
+    comp.step(Request("propose", (5,)))
+    comp.step(Request("decide", ("gc1", 5, 1)))
+    comp.step(TimerFired(("crux@1", 1)))      # gc1 timer: the sync phase starts
+    assert comp.step(Request("abandon")) == [CancelTimer(("crux@1", "as", 1))]
+    assert comp.step(TimerFired(("crux@1", "as", 1))) == []

@@ -20,14 +20,15 @@ def test_view_tags_roundtrip():
 
 def test_non_canonical_view_tags_spawn_no_instance():
     oper = Oper(4, 1, 10, pid=0)
-    for tag in NON_CANONICAL:   # before the proposal: not buffered either
+    tags = NON_CANONICAL + (7,)   # and a path segment that is no string
+    for tag in tags:   # before the proposal: not buffered either
         oper.step(MessageArrival(1, Payload("ECHO", value=5), path=(tag, "gc1")))
     assert not oper.pending
     oper.step(Request("propose", (5,)))
-    for tag in NON_CANONICAL:
+    for tag in tags:
         oper.step(MessageArrival(1, Payload("ECHO", value=5), path=(tag, "gc1")))
     assert sorted(oper.children) == [crux_tag(1), "fin"]
-    assert oper.misrouted == 2 * len(NON_CANONICAL)
+    assert oper.misrouted == 2 * len(tags)
 
 
 def run_oper_net(proposals, faulty=frozenset(), gst=0, seed=0,

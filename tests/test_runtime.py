@@ -264,3 +264,33 @@ def test_unknown_tag_at_depth_two_counts_in_that_composite():
     assert root.step(msg(path=("mid", "ghost"))) == []
     assert root.step(TimerFired(("mid", "ghost", 1))) == []
     assert (root.misrouted, mid.misrouted) == (0, 2)
+
+
+# -- abandon -----------------------------------------------------------------
+
+
+class Loud(Automaton):
+    """On every message: one action of each kind a leaf can emit."""
+
+    def on_event(self, event):
+        timer, tid = self.new_timer(5)
+        return [Send(1, event.payload, self.path),
+                Broadcast(event.payload, self.path), timer,
+                CancelTimer(self.path + tid),
+                Indicate("decide", (7,)), Indicate("validate", (7,))]
+
+
+def test_abandoned_subtree_passes_only_cancels_and_validations():
+    mid = Composite(Recorder(), children={"leaf": Loud()})
+    root = Composite(Recorder(), children={"mid": mid})
+    live = root.step(msg(path=("mid", "leaf")))
+    assert [type(a) for a in live] == [Send, Broadcast, SetTimer, CancelTimer]
+    assert mid.core.events == [Request("decide", ("leaf", 7)),
+                               Request("validate", ("leaf", 7))]
+    mid.core.events.clear()
+    assert mid.step(Request("abandon")) == []
+    assert mid.children["leaf"].abandoned
+    out = root.step(msg(path=("mid", "leaf")))
+    assert out == [CancelTimer(("mid", "leaf", 2))]
+    assert mid.core.events == [Request("validate", ("leaf", 7))]
+    assert root.core.events == []

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from operlab.core import Payload
+from operlab.harness import oper_params
+from operlab.oper import make_oper
 from operlab.runtime import (Automaton, Broadcast, Indicate, MessageArrival,
                              Request, Send)
 from operlab.simnet import (AdversarySpec, CSV_HEADER, SimConfig,
@@ -206,3 +208,18 @@ def test_drained_queue_without_decisions_is_not_terminated():
     assert not trace.decisions
     assert not trace.terminated
     assert csv_row(trace).endswith(",0")
+
+
+def test_flood_timer_is_not_routed_into_the_wrapped_oper():
+    config = SimConfig(n=7, t=2, faulty=frozenset({5, 6}), gst=2000,
+                       proposals={p: 1 for p in range(7)})
+    adversary = AdversarySpec(strategies={5: ("flood", 10), 6: ("flood", 10)})
+    opers = {}
+
+    def factory(pid):
+        opers[pid] = make_oper(7, 2, config.delta, pid)
+        return opers[pid]
+    trace = run(config, adversary, factory,
+                max_time=config.gst + 20 * oper_params(config).delta_total)
+    assert trace.terminated
+    assert all(opers[pid].misrouted == 0 for pid in range(7))
