@@ -42,6 +42,47 @@ def value_sort_key(v):
     return (0, v)
 
 
+class Tally:
+    """Support per value for the threshold rules of the counting layers.
+
+    Each (sender, value) pair counts once; with first_only, only a sender's
+    first message counts. `add` returns the value's support after the
+    message, or 0 when it does not count, so a rule reacts to the one value
+    that moved: support rises by exactly one per counted message, and
+    `support == k` marks the crossing of threshold k. `total` (counted
+    messages) and `top` (the plurality's support) serve the gap rules.
+    """
+
+    def __init__(self, first_only: bool = False):
+        self.first_only = first_only
+        self.backers: dict = {}     # value -> senders
+        self.senders: set = set()   # senders with a counted message
+        self.total = 0
+        self.top = 0
+
+    def add(self, sender, v) -> int:
+        if self.first_only and sender in self.senders:
+            return 0
+        backers = self.backers.setdefault(v, set())
+        if sender in backers:
+            return 0
+        backers.add(sender)
+        self.senders.add(sender)
+        self.total += 1
+        support = len(backers)
+        if support > self.top:
+            self.top = support
+        return support
+
+    def count(self, v) -> int:
+        backers = self.backers.get(v)
+        return len(backers) if backers else 0
+
+    def __len__(self):
+        """Distinct values named, counted or not."""
+        return len(self.backers)
+
+
 class PayloadError(ValueError):
     """Raised when a payload is built with an unknown kind or missing fields."""
 

@@ -7,7 +7,7 @@ finish indication.
 
 from __future__ import annotations
 
-from .core import BOT, Payload
+from .core import BOT, Payload, Tally
 from .runtime import Automaton, Broadcast, Indicate, MessageArrival, Request
 
 
@@ -18,7 +18,7 @@ class Finisher(Automaton):
         self.t = t
         self.started = False
         self.finished = False
-        self.finish_from: dict = {}   # value -> {sender}
+        self.finish_from = Tally()
 
     def on_event(self, event):
         if isinstance(event, Request):
@@ -29,9 +29,8 @@ class Finisher(Automaton):
             p = event.payload
             if p.kind != "FINISH" or p.value is BOT:
                 return []
-            senders = self.finish_from.setdefault(p.value, set())
-            senders.add(event.sender)
-            return self._evaluate(p.value, len(senders))
+            return self._evaluate(
+                p.value, self.finish_from.add(event.sender, p.value))
         return []
 
     def _to_finish(self, v):

@@ -12,7 +12,7 @@ module boundary maps it onto (value, grade) with grade in {0,1}:
 
 from __future__ import annotations
 
-from .core import BOT, Payload, value_sort_key
+from .core import BOT, Payload, Tally, value_sort_key
 from .runtime import Automaton, Broadcast, Indicate, MessageArrival, Request
 
 _STAGE_KIND = {1: "ECHO", 2: "ECHO2", 3: "ECHO3", 4: "ECHO4", 5: "ECHO5"}
@@ -27,10 +27,9 @@ class GradedConsensus(Automaton):
         self.own = None
         self.proposed = False
         self.approved: set = set()
-        # stage 1: value -> senders, one count per (sender, value);
-        # stages 2-5: only a sender's first message counts
-        self.counts: dict[int, dict] = {k: {} for k in _STAGE_KIND}
-        self.senders: dict[int, set] = {k: set() for k in _STAGE_KIND}
+        # stage 1 counts each (sender, value) once; stages 2-5 only a
+        # sender's first message
+        self.tallies = {k: Tally(first_only=k > 1) for k in _STAGE_KIND}
         self.sent1: set = set()        # stage-1 values echoed (own, amplified, BOT)
         self.sent: dict[int, object] = {}   # stage >= 2 -> value sent
         self.gbca_outcome = None       # raw (value-or-BOT, grade in {0,1,2})
@@ -53,131 +52,117 @@ class GradedConsensus(Automaton):
         self.proposed = True
         self.own = v
         self.sent1.add(v)
-        return [Broadcast(Payload("ECHO", value=v), self.path)] \
-            + self._evaluate()
+        return [Broadcast(Payload("ECHO", value=v), self.path)]
 
     def _receive(self, sender, payload):
+        """Runs only the rules that read the stage whose tally moved: each
+        rule reads tallies at or below its own stage, plus `approved`."""
         stage = _KIND_STAGE.get(payload.kind)
         if stage is None:
             return []
         v = payload.value
+        support = self.tallies[stage].add(sender, v)
+        if not support:
+            return []
         if stage == 1:
-            backers = self.counts[1].setdefault(v, set())
-            if sender in backers:
-                return []
-            backers.add(sender)
-        else:
-            if sender in self.senders[stage]:
-                return []
-            self.counts[stage].setdefault(v, set()).add(sender)
-        self.senders[stage].add(sender)
-        return self._evaluate()
+            return self._stage1(v, support)
+        if stage == 2:
+            return self._stage3(v)
+        if stage == 3:
+            return self._stage4(v)
+        if stage == 4:
+            return self._stage5(v) + self._resolve_decision(v)
+        # the grade-1 branch opens when n-t ECHO5 senders are in
+        return self._resolve_decision(
+            v, scan=self.tallies[5].total == self.n - self.t)
 
     # -- rules ---------------------------------------------------------
-
-    def _evaluate(self):
-        out = []
-        progressed = True
-        while progressed:
-            progressed = False
-            for rule in (self._amplify, self._gap_echo, self._approve,
-                         self._stage3, self._stage4, self._stage5,
-                         self._resolve_decision):
-                a = rule()
-                if a:
-                    out.extend(a)
-                    progressed = True
-        return out
 
     def _mixed(self) -> bool:
         return len(self.approved) > 1 or BOT in self.approved
 
-    def _amplify(self):
+    def _stage1(self, v, support):
         out = []
-        for v in sorted(self.counts[1], key=value_sort_key):
-            if v not in self.sent1 and len(self.counts[1][v]) >= self.t + 1:
-                self.sent1.add(v)
-                out.append(Broadcast(Payload("ECHO", value=v), self.path))
-        return out
-
-    def _gap_echo(self):
+        if support >= self.t + 1 and v not in self.sent1:   # amplify
+            self.sent1.add(v)
+            out.append(Broadcast(Payload("ECHO", value=v), self.path))
         # spread evidence: the non-plurality echoes alone exceed the fault
         # budget, so the proposers cannot have been unanimous
-        if BOT in self.sent1 or not self.counts[1]:
-            return []
-        total = sum(len(s) for s in self.counts[1].values())
-        top = max(len(s) for s in self.counts[1].values())
-        if total - top >= self.t + 1:
+        tally = self.tallies[1]
+        if BOT not in self.sent1 and tally.total - tally.top >= self.t + 1:
             self.sent1.add(BOT)
-            return [Broadcast(Payload("ECHO", value=BOT), self.path)]
-        return []
-
-    def _approve(self):
-        out = []
-        for v in sorted(self.counts[1], key=value_sort_key):
-            if v in self.approved or len(self.counts[1][v]) < self.n - self.t:
-                continue
-            self.approved.add(v)
-            if 2 not in self.sent:
-                self.sent[2] = v
-                out.append(Broadcast(Payload("ECHO2", value=v), self.path))
-            if len(self.approved) > 1 and 3 not in self.sent:
-                self.sent[3] = BOT
-                out.append(Broadcast(Payload("ECHO3", value=BOT), self.path))
+            out.append(Broadcast(Payload("ECHO", value=BOT), self.path))
+        if support >= self.n - self.t and v not in self.approved:
+            out.extend(self._approve(v))
         return out
 
-    def _quorum_value(self, stage):
-        for v in sorted(self.counts[stage], key=value_sort_key):
-            if len(self.counts[stage][v]) >= self.n - self.t:
-                return v
-        return None
+    def _approve(self, v):
+        self.approved.add(v)
+        out = []
+        if 2 not in self.sent:
+            self.sent[2] = v
+            out.append(Broadcast(Payload("ECHO2", value=v), self.path))
+        if len(self.approved) > 1 and 3 not in self.sent:
+            self.sent[3] = BOT
+            out.append(Broadcast(Payload("ECHO3", value=BOT), self.path))
+        # the mixed branches of stages 4 and 5 and of the decision may just
+        # have opened; no ECHO3-5 support moved
+        return out + self._stage4(None) + self._stage5(None) \
+            + self._resolve_decision(None, scan=True)
 
-    def _stage3(self):
-        if 3 in self.sent:
-            return []
-        v = self._quorum_value(2)
-        if v is None:
+    # At most one value can hold an n-t quorum of first messages, so each
+    # quorum rule checks only the value that just arrived.
+
+    def _stage3(self, v):
+        if 3 in self.sent or self.tallies[2].count(v) < self.n - self.t:
             return []
         self.sent[3] = v
         return [Broadcast(Payload("ECHO3", value=v), self.path)]
 
-    def _stage4(self):
+    def _stage4(self, v):
         if 4 in self.sent:
             return []
         # the mixed branch takes precedence at this stage
-        if len(self.senders[3]) >= self.n - self.t and self._mixed():
+        tally = self.tallies[3]
+        if tally.total >= self.n - self.t and self._mixed():
             send = BOT
+        elif tally.count(v) >= self.n - self.t:
+            send = v
         else:
-            send = self._quorum_value(3)
-            if send is None:
-                return []
+            return []
         self.sent[4] = send
         return [Broadcast(Payload("ECHO4", value=send), self.path)]
 
-    def _stage5(self):
+    def _stage5(self, v):
         if 5 in self.sent:
             return []
-        send = self._quorum_value(4)
-        if send is None:
-            if len(self.senders[4]) >= self.n - self.t and self._mixed():
-                send = BOT
-            else:
-                return []
+        tally = self.tallies[4]
+        if tally.count(v) >= self.n - self.t:
+            send = v
+        elif tally.total >= self.n - self.t and self._mixed():
+            send = BOT
+        else:
+            return []
         self.sent[5] = send
         return [Broadcast(Payload("ECHO5", value=send), self.path)]
 
-    def _resolve_decision(self):
+    def _resolve_decision(self, v, scan=False):
+        """Grade 2, else grade 1, else grade 0. v's ECHO4 or ECHO5 support
+        just grew; with scan, the grade-1 branch may just have opened for
+        every ECHO5 value, else only v can have become a grade-1 candidate."""
         if self.decided:
             return []
-        for v in sorted(self.counts[5], key=value_sort_key):
-            if v is not BOT and len(self.counts[5][v]) >= self.n - self.t:
-                return self._decide(v, 2)
-        if len(self.senders[5]) >= self.n - self.t and self._mixed():
-            for w in sorted(self.counts[5], key=value_sort_key):
-                if w is not BOT and self.counts[5][w] \
-                        and len(self.counts[4].get(w, ())) >= self.t + 1:
-                    return self._decide(w, 1)
-        if len(self.counts[5].get(BOT, ())) >= self.n - self.t:
+        echo4, echo5 = self.tallies[4], self.tallies[5]
+        if v is not BOT and echo5.count(v) >= self.n - self.t:
+            return self._decide(v, 2)
+        if echo5.total >= self.n - self.t and self._mixed():
+            w = min((w for w in (echo5.backers if scan else (v,))
+                     if w is not BOT and echo5.count(w)
+                     and echo4.count(w) >= self.t + 1),
+                    key=value_sort_key, default=None)
+            if w is not None:
+                return self._decide(w, 1)
+        if echo5.count(BOT) >= self.n - self.t:
             return self._decide(BOT, 0)
         return []
 
@@ -200,7 +185,8 @@ class GradedConsensus(Automaton):
             tuple(sorted(value_sort_key(v) for v in self.approved)),
             tuple(sorted(value_sort_key(v) for v in self.sent1)),
             tuple((k, value_sort_key(v)) for k, v in sorted(self.sent.items())),
-            tuple((k, freeze(self.counts[k])) for k in sorted(self.counts)),
+            tuple((k, freeze(self.tallies[k].backers))
+                  for k in sorted(self.tallies)),
             (value_sort_key(self.gbca_outcome[0]), self.gbca_outcome[1])
             if self.gbca_outcome else None,
         )

@@ -13,7 +13,7 @@ decision, after which the process halts.
 
 from __future__ import annotations
 
-from .core import DEFAULT_VALUE_WIDTH, Payload, ValidityPredicate
+from .core import DEFAULT_VALUE_WIDTH, Payload, Tally, ValidityPredicate
 from .crux import CruxParams, make_crux
 from .finisher import Finisher
 from .runtime import (Automaton, Broadcast, Composite, Halt, Indicate,
@@ -47,8 +47,7 @@ class OperCore(Automaton):
         self.own = None
         self.view = 1
         self.entered = False
-        self.helped: set = set()
-        self.start_view_from: dict = {}   # view -> {sender}
+        self.start_view_from = Tally()   # START-VIEW support per view
         self.validated: dict = {}         # view -> first validated value
         self.pending_target = None        # highest quorum view above view_i
         self.decided = False
@@ -98,15 +97,11 @@ class OperCore(Automaton):
     def _start_view(self, sender, v):
         if v < 2:
             return []
-        senders = self.start_view_from.setdefault(v, set())
-        if sender in senders:
-            return []
-        senders.add(sender)
+        support = self.start_view_from.add(sender, v)
         out = []
-        if len(senders) >= self.t + 1 and v not in self.helped:
-            self.helped.add(v)
+        if support == self.t + 1:   # amplified once per view
             out.append(Broadcast(Payload("START-VIEW", view=v), self.path))
-        if len(senders) >= 2 * self.t + 1 and v > self.view:
+        if support >= 2 * self.t + 1 and v > self.view:
             if self.pending_target is None or v > self.pending_target:
                 self.pending_target = v
             out.extend(self._try_advance())

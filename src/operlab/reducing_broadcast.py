@@ -10,7 +10,7 @@ broadcast by this process.
 
 from __future__ import annotations
 
-from .core import BOT, Payload, value_sort_key
+from .core import BOT, Payload, Tally
 from .runtime import Automaton, Broadcast, Indicate, MessageArrival, Request
 
 
@@ -21,10 +21,8 @@ class ReducingBroadcast(Automaton):
         self.t = t
         self.own = None
         self.broadcast_done = False
-        self.init_from: dict = {}       # value -> set of senders (first INIT wins)
-        self.echo_from: dict = {}       # value -> set of senders
-        self.init_seen: set = set()     # senders whose INIT was consumed
-        self.echoed: set = set()
+        self.init = Tally(first_only=True)   # first INIT per sender wins
+        self.support = Tally()               # counted INITs and all ECHOs
         self.delivered = False
 
     def on_event(self, event):
@@ -41,48 +39,43 @@ class ReducingBroadcast(Automaton):
             return []
         self.broadcast_done = True
         self.own = v
-        return [Broadcast(Payload("INIT", value=v), self.path)] \
-            + self._evaluate()
+        out = [Broadcast(Payload("INIT", value=v), self.path)]
+        # the one full scan: conflicts are judged against own, known from here
+        if any(w != v and self.support.count(w) >= self.t + 1
+               for w in self.support.backers):
+            return out + self._deliver(BOT)
+        return out + self._delivery(v)
 
     def _receive(self, sender, payload):
-        if payload.kind == "INIT" and payload.value is not BOT:
-            if sender in self.init_seen:
-                return []
-            self.init_seen.add(sender)
-            self.init_from.setdefault(payload.value, set()).add(sender)
-        elif payload.kind == "ECHO":
-            self.echo_from.setdefault(payload.value, set()).add(sender)
-        else:
-            return []
-        return self._evaluate()
-
-    def _support(self, v):
-        return self.init_from.get(v, set()) | self.echo_from.get(v, set())
-
-    def _evaluate(self):
+        v = payload.value
         out = []
-        # echo amplification: t+1 INITs for a value other than our own
-        for v in sorted(self.init_from, key=value_sort_key):
-            if v != self.own and v not in self.echoed \
-                    and len(self.init_from[v]) >= self.t + 1:
-                self.echoed.add(v)
+        if payload.kind == "INIT" and v is not BOT:
+            support = self.init.add(sender, v)
+            if not support:
+                return []
+            self.support.add(sender, v)
+            # echo amplification: t+1 INITs for a value other than our own
+            if support == self.t + 1 and v != self.own:
                 out.append(Broadcast(Payload("ECHO", value=v), self.path))
+        elif payload.kind != "ECHO" or not self.support.add(sender, v):
+            return []
+        return out + self._delivery(v)
+
+    def _delivery(self, v):
+        """Delivery rules once v's support grew (v is own at the broadcast);
+        every other value was judged when its own support last grew."""
         if not self.broadcast_done or self.delivered:
-            return out
+            return []
         # conflicting-value evidence: t+1 supporters of a non-own value
-        for v in sorted(set(self.init_from) | set(self.echo_from), key=value_sort_key):
-            if v != self.own and len(self._support(v)) >= self.t + 1:
-                return out + self._deliver(BOT)
-        # quorum delivery
-        for v in sorted(set(self.init_from) | set(self.echo_from), key=value_sort_key):
-            if v is not BOT and len(self._support(v)) >= 2 * self.t + 1:
-                return out + self._deliver(v)
+        if v != self.own and self.support.count(v) >= self.t + 1:
+            return self._deliver(BOT)
+        # quorum delivery; a non-own value at 2t+1 is a conflict above
+        if v is not BOT and self.support.count(v) >= 2 * self.t + 1:
+            return self._deliver(v)
         # most-frequent gap rule
-        total_init = len(self.init_seen)
-        top = max((len(s) for s in self.init_from.values()), default=0)
-        if total_init - top >= self.t + 1:
-            return out + self._deliver(BOT)
-        return out
+        if self.init.total - self.init.top >= self.t + 1:
+            return self._deliver(BOT)
+        return []
 
     def _deliver(self, x):
         self.delivered = True

@@ -11,7 +11,7 @@ them through).
 
 from __future__ import annotations
 
-from .core import BOT, Payload, value_sort_key
+from .core import BOT, Payload, Tally
 from .reducing_broadcast import ReducingBroadcast
 from .runtime import (Automaton, Broadcast, Composite, Indicate,
                       MessageArrival, Request, ToChild)
@@ -24,10 +24,9 @@ class ValidationCore(Automaton):
         self.t = t
         self.default = default
         self.broadcast_done = False
-        self.init_seen: set = set()
-        self.init_from: dict = {}
+        self.init = Tally(first_only=True)
         self.echo_sent: set = set()
-        self.echo_from: dict = {}        # value -> {sender}; per (sender, value) once
+        self.echo = Tally()
         self.completed = False
         self.validated: set = set()
 
@@ -48,45 +47,47 @@ class ValidationCore(Automaton):
         return []
 
     def _receive(self, sender, payload):
+        v = payload.value
         if payload.kind == "INIT":
-            if sender in self.init_seen:
+            support = self.init.add(sender, v)
+            if not support:
                 return []
-            self.init_seen.add(sender)
-            self.init_from.setdefault(payload.value, set()).add(sender)
-        elif payload.kind == "ECHO":
-            self.echo_from.setdefault(payload.value, set()).add(sender)
-        else:
-            return []
-        return self._evaluate()
+            return self._echo_rules(v, support) + self._completion()
+        if payload.kind == "ECHO":
+            support = self.echo.add(sender, v)
+            # a repeated ECHO still re-checks completion: `broadcast`
+            # enables it without an evaluation of its own
+            return self._completion() + self._validation(v, support)
+        return []
 
-    def _evaluate(self):
+    def _echo_rules(self, v, support):
         out = []
         # echo amplification
-        for v in sorted(self.init_from, key=value_sort_key):
-            if v not in self.echo_sent and len(self.init_from[v]) >= self.t + 1:
-                self.echo_sent.add(v)
-                out.append(Broadcast(Payload("ECHO", value=v), self.path))
+        if support >= self.t + 1 and v not in self.echo_sent:
+            self.echo_sent.add(v)
+            out.append(Broadcast(Payload("ECHO", value=v), self.path))
         # most-frequent gap -> BOT echo
-        if BOT not in self.echo_sent and self.init_from:
-            top = max(len(s) for s in self.init_from.values())
-            if len(self.init_seen) - top >= self.t + 1:
-                self.echo_sent.add(BOT)
-                out.append(Broadcast(Payload("ECHO", value=BOT), self.path))
-        # completion (broadcasters only, once)
-        if not self.completed and self.broadcast_done:
-            for v in self.echo_from.values():
-                if len(v) >= 2 * self.t + 1:
-                    self.completed = True
-                    out.append(Indicate("completed"))
-                    break
-        # validation: fires regardless of completion
-        for v in sorted(self.echo_from, key=value_sort_key):
-            if len(self.echo_from[v]) >= self.t + 1:
-                x = self.default if v is BOT else v
-                if x not in self.validated:
-                    self.validated.add(x)
-                    out.append(Indicate("validate", (x,)))
+        if BOT not in self.echo_sent \
+                and self.init.total - self.init.top >= self.t + 1:
+            self.echo_sent.add(BOT)
+            out.append(Broadcast(Payload("ECHO", value=BOT), self.path))
         return out
+
+    def _completion(self):
+        """Broadcasters only, once, on a 2t+1 echo quorum for any value."""
+        if self.completed or not self.broadcast_done \
+                or self.echo.top < 2 * self.t + 1:
+            return []
+        self.completed = True
+        return [Indicate("completed")]
+
+    def _validation(self, v, support):
+        """Fires regardless of completion."""
+        x = self.default if v is BOT else v
+        if support < self.t + 1 or x in self.validated:
+            return []
+        self.validated.add(x)
+        return [Indicate("validate", (x,))]
 
 
 def make_validation_broadcast(n: int, t: int, default) -> Composite:

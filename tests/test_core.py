@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from operlab.core import (BOT, Payload, PayloadError, ValidityPredicate,
-                          path_bits, payload_bits, valid, value_sort_key)
+from operlab.core import (BOT, Payload, PayloadError, Tally,
+                          ValidityPredicate, path_bits, payload_bits, valid,
+                          value_sort_key)
 
 
 def test_value_payload_is_40_bits():
@@ -60,3 +62,24 @@ def test_validity_predicates():
     assert valid(member, 2) and not valid(member, 9)
     mod = ValidityPredicate.modulo(5, 2)
     assert valid(mod, 7) and not valid(mod, 8)
+
+
+@given(st.booleans(),
+       st.lists(st.tuples(st.integers(0, 6),
+                          st.sampled_from((1, 2, 3, BOT))), max_size=40))
+def test_tally_matches_dict_of_sets(first_only, messages):
+    tally = Tally(first_only=first_only)
+    backers: dict = {}   # reference: value -> senders
+    seen: set = set()
+    for sender, v in messages:
+        counted = not (first_only and sender in seen) \
+            and sender not in backers.get(v, ())
+        if not (first_only and sender in seen):
+            backers.setdefault(v, set()).add(sender)
+        seen.add(sender)
+        assert tally.add(sender, v) == (len(backers[v]) if counted else 0)
+        for w in (1, 2, 3, BOT):
+            assert tally.count(w) == len(backers.get(w, ()))
+        assert tally.total == sum(len(s) for s in backers.values())
+        assert tally.top == max((len(s) for s in backers.values()), default=0)
+        assert len(tally) == len(backers)

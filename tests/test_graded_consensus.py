@@ -74,8 +74,8 @@ def test_duplicate_stage_messages_ignored():
     gc.step(Request("propose", (7,)))
     gc.step(MessageArrival(1, Payload("ECHO3", value=7)))
     gc.step(MessageArrival(1, Payload("ECHO3", value=9)))
-    assert len(gc.senders[3]) == 1
-    assert 9 not in gc.counts[3]
+    assert gc.tallies[3].senders == {1}
+    assert 9 not in gc.tallies[3].backers
 
 
 def test_stage_one_counts_per_sender_value_pair():
@@ -84,8 +84,8 @@ def test_stage_one_counts_per_sender_value_pair():
     gc.step(MessageArrival(1, Payload("ECHO", value=5)))
     gc.step(MessageArrival(1, Payload("ECHO", value=5)))
     gc.step(MessageArrival(1, Payload("ECHO", value=6)))
-    assert len(gc.counts[1][5]) == 1
-    assert len(gc.counts[1][6]) == 1
+    assert gc.tallies[1].count(5) == 1
+    assert gc.tallies[1].count(6) == 1
 
 
 def test_map_decision_table():

@@ -71,7 +71,7 @@ def test_first_init_per_sender_wins():
     rb.step(init(1, 9))
     out = rb.step(init(1, 9))   # duplicate sender ignored
     assert delivered(out) is None
-    assert len(rb.init_from[9]) == 1
+    assert rb.init.count(9) == 1
 
 
 def test_echo_support_contributes_to_quorum():
