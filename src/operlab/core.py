@@ -43,15 +43,13 @@ def value_sort_key(v):
 
 
 class Tally:
-    """Support per value for the threshold rules of the counting layers.
+    """Support per value for threshold rules. Each (sender, value) pair
+    counts once; with first_only, only a sender's first message counts.
+    `add` returns v's support after the message, or 0 if it does not count,
+    so support rises by one at a time and `support == k` marks a crossing.
+    `total` (counted messages) and `top` (plurality) serve the gap rules."""
 
-    Each (sender, value) pair counts once; with first_only, only a sender's
-    first message counts. `add` returns the value's support after the
-    message, or 0 when it does not count, so a rule reacts to the one value
-    that moved: support rises by exactly one per counted message, and
-    `support == k` marks the crossing of threshold k. `total` (counted
-    messages) and `top` (the plurality's support) serve the gap rules.
-    """
+    __slots__ = ("first_only", "backers", "senders", "total", "top")
 
     def __init__(self, first_only: bool = False):
         self.first_only = first_only
@@ -75,11 +73,9 @@ class Tally:
         return support
 
     def count(self, v) -> int:
-        backers = self.backers.get(v)
-        return len(backers) if backers else 0
+        return len(self.backers.get(v, ()))
 
-    def __len__(self):
-        """Distinct values named, counted or not."""
+    def __len__(self):   # distinct values named
         return len(self.backers)
 
 

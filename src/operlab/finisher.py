@@ -2,7 +2,8 @@
 
 to_finish broadcasts FINISH once; t+1 matching FINISH messages from others
 trigger an adopt-and-broadcast (unless already started); 2t+1 trigger the
-finish indication.
+finish indication. FINISH messages count in a `Tally`, and the thresholds
+are checked for the one value whose support moved.
 """
 
 from __future__ import annotations

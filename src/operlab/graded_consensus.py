@@ -8,6 +8,10 @@ driven by n-t quorums; the mixed branches require either two approvals or
 an approved BOT. The terminal outcome is one of (v,2), (v,1), (BOT,0); the
 module boundary maps it onto (value, grade) with grade in {0,1}:
 (v,2) -> (v,1), (v,1) -> (v,0), (BOT,0) -> (own,0).
+
+Each stage counts in a `Tally`, and the rules react to its crossings: an
+arrival runs only the rules that read the stage whose tally moved, and
+checks only the value that moved.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ class GradedConsensus(Automaton):
         self.n = n
         self.t = t
         self.own = None
-        self.proposed = False
         self.approved: set = set()
         # stage 1 counts each (sender, value) once; stages 2-5 only a
         # sender's first message
@@ -47,109 +50,97 @@ class GradedConsensus(Automaton):
         return []
 
     def _propose(self, v):
-        if self.proposed:
+        if self.own is not None:
             return []
-        self.proposed = True
         self.own = v
-        self.sent1.add(v)
-        return [Broadcast(Payload("ECHO", value=v), self.path)]
+        return self._echo(v)
 
     def _receive(self, sender, payload):
-        """Runs only the rules that read the stage whose tally moved: each
-        rule reads tallies at or below its own stage, plus `approved`."""
+        """Each rule reads tallies at or below its own stage, plus
+        `approved`, so an arrival runs only the rules that read its stage."""
         stage = _KIND_STAGE.get(payload.kind)
-        if stage is None:
-            return []
         v = payload.value
-        support = self.tallies[stage].add(sender, v)
-        if not support:
+        if stage is None or not self.tallies[stage].add(sender, v):
             return []
         if stage == 1:
-            return self._stage1(v, support)
+            return self._stage1(v)
         if stage == 2:
             return self._stage3(v)
         if stage == 3:
             return self._stage4(v)
         if stage == 4:
             return self._stage5(v) + self._resolve_decision(v)
-        # the grade-1 branch opens when n-t ECHO5 senders are in
+        # the grade-1 branch opens with the (n-t)-th ECHO5 sender
         return self._resolve_decision(
             v, scan=self.tallies[5].total == self.n - self.t)
+
+    def _echo(self, v):
+        self.sent1.add(v)
+        return [Broadcast(Payload("ECHO", value=v), self.path)]
+
+    def _send(self, stage, v):
+        self.sent[stage] = v
+        return [Broadcast(Payload(_STAGE_KIND[stage], value=v), self.path)]
 
     # -- rules ---------------------------------------------------------
 
     def _mixed(self) -> bool:
         return len(self.approved) > 1 or BOT in self.approved
 
-    def _stage1(self, v, support):
+    def _stage1(self, v):
+        echo1 = self.tallies[1]
         out = []
-        if support >= self.t + 1 and v not in self.sent1:   # amplify
-            self.sent1.add(v)
-            out.append(Broadcast(Payload("ECHO", value=v), self.path))
+        if echo1.count(v) >= self.t + 1 and v not in self.sent1:   # amplify
+            out += self._echo(v)
         # spread evidence: the non-plurality echoes alone exceed the fault
         # budget, so the proposers cannot have been unanimous
-        tally = self.tallies[1]
-        if BOT not in self.sent1 and tally.total - tally.top >= self.t + 1:
-            self.sent1.add(BOT)
-            out.append(Broadcast(Payload("ECHO", value=BOT), self.path))
-        if support >= self.n - self.t and v not in self.approved:
-            out.extend(self._approve(v))
-        return out
-
-    def _approve(self, v):
+        if BOT not in self.sent1 and echo1.total - echo1.top >= self.t + 1:
+            out += self._echo(BOT)
+        if echo1.count(v) < self.n - self.t or v in self.approved:
+            return out
         self.approved.add(v)
-        out = []
         if 2 not in self.sent:
-            self.sent[2] = v
-            out.append(Broadcast(Payload("ECHO2", value=v), self.path))
+            out += self._send(2, v)
         if len(self.approved) > 1 and 3 not in self.sent:
-            self.sent[3] = BOT
-            out.append(Broadcast(Payload("ECHO3", value=BOT), self.path))
-        # the mixed branches of stages 4 and 5 and of the decision may just
-        # have opened; no ECHO3-5 support moved
+            out += self._send(3, BOT)
+        # the approval may have opened the mixed branches of stages 4 and 5
+        # and of the decision; no ECHO3-5 support moved
         return out + self._stage4(None) + self._stage5(None) \
             + self._resolve_decision(None, scan=True)
 
-    # At most one value can hold an n-t quorum of first messages, so each
+    # At most one value can hold an n-t quorum of first messages, so a
     # quorum rule checks only the value that just arrived.
 
     def _stage3(self, v):
         if 3 in self.sent or self.tallies[2].count(v) < self.n - self.t:
             return []
-        self.sent[3] = v
-        return [Broadcast(Payload("ECHO3", value=v), self.path)]
+        return self._send(3, v)
 
     def _stage4(self, v):
         if 4 in self.sent:
             return []
+        echo3 = self.tallies[3]
         # the mixed branch takes precedence at this stage
-        tally = self.tallies[3]
-        if tally.total >= self.n - self.t and self._mixed():
-            send = BOT
-        elif tally.count(v) >= self.n - self.t:
-            send = v
-        else:
-            return []
-        self.sent[4] = send
-        return [Broadcast(Payload("ECHO4", value=send), self.path)]
+        if echo3.total >= self.n - self.t and self._mixed():
+            return self._send(4, BOT)
+        if echo3.count(v) >= self.n - self.t:
+            return self._send(4, v)
+        return []
 
     def _stage5(self, v):
         if 5 in self.sent:
             return []
-        tally = self.tallies[4]
-        if tally.count(v) >= self.n - self.t:
-            send = v
-        elif tally.total >= self.n - self.t and self._mixed():
-            send = BOT
-        else:
-            return []
-        self.sent[5] = send
-        return [Broadcast(Payload("ECHO5", value=send), self.path)]
+        echo4 = self.tallies[4]
+        if echo4.count(v) >= self.n - self.t:
+            return self._send(5, v)
+        if echo4.total >= self.n - self.t and self._mixed():
+            return self._send(5, BOT)
+        return []
 
     def _resolve_decision(self, v, scan=False):
         """Grade 2, else grade 1, else grade 0. v's ECHO4 or ECHO5 support
-        just grew; with scan, the grade-1 branch may just have opened for
-        every ECHO5 value, else only v can have become a grade-1 candidate."""
+        just grew; with scan the grade-1 branch may just have opened for
+        every ECHO5 value, else only v can have become a candidate for it."""
         if self.decided:
             return []
         echo4, echo5 = self.tallies[4], self.tallies[5]

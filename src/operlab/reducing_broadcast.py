@@ -5,7 +5,9 @@ Echo/deliver rules follow the rebuilding-broadcast rule set specialized to
 raw values: echo a value seen in t+1 INITs, deliver BOT on evidence that the
 broadcasters were not unanimous, deliver a value on a 2t+1 support quorum.
 Only the first INIT per sender is processed; delivery requires a prior
-broadcast by this process.
+broadcast by this process. INITs and ECHOs count in `Tally`s, and each rule
+reacts to the support of the one value that moved; the rules scan every
+value only at the broadcast, where this process's own value becomes known.
 """
 
 from __future__ import annotations

@@ -18,10 +18,11 @@ Abandon is a runtime operation. The view loop sends Request("abandon") to a
 per-view core when it moves to a later view or finishes; `Automaton.step`
 answers it with `abandon()`, which a Composite applies to its core and every
 child, down the whole tree. From then on the automaton keeps its state and
-keeps processing events, but `step` mutes it: only CancelTimer and
-Indicate("validate") leave it. Validations outlive the view because the
-next view is proposed with a value the old view's validation broadcast
-validated.
+keeps processing messages and requests, but `step` mutes it: only
+CancelTimer and Indicate("validate") leave it. Validations outlive the view
+because the next view is proposed with a value the old view's validation
+broadcast validated; they come from message arrivals, so an abandoned
+automaton ignores its timers.
 """
 
 from __future__ import annotations
@@ -128,6 +129,8 @@ class Automaton:
             return []
         if isinstance(event, Request) and event.name == "abandon":
             return self.abandon()
+        if self.abandoned and isinstance(event, TimerFired):
+            return []
         actions = self.on_event(event)
         if not actions:
             return []

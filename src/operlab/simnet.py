@@ -178,7 +178,7 @@ class DelayerStrategy(Strategy):
 class FloodStrategy(Strategy):
     """Broadcasts random well-formed payloads every `interval` ticks pre-GST."""
 
-    def __init__(self, inner, n, gst, interval, value_width):
+    def __init__(self, inner, gst, interval, value_width):
         super().__init__(inner)
         self.gst = gst
         self.interval = max(1, interval)
@@ -243,8 +243,7 @@ def make_strategy(spec, inner, config):
         return DelayerStrategy(inner)
     if kind == "flood":
         interval = spec[1] if len(spec) > 1 else config.delta
-        return FloodStrategy(inner, config.n, config.gst, interval,
-                             config.value_width)
+        return FloodStrategy(inner, config.gst, interval, config.value_width)
     if kind == "random":
         return RandomStrategy(inner, config.value_width)
     raise ValueError(f"unknown strategy kind {kind!r}")

@@ -6,7 +6,8 @@ echoes values with t+1 INIT support (plus a most-frequent-gap BOT echo),
 completes on a 2t+1 echo quorum (broadcasters only), and validates on t+1
 echoes -- substituting this process's default value for BOT. Validation
 indications keep firing after completion and after abandon (the runtime lets
-them through).
+them through). INITs and ECHOs count in `Tally`s, and each rule reacts to
+the support of the one value that moved.
 """
 
 from __future__ import annotations
@@ -48,46 +49,37 @@ class ValidationCore(Automaton):
 
     def _receive(self, sender, payload):
         v = payload.value
+        out = []
         if payload.kind == "INIT":
             support = self.init.add(sender, v)
             if not support:
                 return []
-            return self._echo_rules(v, support) + self._completion()
-        if payload.kind == "ECHO":
+            # echo amplification
+            if support >= self.t + 1 and v not in self.echo_sent:
+                self.echo_sent.add(v)
+                out.append(Broadcast(Payload("ECHO", value=v), self.path))
+            # most-frequent gap -> BOT echo
+            if BOT not in self.echo_sent \
+                    and self.init.total - self.init.top >= self.t + 1:
+                self.echo_sent.add(BOT)
+                out.append(Broadcast(Payload("ECHO", value=BOT), self.path))
+        elif payload.kind == "ECHO":
             support = self.echo.add(sender, v)
-            # a repeated ECHO still re-checks completion: `broadcast`
-            # enables it without an evaluation of its own
-            return self._completion() + self._validation(v, support)
-        return []
-
-    def _echo_rules(self, v, support):
-        out = []
-        # echo amplification
-        if support >= self.t + 1 and v not in self.echo_sent:
-            self.echo_sent.add(v)
-            out.append(Broadcast(Payload("ECHO", value=v), self.path))
-        # most-frequent gap -> BOT echo
-        if BOT not in self.echo_sent \
-                and self.init.total - self.init.top >= self.t + 1:
-            self.echo_sent.add(BOT)
-            out.append(Broadcast(Payload("ECHO", value=BOT), self.path))
-        return out
-
-    def _completion(self):
-        """Broadcasters only, once, on a 2t+1 echo quorum for any value."""
-        if self.completed or not self.broadcast_done \
-                or self.echo.top < 2 * self.t + 1:
+        else:
             return []
-        self.completed = True
-        return [Indicate("completed")]
-
-    def _validation(self, v, support):
-        """Fires regardless of completion."""
+        # completion (broadcasters only, once); `broadcast` enables it
+        # without an evaluation, so even a repeated ECHO re-checks it
+        if not self.completed and self.broadcast_done \
+                and self.echo.top >= 2 * self.t + 1:
+            self.completed = True
+            out.append(Indicate("completed"))
+        # validation: fires regardless of completion
         x = self.default if v is BOT else v
-        if support < self.t + 1 or x in self.validated:
-            return []
-        self.validated.add(x)
-        return [Indicate("validate", (x,))]
+        if payload.kind == "ECHO" and support >= self.t + 1 \
+                and x not in self.validated:
+            self.validated.add(x)
+            out.append(Indicate("validate", (x,)))
+        return out
 
 
 def make_validation_broadcast(n: int, t: int, default) -> Composite:

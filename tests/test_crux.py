@@ -112,3 +112,13 @@ def test_abandon_cancels_the_pending_sync_round_timer():
     comp.step(TimerFired(("crux@1", 1)))      # gc1 timer: the sync phase starts
     assert comp.step(Request("abandon")) == [CancelTimer(("crux@1", "as", 1))]
     assert comp.step(TimerFired(("crux@1", "as", 1))) == []
+
+
+def test_abandoned_core_ignores_its_gc_timer():
+    comp = make_crux(CruxParams(4, 1, 10), 0, 0)
+    comp.attach(("crux@1",))
+    comp.step(Request("propose", (5,)))
+    comp.step(Request("decide", ("gc1", 5, 1)))
+    comp.step(Request("abandon"))
+    assert comp.step(TimerFired(("crux@1", 1))) == []   # the gc1 timer
+    assert not comp.core.timer1_done and not comp.core.sync_started
