@@ -53,7 +53,12 @@ class GradedConsensus(Automaton):
         if self.own is not None:
             return []
         self.own = v
-        return self._echo(v)
+        out = self._echo(v)
+        # a cascade that ended in (BOT, 0) before the proposal had no own
+        # value to map onto; graded outcomes were indicated when decided
+        if self.gbca_outcome == (BOT, 0):
+            out.append(Indicate("decide", map_decision(self.gbca_outcome, v)))
+        return out
 
     def _receive(self, sender, payload):
         """Each rule reads tallies at or below its own stage, plus

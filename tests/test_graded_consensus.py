@@ -95,6 +95,24 @@ def test_map_decision_table():
     assert map_decision((BOT, 0), own=None) is None
 
 
+def test_bot_decision_before_the_proposal_is_indicated_on_it():
+    gc = GradedConsensus(4, 1)
+    for s in (1, 2, 3):
+        assert gc.step(MessageArrival(s, Payload("ECHO5", value=BOT))) == []
+    assert gc.step(Request("propose", (7,))) == [
+        Broadcast(Payload("ECHO", value=7)), Indicate("decide", (7, 0))]
+
+
+def test_graded_decision_before_the_proposal_is_indicated_once():
+    gc = GradedConsensus(4, 1)
+    out = []
+    for s in (1, 2, 3):
+        out += gc.step(MessageArrival(s, Payload("ECHO5", value=9)))
+    out += gc.step(Request("propose", (7,)))
+    assert [a for a in out if isinstance(a, Indicate)] == \
+        [Indicate("decide", (9, 1))]
+
+
 def test_propose_twice_ignored():
     gc = GradedConsensus(4, 1)
     first = gc.step(Request("propose", (7,)))
