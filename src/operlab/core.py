@@ -43,10 +43,9 @@ def value_sort_key(v):
 
 
 class Tally:
-    """Support per value for threshold rules. Each (sender, value) pair
-    counts once; with first_only, only a sender's first message counts.
-    `add` returns v's support after the message, or 0 if it does not count,
-    so support rises by one at a time and `support == k` marks a crossing.
+    """Support per value: each (sender, value) pair counts once, or with
+    first_only a sender's first message only. `add` returns v's new support,
+    or 0 if the message does not count, so `support == k` marks a crossing.
     `total` (counted messages) and `top` (plurality) serve the gap rules."""
 
     __slots__ = ("first_only", "backers", "senders", "total", "top")

@@ -2,8 +2,7 @@
 
 to_finish broadcasts FINISH once; t+1 matching FINISH messages from others
 trigger an adopt-and-broadcast (unless already started); 2t+1 trigger the
-finish indication. FINISH messages count in a `Tally`, and the thresholds
-are checked for the one value whose support moved.
+finish indication. Both react to the `Tally` support of the value that moved.
 """
 
 from __future__ import annotations
@@ -41,8 +40,7 @@ class Finisher(Automaton):
         return [Broadcast(Payload("FINISH", value=v), self.path)]
 
     def _evaluate(self, v, support):
-        """Thresholds reached by value v, the only tally that just changed;
-        every other value's thresholds were checked when its tally last grew."""
+        """Thresholds crossed as value v's support grew to `support`."""
         out = []
         if not self.started and support >= self.t + 1:
             self.started = True

@@ -9,9 +9,8 @@ an approved BOT. The terminal outcome is one of (v,2), (v,1), (BOT,0); the
 module boundary maps it onto (value, grade) with grade in {0,1}:
 (v,2) -> (v,1), (v,1) -> (v,0), (BOT,0) -> (own,0).
 
-Each stage counts in a `Tally`, and the rules react to its crossings: an
-arrival runs only the rules that read the stage whose tally moved, and
-checks only the value that moved.
+Each stage counts in a `Tally`; an arrival runs only the rules that read its
+stage, and they react to the crossings of the one value that moved.
 """
 
 from __future__ import annotations
@@ -61,8 +60,7 @@ class GradedConsensus(Automaton):
         return out
 
     def _receive(self, sender, payload):
-        """Each rule reads tallies at or below its own stage, plus
-        `approved`, so an arrival runs only the rules that read its stage."""
+        # each rule reads tallies at or below its own stage, plus `approved`
         stage = _KIND_STAGE.get(payload.kind)
         v = payload.value
         if stage is None or not self.tallies[stage].add(sender, v):
@@ -143,18 +141,18 @@ class GradedConsensus(Automaton):
         return []
 
     def _resolve_decision(self, v, scan=False):
-        """Grade 2, else grade 1, else grade 0. v's ECHO4 or ECHO5 support
-        just grew; with scan the grade-1 branch may just have opened for
-        every ECHO5 value, else only v can have become a candidate for it."""
+        """Grade 2, else 1, else 0, once v's ECHO4 or ECHO5 support grew.
+        Only v can be a new grade-1 candidate, unless the branch just opened
+        (scan)."""
         if self.decided:
             return []
         echo4, echo5 = self.tallies[4], self.tallies[5]
         if v is not BOT and echo5.count(v) >= self.n - self.t:
             return self._decide(v, 2)
         if echo5.total >= self.n - self.t and self._mixed():
-            w = min((w for w in (echo5.backers if scan else (v,))
-                     if w is not BOT and echo5.count(w)
-                     and echo4.count(w) >= self.t + 1),
+            w = min((c for c in (echo5.backers if scan else (v,))
+                     if c is not BOT and echo5.count(c)
+                     and echo4.count(c) >= self.t + 1),
                     key=value_sort_key, default=None)
             if w is not None:
                 return self._decide(w, 1)

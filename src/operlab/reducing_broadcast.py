@@ -5,9 +5,8 @@ Echo/deliver rules follow the rebuilding-broadcast rule set specialized to
 raw values: echo a value seen in t+1 INITs, deliver BOT on evidence that the
 broadcasters were not unanimous, deliver a value on a 2t+1 support quorum.
 Only the first INIT per sender is processed; delivery requires a prior
-broadcast by this process. INITs and ECHOs count in `Tally`s, and each rule
-reacts to the support of the one value that moved; the rules scan every
-value only at the broadcast, where this process's own value becomes known.
+broadcast by this process. Rules react to the `Tally` support of the one
+value that moved; only the broadcast, which fixes own, scans every value.
 """
 
 from __future__ import annotations
@@ -64,8 +63,7 @@ class ReducingBroadcast(Automaton):
         return out + self._delivery(v)
 
     def _delivery(self, v):
-        """Delivery rules once v's support grew (v is own at the broadcast);
-        every other value was judged when its own support last grew."""
+        """Delivery rules once v's support grew (v is own at the broadcast)."""
         if not self.broadcast_done or self.delivered:
             return []
         # conflicting-value evidence: t+1 supporters of a non-own value

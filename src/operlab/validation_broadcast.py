@@ -6,8 +6,7 @@ echoes values with t+1 INIT support (plus a most-frequent-gap BOT echo),
 completes on a 2t+1 echo quorum (broadcasters only), and validates on t+1
 echoes -- substituting this process's default value for BOT. Validation
 indications keep firing after completion and after abandon (the runtime lets
-them through). INITs and ECHOs count in `Tally`s, and each rule reacts to
-the support of the one value that moved.
+them through). Rules react to the `Tally` support of the one value that moved.
 """
 
 from __future__ import annotations

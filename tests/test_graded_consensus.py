@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from operlab.core import BOT, Payload
@@ -111,6 +112,27 @@ def test_graded_decision_before_the_proposal_is_indicated_once():
     out += gc.step(Request("propose", (7,)))
     assert [a for a in out if isinstance(a, Indicate)] == \
         [Indicate("decide", (9, 1))]
+
+
+# n=4, t=1: approvals of 7 and 8 make the run mixed; two ECHO4(7) and the
+# ECHO5s (7, BOT, BOT) from n-t senders complete the grade-1 branch for 7
+_MIXED = [("ECHO", v, s) for v in (7, 8) for s in (1, 2, 3)]
+_ECHO4 = [("ECHO4", 7, s) for s in (1, 2)]
+_ECHO5 = [("ECHO5", 7, 1), ("ECHO5", BOT, 2), ("ECHO5", BOT, 3)]
+
+
+@pytest.mark.parametrize("order", [_MIXED + _ECHO5 + _ECHO4,
+                                   _MIXED + _ECHO4 + _ECHO5,
+                                   _ECHO4 + _ECHO5 + _MIXED],
+                         ids=["echo4-last", "echo5-last", "approval-last"])
+def test_grade_one_decision_whichever_input_comes_last(order):
+    gc = GradedConsensus(4, 1)
+    gc.step(Request("propose", (7,)))
+    decides = []
+    for k, (kind, v, sender) in enumerate(order):
+        out = gc.step(MessageArrival(sender, Payload(kind, value=v)))
+        decides += [(k, a) for a in out if isinstance(a, Indicate)]
+    assert decides == [(len(order) - 1, Indicate("decide", (7, 0)))]
 
 
 def test_propose_twice_ignored():
