@@ -7,9 +7,9 @@ broadcasts START-VIEW for the next one; t+1 matching START-VIEW messages are
 amplified once per view (as that view's `Tally` support crosses t+1); a
 2t+1 quorum for a higher view triggers the move — but only after a value
 from the preceding view has been validated, which is what that value is
-then proposed with. A decision from the current view's
-core feeds the finisher; the finisher's finish indication is the protocol
-decision, after which the process halts.
+then proposed with. A decision from the current view's core feeds the
+finisher; the finisher's finish indication is the protocol decision, after
+which the process halts.
 """
 
 from __future__ import annotations

@@ -72,12 +72,14 @@ def test_tally_matches_dict_of_sets(first_only, messages):
     backers: dict = {}   # reference: value -> senders
     seen: set = set()
     for sender, v in messages:
-        counted = not (first_only and sender in seen) \
-            and sender not in backers.get(v, ())
-        if not (first_only and sender in seen):
-            backers.setdefault(v, set()).add(sender)
+        repeat = sender in seen
         seen.add(sender)
-        assert tally.add(sender, v) == (len(backers[v]) if counted else 0)
+        if first_only and repeat:
+            assert tally.add(sender, v) == 0
+        else:
+            counted = sender not in backers.get(v, ())
+            backers.setdefault(v, set()).add(sender)
+            assert tally.add(sender, v) == (len(backers[v]) if counted else 0)
         for w in (1, 2, 3, BOT):
             assert tally.count(w) == len(backers.get(w, ()))
         assert tally.total == sum(len(s) for s in backers.values())

@@ -105,7 +105,7 @@ def test_golden_set_covers_view_change():
     # an empty latency field means some correct process never decided
     stalled = {label for label, _, csv, _ in GOLDEN if csv.split(",")[7] == ""}
     assert views["view-change-0"] >= 2 and views["view-change-3"] >= 2
-    # view-change-1 stalled in view 1 while graded consensus lost a (BOT, 0)
-    # outcome reached before its proposal; it now decides in view 2
+    # view-change-1 guards a graded-consensus (BOT, 0) outcome reached
+    # before the proposal, which left the run undecided in view 1
     assert views["view-change-1"] >= 2
     assert stalled == set()
