@@ -86,9 +86,7 @@ class CruxCore(Automaton):
         self.gc2_out = None       # (v2, g2)
         self.timer1_done = False
         self.timer2_done = False
-        self.sync_started = False
         self.gc2_started = False
-        self.vb_started = False
         self.decided = False
         self.completed = False
         self._timer1 = None
@@ -146,15 +144,10 @@ class CruxCore(Automaton):
     def _after_gc1(self):
         if not (self.timer1_done and self.gc1_out is not None):
             return []
-        if self.sync_started:
-            return []
-        self.sync_started = True
         v1, _ = self.gc1_out
         return [ToChild("as", Request("propose", (v1,)))]
 
     def _after_sync(self):
-        if self.gc2_started:
-            return []
         self.gc2_started = True
         v1, g1 = self.gc1_out
         est = est_rule(self.own, v1, g1, self.v_a, self.pred)
@@ -165,12 +158,9 @@ class CruxCore(Automaton):
     def _after_gc2(self):
         if not (self.timer2_done and self.gc2_out is not None):
             return []
-        if self.vb_started:
-            return []
-        self.vb_started = True
         v2, g2 = self.gc2_out
         out = []
-        if g2 == 1 and not self.decided:
+        if g2 == 1:
             self.decided = True
             out.append(Indicate("decide", (v2,)))
         out.append(ToChild("vb", Request("broadcast", (v2,))))
@@ -195,6 +185,6 @@ def make_crux(params: CruxParams, pid: int, default,
         "gc2": GradedConsensus(params.n, params.t),
         "as": RoundSimAdapter(machine_factory, params.R, params.delta_sync,
                               params.bit_cap, params.value_width),
-        "vb": make_validation_broadcast(params.n, params.t, default),
+        "vb": make_validation_broadcast(params.t, default),
     }
     return Composite(CruxCore(params, pred), children=children)

@@ -12,9 +12,8 @@ from .runtime import Automaton, Broadcast, Indicate, MessageArrival, Request
 
 
 class Finisher(Automaton):
-    def __init__(self, n: int, t: int):
+    def __init__(self, t: int):
         super().__init__()
-        self.n = n
         self.t = t
         self.started = False
         self.finished = False

@@ -41,9 +41,8 @@ def _tag_view(tag):
 
 
 class OperCore(Automaton):
-    def __init__(self, n: int, t: int):
+    def __init__(self, t: int):
         super().__init__()
-        self.n = n
         self.t = t
         self.own = None
         self.view = 1
@@ -133,8 +132,8 @@ class Oper(Composite):
                                  value_width=value_width)
         self.pred = pred or ValidityPredicate.always_true()
         self.pid = pid
-        core = OperCore(n, t)
-        super().__init__(core, children={"fin": Finisher(n, t)},
+        core = OperCore(t)
+        super().__init__(core, children={"fin": Finisher(t)},
                          factory=self._make_view,
                          buffer_tags=lambda tag: _tag_view(tag) is not None)
 

@@ -16,9 +16,8 @@ from .runtime import Automaton, Broadcast, Indicate, MessageArrival, Request
 
 
 class ReducingBroadcast(Automaton):
-    def __init__(self, n: int, t: int):
+    def __init__(self, t: int):
         super().__init__()
-        self.n = n
         self.t = t
         self.own = None
         self.broadcast_done = False

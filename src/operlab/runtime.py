@@ -10,9 +10,14 @@ Paths are absolute. When a Composite is attached (as the root, as a
 constructor child or through `spawn`) it records its path, once, on itself,
 its core and its children, down the whole tree. An automaton builds each
 Send, Broadcast and SetTimer with its own `path` in front, so a parent passes
-its children's actions up unchanged. A Composite at depth d routes an
-inbound message by reference on `event.path[d]`; a timer id is cut to the
-owner's local id once, by the Composite that owns the timer's automaton.
+its children's actions up unchanged. A timer id is its owner's path plus a
+sequence number, and the owner stores and compares that absolute id. A
+Composite at depth d routes a message by its `path` and a firing timer by
+`timer_id[:-1]`, with one rule: to the core when that path ends at d, else
+to the child tagged `path[d]`, passing the event on unchanged.
+
+Halting is `Automaton.step`'s alone: it drops every action after a Halt and
+answers every later event with []. Only the root's core emits Halt.
 
 Abandon is a runtime operation. The view loop sends Request("abandon") to a
 per-view core when it moves to a later view or finishes; `Automaton.step`
@@ -155,12 +160,12 @@ class Automaton:
         raise NotImplementedError
 
     def new_timer(self, duration: int):
-        """Returns (SetTimer action, local timer id). The action carries the
-        absolute id, this automaton's path plus the local (int,) id that the
-        automaton's TimerFired events carry."""
+        """Returns (SetTimer action, timer id). The id is absolute, this
+        automaton's path plus a sequence number, and is the one its
+        TimerFired and CancelTimer carry."""
         self._timer_seq += 1
-        tid = (self._timer_seq,)
-        return SetTimer(duration, self.path + tid), tid
+        tid = self.path + (self._timer_seq,)
+        return SetTimer(duration, tid), tid
 
 
 class Composite(Automaton):
@@ -215,36 +220,26 @@ class Composite(Automaton):
         return out
 
     def on_event(self, event):
-        depth = self.depth
         if isinstance(event, MessageArrival):
-            if len(event.path) <= depth:
-                return self._step_core(event)
-            tag = event.path[depth]
-            out = self._deliver_to_child(tag, event)
-            if out is not None:
-                return out
-            if self.buffer_tags is not None and self.buffer_tags(tag):
-                buf = self.pending.setdefault(tag, deque(maxlen=BUFFER_CAP))
-                if len(buf) == BUFFER_CAP:
-                    self.buffer_dropped += 1
-                buf.append(event)
-                return []
-            self.misrouted += 1
+            path = event.path
+        elif isinstance(event, TimerFired):
+            path = event.timer_id[:-1]
+        else:
+            return self._step_core(event)
+        if len(path) <= self.depth:
+            return self._step_core(event)
+        tag = path[self.depth]
+        out = self._deliver_to_child(tag, event)
+        if out is not None:
+            return out
+        if self.buffer_tags is not None and self.buffer_tags(tag):
+            buf = self.pending.setdefault(tag, deque(maxlen=BUFFER_CAP))
+            if len(buf) == BUFFER_CAP:
+                self.buffer_dropped += 1
+            buf.append(event)
             return []
-        if isinstance(event, TimerFired):
-            tid = event.timer_id
-            if len(tid) > depth and isinstance(tid[depth], str):
-                tag = tid[depth]
-                child = self.children.get(tag)
-                if child is None:
-                    self.misrouted += 1
-                    return []
-                if not isinstance(child, Composite):
-                    event = TimerFired(tid[depth + 1:])
-                return self._step_child(tag, event)
-            if depth:
-                event = TimerFired(tid[depth:])
-        return self._step_core(event)
+        self.misrouted += 1
+        return []
 
     # -- internals -----------------------------------------------------
 
@@ -254,17 +249,12 @@ class Composite(Automaton):
     def _absorb_core(self, actions) -> list:
         out = []
         for a in actions:
-            if self.halted:
-                break
             if isinstance(a, ToChild):
                 delivered = self._deliver_to_child(a.tag, a.event)
                 if delivered is None:
                     self.misrouted += 1
                 else:
                     out.extend(delivered)
-            elif isinstance(a, Halt):
-                self.halted = True
-                out.append(a)
             else:
                 out.append(a)
         return out
@@ -282,20 +272,13 @@ class Composite(Automaton):
     def _step_child(self, tag: str, event) -> list:
         """The child's actions, already on absolute paths, pass up unchanged;
         its indications become tag-prefixed requests to the core."""
-        actions = self.children[tag].step(event)
         out = []
-        if self.halted:
-            return out
-        for a in actions:
+        for a in self.children[tag].step(event):
             if isinstance(a, _PASS_UP):
                 out.append(a)
             elif isinstance(a, Indicate):
                 out.extend(self._absorb_core(
                     self.core.step(Request(a.name, (tag,) + a.args))))
-                if self.halted:
-                    break
-            elif isinstance(a, Halt):
-                pass  # child-local; the child's own flag absorbs it
             elif isinstance(a, ToChild):  # pragma: no cover - cores only
                 raise TypeError("ToChild emitted by a non-core automaton")
             else:  # pragma: no cover

@@ -14,7 +14,7 @@ bit cap.
 
 from __future__ import annotations
 
-from .core import BOT, Payload, payload_bits, value_sort_key
+from .core import BOT, Payload, Tally, payload_bits, value_sort_key
 from .runtime import (Automaton, Broadcast, CancelTimer, Indicate,
                       MessageArrival, Request, Send)
 from .graded_consensus import GradedConsensus
@@ -178,20 +178,15 @@ class SyncMachine:
                 self.child.absorb(local, received)
         elif kind == "report":
             half = stage[3]
-            reports: dict = {}   # first report per sender of that half
+            reports = Tally(first_only=True)   # first report per sender
             for sender, payload in received:
-                if payload.kind == "HALF-REPORT" and sender in half \
-                        and sender not in reports:
-                    reports[sender] = payload.value
-            tally: dict = {}
-            for v in reports.values():
-                tally[v] = tally.get(v, 0) + 1
-            if tally:
-                best = min((v for v, c in tally.items()
-                            if c == max(tally.values())), key=value_sort_key)
-                if tally[best] > len(half) / 2 and self.gc_grade == 0 \
-                        and best is not BOT:
-                    self.b = best
+                if payload.kind != "HALF-REPORT" or sender not in half:
+                    continue
+                v = payload.value
+                # a majority of the half is unique: no tie-break
+                if reports.add(sender, v) > len(half) / 2 \
+                        and self.gc_grade == 0 and v is not BOT:
+                    self.b = v
 
     def decision(self):
         return self.b
@@ -262,7 +257,7 @@ class RoundSimAdapter(Automaton):
         if self._timer is None:
             return []
         tid, self._timer = self._timer, None
-        return [CancelTimer(self.path + tid)]
+        return [CancelTimer(tid)]
 
     def _send_round(self):
         """One SYNC-ROUND wrapper and one bit count per inner payload: the

@@ -18,9 +18,8 @@ from .runtime import (Automaton, Broadcast, Composite, Indicate,
 
 
 class ValidationCore(Automaton):
-    def __init__(self, n: int, t: int, default):
+    def __init__(self, t: int, default):
         super().__init__()
-        self.n = n
         self.t = t
         self.default = default
         self.broadcast_done = False
@@ -81,6 +80,6 @@ class ValidationCore(Automaton):
         return out
 
 
-def make_validation_broadcast(n: int, t: int, default) -> Composite:
-    return Composite(ValidationCore(n, t, default),
-                     children={"rb": ReducingBroadcast(n, t)})
+def make_validation_broadcast(t: int, default) -> Composite:
+    return Composite(ValidationCore(t, default),
+                     children={"rb": ReducingBroadcast(t)})

@@ -148,7 +148,7 @@ def test_criterion_6_subprotocol_timing_bounds():
     config = SimConfig(n=4, t=1, faulty=frozenset({3}), delta=DELTA,
                        proposals={p: 7 for p in range(4)})
     trace = run(config, AdversarySpec(),
-                lambda pid: Renamed(make_validation_broadcast(4, 1, 0),
+                lambda pid: Renamed(make_validation_broadcast(1, 0),
                                     {"propose": "broadcast"}),
                 max_time=100 * DELTA)
     completed = _indication_times(trace, "completed")
@@ -162,7 +162,7 @@ def test_criterion_6_subprotocol_timing_bounds():
                    f"vs {completed}")
     # finisher totality: all finish within 2*delta of the first finish
     trace = run(config, AdversarySpec(),
-                lambda pid: Renamed(Finisher(4, 1),
+                lambda pid: Renamed(Finisher(1),
                                     {"propose": "to_finish"}),
                 max_time=100 * DELTA)
     finished = _indication_times(trace, "finish")
@@ -171,7 +171,7 @@ def test_criterion_6_subprotocol_timing_bounds():
     elif max(finished.values()) - min(finished.values()) > 2 * DELTA:
         bad.append(f"finish spread beyond 2*delta: {finished}")
     # validation broadcast completes within 4 asynchronous lock-step rounds
-    autos = {p: make_validation_broadcast(4, 1, 0) for p in range(4)}
+    autos = {p: make_validation_broadcast(1, 0) for p in range(4)}
     inds = lockstep_network(
         autos, [(p, Request("broadcast", (7,))) for p in range(4)],
         max_rounds=10)

@@ -1,6 +1,7 @@
 from operlab.core import BOT, ValidityPredicate
 from operlab.crux import CruxCore, CruxParams, est_rule, make_crux
-from operlab.runtime import CancelTimer, Indicate, Request, TimerFired
+from operlab.runtime import (CancelTimer, Indicate, Request, TimerFired,
+                             ToChild)
 from operlab.simnet import AdversarySpec, SimConfig, run
 
 
@@ -94,7 +95,8 @@ def test_decide_requires_strong_second_grade():
     out = core.step(Request("decide", ("gc2", 8, 0)))
     assert not any(isinstance(a, Indicate) and a.name == "decide"
                    for a in out)
-    assert core.vb_started   # still broadcasts the weak value
+    # still broadcasts the weak value
+    assert ToChild("vb", Request("broadcast", (8,))) in out
 
 
 def test_propose_is_idempotent():
@@ -121,4 +123,4 @@ def test_abandoned_core_ignores_its_gc_timer():
     comp.step(Request("decide", ("gc1", 5, 1)))
     comp.step(Request("abandon"))
     assert comp.step(TimerFired(("crux@1", 1))) == []   # the gc1 timer
-    assert not comp.core.timer1_done and not comp.core.sync_started
+    assert not comp.core.timer1_done and comp.children["as"].machine is None

@@ -8,14 +8,14 @@ def finish_msg(sender, value):
 
 
 def test_to_finish_broadcasts_once():
-    f = Finisher(4, 1)
+    f = Finisher(1)
     out = f.step(Request("to_finish", (7,)))
     assert out == [Broadcast(Payload("FINISH", value=7))]
     assert f.step(Request("to_finish", (9,))) == []
 
 
 def test_quorum_triggers_finish():
-    f = Finisher(4, 1)
+    f = Finisher(1)
     f.step(Request("to_finish", (7,)))
     out = []
     for s in (1, 2, 3):
@@ -24,7 +24,7 @@ def test_quorum_triggers_finish():
 
 
 def test_adopt_and_rebroadcast_without_own_start():
-    f = Finisher(4, 1)
+    f = Finisher(1)
     out = []
     out += f.step(finish_msg(1, 7))
     assert out == []
@@ -38,7 +38,7 @@ def test_thresholds_fire_amid_junk_values():
     # n=7, t=2: junk values from every sender, some with t supporters, are
     # interleaved with FINISH(7); adoption comes on the 3rd matching message
     # (t+1) and the finish indication on the 5th (2t+1), nowhere else
-    f = Finisher(7, 2)
+    f = Finisher(2)
     junk = [(s, v) for v in (3, 9, 11) for s in (5, 6)] + [(0, 20), (1, 21)]
     adopt_at = finish_at = None
     for k, sender in enumerate((0, 1, 2, 3, 4), start=1):
@@ -56,7 +56,7 @@ def test_thresholds_fire_amid_junk_values():
 
 
 def test_finishes_at_most_once():
-    f = Finisher(4, 1)
+    f = Finisher(1)
     f.step(Request("to_finish", (7,)))
     finishes = []
     for s in (0, 1, 2, 3):
@@ -66,13 +66,13 @@ def test_finishes_at_most_once():
 
 
 def test_bot_finish_ignored():
-    f = Finisher(4, 1)
+    f = Finisher(1)
     for s in (0, 1, 2, 3):
         assert f.step(finish_msg(s, BOT)) == []
 
 
 def test_abandon_mutes():
-    f = Finisher(4, 1)
+    f = Finisher(1)
     f.step(Request("abandon"))
     assert f.step(Request("to_finish", (7,))) == []
     out = []

@@ -50,7 +50,7 @@ def _reducing_broadcast(rng):
     events = _messages(rng, ("INIT", "ECHO", "ECHO2"), 40)
     events.insert(rng.randrange(len(events) + 1),
                   Request("broadcast", (rng.choice((1, 2, 3)),)))
-    return ReducingBroadcast(N, T), events
+    return ReducingBroadcast(T), events
 
 
 def _validation_core(rng):
@@ -59,14 +59,14 @@ def _validation_core(rng):
                   Request("broadcast", (rng.choice((1, 2, 3)),)))
     events.insert(rng.randrange(len(events) + 1),
                   Request("deliver", ("rb", rng.choice(VALUES))))
-    return ValidationCore(N, T, default=0), events
+    return ValidationCore(T, default=0), events
 
 
 def _finisher(rng):
     events = _messages(rng, ("FINISH", "ECHO"), 30)
     events.insert(rng.randrange(len(events) + 1),
                   Request("to_finish", (rng.choice((1, 2, 3)),)))
-    return Finisher(N, T), events
+    return Finisher(T), events
 
 
 def _oper_core(rng):
@@ -81,7 +81,7 @@ def _oper_core(rng):
             events.append(Request("validate", (crux_tag(rng.choice((1, 2, 3))),
                                                rng.choice((1, 2, 3)))))
     events.insert(rng.randrange(len(events) + 1), Request("propose", (1,)))
-    return OperCore(N, T), events
+    return OperCore(T), events
 
 
 # (layer, sequence builder, sha256 of every step's output repr)

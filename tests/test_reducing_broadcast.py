@@ -19,7 +19,7 @@ def delivered(actions):
 
 
 def test_unanimous_delivery():
-    rb = ReducingBroadcast(n=4, t=1)
+    rb = ReducingBroadcast(t=1)
     out = rb.step(Request("broadcast", (7,)))
     assert Broadcast(Payload("INIT", value=7)) in out
     out = []
@@ -29,7 +29,7 @@ def test_unanimous_delivery():
 
 
 def test_no_delivery_before_own_broadcast():
-    rb = ReducingBroadcast(n=4, t=1)
+    rb = ReducingBroadcast(t=1)
     out = []
     for s in (0, 1, 2):
         out += rb.step(init(s, 7))
@@ -39,7 +39,7 @@ def test_no_delivery_before_own_broadcast():
 
 
 def test_conflicting_support_delivers_bot():
-    rb = ReducingBroadcast(n=4, t=1)
+    rb = ReducingBroadcast(t=1)
     rb.step(Request("broadcast", (5,)))
     out = rb.step(init(1, 9))
     assert delivered(out) is None
@@ -48,7 +48,7 @@ def test_conflicting_support_delivers_bot():
 
 
 def test_gap_rule_delivers_bot():
-    rb = ReducingBroadcast(n=7, t=2)
+    rb = ReducingBroadcast(t=2)
     rb.step(Request("broadcast", (1,)))
     out = []
     for s, v in ((1, 2), (2, 3), (3, 4), (4, 5)):
@@ -58,7 +58,7 @@ def test_gap_rule_delivers_bot():
 
 
 def test_echo_amplification():
-    rb = ReducingBroadcast(n=4, t=1)
+    rb = ReducingBroadcast(t=1)
     rb.step(Request("broadcast", (5,)))
     rb.step(init(1, 9))
     out = rb.step(init(2, 9))
@@ -66,7 +66,7 @@ def test_echo_amplification():
 
 
 def test_first_init_per_sender_wins():
-    rb = ReducingBroadcast(n=4, t=1)
+    rb = ReducingBroadcast(t=1)
     rb.step(Request("broadcast", (5,)))
     rb.step(init(1, 9))
     out = rb.step(init(1, 9))   # duplicate sender ignored
@@ -75,7 +75,7 @@ def test_first_init_per_sender_wins():
 
 
 def test_echo_support_contributes_to_quorum():
-    rb = ReducingBroadcast(n=4, t=1)
+    rb = ReducingBroadcast(t=1)
     rb.step(Request("broadcast", (7,)))
     rb.step(init(1, 7))
     rb.step(init(2, 7))
@@ -84,7 +84,7 @@ def test_echo_support_contributes_to_quorum():
 
 
 def test_delivers_at_most_once():
-    rb = ReducingBroadcast(n=4, t=1)
+    rb = ReducingBroadcast(t=1)
     rb.step(Request("broadcast", (7,)))
     out = []
     for s in (0, 1, 2, 3):
@@ -95,7 +95,7 @@ def test_delivers_at_most_once():
 
 
 def test_abandon_mutes_output():
-    rb = ReducingBroadcast(n=4, t=1)
+    rb = ReducingBroadcast(t=1)
     rb.step(Request("broadcast", (7,)))
     rb.step(Request("abandon"))
     out = []

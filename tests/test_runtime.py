@@ -118,17 +118,37 @@ def test_actions_after_halt_in_one_step_are_dropped():
     assert comp.halted
 
 
-def test_composite_halts_with_core():
-    class HaltingCore(Recorder):
-        def on_event(self, event):
-            super().on_event(event)
-            if isinstance(event, Request) and event.name == "stop":
-                return [Halt()]
-            return []
+class HaltingCore(Recorder):
+    """Records its events and halts on a "stop" request."""
 
+    def on_event(self, event):
+        super().on_event(event)
+        if isinstance(event, Request) and event.name == "stop":
+            return [Halt()]
+        return []
+
+
+def test_composite_halts_with_core():
     comp = Composite(HaltingCore(), children={"a": Echoer()})
     assert Halt() in comp.step(Request("stop"))
     assert comp.step(msg(path=("a",))) == []
+
+
+class StopThenSend(Automaton):
+    """Asks its parent's core to stop, then broadcasts, in one step."""
+
+    def on_event(self, event):
+        return [Indicate("stop"), Broadcast(Payload("INIT", value=1),
+                                            self.path)]
+
+
+def test_core_halting_on_a_child_indication_ends_the_step():
+    comp = Composite(HaltingCore(), children={"a": StopThenSend()})
+    assert comp.step(msg(path=("a",))) == [Halt()]
+    assert comp.halted and comp.core.halted
+    assert comp.step(msg(path=("a",))) == []
+    assert comp.step(Request("stop")) == []
+    assert comp.core.events == [Request("stop", ("a",))]
 
 
 class Forwarder(Recorder):
@@ -152,15 +172,15 @@ def test_child_timers_get_tag_prefix():
                 timer, _ = self.new_timer(5)
                 return [timer]
             if isinstance(event, TimerFired):
-                return [Indicate("fired", event.timer_id)]
+                return [Indicate("fired", (event.timer_id,))]
             return []
 
     comp = Composite(Forwarder("tc"), children={"tc": TimerChild()})
     out = comp.step(Request("go"))
     (timer,) = [a for a in out if isinstance(a, SetTimer)]
-    assert timer.timer_id[0] == "tc"
+    assert timer.timer_id == ("tc", 1)
     comp.step(TimerFired(timer.timer_id))
-    assert comp.core.events[-1] == Request("fired", ("tc", 1))
+    assert comp.core.events[-1] == Request("fired", ("tc", ("tc", 1)))
 
 
 def test_new_timer_ids_are_unique():
@@ -197,7 +217,7 @@ class Leaf(Recorder):
                     Send(1, event.payload, self.path + ("x",)), timer,
                     Indicate("saw", (event.sender,))]
         if isinstance(event, TimerFired):
-            return [Indicate("fired", event.timer_id)]
+            return [Indicate("fired", (event.timer_id,))]
         return []
 
 
@@ -232,12 +252,13 @@ def test_depth_two_actions_carry_absolute_paths():
     assert mid.core.events[-1] == Request("saw", ("leaf", 3))
 
 
-def test_depth_two_timer_returns_local_id():
+def test_depth_two_timer_returns_its_absolute_id():
     root, mid, leaf = nested()
     root.step(msg(path=("mid", "leaf")))
     root.step(TimerFired(("mid", "leaf", 1)))
-    assert leaf.events[-1] == TimerFired((1,))
-    assert mid.core.events[-1] == Request("fired", ("leaf", 1))
+    assert leaf.events[-1] == TimerFired(("mid", "leaf", 1))
+    assert mid.core.events[-1] == Request("fired",
+                                          ("leaf", ("mid", "leaf", 1)))
 
 
 def test_depth_two_trailing_segments_reach_the_leaf():
@@ -255,7 +276,40 @@ def test_path_ending_at_nested_composite_reaches_its_core():
     assert mid.core.events == [event] and leaf.events == []
     assert out == [SetTimer(3, ("mid", 1))]
     root.step(TimerFired(("mid", 1)))
-    assert mid.core.events[-1] == TimerFired((1,))
+    assert mid.core.events[-1] == TimerFired(("mid", 1))
+
+
+class Arming(Recorder):
+    """Records its events; on "arm", arms a timer, keeps its id and passes
+    the request on to child `tag`, if given."""
+
+    def __init__(self, tag=None):
+        super().__init__()
+        self.tag = tag
+        self.armed = None
+
+    def on_event(self, event):
+        super().on_event(event)
+        if isinstance(event, Request) and event.name == "arm":
+            timer, self.armed = self.new_timer(1)
+            return [timer] + ([ToChild(self.tag, event)] if self.tag else [])
+        return []
+
+
+def test_timer_returns_to_its_owner_with_the_id_it_set():
+    leaf = Arming()
+    mid = Composite(Arming("leaf"), children={"leaf": leaf})
+    root = Composite(Arming("mid"), children={"mid": mid})
+    timers = [a for a in root.step(Request("arm")) if isinstance(a, SetTimer)]
+    assert [a.timer_id for a in timers] == [(1,), ("mid", 1),
+                                             ("mid", "leaf", 1)]
+    owners = (root.core, mid.core, leaf)
+    for timer, owner in zip(timers, owners):
+        assert owner.armed == timer.timer_id
+        root.step(TimerFired(timer.timer_id))
+        assert owner.events[-1] == TimerFired(timer.timer_id)
+    assert [sum(isinstance(e, TimerFired) for e in owner.events)
+            for owner in owners] == [1, 1, 1]
 
 
 def test_unknown_tag_at_depth_two_counts_in_that_composite():
@@ -276,7 +330,7 @@ class Loud(Automaton):
         timer, tid = self.new_timer(5)
         return [Send(1, event.payload, self.path),
                 Broadcast(event.payload, self.path), timer,
-                CancelTimer(self.path + tid),
+                CancelTimer(tid),
                 Indicate("decide", (7,)), Indicate("validate", (7,))]
 
 

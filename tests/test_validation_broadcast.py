@@ -6,7 +6,7 @@ from lockstep import lockstep_network
 
 
 def build(n, t, defaults):
-    return {p: make_validation_broadcast(n, t, defaults[p]) for p in range(n)}
+    return {p: make_validation_broadcast(t, defaults[p]) for p in range(n)}
 
 
 def events_named(inds, pid, name):
