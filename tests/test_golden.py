@@ -51,6 +51,17 @@ def _exact_drift_max(seed):
             "pre_gst_delay": ["exact", 3], "drift": ["max"]}
 
 
+def _sync_large(seed):
+    # the benchmark's sync-large scenario: the sync BA halves 31 members into
+    # 16/15 and recurses five levels deep
+    faulty = list(range(21, 31))
+    return {"n": 31, "t": 10, "delta": DELTA, "gst": 0, "seed": seed,
+            "faulty": faulty,
+            "strategies": {str(p): ["equivocate"] for p in faulty},
+            "proposals": {str(p): (p % 3) + 1 for p in range(31)},
+            "pre_gst_delay": ["uniform"], "drift": ["none"]}
+
+
 UNANIMOUS = {"n": 4, "delta": DELTA, "gst": 0, "seed": 0, "proposal": 7}
 
 # (label, scenario, csv row, sha256 of the trace lines joined by newlines)
@@ -79,6 +90,9 @@ GOLDEN = [
     ("exact3-drift-max-0", _exact_drift_max(0),
      "0,7,2,2000,10,10241,9800.0,306.3,1,1",
      "b1a4d4e9b45d37c475423051d51f18356dc318182d1d9b77e8549cfe3098070e"),
+    ("sync-large-0", _sync_large(0),
+     "0,31,10,0,10,58697,55795.09523809524,1459.0,1,1",
+     "a4b5a136f4dbb4c7817355496ad487440414b1b900d794f338741f06ad5ac904"),
     ("unanimous-n4", UNANIMOUS,
      "0,4,1,0,10,5314,5234.0,162.6,1,1",
      "ac751f88f3b011480b27950ecaad4b06ed70bab88e942c3b5d19294d039de0b1"),

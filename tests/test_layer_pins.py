@@ -7,6 +7,12 @@ view loop), and the layer's own request at a random position (first, for
 graded consensus). The sha256 of the repr of every step's output is pinned,
 so a change to what a layer emits, or to the order it emits it in within
 one step, fails here even where no full-protocol run reaches that step.
+
+The recursive sync BA is pinned the same way, one lock-step round at a time:
+a `SyncMachine` at n=7 and at n=10 absorbs seeded random round batches
+(messages from members in the kinds it sends that round, plus junk senders,
+a junk kind and BOT values, shuffled), and the repr of each round's outbound
+list and state digest is hashed.
 """
 
 import hashlib
@@ -20,6 +26,7 @@ from operlab.graded_consensus import GradedConsensus
 from operlab.oper import OperCore, crux_tag
 from operlab.reducing_broadcast import ReducingBroadcast
 from operlab.runtime import MessageArrival, Request
+from operlab.sync_ba import SyncMachine, rounds
 from operlab.validation_broadcast import ValidationCore
 
 N, T = 7, 2
@@ -119,3 +126,54 @@ def test_layer_step_pin(build, sha):
     # the sequences must reach the layer's indications, not only its echoes
     assert any(k.startswith("Indicate") for k in kinds), kinds
     assert got == sha
+
+
+SYNC_SEQUENCES = 20
+SYNC_KINDS = ("INIT", "ECHO", "ECHO2", "ECHO3", "ECHO4", "ECHO5", "HALF-REPORT")
+
+# (member count, sha256 of every round's outbound and state digest)
+SYNC_PINS = [
+    (7, "34ce8c5c12784af99902899ce6520414c4c2fd0bae7e8c3c9ce3a75a24cb6a0b"),
+    (10, "2c3b14f8c333ab4004af2575c3fafe8bea517ccecf5dcefc3f9a1577dc363e86"),
+]
+
+
+def _round_batch(rng, members, out, favourite):
+    # members answer in the kinds this process sends this round (any kind
+    # when it is idle); a few junk messages ride along
+    kinds = sorted({p.kind for _, p in out}) or SYNC_KINDS
+    batch = [(s, Payload(rng.choice(kinds),
+                         value=favourite if rng.random() < 0.8
+                         else rng.choice(VALUES)))
+             for s in members if rng.random() < 0.8]
+    for _ in range(rng.randrange(3)):
+        roll = rng.random()
+        if roll < 0.4:
+            batch.append((len(members) + rng.randrange(5),
+                          Payload(rng.choice(SYNC_KINDS), value=favourite)))
+        elif roll < 0.7:
+            batch.append((rng.choice(members), Payload("FINISH", value=favourite)))
+        else:
+            batch.append((rng.choice(members),
+                          Payload(rng.choice(kinds), value=BOT)))
+    rng.shuffle(batch)
+    return batch
+
+
+@pytest.mark.parametrize("n,sha", SYNC_PINS, ids=[f"sync_ba-n{n}" for n, _ in SYNC_PINS])
+def test_sync_machine_round_pin(n, sha):
+    h = hashlib.sha256()
+    grades = set()
+    for seed in range(SYNC_SEQUENCES):
+        rng = random.Random(seed)
+        members = list(range(n))
+        favourite = rng.choice(VALUES)
+        machine = SyncMachine(rng.randrange(n), members, rng.choice((1, 2, 3)))
+        for r in range(rounds(n)):
+            out = machine.outbound(r)
+            machine.absorb(r, _round_batch(rng, members, out, favourite))
+            h.update(repr((out, machine.state_digest())).encode() + b"\n")
+            grades.add(machine.gc_grade)
+    # the batches must reach both graded-consensus outcomes
+    assert {0, 1} <= grades, grades
+    assert h.hexdigest() == sha
