@@ -16,6 +16,12 @@ Composite at depth d routes a message by its `path` and a firing timer by
 `timer_id[:-1]`, with one rule: to the core when that path ends at d, else
 to the child tagged `path[d]`, passing the event on unchanged.
 
+The root walks an event down to its target in one loop, applying each
+nested Composite's entry check (`ignores`). Output comes back up only if
+there is any, through each level's lift of indications into its core and
+output check (`emit`); output of pass-up actions alone is returned as it
+is, unless an abandoned composite is on the way.
+
 Halting is `Automaton.step`'s alone: it drops every action after a Halt and
 answers every later event with []. Only the root's core emits Halt.
 
@@ -130,15 +136,23 @@ class Automaton:
         self.path = path
 
     def step(self, event) -> list:
-        if self.halted:
-            return []
-        if isinstance(event, Request) and event.name == "abandon":
+        if isinstance(event, Request) and event.name == "abandon" \
+                and not self.halted:
             return self.abandon()
-        if self.abandoned and isinstance(event, TimerFired):
+        # only a halted or abandoned automaton ignores events
+        if (self.halted or self.abandoned) and self.ignores(event):
             return []
         actions = self.on_event(event)
-        if not actions:
-            return []
+        return self.emit(actions) if actions else []
+
+    def ignores(self, event) -> bool:
+        """Entry check of `step`: a halted automaton ignores every event, an
+        abandoned one its timers."""
+        return self.halted or self.abandoned and isinstance(event, TimerFired)
+
+    def emit(self, actions) -> list:
+        """Output check of `step`: an abandoned automaton passes only
+        CancelTimer and Indicate("validate"); actions after a Halt are cut."""
         if self.abandoned:
             # validations outlive a view: OperCore._try_advance proposes
             # view V with view V-1's validated value
@@ -226,20 +240,40 @@ class Composite(Automaton):
             path = event.timer_id[:-1]
         else:
             return self._step_core(event)
-        if len(path) <= self.depth:
-            return self._step_core(event)
-        tag = path[self.depth]
-        out = self._deliver_to_child(tag, event)
-        if out is not None:
-            return out
-        if self.buffer_tags is not None and self.buffer_tags(tag):
-            buf = self.pending.setdefault(tag, deque(maxlen=BUFFER_CAP))
-            if len(buf) == BUFFER_CAP:
-                self.buffer_dropped += 1
-            buf.append(event)
-            return []
-        self.misrouted += 1
-        return []
+        # walk down to the automaton the path names, applying each nested
+        # Composite's entry check; `muted` if any of them is abandoned
+        node, way, muted = self, [], False
+        while len(path) > node.depth:
+            target = node.children.get(path[node.depth])
+            if type(target) is not Composite:
+                break
+            if (target.halted or target.abandoned) and target.ignores(event):
+                return []
+            way.append(node)
+            node = target
+            muted = muted or target.abandoned
+        else:
+            target = node.core
+        if target is None:
+            out = node._route_unknown(path[node.depth], event)
+        else:
+            actions = target.step(event)
+            if not actions:
+                return []
+            if not muted:
+                for a in actions:
+                    if not isinstance(a, _PASS_UP):
+                        break
+                else:
+                    return actions   # every level would pass it up unchanged
+            out = node._absorb_core(actions) if target is node.core \
+                else node._lift(path[node.depth], actions)
+        # lift the output back up, with each nested Composite's output check
+        while way and out:
+            parent = way.pop()
+            out = parent._lift(path[parent.depth], node.emit(out))
+            node = parent
+        return out
 
     # -- internals -----------------------------------------------------
 
@@ -269,11 +303,29 @@ class Composite(Automaton):
             return None
         return self.spawn(tag, child, event)
 
+    def _route_unknown(self, tag: str, event) -> list:
+        """A routed event for unknown child `tag`: spawn it through the
+        factory, else buffer the event or count it as misrouted."""
+        out = self._deliver_to_child(tag, event)
+        if out is not None:
+            return out
+        if self.buffer_tags is not None and self.buffer_tags(tag):
+            buf = self.pending.setdefault(tag, deque(maxlen=BUFFER_CAP))
+            if len(buf) == BUFFER_CAP:
+                self.buffer_dropped += 1
+            buf.append(event)
+            return []
+        self.misrouted += 1
+        return []
+
     def _step_child(self, tag: str, event) -> list:
-        """The child's actions, already on absolute paths, pass up unchanged;
-        its indications become tag-prefixed requests to the core."""
+        return self._lift(tag, self.children[tag].step(event))
+
+    def _lift(self, tag: str, actions) -> list:
+        """Child `tag`'s actions, already on absolute paths, pass up
+        unchanged; its indications become tag-prefixed requests to the core."""
         out = []
-        for a in self.children[tag].step(event):
+        for a in actions:
             if isinstance(a, _PASS_UP):
                 out.append(a)
             elif isinstance(a, Indicate):

@@ -321,53 +321,58 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
         seq += 1
         heapq.heappush(queue, (fire_at, seq, pid, event))
 
-    def log(now, pid, kind, path, pkind, bits):
-        if collect_rows:
-            trace.rows.append((now, pid, kind, path, pkind, bits))
+    rows, pbit = trace.rows, trace.pbit
+    accounting, value_width = config.accounting, config.value_width
 
     def absorb(now, pid, actions):
         correct = pid not in config.faulty
+        counted = correct and now >= gst
+        rule = delay_rule[pid]
+        # bits and arrival of the last payload sent: a run of actions that
+        # share one payload object and one path computes them once
+        payload = path = None
         for a in actions:
-            if isinstance(a, (Send, Broadcast)):
-                payload = a.payload
-                bits = payload_bits(payload, config.accounting,
-                                    config.value_width) \
-                    + path_bits(a.path, config.accounting)
-                if isinstance(a, Broadcast):
-                    dests = range(n)
-                    total = bits * n
+            cls = type(a)
+            if cls is Send or cls is Broadcast:
+                if a.payload is not payload or a.path is not path:
+                    payload, path = a.payload, a.path
+                    bits = payload_bits(payload, accounting, value_width) \
+                        + path_bits(path, accounting)
+                    arrival = MessageArrival(pid, payload, path)
+                total = bits if cls is Send else bits * n
+                if counted:
+                    pbit[pid] = pbit.get(pid, 0) + total
+                if collect_rows:
+                    rows.append((now, pid,
+                                 "send" if cls is Send else "broadcast",
+                                 path, payload.kind, total))
+                if cls is Broadcast:
                     if correct and payload.kind == "START-VIEW":
                         key = (pid, payload.view)
                         trace.sv_counts[key] = trace.sv_counts.get(key, 0) + 1
-                else:
-                    dests = (a.to,) if 0 <= a.to < n else ()
-                    total = bits
-                if correct and now >= gst:
-                    trace.pbit[pid] = trace.pbit.get(pid, 0) + total
-                log(now, pid,
-                    "broadcast" if isinstance(a, Broadcast) else "send",
-                    a.path, payload.kind, total)
-                # one arrival, shared by every copy
-                arrival = MessageArrival(pid, payload, a.path)
-                times = schedule_deliveries(now, gst, delta, delay_rule[pid],
-                                            rng, len(dests))
-                for dest, at in zip(dests, times):
-                    push(at, dest, arrival)
-            elif isinstance(a, SetTimer):
+                    # one arrival, shared by every copy
+                    times = schedule_deliveries(now, gst, delta, rule, rng, n)
+                    for dest, at in enumerate(times):
+                        push(at, dest, arrival)
+                elif 0 <= a.to < n:
+                    push(schedule_delivery(now, gst, delta, rule, rng),
+                         a.to, arrival)
+            elif cls is SetTimer:
                 at = schedule_timer(now, gst, a.duration, adversary.drift, rng)
                 active_timers.add((pid, a.timer_id))
                 push(at, pid, TimerFired(a.timer_id))
-            elif isinstance(a, CancelTimer):
+            elif cls is CancelTimer:
                 active_timers.discard((pid, a.timer_id))
-            elif isinstance(a, Indicate):
+            elif cls is Indicate:
                 trace.indications.append((now, pid, a.name, a.args))
-                log(now, pid, "indicate:" + a.name, (), "-", 0)
+                if collect_rows:
+                    rows.append((now, pid, "indicate:" + a.name, (), "-", 0))
                 if a.name == "decide" and pid not in trace.decisions:
                     trace.decisions[pid] = (a.args[0], now)
                 elif a.name == "enter-view":
                     trace.enters.append((now, pid, a.args[0]))
-            elif isinstance(a, Halt):
-                log(now, pid, "halt", (), "-", 0)
+            elif cls is Halt and collect_rows:
+                rows.append((now, pid, "halt", (), "-", 0))
 
     # kick off every process with its proposal
     starts = sorted(range(config.n),
@@ -387,11 +392,11 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
             if (pid, event.timer_id) not in active_timers:
                 continue
             active_timers.discard((pid, event.timer_id))
-            log(now, pid, "timer-fire", event.timer_id, "-", 0)
+            if collect_rows:
+                rows.append((now, pid, "timer-fire", event.timer_id, "-", 0))
         elif collect_rows and isinstance(event, MessageArrival):
-            log(now, pid, "deliver", event.path, event.payload.kind,
-                payload_bits(event.payload, config.accounting,
-                             config.value_width))
+            rows.append((now, pid, "deliver", event.path, event.payload.kind,
+                         payload_bits(event.payload, accounting, value_width)))
         auto = autos[pid]
         if pid in strategy_pids:
             auto.now = now

@@ -5,7 +5,9 @@ The lock-step machine halves the member set recursively: graded consensus
 over S, the first half recursing and reporting, a majority update gated on
 grade 0, then the same with the second half. Round and per-process message
 budgets follow the recurrences rounds(1)=0, rounds(n)=2*GC_ROUNDS+2+both
-halves, and mc(1)=0, mc(n)=13n+mc(larger half).
+halves, and mc(1)=0, mc(n)=13n+mc(larger half). A machine looks up each
+round's stage in the round schedule of its member count (`round_schedule`),
+built once per count.
 
 The adapter stretches each lock-step round to delta_sync virtual time, tags
 wire messages with the round parity bit, and refuses to exceed a cumulative
@@ -13,6 +15,8 @@ bit cap.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .core import BOT, Payload, Tally, payload_bits, value_sort_key
 from .runtime import (Automaton, Broadcast, CancelTimer, Indicate,
@@ -48,6 +52,20 @@ def mc(n: int) -> int:
 def budget(n: int, value_width: int) -> int:
     """Per-process bit budget: every message is an 8-bit tag plus a value."""
     return mc(n) * (8 + value_width)
+
+
+@functools.cache
+def round_schedule(m: int) -> tuple:
+    """Per round of the agreement among m members: (stage kind, round within
+    the stage, half). Each half in turn has GC_ROUNDS "gc" rounds (among all
+    m members), rounds(half) "half" rounds and one "report" round."""
+    schedule = []
+    if m > 1:
+        for idx, size in ((1, (m + 1) // 2), (2, m // 2)):
+            for kind, length in (("gc", GC_ROUNDS), ("half", rounds(size)),
+                                 ("report", 1)):
+                schedule.extend((kind, local, idx) for local in range(length))
+    return tuple(schedule)
 
 
 def _sub_t(m: int) -> int:
@@ -106,63 +124,46 @@ class SyncMachine:
         self.pid = pid
         self.members = list(members)
         self.b = proposal
-        self.total_rounds = rounds(len(self.members))
+        n = len(self.members)
+        self.schedule = round_schedule(n)
         self.messages_sent = 0
         self.gc = None
         self.gc_grade = None
         self.child = None
-        self.stages = []
-        n = len(self.members)
-        if n > 1:
-            half1 = self.members[:(n + 1) // 2]
-            half2 = self.members[(n + 1) // 2:]
-            r = 0
-            for idx, half in ((1, half1), (2, half2)):
-                self.stages.append(("gc", r, GC_ROUNDS, idx))
-                r += GC_ROUNDS
-                self.stages.append(("half", r, rounds(len(half)), half))
-                r += rounds(len(half))
-                self.stages.append(("report", r, 1, half))
-                r += 1
-            assert r == self.total_rounds
-
-    def _stage_at(self, r):
-        for stage in self.stages:
-            if stage[1] <= r < stage[1] + stage[2]:
-                return stage, r - stage[1]
-        return None, None
+        split = (n + 1) // 2
+        self.halves = {1: self.members[:split], 2: self.members[split:]}
+        # the half this process recurses in; 0 if it is in neither
+        self.own_half = 1 if pid in self.halves[1] \
+            else 2 if pid in self.halves[2] else 0
 
     def outbound(self, r):
-        stage, local = self._stage_at(r)
-        if stage is None:
-            return []
-        kind = stage[0]
+        kind, local, idx = self.schedule[r]
         out = []
         if kind == "gc":
             if local == 0:
                 self.gc = LockstepGC(self.members, self.b)
                 self.gc_grade = None
             out = self.gc.outbound(local)
-        elif kind == "half":
-            half = stage[3]
-            if self.pid in half:
+        elif idx == self.own_half:
+            if kind == "half":
                 if local == 0:
-                    self.child = SyncMachine(self.pid, half, self.b)
+                    self.child = SyncMachine(self.pid, self.halves[idx], self.b)
                 out = self.child.outbound(local)
-        elif kind == "report":
-            half = stage[3]
-            if self.pid in half:
+            else:   # report: one payload for every member
                 v = self.child.decision() if self.child else self.b
-                out = [(m, Payload("HALF-REPORT", value=v)) for m in self.members]
+                report = Payload("HALF-REPORT", value=v)
+                out = [(m, report) for m in self.members]
         self.messages_sent += len(out)
         return out
 
     def absorb(self, r, received):
-        stage, local = self._stage_at(r)
-        if stage is None:
+        kind, local, idx = self.schedule[r]
+        if kind == "half":
+            # only the level that consumes the batch sorts it
+            if idx == self.own_half:
+                self.child.absorb(local, received)
             return
         received = sorted(received, key=_batch_key)
-        kind = stage[0]
         if kind == "gc":
             self.gc.absorb(local, received)
             if local == GC_ROUNDS - 1:
@@ -172,12 +173,8 @@ class SyncMachine:
                     v, g = self.b, 0   # timed out: keep current value, grade 0
                 self.b = v
                 self.gc_grade = g
-        elif kind == "half":
-            half = stage[3]
-            if self.pid in half:
-                self.child.absorb(local, received)
-        elif kind == "report":
-            half = stage[3]
+        else:
+            half = self.halves[idx]
             reports = Tally(first_only=True)   # first report per sender
             for sender, payload in received:
                 if payload.kind != "HALF-REPORT" or sender not in half:
@@ -221,7 +218,8 @@ class RoundSimAdapter(Automaton):
         self.machine = None
         self.round = 0
         self.sent_bits = 0
-        self.received: list = []     # (sender, parity, inner payload)
+        # parity -> [(sender, inner payload)] in arrival order
+        self.received = {0: [], 1: []}
         self.done = False
         self._timer = None
 
@@ -233,7 +231,7 @@ class RoundSimAdapter(Automaton):
         if isinstance(event, MessageArrival):
             p = event.payload
             if p.kind == "SYNC-ROUND" and not self.done:
-                self.received.append((event.sender, p.parity, p.inner))
+                self.received[p.parity].append((event.sender, p.inner))
             return []
         # timer: close out the current round
         if self.machine is None or self.done:
@@ -279,9 +277,7 @@ class RoundSimAdapter(Automaton):
 
     def _finish_round(self):
         want = (self.round ^ self.parity_flip) & 1
-        current = [(s, inner) for s, par, inner in self.received if par == want]
-        self.received = [(s, par, inner) for s, par, inner in self.received
-                         if par != want]
+        current, self.received[want] = self.received[want], []
         self.machine.absorb(self.round, current)
         self.round += 1
         if self.round >= self.total_rounds:

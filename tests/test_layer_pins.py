@@ -152,7 +152,8 @@ def _round_batch(rng, members, out, favourite):
             batch.append((len(members) + rng.randrange(5),
                           Payload(rng.choice(SYNC_KINDS), value=favourite)))
         elif roll < 0.7:
-            batch.append((rng.choice(members), Payload("FINISH", value=favourite)))
+            batch.append((rng.choice(members),
+                          Payload("FINISH", value=favourite)))
         else:
             batch.append((rng.choice(members),
                           Payload(rng.choice(kinds), value=BOT)))
@@ -160,7 +161,8 @@ def _round_batch(rng, members, out, favourite):
     return batch
 
 
-@pytest.mark.parametrize("n,sha", SYNC_PINS, ids=[f"sync_ba-n{n}" for n, _ in SYNC_PINS])
+@pytest.mark.parametrize("n,sha", SYNC_PINS,
+                         ids=[f"sync_ba-n{n}" for n, _ in SYNC_PINS])
 def test_sync_machine_round_pin(n, sha):
     h = hashlib.sha256()
     grades = set()

@@ -348,3 +348,52 @@ def test_abandoned_subtree_passes_only_cancels_and_validations():
     assert out == [CancelTimer(("mid", "leaf", 2))]
     assert mid.core.events == [Request("validate", ("leaf", 7))]
     assert root.core.events == []
+
+
+class Replier(Automaton):
+    """Answers every message with a Send to its sender."""
+
+    def on_event(self, event):
+        return [Send(event.sender, event.payload, self.path)]
+
+
+def test_output_of_a_live_leaf_under_an_abandoned_composite_is_muted():
+    mid = Composite(Recorder())
+    root = Composite(Recorder(), children={"mid": mid})
+    assert mid.step(Request("abandon")) == []
+    # spawned after the abandon, so the leaf itself is live
+    assert mid.spawn("leaf", Replier()) == []
+    assert not mid.children["leaf"].abandoned
+    assert mid.children["leaf"].step(msg(2)) == [
+        Send(2, Payload("INIT", value=1), ("mid", "leaf"))]
+    assert root.step(msg(2, path=("mid", "leaf"))) == []
+
+
+class Reporter(Automaton):
+    """Sends, indicates and sends again on every message."""
+
+    def on_event(self, event):
+        return [Send(1, event.payload, self.path), Indicate("got", (5,)),
+                Send(2, event.payload, self.path)]
+
+
+class Answering(Recorder):
+    """Records its events and answers a child's indication with a broadcast."""
+
+    def on_event(self, event):
+        super().on_event(event)
+        if isinstance(event, Request) and event.name == "got":
+            return [Broadcast(Payload("ECHO", value=event.args[1]), self.path)]
+        return []
+
+
+def test_depth_two_indication_reaches_its_parent_core_in_order():
+    mid = Composite(Answering(), children={"leaf": Reporter()})
+    root = Composite(Recorder(), children={"mid": mid})
+    out = root.step(msg(3, path=("mid", "leaf")))
+    p = Payload("INIT", value=1)
+    assert out == [Send(1, p, ("mid", "leaf")),
+                   Broadcast(Payload("ECHO", value=5), ("mid",)),
+                   Send(2, p, ("mid", "leaf"))]
+    assert mid.core.events == [Request("got", ("leaf", 5))]
+    assert root.core.events == []

@@ -1,9 +1,12 @@
+from itertools import groupby
+
 import pytest
 
 from operlab.core import BOT, Payload
 from operlab.runtime import Indicate, Request, Send, SetTimer, TimerFired
 from operlab.sync_ba import (GC_ROUNDS, RecordingMachine, RoundSimAdapter,
-                             SyncMachine, budget, lockstep_run, mc, rounds)
+                             SyncMachine, budget, lockstep_run, mc,
+                             round_schedule, rounds)
 
 
 def test_round_recurrence_values():
@@ -28,6 +31,24 @@ def test_recurrence_rejects_nonpositive():
         rounds(0)
     with pytest.raises(ValueError):
         mc(0)
+
+
+def test_round_schedule_runs_each_half_through_gc_recursion_and_report():
+    for m in range(1, 65):
+        schedule = round_schedule(m)
+        assert len(schedule) == rounds(m)
+        stages = []
+        for (kind, idx), entries in groupby(schedule, lambda e: (e[0], e[2])):
+            locals_ = [local for _, local, _ in entries]
+            assert locals_ == list(range(len(locals_)))
+            stages.append((kind, idx, len(locals_)))
+        want = [] if m == 1 else [
+            (kind, idx, length)
+            for idx, half in ((1, (m + 1) // 2), (2, m // 2))
+            for kind, length in (("gc", GC_ROUNDS), ("half", rounds(half)),
+                                 ("report", 1))
+            if length]   # a one-member half has no rounds of its own
+        assert stages == want
 
 
 def run_lockstep(n, proposals):
@@ -166,3 +187,18 @@ def test_byzantine_injection_cannot_break_unanimity():
                               (3, Payload("HALF-REPORT", value=9))]
     lockstep_run(machines, rounds(n), inject=inject)
     assert {m.decision() for m in machines.values()} == {7}
+
+
+def test_report_round_sends_one_payload_object():
+    n = 4
+    adapter = RoundSimAdapter(lambda b: SyncMachine(0, list(range(n)), b),
+                              rounds(n), delta_sync=30,
+                              bit_cap=2 * budget(n, 32), value_width=32)
+    out = adapter.step(Request("propose", (5,)))
+    for _ in range(round_schedule(n).index(("report", 0, 1))):
+        timer = next(a for a in out if isinstance(a, SetTimer))
+        out = adapter.step(TimerFired(timer.timer_id))
+    sends = [a for a in out if isinstance(a, Send)]
+    assert [s.to for s in sends] == list(range(n))
+    assert sends[0].payload.inner == Payload("HALF-REPORT", value=5)
+    assert all(s.payload is sends[0].payload for s in sends)
