@@ -35,7 +35,6 @@ class GradedConsensus(Automaton):
         self.sent1: set = set()        # stage-1 values echoed (own, amplified, BOT)
         self.sent: dict[int, object] = {}   # stage >= 2 -> value sent
         self.gbca_outcome = None       # raw (value-or-BOT, grade in {0,1,2})
-        self.decided = False
 
     # -- events --------------------------------------------------------
 
@@ -144,7 +143,7 @@ class GradedConsensus(Automaton):
         """Grade 2, else 1, else 0, once v's ECHO4 or ECHO5 support grew.
         Only v can be a new grade-1 candidate, unless the branch just opened
         (scan)."""
-        if self.decided:
+        if self.gbca_outcome is not None:
             return []
         echo4, echo5 = self.tallies[4], self.tallies[5]
         if v is not BOT and echo5.count(v) >= self.n - self.t:
@@ -161,7 +160,6 @@ class GradedConsensus(Automaton):
         return []
 
     def _decide(self, v, g):
-        self.decided = True
         self.gbca_outcome = (v, g)
         mapped = map_decision((v, g), self.own)
         if mapped is None:

@@ -35,6 +35,10 @@ _SCENARIO_KEYS = {
     "pre_gst_delay", "drift", "validity",
 }
 
+_KEY_TYPES = {**dict.fromkeys(("n", "t", "delta", "gst", "seed", "seeds",
+                               "value_width"), int),
+              "faulty": list, "proposals": dict, "propose_at": dict,
+              "strategies": dict}
 _DELAY_RULES = {"uniform", "max", "exact"}
 _DRIFT_RULES = {"none", "uniform", "max"}
 
@@ -55,9 +59,15 @@ def load_scenario(path: str) -> dict:
     for key in ("n", "delta"):
         if key not in scn:
             raise ScenarioError(f"missing required scenario key {key!r}")
+    for key, kind in _KEY_TYPES.items():
+        if key in scn and type(scn[key]) is not kind:   # a bool is no int
+            raise ScenarioError(f"{key} must be a {kind.__name__}, "
+                                f"not {scn[key]!r}")
     if "proposal" in scn and "proposals" in scn:
         raise ScenarioError("give either 'proposal' or 'proposals', not both")
-    for spec in scn.get("strategies", {}).values():
+    for pid, spec in _int_key_map(scn.get("strategies")).items():
+        if pid not in scn.get("faulty", ()):
+            raise ScenarioError(f"strategy for process {pid}, not faulty")
         if not isinstance(spec, list) or not spec or spec[0] not in STRATEGY_KINDS:
             raise ScenarioError(f"bad strategy spec {spec!r}")
     for name, allowed in (("pre_gst_delay", _DELAY_RULES),
@@ -66,9 +76,7 @@ def load_scenario(path: str) -> dict:
         if rule is not None and (not isinstance(rule, list) or not rule
                                  or rule[0] not in allowed):
             raise ScenarioError(f"bad {name} rule {rule!r}")
-    v = scn.get("validity")
-    if v is not None:
-        _build_validity(v)  # raises on malformed input
+    _build_validity(scn.get("validity"))  # raises on malformed input
     return scn
 
 
@@ -81,14 +89,23 @@ def _build_validity(spec) -> ValidityPredicate:
     if kind == "always-true":
         return ValidityPredicate.always_true()
     if kind == "membership":
-        return ValidityPredicate.membership(spec["members"])
-    if kind == "modulo":
-        return ValidityPredicate.modulo(spec["divisor"], spec["residue"])
-    raise ScenarioError(f"unknown validity kind {kind!r}")
+        members = spec.get("members")
+        if isinstance(members, list) and all(type(m) is int for m in members):
+            return ValidityPredicate.membership(members)
+    elif kind == "modulo":
+        divisor, residue = spec.get("divisor"), spec.get("residue")
+        if type(divisor) is int and divisor >= 1 and type(residue) is int:
+            return ValidityPredicate.modulo(divisor, residue)
+    else:
+        raise ScenarioError(f"unknown validity kind {kind!r}")
+    raise ScenarioError(f"bad {kind} validity fields {spec!r}")
 
 
 def _int_key_map(m) -> dict:
-    return {int(k): v for k, v in (m or {}).items()}
+    try:
+        return {int(k): v for k, v in (m or {}).items()}
+    except ValueError as e:
+        raise ScenarioError(f"bad process id: {e}")
 
 
 def scenario_config(scn: dict, seed=None, accounting=None) -> SimConfig:

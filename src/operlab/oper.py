@@ -14,6 +14,8 @@ which the process halts.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .core import DEFAULT_VALUE_WIDTH, Payload, Tally, ValidityPredicate
 from .crux import CruxParams, make_crux
 from .finisher import Finisher
@@ -21,6 +23,10 @@ from .runtime import (Automaton, Broadcast, Composite, Halt, Indicate,
                       MessageArrival, Request, ToChild)
 
 CRUX_TAG_PREFIX = "crux@"
+
+# Messages buffered per view tag before the proposal; the oldest is dropped
+# first.
+BUFFER_CAP = 256
 
 
 def crux_tag(view: int) -> str:
@@ -46,7 +52,6 @@ class OperCore(Automaton):
         self.t = t
         self.own = None
         self.view = 1
-        self.entered = False
         self.start_view_from = Tally()   # START-VIEW support per view
         self.validated: dict = {}         # view -> first validated value
         self.pending_target = None        # highest quorum view above view_i
@@ -64,10 +69,9 @@ class OperCore(Automaton):
     def _request(self, event):
         name, args = event.name, event.args
         if name == "propose":
-            if self.entered:
+            if self.own is not None:
                 return []
             self.own = args[0]
-            self.entered = True
             return [Indicate("enter-view", (1,)),
                     ToChild(crux_tag(1), Request("propose", (args[0],)))]
         if name == "completed":
@@ -112,7 +116,7 @@ class OperCore(Automaton):
         while (self.pending_target is not None
                and self.pending_target > self.view
                and self.pending_target - 1 in self.validated
-               and self.entered):
+               and self.own is not None):
             target = self.pending_target
             value = self.validated[target - 1]
             out.append(ToChild(crux_tag(self.view), Request("abandon")))
@@ -123,7 +127,8 @@ class OperCore(Automaton):
 
 
 class Oper(Composite):
-    """Top-level composite: finisher plus lazily spawned per-view cores."""
+    """Top-level composite: finisher plus lazily spawned per-view cores.
+    It alone spawns children: see `_route_unknown`."""
 
     def __init__(self, n: int, t: int, delta: int,
                  value_width: int = DEFAULT_VALUE_WIDTH,
@@ -132,27 +137,35 @@ class Oper(Composite):
                                  value_width=value_width)
         self.pred = pred or ValidityPredicate.always_true()
         self.pid = pid
-        core = OperCore(t)
-        super().__init__(core, children={"fin": Finisher(t)},
-                         factory=self._make_view,
-                         buffer_tags=lambda tag: _tag_view(tag) is not None)
+        self.pending: dict[str, deque] = {}   # view tag -> buffered events
+        super().__init__(OperCore(t), children={"fin": Finisher(t)})
 
-    def _make_view(self, tag: str):
+    def _route_unknown(self, tag, event) -> list:
+        """Spawn view `tag` after the proposal; before it, buffer the event
+        (up to BUFFER_CAP, oldest dropped), to be replayed in arrival order
+        when the proposal spawns the buffered views in view order. A tag
+        that names no view is misrouted."""
         if _tag_view(tag) is None:
-            return None
-        if self.core.own is None:
-            return None   # buffer until this process proposes
-        return make_crux(self.params, self.pid, default=self.core.own,
+            return super()._route_unknown(tag, event)
+        if self.core.own is not None:
+            return self._spawn_view(tag, event)
+        buf = self.pending.setdefault(tag, deque(maxlen=BUFFER_CAP))
+        if len(buf) == BUFFER_CAP:
+            self.buffer_dropped += 1
+        buf.append(event)
+        return []
+
+    def _spawn_view(self, tag, *events) -> list:
+        view = make_crux(self.params, self.pid, default=self.core.own,
                          pred=self.pred)
+        return self.spawn(tag, view, [*self.pending.pop(tag, ()), *events])
 
     def on_event(self, event):
         out = super().on_event(event)
-        # a proposal unlocks the view factory: replay anything buffered
-        if isinstance(event, Request) and event.name == "propose" \
-                and self.core.own is not None and self.pending:
+        if self.pending and self.core.own is not None:   # just proposed
             for tag in sorted(self.pending, key=_tag_view):
-                if tag not in self.children:
-                    out.extend(self.spawn(tag, self._make_view(tag)))
+                if tag not in self.children:   # a replay may have spawned it
+                    out.extend(self._spawn_view(tag))
         return out
 
 

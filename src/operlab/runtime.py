@@ -38,13 +38,9 @@ automaton ignores its timers.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Payload
-
-# Messages buffered per not-yet-spawned child tag; the oldest is dropped first.
-BUFFER_CAP = 256
 
 # -- events -----------------------------------------------------------------
 
@@ -183,24 +179,18 @@ class Automaton:
 
 
 class Composite(Automaton):
-    """Core automaton plus routed children.
+    """Core automaton plus the children it routes to. A routed event or a
+    core's ToChild whose tag names no child goes to `_route_unknown`, which
+    counts it as misrouted; only the view loop (`oper.Oper`) overrides that,
+    to spawn, buffer or refuse a child."""
 
-    factory(tag) may return a fresh automaton to spawn on first use of an
-    unknown tag; buffer_tags(tag) marks tags whose early messages are buffered
-    (up to BUFFER_CAP per tag, oldest dropped) and replayed when the tag is
-    spawned. Anything else is dropped and counted as misrouted.
-    """
+    buffer_dropped = 0   # events a buffering subclass dropped at its cap
 
-    def __init__(self, core: Automaton, children=None, factory=None,
-                 buffer_tags=None):
+    def __init__(self, core: Automaton, children=None):
         super().__init__()
         self.core = core
         self.children: dict[str, Automaton] = dict(children or {})
-        self.factory = factory
-        self.buffer_tags = buffer_tags
-        self.pending: dict[str, deque] = {}
         self.misrouted = 0
-        self.buffer_dropped = 0
         self.attach(())
 
     def attach(self, path: tuple):
@@ -219,17 +209,14 @@ class Composite(Automaton):
             out.extend(child.abandon())
         return out
 
-    def spawn(self, tag: str, child: Automaton, event=None) -> list:
-        """Register a child, replay its buffered messages in arrival order,
-        then deliver `event` (the one that caused the spawn), if given."""
+    def spawn(self, tag: str, child: Automaton, events=()) -> list:
+        """Register and attach a child, then step it through `events`."""
         if tag in self.children:
             raise ValueError(f"duplicate child tag {tag!r}")
         self.children[tag] = child
         child.attach(self.path + (tag,))
         out = []
-        for buffered in self.pending.pop(tag, ()):
-            out.extend(self._step_child(tag, buffered))
-        if event is not None:
+        for event in events:
             out.extend(self._step_child(tag, event))
         return out
 
@@ -239,7 +226,7 @@ class Composite(Automaton):
         elif isinstance(event, TimerFired):
             path = event.timer_id[:-1]
         else:
-            return self._step_core(event)
+            return self._absorb_core(self.core.step(event))
         # walk down to the automaton the path names, applying each nested
         # Composite's entry check; `muted` if any of them is abandoned
         node, way, muted = self, [], False
@@ -277,44 +264,19 @@ class Composite(Automaton):
 
     # -- internals -----------------------------------------------------
 
-    def _step_core(self, event) -> list:
-        return self._absorb_core(self.core.step(event))
-
     def _absorb_core(self, actions) -> list:
         out = []
         for a in actions:
             if isinstance(a, ToChild):
-                delivered = self._deliver_to_child(a.tag, a.event)
-                if delivered is None:
-                    self.misrouted += 1
-                else:
-                    out.extend(delivered)
+                out.extend(self._step_child(a.tag, a.event)
+                           if a.tag in self.children
+                           else self._route_unknown(a.tag, a.event))
             else:
                 out.append(a)
         return out
 
-    def _deliver_to_child(self, tag: str, event):
-        """Step child `tag`, spawning it through the factory on first use.
-        None when there is no such child and the factory declines."""
-        if tag in self.children:
-            return self._step_child(tag, event)
-        child = self.factory(tag) if self.factory is not None else None
-        if child is None:
-            return None
-        return self.spawn(tag, child, event)
-
-    def _route_unknown(self, tag: str, event) -> list:
-        """A routed event for unknown child `tag`: spawn it through the
-        factory, else buffer the event or count it as misrouted."""
-        out = self._deliver_to_child(tag, event)
-        if out is not None:
-            return out
-        if self.buffer_tags is not None and self.buffer_tags(tag):
-            buf = self.pending.setdefault(tag, deque(maxlen=BUFFER_CAP))
-            if len(buf) == BUFFER_CAP:
-                self.buffer_dropped += 1
-            buf.append(event)
-            return []
+    def _route_unknown(self, tag, event) -> list:
+        """An event for child `tag`, which this composite does not have."""
         self.misrouted += 1
         return []
 

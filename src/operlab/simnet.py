@@ -46,9 +46,19 @@ class SimConfig:
             raise ValueError("gst must be >= 0")
         if self.accounting not in ("payload-only", "full"):
             raise ValueError(f"unknown accounting policy {self.accounting!r}")
+        for pid in (*self.faulty, *self.proposals, *self.propose_at):
+            if type(pid) is not int or not 0 <= pid < self.n:
+                raise ValueError(f"process id {pid!r} not in 0..{self.n - 1}")
         for pid, v in self.proposals.items():
+            if type(v) is not int or not 0 <= v < 2 ** self.value_width:
+                raise ValueError(f"process {pid} proposes {v!r}, not a "
+                                 f"{self.value_width}-bit value")
             if pid not in self.faulty and not valid(self.validity, v):
                 raise ValueError(f"correct process {pid} proposes invalid {v!r}")
+        for pid, at in self.propose_at.items():
+            if type(at) is not int or at < 0:
+                raise ValueError(f"process {pid} proposes at {at!r}, "
+                                 "not a time >= 0")
 
     @property
     def correct(self):

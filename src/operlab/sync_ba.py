@@ -126,7 +126,6 @@ class SyncMachine:
         self.b = proposal
         n = len(self.members)
         self.schedule = round_schedule(n)
-        self.messages_sent = 0
         self.gc = None
         self.gc_grade = None
         self.child = None
@@ -153,7 +152,6 @@ class SyncMachine:
                 v = self.child.decision() if self.child else self.b
                 report = Payload("HALF-REPORT", value=v)
                 out = [(m, report) for m in self.members]
-        self.messages_sent += len(out)
         return out
 
     def absorb(self, r, received):

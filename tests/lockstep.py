@@ -3,6 +3,7 @@ networks and a request-renaming wrapper."""
 
 from operlab.runtime import (Automaton, Broadcast, Indicate, MessageArrival,
                              Request, Send)
+from operlab.sync_ba import lockstep_run
 
 
 class Renamed(Automaton):
@@ -17,6 +18,20 @@ class Renamed(Automaton):
         if isinstance(event, Request) and event.name in self.mapping:
             event = Request(self.mapping[event.name], event.args)
         return self.inner.step(event)
+
+
+def lockstep_sent(machines, total_rounds):
+    """Runs sync_ba.lockstep_run and returns pid -> messages each machine
+    sent, the summed lengths of its outbound batches."""
+    sent = dict.fromkeys(machines, 0)
+    for pid, m in machines.items():
+        def outbound(r, pid=pid, inner=m.outbound):
+            out = inner(r)
+            sent[pid] += len(out)
+            return out
+        m.outbound = outbound
+    lockstep_run(machines, total_rounds)
+    return sent
 
 
 def lockstep_network(autos, start_events, max_rounds):

@@ -21,10 +21,10 @@ from operlab.harness import (oper_params, oracle_sim, run_and_check,
 from operlab.runtime import Request
 from operlab.simnet import (AdversarySpec, SimConfig, make_strategy,
                             pbit_post_gst, run)
-from operlab.sync_ba import GC_ROUNDS, SyncMachine, lockstep_run, mc, rounds
+from operlab.sync_ba import GC_ROUNDS, SyncMachine, mc, rounds
 from operlab.validation_broadcast import make_validation_broadcast
 
-from lockstep import Renamed, lockstep_network
+from lockstep import Renamed, lockstep_network, lockstep_sent
 
 DELTA = 10
 STRATEGY_SET = ("silent", "crash", "equivocate", "delayer", "flood", "random")
@@ -233,11 +233,10 @@ def test_criterion_8_lockstep_budgets():
                 proposals = {p: p + 1 for p in range(n)}
             machines = {p: SyncMachine(p, list(range(n)), proposals[p])
                         for p in range(n)}
-            lockstep_run(machines, rounds(n))
-            for p, m in machines.items():
-                if m.messages_sent > mc(n):
+            for p, sent in lockstep_sent(machines, rounds(n)).items():
+                if sent > mc(n):
                     bad.append(f"n={n} {pattern}: process {p} sent "
-                               f"{m.messages_sent} > {mc(n)}")
+                               f"{sent} > {mc(n)}")
             if len({m.decision() for m in machines.values()}) != 1:
                 bad.append(f"n={n} {pattern}: no agreement at round bound")
     # the per-stage round constant is a measured lock-step latency

@@ -62,6 +62,15 @@ def _sync_large(seed):
             "pre_gst_delay": ["uniform"], "drift": ["none"]}
 
 
+def _staggered(seed):
+    # processes 0 and 1 propose late, so each buffers the view-1 messages
+    # that arrive before its proposal and replays them when it proposes
+    return {"n": 7, "t": 2, "delta": DELTA, "gst": 0, "seed": seed,
+            "faulty": [6], "strategies": {"6": ["equivocate"]},
+            "proposals": {str(p): (p % 2) + 1 for p in range(7)},
+            "propose_at": {"0": 15, "1": 20}}
+
+
 UNANIMOUS = {"n": 4, "delta": DELTA, "gst": 0, "seed": 0, "proposal": 7}
 
 # (label, scenario, csv row, sha256 of the trace lines joined by newlines)
@@ -93,6 +102,9 @@ GOLDEN = [
     ("sync-large-0", _sync_large(0),
      "0,31,10,0,10,58697,55795.09523809524,1459.0,1,1",
      "a4b5a136f4dbb4c7817355496ad487440414b1b900d794f338741f06ad5ac904"),
+    ("staggered-0", _staggered(0),
+     "0,7,2,0,10,12761,11993.333333333334,307.0,1,1",
+     "4e7ef093716bfec67451bddae2df00646fbf4219536cef44cc8dec252e1bad01"),
     ("unanimous-n4", UNANIMOUS,
      "0,4,1,0,10,5314,5234.0,162.6,1,1",
      "ac751f88f3b011480b27950ecaad4b06ed70bab88e942c3b5d19294d039de0b1"),

@@ -31,16 +31,31 @@ def test_load_scenario_roundtrip(tmp_path):
     {**BASE, "bogus": 1},                                 # unknown key
     {"delta": 10},                                        # missing n
     {**BASE, "proposals": {"0": 1}},                      # both proposal forms
-    {**BASE, "strategies": {"3": ["bogus"]}},             # unknown strategy
-    {**BASE, "strategies": {"3": []}},                    # empty strategy
+    {**BASE, "faulty": [3], "strategies": {"3": ["bogus"]}},   # unknown strategy
+    {**BASE, "faulty": [3], "strategies": {"3": []}},          # empty strategy
     {**BASE, "pre_gst_delay": ["bogus"]},
     {**BASE, "drift": ["bogus"]},
     {**BASE, "validity": {"kind": "bogus"}},
     [1, 2, 3],                                            # not an object
+    {**BASE, "proposal": None},
+    {**BASE, "proposal": "x"},
+    {**BASE, "proposal": 7.5},
+    {**BASE, "proposal": True},
+    {**BASE, "proposal": -3},
+    {**BASE, "proposal": 2 ** 40},                        # wider than 32 bits
+    {**BASE, "faulty": [9]},                              # no such process
+    {"n": 4, "delta": 10, "proposals": {"9": 1}},
+    {**BASE, "propose_at": {"0": -50}},
+    {**BASE, "strategies": {"3": ["silent"]}},            # 3 is not faulty
+    {**BASE, "faulty": [3], "strategies": {"x": ["silent"]}},
+    {"n": 4, "delta": 10, "proposals": {"a": 1}},
+    {**BASE, "validity": {"kind": "membership"}},         # no members
+    {**BASE, "validity": {"kind": "modulo", "divisor": 0, "residue": 0}},
+    {**BASE, "n": "4"},
 ])
 def test_load_scenario_fails_closed(tmp_path, obj):
     with pytest.raises(ScenarioError):
-        load_scenario(write_scn(tmp_path, obj))
+        scenario_config(load_scenario(write_scn(tmp_path, obj)))
 
 
 def test_load_scenario_rejects_bad_json(tmp_path):

@@ -1,6 +1,7 @@
+import operlab.oper
 from operlab.core import Payload
-from operlab.oper import Oper, crux_tag, _tag_view, make_oper
-from operlab.runtime import Halt, MessageArrival, Request
+from operlab.oper import BUFFER_CAP, Oper, crux_tag, _tag_view, make_oper
+from operlab.runtime import Automaton, Halt, MessageArrival, Request
 from operlab.simnet import AdversarySpec, SimConfig, run
 from operlab.harness import oper_params
 
@@ -87,6 +88,90 @@ def test_view_messages_buffered_until_proposal():
     oper.step(Request("propose", (5,)))
     assert crux_tag(1) in oper.children
     assert crux_tag(1) not in oper.pending
+
+
+class ViewRecorder(Automaton):
+    """Stands in for a per-view core and records the events it steps."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def on_event(self, event):
+        self.events.append(event)
+        return []
+
+
+def recorded_views(monkeypatch):
+    """Makes Oper spawn ViewRecorders; returns them in spawn order."""
+    views = []
+
+    def fake_crux(params, pid, default, pred=None):
+        views.append(ViewRecorder())
+        return views[-1]
+    monkeypatch.setattr(operlab.oper, "make_crux", fake_crux)
+    return views
+
+
+def view_msg(sender, view, value=5):
+    return MessageArrival(sender, Payload("ECHO", value=value),
+                          path=(crux_tag(view), "gc1"))
+
+
+def test_view_buffering_and_spawn_replay(monkeypatch):
+    views = recorded_views(monkeypatch)
+    oper = Oper(4, 1, 10, pid=0)
+    msgs = [view_msg(1, 1, value=5), view_msg(2, 1, value=6)]
+    for m in msgs:
+        assert oper.step(m) == []
+    oper.step(Request("propose", (5,)))
+    (view,) = views
+    # replayed in arrival order, before the event that spawned the view
+    assert view.events == msgs + [Request("propose", (5,))]
+
+
+def test_view_buffer_cap_drops_oldest(monkeypatch):
+    views = recorded_views(monkeypatch)
+    oper = Oper(4, 1, 10, pid=0)
+    msgs = [view_msg(1, 2, value=v) for v in range(BUFFER_CAP + 1)]
+    for m in msgs:
+        oper.step(m)
+    for v in range(BUFFER_CAP):   # the cap is per view tag
+        oper.step(view_msg(1, 3, value=v))
+    assert oper.buffer_dropped == 1
+    oper.step(Request("propose", (5,)))
+    assert views[1].path == (crux_tag(2),)
+    assert views[1].events == msgs[1:]
+    assert len(views[2].events) == BUFFER_CAP
+
+
+def test_view_spawned_on_first_message_after_proposal(monkeypatch):
+    views = recorded_views(monkeypatch)
+    oper = Oper(4, 1, 10, pid=0)
+    oper.step(Request("propose", (5,)))
+    m = view_msg(1, 4)
+    oper.step(m)
+    assert views[-1].path == (crux_tag(4),) and views[-1].events == [m]
+    assert not oper.pending and oper.misrouted == 0
+
+
+def test_buffered_views_spawn_in_view_order_and_replay_in_arrival_order(
+        monkeypatch):
+    views = recorded_views(monkeypatch)
+    oper = Oper(4, 1, 10, pid=0)
+    msgs = [view_msg(sender, v, value=sender)
+            for sender, v in ((1, 2), (2, 1), (3, 2), (1, 3))]
+    for m in msgs:
+        assert oper.step(m) == []
+    assert views == []
+    oper.step(Request("propose", (5,)))
+    assert [v.path for v in views] == [(crux_tag(1),), (crux_tag(2),),
+                                       (crux_tag(3),)]
+    assert [oper.children[crux_tag(v)] for v in (1, 2, 3)] == views
+    assert views[0].events == [msgs[1], Request("propose", (5,))]
+    assert views[1].events == [msgs[0], msgs[2]]
+    assert views[2].events == [msgs[3]]
+    assert not oper.pending
 
 
 def test_decision_halts_the_process():

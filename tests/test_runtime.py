@@ -1,9 +1,9 @@
 import pytest
 
 from operlab.core import Payload
-from operlab.runtime import (BUFFER_CAP, Automaton, Broadcast, CancelTimer,
-                             Composite, Halt, Indicate, MessageArrival,
-                             Request, Send, SetTimer, TimerFired, ToChild)
+from operlab.runtime import (Automaton, Broadcast, CancelTimer, Composite,
+                             Halt, Indicate, MessageArrival, Request, Send,
+                             SetTimer, TimerFired, ToChild)
 
 
 class Echoer(Automaton):
@@ -54,42 +54,16 @@ def test_unknown_tag_counts_misrouted():
     assert comp.misrouted == 1
 
 
-def test_buffering_and_spawn_replay():
-    comp = Composite(Recorder(), buffer_tags=lambda tag: tag == "late")
-    comp.step(msg(1, value=5, path=("late",)))
-    comp.step(msg(2, value=6, path=("late",)))
-    out = comp.spawn("late", Echoer())
-    values = [a.payload.value for a in out if isinstance(a, Broadcast)]
-    assert values == [5, 6]   # replayed in arrival order
-
-
-def test_buffer_cap_drops_oldest():
-    comp = Composite(Recorder(), buffer_tags=lambda tag: True)
-    for v in range(1, BUFFER_CAP + 2):
-        comp.step(msg(0, value=v, path=("x",)))
-    assert comp.buffer_dropped == 1
-    out = comp.spawn("x", Echoer())
-    values = [a.payload.value for a in out if isinstance(a, Broadcast)]
-    assert values == list(range(2, BUFFER_CAP + 2))
+def test_to_child_for_unknown_tag_counts_misrouted():
+    comp = Composite(Recorder())
+    assert comp.step(Request("kick")) == []
+    assert comp.misrouted == 1
 
 
 def test_duplicate_spawn_rejected():
     comp = Composite(Recorder(), children={"a": Echoer()})
     with pytest.raises(ValueError):
         comp.spawn("a", Echoer())
-
-
-def test_factory_spawns_on_first_message():
-    spawned = []
-
-    def factory(tag):
-        spawned.append(tag)
-        return Echoer()
-
-    comp = Composite(Recorder(), factory=factory)
-    out = comp.step(msg(path=("fresh",)))
-    assert spawned == ["fresh"]
-    assert any(isinstance(a, Broadcast) for a in out)
 
 
 def test_halt_is_absorbing():
@@ -232,12 +206,24 @@ class TimedCore(Recorder):
         return []
 
 
+class SpawnsMid(Composite):
+    """Spawns the prebuilt composite `mid` on the first event for it."""
+
+    def __init__(self, core, mid):
+        super().__init__(core)
+        self.mid = mid
+
+    def _route_unknown(self, tag, event):
+        if tag == "mid":
+            return self.spawn(tag, self.mid, [event])
+        return super()._route_unknown(tag, event)
+
+
 def nested():
     """root -> lazily spawned "mid" composite -> prebuilt child "leaf"."""
     leaf = Leaf()
     mid = Composite(TimedCore(), children={"leaf": leaf})
-    root = Composite(Recorder(),
-                     factory=lambda tag: mid if tag == "mid" else None)
+    root = SpawnsMid(Recorder(), mid)
     return root, mid, leaf
 
 
