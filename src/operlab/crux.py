@@ -88,7 +88,6 @@ class CruxCore(Automaton):
         self.timer2_done = False
         self.gc2_started = False
         self.decided = False
-        self.completed = False
         self._timer1 = None
         self._timer2 = None
 
@@ -108,29 +107,21 @@ class CruxCore(Automaton):
         name, args = event.name, event.args
         if name == "propose":
             return self._propose(args[0])
-        # child indications, tag-prefixed
-        if name == "decide" and args and args[0] == "gc1":
-            if self.gc1_out is None:
-                self.gc1_out = (args[1], args[2])
-                return self._after_gc1()
-            return []
-        if name == "sync-done" and args and args[0] == "as":
-            if self.v_a is None:
-                self.v_a = args[1]
-                return self._after_sync()
-            return []
-        if name == "decide" and args and args[0] == "gc2":
-            if self.gc2_out is None:
-                self.gc2_out = (args[1], args[2])
-                return self._after_gc2()
-            return []
-        if name == "validate" and args and args[0] == "vb":
+        # child indications, tag-prefixed; each child guards its own
+        # one-shot indications (validate comes once per value)
+        if name == "decide" and args[0] == "gc1":
+            self.gc1_out = (args[1], args[2])
+            return self._after_gc1()
+        if name == "sync-done" and args[0] == "as":
+            self.v_a = args[1]
+            return self._after_sync()
+        if name == "decide" and args[0] == "gc2":
+            self.gc2_out = (args[1], args[2])
+            return self._after_gc2()
+        if name == "validate" and args[0] == "vb":
             return [Indicate("validate", (args[1],))]
-        if name == "completed" and args and args[0] == "vb":
-            if not self.completed:
-                self.completed = True
-                return [Indicate("completed")]
-            return []
+        if name == "completed" and args[0] == "vb":
+            return [Indicate("completed")]
         return []
 
     def _propose(self, v):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .core import ValidityPredicate, valid
 from .crux import CruxParams
 from .oper import make_oper
-from .simnet import (AdversarySpec, SimConfig, STRATEGY_KINDS, Trace,
+from .simnet import (SPEC_ARGS, AdversarySpec, SimConfig, Trace,
                      pbit_post_gst, run)
 from .sync_ba import (RecordingMachine, RoundSimAdapter, SyncMachine,
                       lockstep_run)
@@ -39,8 +39,6 @@ _KEY_TYPES = {**dict.fromkeys(("n", "t", "delta", "gst", "seed", "seeds",
                                "value_width"), int),
               "faulty": list, "proposals": dict, "propose_at": dict,
               "strategies": dict}
-_DELAY_RULES = {"uniform", "max", "exact"}
-_DRIFT_RULES = {"none", "uniform", "max"}
 
 
 def load_scenario(path: str) -> dict:
@@ -65,19 +63,28 @@ def load_scenario(path: str) -> dict:
                                 f"not {scn[key]!r}")
     if "proposal" in scn and "proposals" in scn:
         raise ScenarioError("give either 'proposal' or 'proposals', not both")
+    if scn.get("seeds", 1) < 1:
+        raise ScenarioError(f"seeds must be >= 1, not {scn['seeds']!r}")
     for pid, spec in _int_key_map(scn.get("strategies")).items():
         if pid not in scn.get("faulty", ()):
             raise ScenarioError(f"strategy for process {pid}, not faulty")
-        if not isinstance(spec, list) or not spec or spec[0] not in STRATEGY_KINDS:
-            raise ScenarioError(f"bad strategy spec {spec!r}")
-    for name, allowed in (("pre_gst_delay", _DELAY_RULES),
-                          ("drift", _DRIFT_RULES)):
-        rule = scn.get(name)
-        if rule is not None and (not isinstance(rule, list) or not rule
-                                 or rule[0] not in allowed):
-            raise ScenarioError(f"bad {name} rule {rule!r}")
+        _check_spec("strategies", spec)
+    for name in ("pre_gst_delay", "drift"):
+        if name in scn:
+            _check_spec(name, scn[name])
     _build_validity(scn.get("validity"))  # raises on malformed input
     return scn
+
+
+def _check_spec(name, spec):
+    """A strategy or rule spec: a known kind, then as many arguments as
+    `SPEC_ARGS` allows it, each an int >= 0 (a flood interval >= 1)."""
+    kind = spec[0] if isinstance(spec, list) and spec else None
+    counts = SPEC_ARGS[name].get(kind) if isinstance(kind, str) else None
+    least = 1 if kind == "flood" else 0
+    if counts is None or len(spec) - 1 not in counts or any(
+            type(a) is not int or a < least for a in spec[1:]):
+        raise ScenarioError(f"bad {name} spec {spec!r}")
 
 
 def _build_validity(spec) -> ValidityPredicate:

@@ -55,7 +55,6 @@ class OperCore(Automaton):
         self.start_view_from = Tally()   # START-VIEW support per view
         self.validated: dict = {}         # view -> first validated value
         self.pending_target = None        # highest quorum view above view_i
-        self.decided = False
 
     def on_event(self, event):
         if isinstance(event, Request):
@@ -74,25 +73,20 @@ class OperCore(Automaton):
             self.own = args[0]
             return [Indicate("enter-view", (1,)),
                     ToChild(crux_tag(1), Request("propose", (args[0],)))]
-        if name == "completed":
-            if args and args[0] == crux_tag(self.view):
-                return [Broadcast(Payload("START-VIEW", view=self.view + 1),
-                                  self.path)]
-            return []
+        # child indications, tag-prefixed
+        if name == "completed" and args[0] == crux_tag(self.view):
+            return [Broadcast(Payload("START-VIEW", view=self.view + 1),
+                              self.path)]
         if name == "validate":
-            w = _tag_view(args[0]) if args else None
+            w = _tag_view(args[0])
             if w is not None and w not in self.validated:
                 self.validated[w] = args[1]
                 return self._try_advance()
             return []
-        if name == "decide":
-            if args and args[0] == crux_tag(self.view):
-                return [ToChild("fin", Request("to_finish", (args[1],)))]
-            return []
-        if name == "finish" and args and args[0] == "fin":
-            if self.decided:
-                return []
-            self.decided = True
+        if name == "decide" and args[0] == crux_tag(self.view):
+            return [ToChild("fin", Request("to_finish", (args[1],)))]
+        # the finisher finishes once; the Halt ends every later event
+        if name == "finish" and args[0] == "fin":
             return [Indicate("decide", (args[1],)),
                     ToChild(crux_tag(self.view), Request("abandon")),
                     Halt()]

@@ -27,13 +27,15 @@ answers every later event with []. Only the root's core emits Halt.
 
 Abandon is a runtime operation. The view loop sends Request("abandon") to a
 per-view core when it moves to a later view or finishes; `Automaton.step`
-answers it with `abandon()`, which a Composite applies to its core and every
-child, down the whole tree. From then on the automaton keeps its state and
-keeps processing messages and requests, but `step` mutes it: only
-CancelTimer and Indicate("validate") leave it. Validations outlive the view
-because the next view is proposed with a value the old view's validation
-broadcast validated; they come from message arrivals, so an abandoned
-automaton ignores its timers.
+answers it with [] after `abandon()`, which a Composite applies to its core
+and every child, down the whole tree. From then on the automaton keeps its
+state and keeps processing messages and requests, but `step` mutes it: only
+Indicate("validate") leaves it. Validations outlive the view because the next
+view is proposed with a value the old view's validation broadcast validated;
+they come from message arrivals, so an abandoned automaton ignores its timers.
+
+Timers are never cancelled: a timer of an abandoned or halted instance fires
+and is ignored, so `step` is the one place that silences an instance.
 """
 
 from __future__ import annotations
@@ -86,11 +88,6 @@ class SetTimer:
 
 
 @dataclass(frozen=True)
-class CancelTimer:
-    timer_id: tuple
-
-
-@dataclass(frozen=True)
 class Indicate:
     name: str
     args: tuple = ()
@@ -110,7 +107,7 @@ class ToChild:
 
 
 # actions a parent passes up from a child unchanged
-_PASS_UP = (Send, Broadcast, SetTimer, CancelTimer)
+_PASS_UP = (Send, Broadcast, SetTimer)
 
 
 class Automaton:
@@ -134,7 +131,8 @@ class Automaton:
     def step(self, event) -> list:
         if isinstance(event, Request) and event.name == "abandon" \
                 and not self.halted:
-            return self.abandon()
+            self.abandon()
+            return []
         # only a halted or abandoned automaton ignores events
         if (self.halted or self.abandoned) and self.ignores(event):
             return []
@@ -148,22 +146,21 @@ class Automaton:
 
     def emit(self, actions) -> list:
         """Output check of `step`: an abandoned automaton passes only
-        CancelTimer and Indicate("validate"); actions after a Halt are cut."""
+        Indicate("validate"); actions after a Halt are cut."""
         if self.abandoned:
             # validations outlive a view: OperCore._try_advance proposes
             # view V with view V-1's validated value
-            return [a for a in actions if isinstance(a, CancelTimer)
-                    or isinstance(a, Indicate) and a.name == "validate"]
+            return [a for a in actions
+                    if isinstance(a, Indicate) and a.name == "validate"]
         for i, a in enumerate(actions):
             if isinstance(a, Halt):
                 self.halted = True
                 return actions[:i + 1]
         return actions
 
-    def abandon(self) -> list:
-        """Mute this automaton; returns the actions that wind it down."""
+    def abandon(self):
+        """Mute this automaton."""
         self.abandoned = True
-        return []
 
     def on_event(self, event):  # pragma: no cover - abstract
         """Returns a list of actions (or None for none)."""
@@ -172,7 +169,7 @@ class Automaton:
     def new_timer(self, duration: int):
         """Returns (SetTimer action, timer id). The id is absolute, this
         automaton's path plus a sequence number, and is the one its
-        TimerFired and CancelTimer carry."""
+        TimerFired carries."""
         self._timer_seq += 1
         tid = self.path + (self._timer_seq,)
         return SetTimer(duration, tid), tid
@@ -202,12 +199,12 @@ class Composite(Automaton):
 
     # -- public --------------------------------------------------------
 
-    def abandon(self) -> list:
+    def abandon(self):
         """Abandon the core and every child, down the whole tree."""
-        out = super().abandon() + self.core.abandon()
+        super().abandon()
+        self.core.abandon()
         for child in self.children.values():
-            out.extend(child.abandon())
-        return out
+            child.abandon()
 
     def spawn(self, tag: str, child: Automaton, events=()) -> list:
         """Register and attach a child, then step it through `events`."""

@@ -15,10 +15,10 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .core import (BOT, DEFAULT_VALUE_WIDTH, Payload, ValidityPredicate,
-                   path_bits, payload_bits, valid)
-from .runtime import (Automaton, Broadcast, CancelTimer, Halt, Indicate,
-                      MessageArrival, Request, Send, SetTimer, TimerFired)
+from .core import (DEFAULT_VALUE_WIDTH, Payload, ValidityPredicate, path_bits,
+                   payload_bits, valid)
+from .runtime import (Automaton, Broadcast, Halt, Indicate, MessageArrival,
+                      Request, Send, SetTimer, TimerFired)
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,12 @@ class SimConfig:
     propose_at: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if self.t < 0:
+            raise ValueError("t must be >= 0")
+        if self.value_width < 1:
+            raise ValueError("value_width must be >= 1")
         if self.n < 3 * self.t + 1:
             raise ValueError("need n >= 3t + 1")
         if len(self.faulty) > self.t:
@@ -238,7 +244,15 @@ class RandomStrategy(Strategy):
         return out
 
 
-STRATEGY_KINDS = ("silent", "crash", "equivocate", "delayer", "flood", "random")
+# argument counts of each strategy kind and each delay and drift rule; every
+# argument is an int >= 0, and a flood interval >= 1
+SPEC_ARGS = {
+    "strategies": {"silent": (0,), "crash": (1,), "equivocate": (0,),
+                   "delayer": (0,), "flood": (0, 1), "random": (0,)},
+    "pre_gst_delay": {"uniform": (0,), "max": (0,), "exact": (1,)},
+    "drift": {"none": (0,), "uniform": (0,), "max": (0,)},
+}
+STRATEGY_KINDS = tuple(SPEC_ARGS["strategies"])
 
 
 def make_strategy(spec, inner, config):
@@ -324,7 +338,6 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
     n, gst, delta = config.n, config.gst, config.delta
     queue: list = []
     seq = 0
-    active_timers: set = set()
 
     def push(fire_at, pid, event):
         nonlocal seq
@@ -369,10 +382,7 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                          a.to, arrival)
             elif cls is SetTimer:
                 at = schedule_timer(now, gst, a.duration, adversary.drift, rng)
-                active_timers.add((pid, a.timer_id))
                 push(at, pid, TimerFired(a.timer_id))
-            elif cls is CancelTimer:
-                active_timers.discard((pid, a.timer_id))
             elif cls is Indicate:
                 trace.indications.append((now, pid, a.name, a.args))
                 if collect_rows:
@@ -398,15 +408,14 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
         now, _, pid, event = heapq.heappop(queue)
         if now > max_time:
             break
-        if isinstance(event, TimerFired):
-            if (pid, event.timer_id) not in active_timers:
-                continue
-            active_timers.discard((pid, event.timer_id))
-            if collect_rows:
+        # every timer fires; a halted or abandoned owner ignores it in `step`
+        if collect_rows:
+            if isinstance(event, TimerFired):
                 rows.append((now, pid, "timer-fire", event.timer_id, "-", 0))
-        elif collect_rows and isinstance(event, MessageArrival):
-            rows.append((now, pid, "deliver", event.path, event.payload.kind,
-                         payload_bits(event.payload, accounting, value_width)))
+            elif isinstance(event, MessageArrival):
+                p = event.payload
+                rows.append((now, pid, "deliver", event.path, p.kind,
+                             payload_bits(p, accounting, value_width)))
         auto = autos[pid]
         if pid in strategy_pids:
             auto.now = now

@@ -19,8 +19,8 @@ from __future__ import annotations
 import functools
 
 from .core import BOT, Payload, Tally, payload_bits, value_sort_key
-from .runtime import (Automaton, Broadcast, CancelTimer, Indicate,
-                      MessageArrival, Request, Send)
+from .runtime import (Automaton, Broadcast, Indicate, MessageArrival,
+                      Request, Send)
 from .graded_consensus import GradedConsensus
 
 # Lock-step round budget for one graded-consensus stage: five echo stages of
@@ -219,7 +219,6 @@ class RoundSimAdapter(Automaton):
         # parity -> [(sender, inner payload)] in arrival order
         self.received = {0: [], 1: []}
         self.done = False
-        self._timer = None
 
     def on_event(self, event):
         if isinstance(event, Request):
@@ -240,20 +239,7 @@ class RoundSimAdapter(Automaton):
         if self.machine is not None:
             return []
         self.machine = self.machine_factory(proposal)
-        if self.total_rounds == 0:
-            self.done = True
-            return [Indicate("sync-done", (self._decision(),))]
-        out = self._send_round()
-        timer, self._timer = self.new_timer(self.delta_sync)
-        return out + [timer]
-
-    def abandon(self):
-        """Mute the adapter and cancel its pending round timer."""
-        super().abandon()
-        if self._timer is None:
-            return []
-        tid, self._timer = self._timer, None
-        return [CancelTimer(tid)]
+        return self._next_round()
 
     def _send_round(self):
         """One SYNC-ROUND wrapper and one bit count per inner payload: the
@@ -278,13 +264,14 @@ class RoundSimAdapter(Automaton):
         current, self.received[want] = self.received[want], []
         self.machine.absorb(self.round, current)
         self.round += 1
+        return self._next_round()
+
+    def _next_round(self):
+        """Open round `self.round`, or indicate sync-done after the last."""
         if self.round >= self.total_rounds:
             self.done = True
-            self._timer = None
             return [Indicate("sync-done", (self._decision(),))]
-        out = self._send_round()
-        timer, self._timer = self.new_timer(self.delta_sync)
-        return out + [timer]
+        return self._send_round() + [self.new_timer(self.delta_sync)[0]]
 
     def _decision(self):
         d = self.machine.decision()

@@ -19,8 +19,7 @@ from operlab.graded_consensus import GradedConsensus
 from operlab.harness import (oper_params, oracle_sim, run_and_check,
                              scenario_adversary, scenario_config, sweep)
 from operlab.runtime import Request
-from operlab.simnet import (AdversarySpec, SimConfig, make_strategy,
-                            pbit_post_gst, run)
+from operlab.simnet import AdversarySpec, SimConfig, run
 from operlab.sync_ba import GC_ROUNDS, SyncMachine, mc, rounds
 from operlab.validation_broadcast import make_validation_broadcast
 

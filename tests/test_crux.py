@@ -1,7 +1,6 @@
 from operlab.core import BOT, ValidityPredicate
 from operlab.crux import CruxCore, CruxParams, est_rule, make_crux
-from operlab.runtime import (CancelTimer, Indicate, Request, TimerFired,
-                             ToChild)
+from operlab.runtime import Indicate, Request, TimerFired, ToChild
 from operlab.simnet import AdversarySpec, SimConfig, run
 
 
@@ -106,14 +105,16 @@ def test_propose_is_idempotent():
     assert comp.step(Request("propose", (6,))) == []
 
 
-def test_abandon_cancels_the_pending_sync_round_timer():
+def test_abandoned_adapter_ignores_its_pending_round_timer():
     comp = make_crux(CruxParams(4, 1, 10), 0, 0)
     comp.attach(("crux@1",))
     comp.step(Request("propose", (5,)))
     comp.step(Request("decide", ("gc1", 5, 1)))
     comp.step(TimerFired(("crux@1", 1)))      # gc1 timer: the sync phase starts
-    assert comp.step(Request("abandon")) == [CancelTimer(("crux@1", "as", 1))]
+    assert comp.step(Request("abandon")) == []
+    # the round timer still fires; the abandoned composite ignores it
     assert comp.step(TimerFired(("crux@1", "as", 1))) == []
+    assert comp.children["as"].round == 0
 
 
 def test_abandoned_core_ignores_its_gc_timer():

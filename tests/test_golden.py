@@ -87,6 +87,11 @@ GOLDEN = [
     ("view-change-3", _view_change(3),
      "3,10,3,36000,10,31647,29431.428571428572,889.3,2,1",
      "212240c8a4868e703ec47ca5812a3174a1508d53dcc443adc4e35ac40b18cbec"),
+    # correct process 0 finishes and halts at 40366 with its view-1 round
+    # timer crux@1/as/144 pending; the timer fires at 40371 and is ignored
+    ("view-change-80", _view_change(80),
+     "80,10,3,36000,10,14037,12991.57142857143,437.5,1,1",
+     "217faea7578c405151d89b2c9a15f07eef72c39798c7af6d0d2b17788a2c46af"),
     ("flood-random-0", _flood_random(0),
      "0,7,2,2000,10,10605,10011.4,298.4,1,1",
      "b73e86cedaf7463adca0aa62e1bbc36523b9f7657d50c5f38cdbbef05b8497fd"),

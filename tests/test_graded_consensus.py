@@ -135,6 +135,19 @@ def test_grade_one_decision_whichever_input_comes_last(order):
     assert decides == [(len(order) - 1, Indicate("decide", (7, 0)))]
 
 
+def test_no_second_decide_after_the_decision():
+    gc = GradedConsensus(4, 1)
+    gc.step(Request("propose", (7,)))
+    later = [("ECHO5", 7, s) for s in (1, 2, 3)] \
+        + [("ECHO4", v, s) for v in (7, BOT) for s in range(4)] \
+        + [("ECHO5", v, s) for v in (7, BOT) for s in range(4)]
+    decides = []
+    for kind, v, sender in later:
+        out = gc.step(MessageArrival(sender, Payload(kind, value=v)))
+        decides += [a for a in out if isinstance(a, Indicate)]
+    assert decides == [Indicate("decide", (7, 1))]
+
+
 def test_propose_twice_ignored():
     gc = GradedConsensus(4, 1)
     first = gc.step(Request("propose", (7,)))

@@ -52,6 +52,25 @@ def test_load_scenario_roundtrip(tmp_path):
     {**BASE, "validity": {"kind": "membership"}},         # no members
     {**BASE, "validity": {"kind": "modulo", "divisor": 0, "residue": 0}},
     {**BASE, "n": "4"},
+    # strategy and rule arguments: count and type
+    {**BASE, "faulty": [3], "strategies": {"3": ["crash"]}},
+    {**BASE, "faulty": [3], "strategies": {"3": ["crash", "x"]}},
+    {**BASE, "faulty": [3], "strategies": {"3": ["flood", "x"]}},
+    {**BASE, "pre_gst_delay": ["exact"]},
+    {**BASE, "pre_gst_delay": ["exact", "x"]},
+    {**BASE, "faulty": [3], "strategies": {"3": ["crash", 5, 6]}},
+    {**BASE, "faulty": [3], "strategies": {"3": ["silent", 1]}},
+    {**BASE, "faulty": [3], "strategies": {"3": ["flood", -5]}},
+    {**BASE, "pre_gst_delay": ["uniform", 4]},
+    {**BASE, "drift": ["max", 1]},
+    {**BASE, "pre_gst_delay": ["exact", -3]},
+    # counts the config needs
+    {**BASE, "proposal": 0, "value_width": -1, "faulty": [3],
+     "strategies": {"3": ["equivocate"]}},
+    {**BASE, "seeds": 0},
+    {**BASE, "seeds": -2},
+    {**BASE, "t": -1},
+    {**BASE, "n": 0},
 ])
 def test_load_scenario_fails_closed(tmp_path, obj):
     with pytest.raises(ScenarioError):

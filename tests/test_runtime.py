@@ -1,9 +1,9 @@
 import pytest
 
 from operlab.core import Payload
-from operlab.runtime import (Automaton, Broadcast, CancelTimer, Composite,
-                             Halt, Indicate, MessageArrival, Request, Send,
-                             SetTimer, TimerFired, ToChild)
+from operlab.runtime import (Automaton, Broadcast, Composite, Halt, Indicate,
+                             MessageArrival, Request, Send, SetTimer,
+                             TimerFired, ToChild)
 
 
 class Echoer(Automaton):
@@ -163,7 +163,6 @@ def test_new_timer_ids_are_unique():
     t2, id2 = auto.new_timer(3)
     assert id1 != id2
     assert t1.duration == 3
-    assert CancelTimer(id1) != CancelTimer(id2)
 
 
 def test_send_path_prefixing():
@@ -313,25 +312,23 @@ class Loud(Automaton):
     """On every message: one action of each kind a leaf can emit."""
 
     def on_event(self, event):
-        timer, tid = self.new_timer(5)
+        timer, _ = self.new_timer(5)
         return [Send(1, event.payload, self.path),
                 Broadcast(event.payload, self.path), timer,
-                CancelTimer(tid),
                 Indicate("decide", (7,)), Indicate("validate", (7,))]
 
 
-def test_abandoned_subtree_passes_only_cancels_and_validations():
+def test_abandoned_subtree_passes_only_validations():
     mid = Composite(Recorder(), children={"leaf": Loud()})
     root = Composite(Recorder(), children={"mid": mid})
     live = root.step(msg(path=("mid", "leaf")))
-    assert [type(a) for a in live] == [Send, Broadcast, SetTimer, CancelTimer]
+    assert [type(a) for a in live] == [Send, Broadcast, SetTimer]
     assert mid.core.events == [Request("decide", ("leaf", 7)),
                                Request("validate", ("leaf", 7))]
     mid.core.events.clear()
     assert mid.step(Request("abandon")) == []
     assert mid.children["leaf"].abandoned
-    out = root.step(msg(path=("mid", "leaf")))
-    assert out == [CancelTimer(("mid", "leaf", 2))]
+    assert root.step(msg(path=("mid", "leaf"))) == []
     assert mid.core.events == [Request("validate", ("leaf", 7))]
     assert root.core.events == []
 

@@ -103,6 +103,12 @@ def test_config_rejects_bad_parameters():
         SimConfig(n=4, t=1, gst=-1)
     with pytest.raises(ValueError):
         SimConfig(n=4, t=1, accounting="bits")
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        SimConfig(n=0, t=-1)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        SimConfig(n=4, t=-1)
+    with pytest.raises(ValueError, match="value_width must be >= 1"):
+        SimConfig(n=4, t=1, value_width=0)
 
 
 def test_correct_excludes_faulty():

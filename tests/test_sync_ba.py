@@ -2,7 +2,7 @@ from itertools import groupby
 
 import pytest
 
-from operlab.core import BOT, Payload
+from operlab.core import Payload
 from operlab.runtime import Indicate, Request, Send, SetTimer, TimerFired
 from operlab.sync_ba import (GC_ROUNDS, RecordingMachine, RoundSimAdapter,
                              SyncMachine, budget, lockstep_run, mc,
@@ -178,6 +178,19 @@ def test_adapter_trivial_membership_finishes_immediately():
                         delta_sync=30, bit_cap=100, value_width=32)
     out = a.step(Request("propose", (6,)))
     assert out == [Indicate("sync-done", (6,))]
+
+
+def test_adapter_is_silent_after_sync_done():
+    adapters = make_adapters(2)
+    driver = AdapterDriver(adapters)
+    driver.start({0: 4, 1: 4})
+    a = adapters[0]
+    assert a.done and a.round == rounds(2)
+    # one timer per round: the last one carries the round count
+    assert a.step(TimerFired((rounds(2),))) == []
+    assert a.step(Request("propose", (9,))) == []
+    assert a.round == rounds(2)
+    assert [i.name for i in driver.indications[0]] == ["sync-done"]
 
 
 def test_byzantine_injection_cannot_break_unanimity():

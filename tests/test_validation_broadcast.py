@@ -1,6 +1,7 @@
-from operlab.core import BOT
-from operlab.runtime import Request
-from operlab.validation_broadcast import make_validation_broadcast
+from operlab.core import BOT, Payload
+from operlab.runtime import Indicate, MessageArrival, Request
+from operlab.validation_broadcast import (ValidationCore,
+                                          make_validation_broadcast)
 
 from lockstep import lockstep_network
 
@@ -71,3 +72,13 @@ def test_validations_deduplicated_per_value():
     for p in range(4):
         validated = [args[0] for (_, args) in events_named(inds, p, "validate")]
         assert len(validated) == len(set(validated))
+
+
+def test_completed_indicated_once_as_echoes_keep_arriving():
+    core = ValidationCore(1, default=0)
+    core.step(Request("broadcast", (7,)))
+    out = []
+    for sender, v in ((0, 7), (1, 7), (2, 7), (3, 7), (2, 7), (3, BOT)):
+        out += core.step(MessageArrival(sender, Payload("ECHO", value=v)))
+    assert core.completed
+    assert out.count(Indicate("completed")) == 1
