@@ -97,6 +97,8 @@ def cmd_sweep(args) -> int:
         n_list = [int(x) for x in args.n.split(",") if x.strip()]
     except ValueError:
         raise ScenarioError(f"bad --n list {args.n!r}")
+    if not n_list or args.seeds < 1:
+        raise ScenarioError("sweep needs --n counts and --seeds >= 1")
     rows, violations = sweep(scn, n_list, args.seeds)
     print("n,t,pbit_max,ratio")
     worst = 0.0

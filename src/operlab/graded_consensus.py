@@ -44,7 +44,7 @@ class GradedConsensus(Automaton):
                 return self._propose(event.args[0])
             return []
         if isinstance(event, MessageArrival):
-            return self._receive(event.sender, event.payload)
+            return self.receive(event.sender, event.payload)
         return []
 
     def _propose(self, v):
@@ -58,7 +58,7 @@ class GradedConsensus(Automaton):
             out.append(Indicate("decide", map_decision(self.gbca_outcome, v)))
         return out
 
-    def _receive(self, sender, payload):
+    def receive(self, sender, payload):
         # each rule reads tallies at or below its own stage, plus `approved`
         stage = _KIND_STAGE.get(payload.kind)
         v = payload.value

@@ -16,11 +16,14 @@ Composite at depth d routes a message by its `path` and a firing timer by
 `timer_id[:-1]`, with one rule: to the core when that path ends at d, else
 to the child tagged `path[d]`, passing the event on unchanged.
 
-The root walks an event down to its target in one loop, applying each
-nested Composite's entry check (`ignores`). Output comes back up only if
-there is any, through each level's lift of indications into its core and
-output check (`emit`); output of pass-up actions alone is returned as it
-is, unless an abandoned composite is on the way.
+Routing is one dict lookup in a route table only the root holds, filled by
+`attach` and `spawn`, never by a message. It maps each automaton's path (a
+composite's own path: its core) to it and to the composites below the root
+down to its owner. Other paths resolve by their longest registered prefix: a
+leaf, or a composite without child `path[d]`. The event passes each nested
+composite's entry check (`ignores`). Output comes back up only if there is
+any, through each level's lift and output check (`emit`); pass-up actions
+alone return as they are unless an abandoned composite is on the way.
 
 Halting is `Automaton.step`'s alone: it drops every action after a Halt and
 answers every later event with []. Only the root's core emits Halt.
@@ -40,6 +43,7 @@ and is ignored, so `step` is the one place that silences an instance.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .core import Payload
@@ -106,8 +110,8 @@ class ToChild:
     event: object
 
 
-# actions a parent passes up from a child unchanged
-_PASS_UP = (Send, Broadcast, SetTimer)
+# action types a parent passes up from a child unchanged
+_PASS_UP = frozenset((Send, Broadcast, SetTimer))
 
 
 class Automaton:
@@ -125,8 +129,10 @@ class Automaton:
         self.abandoned = False
         self._timer_seq = 0
 
-    def attach(self, path: tuple):
+    def attach(self, path: tuple, root=None, way=()):
         self.path = path
+        if root is not None:   # enter this automaton in root's route table
+            root.routes[path] = (self, way)
 
     def step(self, event) -> list:
         if isinstance(event, Request) and event.name == "abandon" \
@@ -152,10 +158,9 @@ class Automaton:
             # view V with view V-1's validated value
             return [a for a in actions
                     if isinstance(a, Indicate) and a.name == "validate"]
-        for i, a in enumerate(actions):
-            if isinstance(a, Halt):
-                self.halted = True
-                return actions[:i + 1]
+        if Halt in map(type, actions):
+            self.halted = True
+            return actions[:list(map(type, actions)).index(Halt) + 1]
         return actions
 
     def abandon(self):
@@ -190,12 +195,17 @@ class Composite(Automaton):
         self.misrouted = 0
         self.attach(())
 
-    def attach(self, path: tuple):
-        self.path = path
-        self.depth = len(path)
-        self.core.attach(path)
+    def attach(self, path: tuple, root=None, way=()):
+        """Record `path`; enter this subtree in `root`'s route table below
+        the composites `way`. Only a root holds one, and no way holds a root,
+        so no reference cycle forms."""
+        self.path, self.depth = path, len(path)
+        self.routes = {} if root is None else None
+        self.root = weakref.ref(root) if root else None   # None at a root
+        way, root = (way + (self,), root) if root else ((), self)
+        self.core.attach(path, root, way)
         for tag, child in self.children.items():
-            child.attach(path + (tag,))
+            child.attach(path + (tag,), root, way)
 
     # -- public --------------------------------------------------------
 
@@ -211,11 +221,9 @@ class Composite(Automaton):
         if tag in self.children:
             raise ValueError(f"duplicate child tag {tag!r}")
         self.children[tag] = child
-        child.attach(self.path + (tag,))
-        out = []
-        for event in events:
-            out.extend(self._step_child(tag, event))
-        return out
+        root = self.root() if self.root else self
+        child.attach(self.path + (tag,), root, root.routes[self.path][1])
+        return [a for event in events for a in self._step_child(tag, event)]
 
     def on_event(self, event):
         if isinstance(event, MessageArrival):
@@ -224,42 +232,45 @@ class Composite(Automaton):
             path = event.timer_id[:-1]
         else:
             return self._absorb_core(self.core.step(event))
-        # walk down to the automaton the path names, applying each nested
-        # Composite's entry check; `muted` if any of them is abandoned
-        node, way, muted = self, [], False
-        while len(path) > node.depth:
-            target = node.children.get(path[node.depth])
-            if type(target) is not Composite:
-                break
-            if (target.halted or target.abandoned) and target.ignores(event):
+        routes = self.routes or self.root().routes
+        target, way = routes.get(path) or self._longest_prefix(routes, path)
+        if self.routes is None:   # a nested composite routes from itself
+            way = way[way.index(self) + 1:]
+        # each nested Composite's entry check; `muted` if one is abandoned
+        muted = False
+        for comp in way:
+            if (comp.halted or comp.abandoned) and comp.ignores(event):
                 return []
-            way.append(node)
-            node = target
-            muted = muted or target.abandoned
-        else:
-            target = node.core
+            muted = muted or comp.abandoned
+        node = way[-1] if way else self
         if target is None:
             out = node._route_unknown(path[node.depth], event)
         else:
             actions = target.step(event)
             if not actions:
                 return []
-            if not muted:
-                for a in actions:
-                    if not isinstance(a, _PASS_UP):
-                        break
-                else:
-                    return actions   # every level would pass it up unchanged
+            if not muted and _PASS_UP.issuperset(map(type, actions)):
+                return actions   # every level would pass it up unchanged
             out = node._absorb_core(actions) if target is node.core \
                 else node._lift(path[node.depth], actions)
         # lift the output back up, with each nested Composite's output check
-        while way and out:
-            parent = way.pop()
-            out = parent._lift(path[parent.depth], node.emit(out))
-            node = parent
+        while out and way:
+            *way, child = way
+            node = way[-1] if way else self
+            out = node._lift(path[node.depth], child.emit(out))
         return out
 
     # -- internals -----------------------------------------------------
+
+    def _longest_prefix(self, routes, path):
+        """Route of the longest registered prefix of `path` (registered
+        paths are prefix-closed); no target if it names a composite."""
+        k = self.depth + 1
+        while path[:k] in routes:
+            k += 1
+        target, way = routes[path[:k - 1]]
+        return (None if target is (way[-1] if way else self).core
+                else target), way
 
     def _absorb_core(self, actions) -> list:
         out = []
@@ -285,7 +296,7 @@ class Composite(Automaton):
         unchanged; its indications become tag-prefixed requests to the core."""
         out = []
         for a in actions:
-            if isinstance(a, _PASS_UP):
+            if type(a) in _PASS_UP:
                 out.append(a)
             elif isinstance(a, Indicate):
                 out.extend(self._absorb_core(

@@ -78,6 +78,16 @@ class AdversarySpec:
     strategies: dict = field(default_factory=dict)  # pid -> strategy spec tuple
 
 
+def draw(getrandbits, low, width, k=None):
+    """Random.randint(low, low + width - 1), k = width.bit_length(): the
+    stdlib's value from its getrandbits calls (Python 3.10-3.13), faster."""
+    k = k or width.bit_length()
+    r = getrandbits(k)
+    while r >= width:
+        r = getrandbits(k)
+    return low + r
+
+
 def schedule_delivery(now, gst, delta, rule, rng):
     """Delivery time for a message sent at `now`, within the model envelope."""
     bound = max(now, gst) + delta
@@ -87,8 +97,7 @@ def schedule_delivery(now, gst, delta, rule, rng):
     elif kind == "exact":
         raw = now + rule[1]
     elif kind == "uniform":
-        raw = now + rng.randint(0, delta) if now >= gst \
-            else rng.randint(now, bound)
+        raw = draw(rng.getrandbits, now, bound - now + 1)
     else:
         raise ValueError(f"unknown delay rule {kind!r}")
     return min(max(raw, now), bound)
@@ -100,9 +109,9 @@ def schedule_deliveries(now, gst, delta, rule, rng, k):
     if not k:
         return []
     if rule[0] == "uniform":
-        if now >= gst:
-            return [now + rng.randint(0, delta) for _ in range(k)]
-        return [rng.randint(now, gst + delta) for _ in range(k)]
+        width = max(now, gst) + delta - now + 1
+        bits, getrandbits = width.bit_length(), rng.getrandbits
+        return [draw(getrandbits, now, width, bits) for _ in range(k)]
     return [schedule_delivery(now, gst, delta, rule, rng)] * k
 
 
@@ -117,7 +126,7 @@ def schedule_timer(now, gst, d, rule, rng):
     elif kind == "max":
         raw = bound
     elif kind == "uniform":
-        raw = rng.randint(now + 1, bound)
+        raw = draw(rng.getrandbits, now + 1, bound - now)
     else:
         raise ValueError(f"unknown drift rule {kind!r}")
     return min(max(raw, now + 1), bound)
@@ -420,7 +429,8 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
         if pid in strategy_pids:
             auto.now = now
             auto.rng = rng
-        absorb(now, pid, auto.step(event))
+        if actions := auto.step(event):
+            absorb(now, pid, actions)
         if auto.halted:
             running.discard(pid)
     return trace

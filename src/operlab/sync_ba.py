@@ -110,8 +110,8 @@ class LockstepGC:
         return [(m, p) for p in batch for m in self.members]
 
     def absorb(self, r, received):
-        for sender, payload in received:
-            self._collect(self.auto.step(MessageArrival(sender, payload)))
+        for sender, payload in received:   # never abandoned nor halted
+            self._collect(self.auto.receive(sender, payload))
 
     def state_digest(self):
         return self.auto.state_digest()

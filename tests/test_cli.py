@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from operlab import harness
 from operlab.cli import main
 from operlab.simnet import CSV_HEADER
@@ -70,6 +72,16 @@ def test_sweep_reports_violations_and_exits_1(tmp_path, capsys, monkeypatch):
 def test_sweep_bad_n_list_exits_2(tmp_path):
     rc = main(["sweep", write_scn(tmp_path, BASE), "--n", "x", "--seeds", "1"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("n_list, seeds",
+                         [("4", "0"), ("4", "-3"), (",", "1")])
+def test_sweep_fails_closed(tmp_path, capsys, n_list, seeds):
+    rc = main(["sweep", write_scn(tmp_path, BASE), "--n", n_list,
+               "--seeds", seeds])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("operlab: scenario error: sweep needs")
 
 
 def test_oracle_sim_pass(tmp_path, capsys):

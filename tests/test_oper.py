@@ -4,6 +4,7 @@ from operlab.oper import BUFFER_CAP, Oper, crux_tag, _tag_view, make_oper
 from operlab.runtime import Automaton, Halt, MessageArrival, Request
 from operlab.simnet import AdversarySpec, SimConfig, run
 from operlab.harness import oper_params
+from test_runtime import automata
 
 
 NON_CANONICAL = ("crux@0001", "crux@01", "crux@+1", "crux@1_0", "crux@ 1")
@@ -30,6 +31,36 @@ def test_non_canonical_view_tags_spawn_no_instance():
         oper.step(MessageArrival(1, Payload("ECHO", value=5), path=(tag, "gc1")))
     assert sorted(oper.children) == [crux_tag(1), "fin"]
     assert oper.misrouted == 2 * len(tags)
+
+
+def test_junk_paths_leave_one_route_per_automaton():
+    oper = Oper(10, 3, 10, pid=0)
+    oper.step(Request("propose", (5,)))
+    view = oper.children[crux_tag(1)]
+    for i in range(200):   # 1,000 messages
+        junk = f"junk{i}"
+        for path in ((crux_tag(1), "gc1", junk), ("fin", junk),
+                     (crux_tag(1), "vb", "rb", junk),   # trailing segments
+                     (crux_tag(1), junk, "gc1"), (junk, "gc1")):   # no view
+            oper.step(MessageArrival(1, Payload("ECHO", value=i), path=path))
+    assert len(oper.routes) == len(automata(oper)) == 8
+    assert (oper.misrouted, view.misrouted) == (200, 200)
+    assert sorted(oper.children) == [crux_tag(1), "fin"]
+
+
+def test_view_spawned_from_the_buffer_is_routed_by_the_table():
+    oper = Oper(4, 1, 10, pid=0)
+    path = (crux_tag(2), "gc1")
+    oper.step(MessageArrival(1, Payload("ECHO", value=5), path=path))
+    oper.step(Request("propose", (5,)))
+    view = oper.children[crux_tag(2)]
+    gc1 = view.children["gc1"]
+    assert view.routes is None and view.root() is oper
+    assert oper.routes[path] == (gc1, (view,))
+    assert gc1.tallies[1].count(5) == 1   # the replayed message
+    oper.step(MessageArrival(2, Payload("ECHO", value=5), path=path))
+    assert gc1.tallies[1].count(5) == 2
+    assert len(oper.routes) == len(automata(oper)) == 14
 
 
 def run_oper_net(proposals, faulty=frozenset(), gst=0, seed=0,

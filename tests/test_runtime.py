@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from operlab.core import Payload
@@ -305,6 +307,55 @@ def test_unknown_tag_at_depth_two_counts_in_that_composite():
     assert (root.misrouted, mid.misrouted) == (0, 2)
 
 
+# -- the route table ---------------------------------------------------------
+
+
+def automata(comp):
+    """The automata a composite's tree routes to: each core, and each child
+    that is no composite."""
+    out = [comp.core]
+    for child in comp.children.values():
+        out += automata(child) if isinstance(child, Composite) else [child]
+    return out
+
+
+def test_root_holds_the_route_table_filled_by_attach_and_spawn():
+    root, mid, leaf = nested()
+    assert mid.routes == {(): (mid.core, ()), ("leaf",): (leaf, ())}
+    assert root.routes == {(): (root.core, ())}
+    root.step(msg(path=("mid", "leaf")))   # spawns mid
+    assert mid.routes is None and mid.root() is root and root.root is None
+    assert root.routes == {(): (root.core, ()),
+                           ("mid",): (mid.core, (mid,)),
+                           ("mid", "leaf"): (leaf, (mid,))}
+
+
+def test_a_tree_holds_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        root, mid, leaf = nested()
+        root.step(msg(path=("mid", "leaf")))
+        root.step(msg(path=("mid", "leaf", "x")))
+        del root, mid, leaf
+        assert gc.collect() == 0   # refcounting freed the whole tree
+    finally:
+        gc.enable()
+
+
+def test_junk_paths_add_no_route():
+    root, mid, leaf = nested()
+    root.step(msg(path=("mid",)))
+    routes = dict(root.routes)
+    for i in range(50):
+        root.step(msg(path=("mid", "leaf", f"junk{i}")))
+        root.step(msg(path=("mid", f"ghost{i}", "gc1")))
+        root.step(TimerFired((f"ghost{i}", 1)))
+    assert root.routes == routes and len(routes) == len(automata(root))
+    assert len(leaf.events) == 50
+    assert (root.misrouted, mid.misrouted) == (50, 50)
+
+
 # -- abandon -----------------------------------------------------------------
 
 
@@ -350,6 +401,17 @@ def test_output_of_a_live_leaf_under_an_abandoned_composite_is_muted():
     assert mid.children["leaf"].step(msg(2)) == [
         Send(2, Payload("INIT", value=1), ("mid", "leaf"))]
     assert root.step(msg(2, path=("mid", "leaf"))) == []
+
+
+def test_a_route_used_before_an_abandon_mutes_its_target_after_it():
+    mid = Composite(Recorder(), children={"leaf": Replier()})
+    root = Composite(Recorder(), children={"mid": mid})
+    reply = Send(2, Payload("INIT", value=1), ("mid", "leaf"))
+    assert root.step(msg(2, path=("mid", "leaf"))) == [reply]
+    assert root.step(msg(2, path=("mid", "leaf", "x"))) == [reply]
+    assert mid.step(Request("abandon")) == []
+    assert root.step(msg(2, path=("mid", "leaf"))) == []
+    assert root.step(msg(2, path=("mid", "leaf", "x"))) == []
 
 
 class Reporter(Automaton):

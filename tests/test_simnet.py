@@ -9,9 +9,10 @@ from operlab.oper import make_oper
 from operlab.runtime import (Automaton, Broadcast, Indicate, MessageArrival,
                              Request, Send)
 from operlab.simnet import (AdversarySpec, CSV_HEADER, SimConfig,
-                            STRATEGY_KINDS, csv_row, latency, make_strategy,
-                            pbit_post_gst, run, schedule_deliveries,
-                            schedule_delivery, schedule_timer, trace_lines)
+                            STRATEGY_KINDS, csv_row, draw, latency,
+                            make_strategy, pbit_post_gst, run,
+                            schedule_deliveries, schedule_delivery,
+                            schedule_timer, trace_lines)
 
 
 # -- envelope schedules ------------------------------------------------------
@@ -50,6 +51,20 @@ def test_batched_deliveries_match_sequential_draws(now, gst, delta, k, seed):
         assert times == [schedule_delivery(now, gst, delta, rule, sequential)
                          for _ in range(k)]
         assert batched.getstate() == sequential.getstate()
+
+
+def test_draw_matches_stdlib_randint():
+    """Value for value, and rng state afterwards, on every interpreter."""
+    widths = [*range(1, 71), 127, 128, 129, 1023, 1024, 1025, 36_011, 2 ** 32]
+    for seed in range(3):
+        for low in (0, 1, 36_000):
+            for width in widths:
+                ours, stdlib = random.Random(seed), random.Random(seed)
+                k = width.bit_length()
+                assert [draw(ours.getrandbits, low, width, k)
+                        for _ in range(6)] == \
+                    [stdlib.randint(low, low + width - 1) for _ in range(6)]
+                assert ours.getstate() == stdlib.getstate()
 
 
 class Pinger(Automaton):
