@@ -2,7 +2,7 @@
 the lock-step equivalence oracle.
 
 Exit codes: 0 success, 1 at least one check violation or oracle mismatch,
-2 usage or scenario error.
+2 usage, scenario or output-path error.
 """
 
 from __future__ import annotations
@@ -128,6 +128,9 @@ def main(argv=None) -> int:
             return cmd_oracle(args)
     except ScenarioError as e:
         print(f"operlab: scenario error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:   # a --trace or --csv path that cannot be written
+        print(f"operlab: cannot write output: {e}", file=sys.stderr)
         return 2
     return 2
 

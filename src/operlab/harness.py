@@ -5,9 +5,9 @@ A scenario is a JSON object with a closed key set; unknown keys are a hard
 error. The default check bundle evaluates agreement, strong validity,
 external validity, the termination deadline, the view ceiling and per-view
 START-VIEW budgets on every run. Post-halt silence and the delivery-time
-envelope hold by construction (`Automaton.step` drops every action after
-`Halt`; `simnet.schedule_delivery` clamps into the envelope), so unit tests
-cover them instead of per-run checks.
+envelope hold by construction (`simnet.run` drops every action after a
+process's `Halt` and never steps it again; `simnet.schedule_delivery` clamps
+into the envelope), so unit tests cover them instead of per-run checks.
 """
 
 from __future__ import annotations

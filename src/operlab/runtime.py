@@ -20,25 +20,27 @@ Routing is one dict lookup in a route table only the root holds, filled by
 `attach` and `spawn`, never by a message. It maps each automaton's path (a
 composite's own path: its core) to it and to the composites below the root
 down to its owner. Other paths resolve by their longest registered prefix: a
-leaf, or a composite without child `path[d]`. The event passes each nested
-composite's entry check (`ignores`). Output comes back up only if there is
-any, through each level's lift and output check (`emit`); pass-up actions
-alone return as they are unless an abandoned composite is on the way.
+leaf, or a composite without child `path[d]`. The target steps the event and
+its output comes back up through each level's lift, if there is any that is
+not a send, broadcast or timer; those alone return as they are.
 
-Halting is `Automaton.step`'s alone: it drops every action after a Halt and
-answers every later event with []. Only the root's core emits Halt.
+Only the root's core emits Halt; the simulator stops a process at its first
+Halt, so the runtime keeps no halt state.
 
 Abandon is a runtime operation. The view loop sends Request("abandon") to a
 per-view core when it moves to a later view or finishes; `Automaton.step`
 answers it with [] after `abandon()`, which a Composite applies to its core
-and every child, down the whole tree. From then on the automaton keeps its
-state and keeps processing messages and requests, but `step` mutes it: only
+and every child, down the whole tree, and to every child it spawns later. So
+an abandoned subtree is abandoned throughout, and routing checks nothing on
+the way to its target. From then on each automaton in it keeps its state and
+keeps processing messages and requests, but `step` mutes it: only
 Indicate("validate") leaves it. Validations outlive the view because the next
 view is proposed with a value the old view's validation broadcast validated;
-they come from message arrivals, so an abandoned automaton ignores its timers.
+they come from message arrivals, so `step` drops an abandoned automaton's
+timers.
 
-Timers are never cancelled: a timer of an abandoned or halted instance fires
-and is ignored, so `step` is the one place that silences an instance.
+Timers are never cancelled: a timer of an abandoned instance fires and is
+ignored, so `step` is the one place that mutes an instance.
 """
 
 from __future__ import annotations
@@ -115,8 +117,8 @@ _PASS_UP = frozenset((Send, Broadcast, SetTimer))
 
 
 class Automaton:
-    """Deterministic event-driven state machine. Halt is absorbing; an
-    abandoned automaton is muted (see the module docstring).
+    """Deterministic event-driven state machine; an abandoned one passes
+    only validations (see the module docstring).
 
     `path` is this automaton's absolute instance path, recorded by the
     Composite it is attached to; the actions it sends or sets carry it.
@@ -125,7 +127,6 @@ class Automaton:
     path: tuple = ()
 
     def __init__(self):
-        self.halted = False
         self.abandoned = False
         self._timer_seq = 0
 
@@ -135,33 +136,17 @@ class Automaton:
             root.routes[path] = (self, way)
 
     def step(self, event) -> list:
-        if isinstance(event, Request) and event.name == "abandon" \
-                and not self.halted:
+        if isinstance(event, Request) and event.name == "abandon":
             self.abandon()
             return []
-        # only a halted or abandoned automaton ignores events
-        if (self.halted or self.abandoned) and self.ignores(event):
+        if not self.abandoned:
+            return self.on_event(event) or []
+        if isinstance(event, TimerFired):
             return []
-        actions = self.on_event(event)
-        return self.emit(actions) if actions else []
-
-    def ignores(self, event) -> bool:
-        """Entry check of `step`: a halted automaton ignores every event, an
-        abandoned one its timers."""
-        return self.halted or self.abandoned and isinstance(event, TimerFired)
-
-    def emit(self, actions) -> list:
-        """Output check of `step`: an abandoned automaton passes only
-        Indicate("validate"); actions after a Halt are cut."""
-        if self.abandoned:
-            # validations outlive a view: OperCore._try_advance proposes
-            # view V with view V-1's validated value
-            return [a for a in actions
-                    if isinstance(a, Indicate) and a.name == "validate"]
-        if Halt in map(type, actions):
-            self.halted = True
-            return actions[:list(map(type, actions)).index(Halt) + 1]
-        return actions
+        # validations outlive a view: OperCore._try_advance proposes view V
+        # with view V-1's validated value
+        return [a for a in self.on_event(event) or ()
+                if isinstance(a, Indicate) and a.name == "validate"]
 
     def abandon(self):
         """Mute this automaton."""
@@ -221,6 +206,8 @@ class Composite(Automaton):
         if tag in self.children:
             raise ValueError(f"duplicate child tag {tag!r}")
         self.children[tag] = child
+        if self.abandoned:   # an abandoned subtree stays abandoned throughout
+            child.abandon()
         root = self.root() if self.root else self
         child.attach(self.path + (tag,), root, root.routes[self.path][1])
         return [a for event in events for a in self._step_child(tag, event)]
@@ -236,28 +223,19 @@ class Composite(Automaton):
         target, way = routes.get(path) or self._longest_prefix(routes, path)
         if self.routes is None:   # a nested composite routes from itself
             way = way[way.index(self) + 1:]
-        # each nested Composite's entry check; `muted` if one is abandoned
-        muted = False
-        for comp in way:
-            if (comp.halted or comp.abandoned) and comp.ignores(event):
-                return []
-            muted = muted or comp.abandoned
         node = way[-1] if way else self
         if target is None:
             out = node._route_unknown(path[node.depth], event)
         else:
             actions = target.step(event)
-            if not actions:
-                return []
-            if not muted and _PASS_UP.issuperset(map(type, actions)):
+            if _PASS_UP.issuperset(map(type, actions)):
                 return actions   # every level would pass it up unchanged
             out = node._absorb_core(actions) if target is node.core \
                 else node._lift(path[node.depth], actions)
-        # lift the output back up, with each nested Composite's output check
-        while out and way:
+        while out and way:   # lift the output back up
             *way, child = way
             node = way[-1] if way else self
-            out = node._lift(path[node.depth], child.emit(out))
+            out = node._lift(path[node.depth], out)
         return out
 
     # -- internals -----------------------------------------------------

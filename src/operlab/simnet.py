@@ -59,7 +59,9 @@ class SimConfig:
             if type(v) is not int or not 0 <= v < 2 ** self.value_width:
                 raise ValueError(f"process {pid} proposes {v!r}, not a "
                                  f"{self.value_width}-bit value")
-            if pid not in self.faulty and not valid(self.validity, v):
+        for pid in self.correct:   # a process without a proposal proposes 0
+            v = self.proposals.get(pid, 0)
+            if not valid(self.validity, v):
                 raise ValueError(f"correct process {pid} proposes invalid {v!r}")
         for pid, at in self.propose_at.items():
             if type(at) is not int or at < 0:
@@ -139,8 +141,6 @@ class Strategy(Automaton):
     """Driver for a faulty process. The simulator sets `now` and `rng`
     before each step; subclasses rewrite the wrapped automaton's actions."""
 
-    delay_outputs = False
-
     def __init__(self, inner=None):
         super().__init__()
         self.inner = inner
@@ -196,8 +196,6 @@ class EquivocateStrategy(Strategy):
 
 class DelayerStrategy(Strategy):
     """Behaves correctly but its messages always take the maximal delay."""
-
-    delay_outputs = True
 
 
 class FloodStrategy(Strategy):
@@ -341,7 +339,7 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
     # the maximal delay, which is the "max" rule
     strategy_pids = {p for p, auto in autos.items()
                      if isinstance(auto, Strategy)}
-    delay_rule = {p: ("max",) if getattr(auto, "delay_outputs", False)
+    delay_rule = {p: ("max",) if isinstance(auto, DelayerStrategy)
                   else adversary.pre_gst_delay for p, auto in autos.items()}
 
     n, gst, delta = config.n, config.gst, config.delta
@@ -400,8 +398,12 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                     trace.decisions[pid] = (a.args[0], now)
                 elif a.name == "enter-view":
                     trace.enters.append((now, pid, a.args[0]))
-            elif cls is Halt and collect_rows:
-                rows.append((now, pid, "halt", (), "-", 0))
+            elif cls is Halt:   # the process stops: drop the rest
+                if collect_rows:
+                    rows.append((now, pid, "halt", (), "-", 0))
+                halted.add(pid)
+                running.discard(pid)
+                return
 
     # kick off every process with its proposal
     starts = sorted(range(config.n),
@@ -411,13 +413,13 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
         v = config.proposals.get(pid, 0)
         push(at, pid, Request("propose", (v,)))
 
-    # correct processes not yet halted; a process halts only in its own step
-    running = {p for p in config.correct if not autos[p].halted}
+    # the loop ends once every correct process has halted
+    halted, running = set(), set(config.correct)
     while queue and running:
         now, _, pid, event = heapq.heappop(queue)
         if now > max_time:
             break
-        # every timer fires; a halted or abandoned owner ignores it in `step`
+        # every event is recorded; a halted process is never stepped again
         if collect_rows:
             if isinstance(event, TimerFired):
                 rows.append((now, pid, "timer-fire", event.timer_id, "-", 0))
@@ -425,14 +427,14 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                 p = event.payload
                 rows.append((now, pid, "deliver", event.path, p.kind,
                              payload_bits(p, accounting, value_width)))
+        if pid in halted:
+            continue
         auto = autos[pid]
         if pid in strategy_pids:
             auto.now = now
             auto.rng = rng
         if actions := auto.step(event):
             absorb(now, pid, actions)
-        if auto.halted:
-            running.discard(pid)
     return trace
 
 

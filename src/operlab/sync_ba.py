@@ -110,7 +110,7 @@ class LockstepGC:
         return [(m, p) for p in batch for m in self.members]
 
     def absorb(self, r, received):
-        for sender, payload in received:   # never abandoned nor halted
+        for sender, payload in received:   # never abandoned: no step
             self._collect(self.auto.receive(sender, payload))
 
     def state_digest(self):

@@ -74,6 +74,17 @@ def test_sweep_bad_n_list_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag, target", [
+    ("--trace", "a_file"),            # FileExistsError
+    ("--csv", "missing/out.csv"),     # FileNotFoundError
+])
+def test_run_unwritable_output_exits_2(tmp_path, capsys, flag, target):
+    (tmp_path / "a_file").write_text("")
+    rc = main(["run", write_scn(tmp_path, BASE), flag, str(tmp_path / target)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("operlab: cannot write output")
+
+
 @pytest.mark.parametrize("n_list, seeds",
                          [("4", "0"), ("4", "-3"), (",", "1")])
 def test_sweep_fails_closed(tmp_path, capsys, n_list, seeds):

@@ -2,6 +2,7 @@ from operlab.core import BOT, ValidityPredicate
 from operlab.crux import CruxCore, CruxParams, est_rule, make_crux
 from operlab.runtime import Indicate, Request, TimerFired, ToChild
 from operlab.simnet import AdversarySpec, SimConfig, run
+from test_runtime import automata, composites
 
 
 def params(n=4, t=1, delta=10):
@@ -103,6 +104,14 @@ def test_propose_is_idempotent():
     first = comp.step(Request("propose", (5,)))
     assert first
     assert comp.step(Request("propose", (6,))) == []
+
+
+def test_abandon_reaches_every_instance_of_the_view():
+    comp = make_crux(params(), pid=0, default=0)
+    comp.step(Request("propose", (5,)))
+    assert comp.step(Request("abandon")) == []
+    assert len(composites(comp)) > 1   # nested composites, too
+    assert all(a.abandoned for a in automata(comp) + composites(comp))
 
 
 def test_abandoned_adapter_ignores_its_pending_round_timer():

@@ -71,6 +71,10 @@ def test_load_scenario_roundtrip(tmp_path):
     {**BASE, "seeds": -2},
     {**BASE, "t": -1},
     {**BASE, "n": 0},
+    # the default proposal 0 of a correct process without one is invalid
+    {"n": 4, "delta": 10, "validity": {"kind": "membership", "members": []}},
+    {"n": 4, "delta": 10, "validity": {"kind": "membership", "members": [5]},
+     "proposals": {"0": 5}},
 ])
 def test_load_scenario_fails_closed(tmp_path, obj):
     with pytest.raises(ScenarioError):

@@ -1,10 +1,10 @@
 import operlab.oper
 from operlab.core import Payload
 from operlab.oper import BUFFER_CAP, Oper, crux_tag, _tag_view, make_oper
-from operlab.runtime import Automaton, Halt, MessageArrival, Request
+from operlab.runtime import Automaton, MessageArrival, Request
 from operlab.simnet import AdversarySpec, SimConfig, run
 from operlab.harness import oper_params
-from test_runtime import automata
+from test_runtime import automata, composites
 
 
 NON_CANONICAL = ("crux@0001", "crux@01", "crux@+1", "crux@1_0", "crux@ 1")
@@ -220,18 +220,26 @@ def test_decision_halts_the_process():
     assert sorted(pid for pid, _ in decides) == config.correct
 
 
-def test_halted_oper_ignores_start_view_quorum():
-    oper = Oper(4, 1, 10, pid=0)
-    oper.step(Request("propose", (5,)))
-    out = []
-    for sender in (1, 2, 3):
-        out += oper.step(MessageArrival(sender, Payload("FINISH", value=5),
-                                        path=("fin",)))
-    assert oper.halted and out[-1] == Halt()
-    # a live process would amplify and broadcast START-VIEW(2) here
-    for sender in (1, 2, 3):
-        assert oper.step(MessageArrival(
-            sender, Payload("START-VIEW", view=2))) == []
+def test_a_view_change_abandons_every_instance_of_the_old_view():
+    delta_total = oper_params(SimConfig(n=4, t=1)).delta_total
+    config = SimConfig(n=4, t=1, faulty=frozenset({3}), gst=2 * delta_total,
+                       seed=12, proposals={0: 1, 1: 2, 2: 3, 3: 4})
+    opers = {}
+
+    def factory(pid):
+        opers[pid] = make_oper(4, 1, config.delta, pid)
+        return opers[pid]
+    adversary = AdversarySpec(drift=("uniform",),
+                              strategies={3: ("equivocate",)})
+    trace = run(config, adversary, factory,
+                max_time=config.gst + 20 * delta_total)
+    for pid in config.correct:
+        assert trace.views_entered(pid) == [1, 2]
+        oper = opers[pid]
+        old = oper.children[crux_tag(1)]
+        assert all(a.abandoned for a in automata(old) + composites(old))
+        assert not (oper.abandoned or oper.core.abandoned
+                    or oper.children["fin"].abandoned)
 
 
 def test_determinism_same_seed_same_trace():

@@ -3,7 +3,7 @@ import gc
 import pytest
 
 from operlab.core import Payload
-from operlab.runtime import (Automaton, Broadcast, Composite, Halt, Indicate,
+from operlab.runtime import (Automaton, Broadcast, Composite, Indicate,
                              MessageArrival, Request, Send, SetTimer,
                              TimerFired, ToChild)
 
@@ -15,8 +15,6 @@ class Echoer(Automaton):
         if isinstance(event, MessageArrival):
             return [Broadcast(event.payload, self.path),
                     Indicate("saw", (event.sender,))]
-        if isinstance(event, Request) and event.name == "halt":
-            return [Halt()]
         return []
 
 
@@ -66,65 +64,6 @@ def test_duplicate_spawn_rejected():
     comp = Composite(Recorder(), children={"a": Echoer()})
     with pytest.raises(ValueError):
         comp.spawn("a", Echoer())
-
-
-def test_halt_is_absorbing():
-    auto = Echoer()
-    auto.step(Request("halt"))
-    assert auto.halted
-    assert auto.step(msg()) == []
-
-
-class HaltMidStep(Automaton):
-    """Emits a send, then halts, then tries to send again in the same step."""
-
-    def on_event(self, event):
-        return [Broadcast(Payload("INIT", value=1)), Halt(),
-                Broadcast(Payload("INIT", value=2)), Indicate("late")]
-
-
-def test_actions_after_halt_in_one_step_are_dropped():
-    leaf = HaltMidStep()
-    assert leaf.step(Request("go")) == [Broadcast(Payload("INIT", value=1)),
-                                        Halt()]
-    assert leaf.halted
-    comp = Composite(HaltMidStep())
-    assert comp.step(Request("go")) == [Broadcast(Payload("INIT", value=1)),
-                                        Halt()]
-    assert comp.halted
-
-
-class HaltingCore(Recorder):
-    """Records its events and halts on a "stop" request."""
-
-    def on_event(self, event):
-        super().on_event(event)
-        if isinstance(event, Request) and event.name == "stop":
-            return [Halt()]
-        return []
-
-
-def test_composite_halts_with_core():
-    comp = Composite(HaltingCore(), children={"a": Echoer()})
-    assert Halt() in comp.step(Request("stop"))
-    assert comp.step(msg(path=("a",))) == []
-
-
-class StopThenSend(Automaton):
-    """Asks its parent's core to stop, then broadcasts, in one step."""
-
-    def on_event(self, event):
-        return [Indicate("stop"), Broadcast(Payload("INIT", value=1),
-                                            self.path)]
-
-
-def test_core_halting_on_a_child_indication_ends_the_step():
-    comp = Composite(HaltingCore(), children={"a": StopThenSend()})
-    assert comp.step(msg(path=("a",))) == [Halt()]
-    assert comp.halted and comp.core.halted
-    assert comp.step(msg(path=("a",))) == []
-    assert comp.step(Request("stop")) == []
-    assert comp.core.events == [Request("stop", ("a",))]
 
 
 class Forwarder(Recorder):
@@ -319,6 +258,12 @@ def automata(comp):
     return out
 
 
+def composites(comp):
+    """A composite and every composite in its tree."""
+    return [comp] + [c for child in comp.children.values()
+                     if isinstance(child, Composite) for c in composites(child)]
+
+
 def test_root_holds_the_route_table_filled_by_attach_and_spawn():
     root, mid, leaf = nested()
     assert mid.routes == {(): (mid.core, ()), ("leaf",): (leaf, ())}
@@ -391,16 +336,18 @@ class Replier(Automaton):
         return [Send(event.sender, event.payload, self.path)]
 
 
-def test_output_of_a_live_leaf_under_an_abandoned_composite_is_muted():
+def test_a_child_spawned_under_an_abandoned_composite_starts_abandoned():
     mid = Composite(Recorder())
     root = Composite(Recorder(), children={"mid": mid})
     assert mid.step(Request("abandon")) == []
-    # spawned after the abandon, so the leaf itself is live
     assert mid.spawn("leaf", Replier()) == []
-    assert not mid.children["leaf"].abandoned
-    assert mid.children["leaf"].step(msg(2)) == [
-        Send(2, Payload("INIT", value=1), ("mid", "leaf"))]
+    assert mid.spawn("loud", Loud()) == []
+    assert mid.children["leaf"].abandoned and mid.children["loud"].abandoned
+    # routing checks nothing on the way: each target mutes itself
     assert root.step(msg(2, path=("mid", "leaf"))) == []
+    assert root.step(msg(2, path=("mid", "loud"))) == []
+    assert mid.core.events == [Request("validate", ("loud", 7))]
+    assert root.core.events == []
 
 
 def test_a_route_used_before_an_abandon_mutes_its_target_after_it():

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from operlab.core import Payload
 from operlab.harness import oper_params
 from operlab.oper import make_oper
-from operlab.runtime import (Automaton, Broadcast, Indicate, MessageArrival,
-                             Request, Send)
+from operlab.runtime import (Automaton, Broadcast, Composite, Halt, Indicate,
+                             MessageArrival, Request, Send, SetTimer, ToChild)
 from operlab.simnet import (AdversarySpec, CSV_HEADER, SimConfig,
                             STRATEGY_KINDS, csv_row, draw, latency,
                             make_strategy, pbit_post_gst, run,
@@ -244,3 +244,125 @@ def test_flood_timer_is_not_routed_into_the_wrapped_oper():
                 max_time=config.gst + 20 * oper_params(config).delta_total)
     assert trace.terminated
     assert all(opers[pid].misrouted == 0 for pid in range(7))
+
+
+# -- halt ----------------------------------------------------------------------
+
+
+INIT1, INIT2 = Payload("INIT", value=1), Payload("INIT", value=2)
+
+
+class Scripted(Automaton):
+    """Answers its proposal with `script`, and counts its steps."""
+
+    def __init__(self, script):
+        super().__init__()
+        self.script = script
+        self.steps = 0
+
+    def on_event(self, event):
+        self.steps += 1
+        if isinstance(event, Request) and event.name == "propose":
+            return self.script
+        return []
+
+
+def scripted_run(scripts, faulty=frozenset(), strategies=None,
+                 max_time=1000):
+    """An n=4 run in which process p runs root `scripts[p]`, if given, and
+    otherwise broadcasts INIT(1) once; returns the trace and the roots."""
+    autos = {}
+
+    def factory(pid):
+        autos[pid] = scripts.get(pid) or Scripted([Broadcast(INIT1)])
+        return autos[pid]
+    config = SimConfig(n=4, t=1, faulty=frozenset(faulty), seed=2)
+    trace = run(config, AdversarySpec(strategies=strategies or {}), factory,
+                max_time=max_time, collect_rows=True)
+    return trace, autos
+
+
+def kinds(trace, pid):
+    return [row[2] for row in trace.rows if row[1] == pid]
+
+
+def test_actions_after_a_halt_are_dropped():
+    trace, _ = scripted_run({0: Scripted([Broadcast(INIT1), Halt(),
+                                          Broadcast(INIT2),
+                                          Indicate("late")])})
+    assert kinds(trace, 0)[:2] == ["broadcast", "halt"]
+    assert "indicate:late" not in kinds(trace, 0)
+    assert kinds(trace, 0).count("broadcast") == 1
+    assert trace.pbit[0] == trace.pbit[1] == 160   # one 40-bit broadcast
+    assert [row for row in trace.indications if row[1] == 0] == []
+
+
+def test_a_halted_process_is_never_stepped_again():
+    trace, autos = scripted_run({0: Scripted([SetTimer(5, ("t", 1)), Halt(),
+                                              SetTimer(7, ("t", 2))])})
+    # its later deliveries and its timer get rows but reach no step
+    assert sorted(kinds(trace, 0)) == ["deliver"] * 3 + ["halt",
+                                                         "timer-fire"]
+    assert ("t", 2) not in [row[3] for row in trace.rows]
+    assert autos[0].steps == 1
+    assert all(autos[p].steps == 4 for p in (1, 2, 3))   # propose + 3
+
+
+class StopOnRequest(Automaton):
+    """Core: passes its proposal on to child "a" and halts on "stop";
+    records its events."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def on_event(self, event):
+        self.events.append(event)
+        if isinstance(event, Request) and event.name == "propose":
+            return [ToChild("a", Request("go"))]
+        if isinstance(event, Request) and event.name == "stop":
+            return [Halt()]
+        return []
+
+
+class StopThenSend(Automaton):
+    """Asks its parent's core to stop, then broadcasts, in one step."""
+
+    def on_event(self, event):
+        return [Indicate("stop"), Broadcast(INIT1, self.path)]
+
+
+def test_core_halting_on_a_child_indication_drops_the_child_output():
+    root = Composite(StopOnRequest(), children={"a": StopThenSend()})
+    trace, _ = scripted_run({0: root})
+    assert kinds(trace, 0) == ["halt"] + ["deliver"] * 3
+    assert 0 not in trace.pbit
+    assert root.core.events == [Request("propose", (0,)),
+                                Request("stop", ("a",))]
+
+
+class Ticker(Automaton):
+    """Re-arms its timer on every event, for ever."""
+
+    def on_event(self, event):
+        return [SetTimer(10, ("tick",))]
+
+
+def test_loop_ends_once_every_correct_process_has_halted():
+    halts = {p: Scripted([Broadcast(INIT1), SetTimer(5, ("t", 1)), Halt()])
+             for p in range(3)}
+    trace, _ = scripted_run({**halts, 3: Ticker()}, faulty={3},
+                            strategies={3: ("delayer",)}, max_time=10_000)
+    # the faulty ticker would run to max_time; the loop ends with the halts
+    assert max(row[0] for row in trace.rows) == 0
+    assert not {"deliver", "timer-fire"} & {row[2] for row in trace.rows}
+
+
+def test_a_faulty_process_stops_at_its_halt_too():
+    inner = Scripted([Broadcast(INIT1), Halt(), Broadcast(INIT2)])
+    trace, _ = scripted_run({3: inner}, faulty={3},
+                            strategies={3: ("equivocate",)})
+    # its broadcast split into four sends; nothing after the halt
+    assert kinds(trace, 3)[:5] == ["send"] * 4 + ["halt"]
+    assert set(kinds(trace, 3)[5:]) == {"deliver"}
+    assert inner.steps == 1
