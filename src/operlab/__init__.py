@@ -2,24 +2,24 @@
 synchronous Byzantine agreement with constant-size values."""
 
 from .core import (BOT, DEFAULT_VALUE_WIDTH, Payload, PayloadError,
-                   ValidityPredicate, payload_bits, valid)
+                   ValidityPredicate, payload_bits)
 from .crux import CruxParams, est_rule, make_crux
 from .finisher import Finisher
 from .graded_consensus import GradedConsensus
 from .oper import Oper, make_oper
 from .reducing_broadcast import ReducingBroadcast
-from .simnet import (AdversarySpec, SimConfig, Trace, latency,
-                     pbit_post_gst, run, schedule_delivery, schedule_timer)
+from .simnet import (AdversarySpec, SimConfig, Trace, latency, run,
+                     schedule_deliveries, schedule_timer)
 from .sync_ba import (GC_ROUNDS, RoundSimAdapter, SyncMachine, budget,
                       lockstep_run, mc, rounds)
 from .validation_broadcast import make_validation_broadcast
 
 __all__ = [
     "BOT", "DEFAULT_VALUE_WIDTH", "Payload", "PayloadError",
-    "ValidityPredicate", "payload_bits", "valid",
-    "CruxParams", "est_rule", "make_crux", "Finisher", "GradedConsensus",
-    "Oper", "make_oper", "ReducingBroadcast", "AdversarySpec", "SimConfig",
-    "Trace", "latency", "pbit_post_gst", "run", "schedule_delivery",
-    "schedule_timer", "GC_ROUNDS", "RoundSimAdapter", "SyncMachine",
-    "budget", "lockstep_run", "mc", "rounds", "make_validation_broadcast",
+    "ValidityPredicate", "payload_bits", "CruxParams", "est_rule",
+    "make_crux", "Finisher", "GradedConsensus", "Oper", "make_oper",
+    "ReducingBroadcast", "AdversarySpec", "SimConfig", "Trace", "latency",
+    "run", "schedule_deliveries", "schedule_timer", "GC_ROUNDS",
+    "RoundSimAdapter", "SyncMachine", "budget", "lockstep_run", "mc",
+    "rounds", "make_validation_broadcast",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 
 from .harness import (ScenarioError, load_scenario, oracle_sim,
                       run_and_check, scenario_adversary, scenario_config,
@@ -66,28 +67,27 @@ def cmd_run(args) -> int:
     seeds = [args.seed] if args.seed is not None else \
         [scn.get("seed", 0) + k for k in range(scn.get("seeds", 1))]
     adversary = scenario_adversary(scn)
-    lines = [CSV_HEADER]
+    configs = [scenario_config(scn, seed=seed,
+                               accounting=_accounting(args.accounting))
+               for seed in seeds]
     violations = []
-    for seed in seeds:
-        config = scenario_config(scn, seed=seed,
-                                 accounting=_accounting(args.accounting))
-        report = run_and_check(config, adversary,
-                               collect_rows=args.trace is not None)
-        lines.append(csv_row(report.trace))
-        for v in report.violations:
-            violations.append(f"seed {seed}: {v}")
-        if args.trace is not None:
-            os.makedirs(args.trace, exist_ok=True)
-            path = os.path.join(args.trace, f"trace_seed{seed}.txt")
-            with open(path, "w") as f:
-                for line in trace_lines(report.trace):
-                    f.write(line + "\n")
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    # an unwritable --trace or --csv path fails before the first seed runs
+    if args.trace is not None:
+        os.makedirs(args.trace, exist_ok=True)
+    with open(args.csv, "w") if args.csv else nullcontext(sys.stdout) as out:
+        out.write(CSV_HEADER + "\n")
+        for config in configs:
+            report = run_and_check(config, adversary,
+                                   collect_rows=args.trace is not None)
+            out.write(csv_row(report.trace) + "\n")
+            violations.extend(f"seed {config.seed}: {v}"
+                              for v in report.violations)
+            if args.trace is not None:
+                path = os.path.join(args.trace,
+                                    f"trace_seed{config.seed}.txt")
+                with open(path, "w") as f:
+                    for line in trace_lines(report.trace):
+                        f.write(line + "\n")
     return _report_violations(violations)
 
 

@@ -160,10 +160,6 @@ class ValidityPredicate:
         raise ValueError(f"unknown predicate kind {self.kind!r}")
 
 
-def valid(pred: ValidityPredicate, v) -> bool:
-    return pred.check(v)
-
-
 def payload_bits(p: Payload, policy: str = "payload-only",
                  value_width: int = DEFAULT_VALUE_WIDTH) -> int:
     """Declared-width bit size of a payload.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BOT, DEFAULT_VALUE_WIDTH, ValidityPredicate, valid
+from .core import BOT, DEFAULT_VALUE_WIDTH, ValidityPredicate
 from .graded_consensus import GradedConsensus
 from .runtime import (Automaton, Composite, Indicate, Request, TimerFired,
                       ToChild)
@@ -70,7 +70,7 @@ def est_rule(own, v1, g1, v_a, pred: ValidityPredicate):
     """Pick the estimate for the second guard."""
     if g1 == 1:
         return v1
-    if v_a is not BOT and valid(pred, v_a):
+    if v_a is not BOT and pred.check(v_a):
         return v_a
     return own
 

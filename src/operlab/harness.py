@@ -6,8 +6,8 @@ error. The default check bundle evaluates agreement, strong validity,
 external validity, the termination deadline, the view ceiling and per-view
 START-VIEW budgets on every run. Post-halt silence and the delivery-time
 envelope hold by construction (`simnet.run` drops every action after a
-process's `Halt` and never steps it again; `simnet.schedule_delivery` clamps
-into the envelope), so unit tests cover them instead of per-run checks.
+process's `Halt` and never steps it again; `simnet.schedule_deliveries`
+clamps into the envelope), so unit tests cover them instead of per-run checks.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import ValidityPredicate, valid
+from .core import ValidityPredicate
 from .crux import CruxParams
 from .oper import make_oper
-from .simnet import (SPEC_ARGS, AdversarySpec, SimConfig, Trace,
-                     pbit_post_gst, run)
+from .simnet import SPEC_ARGS, AdversarySpec, SimConfig, Trace, run
 from .sync_ba import (RecordingMachine, RoundSimAdapter, SyncMachine,
                       lockstep_run)
 
@@ -216,7 +215,7 @@ def check_trace(trace: Trace, params: CruxParams) -> list:
             out.append(f"strong-validity: proposed {unanimous}, "
                        f"decided {values}")
     for v in values:
-        if not valid(cfg.validity, v):
+        if not cfg.validity.check(v):
             out.append(f"external-validity: decided invalid {v!r}")
     fv = final_view(trace)
     if fv is not None and trace.terminated:
@@ -281,7 +280,7 @@ def sweep(scn: dict, n_list, seeds: int):
             report = run_and_check(config, scenario_adversary(sub))
             violations.extend(f"n={n} seed={config.seed}: {v}"
                               for v in report.violations)
-            pbit_max = max(pbit_max, *(pbit_post_gst(report.trace, p)
+            pbit_max = max(pbit_max, *(report.trace.pbit.get(p, 0)
                                        for p in config.correct))
         width = scn.get("value_width", 32)
         ratio = Fraction(pbit_max, n * (8 + width))

@@ -25,7 +25,8 @@ its output comes back up through each level's lift, if there is any that is
 not a send, broadcast or timer; those alone return as they are.
 
 Only the root's core emits Halt; the simulator stops a process at its first
-Halt, so the runtime keeps no halt state.
+Halt, so the runtime keeps no halt state. A root has no parent to abandon
+it, so the simulator calls its `on_event` directly.
 
 Abandon is a runtime operation. The view loop sends Request("abandon") to a
 per-view core when it moves to a later view or finishes; `Automaton.step`

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .core import (DEFAULT_VALUE_WIDTH, Payload, ValidityPredicate, path_bits,
-                   payload_bits, valid)
+                   payload_bits)
 from .runtime import (Automaton, Broadcast, Halt, Indicate, MessageArrival,
                       Request, Send, SetTimer, TimerFired)
 
@@ -61,7 +61,7 @@ class SimConfig:
                                  f"{self.value_width}-bit value")
         for pid in self.correct:   # a process without a proposal proposes 0
             v = self.proposals.get(pid, 0)
-            if not valid(self.validity, v):
+            if not self.validity.check(v):
                 raise ValueError(f"correct process {pid} proposes invalid {v!r}")
         for pid, at in self.propose_at.items():
             if type(at) is not int or at < 0:
@@ -90,31 +90,20 @@ def draw(getrandbits, low, width, k=None):
     return low + r
 
 
-def schedule_delivery(now, gst, delta, rule, rng):
-    """Delivery time for a message sent at `now`, within the model envelope."""
+def schedule_deliveries(now, gst, delta, rule, rng, k):
+    """Delivery times of k copies sent at `now`, within the model envelope:
+    under "uniform" each copy draws its own time, in copy order."""
     bound = max(now, gst) + delta
     kind = rule[0]
-    if kind == "max":
-        raw = bound
-    elif kind == "exact":
-        raw = now + rule[1]
-    elif kind == "uniform":
-        raw = draw(rng.getrandbits, now, bound - now + 1)
-    else:
-        raise ValueError(f"unknown delay rule {kind!r}")
-    return min(max(raw, now), bound)
-
-
-def schedule_deliveries(now, gst, delta, rule, rng, k):
-    """Delivery times of k copies sent at `now`: the same times and the same
-    rng draws, in the same order, as k schedule_delivery calls."""
-    if not k:
-        return []
-    if rule[0] == "uniform":
-        width = max(now, gst) + delta - now + 1
+    if kind == "uniform":
+        width = bound - now + 1
         bits, getrandbits = width.bit_length(), rng.getrandbits
         return [draw(getrandbits, now, width, bits) for _ in range(k)]
-    return [schedule_delivery(now, gst, delta, rule, rng)] * k
+    if kind == "max":
+        return [bound] * k
+    if kind == "exact":
+        return [min(max(now + rule[1], now), bound)] * k
+    raise ValueError(f"unknown delay rule {kind!r}")
 
 
 def schedule_timer(now, gst, d, rule, rng):
@@ -138,19 +127,16 @@ def schedule_timer(now, gst, d, rule, rng):
 
 
 class Strategy(Automaton):
-    """Driver for a faulty process. The simulator sets `now` and `rng`
-    before each step; subclasses rewrite the wrapped automaton's actions."""
+    """Driver for a faulty process: steps the wrapped root automaton and
+    rewrites its actions. `make_strategy` gives it the run's `rng` and a
+    `clock` that returns the current virtual time."""
 
-    def __init__(self, inner=None):
+    def __init__(self, inner, config):
         super().__init__()
         self.inner = inner
-        self.now = 0
-        self.rng = None
 
     def on_event(self, event):
-        if self.inner is None:
-            return []
-        return self.rewrite(self.inner.step(event))
+        return self.rewrite(self.inner.on_event(event) or [])
 
     def rewrite(self, actions):
         return actions
@@ -162,12 +148,12 @@ class SilentStrategy(Strategy):
 
 
 class CrashStrategy(Strategy):
-    def __init__(self, inner, at):
-        super().__init__(inner)
+    def __init__(self, inner, config, at):
+        super().__init__(inner, config)
         self.at = at
 
     def rewrite(self, actions):
-        if self.now >= self.at:
+        if self.clock() >= self.at:
             return [a for a in actions
                     if not isinstance(a, (Send, Broadcast, Indicate))]
         return actions
@@ -176,10 +162,10 @@ class CrashStrategy(Strategy):
 class EquivocateStrategy(Strategy):
     """Splits every value-carrying broadcast by receiver parity."""
 
-    def __init__(self, inner, n, value_width):
-        super().__init__(inner)
-        self.n = n
-        self.mask = (1 << value_width) - 1
+    def __init__(self, inner, config):
+        super().__init__(inner, config)
+        self.n = config.n
+        self.mask = (1 << config.value_width) - 1
 
     def rewrite(self, actions):
         out = []
@@ -199,13 +185,14 @@ class DelayerStrategy(Strategy):
 
 
 class FloodStrategy(Strategy):
-    """Broadcasts random well-formed payloads every `interval` ticks pre-GST."""
+    """Broadcasts random well-formed payloads every `interval` ticks (delta
+    by default) pre-GST."""
 
-    def __init__(self, inner, gst, interval, value_width):
-        super().__init__(inner)
-        self.gst = gst
-        self.interval = max(1, interval)
-        self.max_value = (1 << value_width) - 1
+    def __init__(self, inner, config, interval=None):
+        super().__init__(inner, config)
+        self.gst = config.gst
+        self.interval = max(1, config.delta if interval is None else interval)
+        self.max_value = (1 << config.value_width) - 1
 
     def on_event(self, event):
         if isinstance(event, TimerFired) and event.timer_id == ("flood",):
@@ -216,7 +203,7 @@ class FloodStrategy(Strategy):
         return actions
 
     def _flood(self):
-        if self.now >= self.gst:
+        if self.clock() >= self.gst:
             return []
         kind = self.rng.choice(("INIT", "ECHO", "ECHO3", "FINISH"))
         value = self.rng.randint(0, self.max_value)
@@ -228,9 +215,9 @@ class FloodStrategy(Strategy):
 class RandomStrategy(Strategy):
     """Keeps, drops, duplicates, or value-mutates each outgoing action."""
 
-    def __init__(self, inner, value_width):
-        super().__init__(inner)
-        self.mask = (1 << value_width) - 1
+    def __init__(self, inner, config):
+        super().__init__(inner, config)
+        self.mask = (1 << config.value_width) - 1
 
     def rewrite(self, actions):
         out = []
@@ -251,6 +238,10 @@ class RandomStrategy(Strategy):
         return out
 
 
+STRATEGIES = {"silent": SilentStrategy, "crash": CrashStrategy,
+              "equivocate": EquivocateStrategy, "delayer": DelayerStrategy,
+              "flood": FloodStrategy, "random": RandomStrategy}
+
 # argument counts of each strategy kind and each delay and drift rule; every
 # argument is an int >= 0, and a flood interval >= 1
 SPEC_ARGS = {
@@ -259,25 +250,17 @@ SPEC_ARGS = {
     "pre_gst_delay": {"uniform": (0,), "max": (0,), "exact": (1,)},
     "drift": {"none": (0,), "uniform": (0,), "max": (0,)},
 }
-STRATEGY_KINDS = tuple(SPEC_ARGS["strategies"])
 
 
-def make_strategy(spec, inner, config):
-    kind = spec[0]
-    if kind == "silent":
-        return SilentStrategy()
-    if kind == "crash":
-        return CrashStrategy(inner, at=spec[1])
-    if kind == "equivocate":
-        return EquivocateStrategy(inner, config.n, config.value_width)
-    if kind == "delayer":
-        return DelayerStrategy(inner)
-    if kind == "flood":
-        interval = spec[1] if len(spec) > 1 else config.delta
-        return FloodStrategy(inner, config.gst, interval, config.value_width)
-    if kind == "random":
-        return RandomStrategy(inner, config.value_width)
-    raise ValueError(f"unknown strategy kind {kind!r}")
+def make_strategy(spec, inner, config, rng, clock):
+    """Strategy `spec` = (kind, *args) wrapping `inner`; it draws from `rng`
+    and reads the virtual time from `clock()`."""
+    cls = STRATEGIES.get(spec[0])
+    if cls is None:
+        raise ValueError(f"unknown strategy kind {spec[0]!r}")
+    strategy = cls(inner, config, *spec[1:])
+    strategy.rng, strategy.clock = rng, clock
+    return strategy
 
 
 # -- trace ------------------------------------------------------------------
@@ -298,13 +281,6 @@ class Trace:
         """Every correct process decided."""
         return all(p in self.decisions for p in self.config.correct)
 
-    def views_entered(self, pid):
-        return [v for (_, p, v) in self.enters if p == pid]
-
-
-def pbit_post_gst(trace: Trace, pid: int) -> int:
-    return trace.pbit.get(pid, 0)
-
 
 def latency(trace: Trace) -> Fraction:
     if not trace.terminated:
@@ -322,23 +298,23 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
     """Execute one deterministic simulation, up to virtual time max_time.
 
     root_factory(pid) builds the protocol automaton for each process; faulty
-    processes get theirs wrapped in (or replaced by) their strategy.
+    processes get theirs wrapped in their strategy.
     """
     rng = random.Random(config.seed)
     trace = Trace(config)
+
+    def clock():
+        return now
 
     autos = {}
     for pid in range(config.n):
         inner = root_factory(pid)
         if pid in config.faulty:
             spec = adversary.strategies.get(pid, ("silent",))
-            autos[pid] = make_strategy(spec, inner, config)
+            autos[pid] = make_strategy(spec, inner, config, rng, clock)
         else:
             autos[pid] = inner
-    # strategies read the clock and the rng; a delayer's copies all take
-    # the maximal delay, which is the "max" rule
-    strategy_pids = {p for p, auto in autos.items()
-                     if isinstance(auto, Strategy)}
+    # a delayer's copies all take the maximal delay, which is the "max" rule
     delay_rule = {p: ("max",) if isinstance(auto, DelayerStrategy)
                   else adversary.pre_gst_delay for p, auto in autos.items()}
 
@@ -380,13 +356,14 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                     if correct and payload.kind == "START-VIEW":
                         key = (pid, payload.view)
                         trace.sv_counts[key] = trace.sv_counts.get(key, 0) + 1
-                    # one arrival, shared by every copy
-                    times = schedule_deliveries(now, gst, delta, rule, rng, n)
-                    for dest, at in enumerate(times):
-                        push(at, dest, arrival)
-                elif 0 <= a.to < n:
-                    push(schedule_delivery(now, gst, delta, rule, rng),
-                         a.to, arrival)
+                    dests = range(n)
+                else:   # a send out of range is charged, never delivered
+                    dests = (a.to,) if 0 <= a.to < n else ()
+                # one arrival, shared by every copy
+                times = schedule_deliveries(now, gst, delta, rule, rng,
+                                            len(dests))
+                for dest, at in zip(dests, times):
+                    push(at, dest, arrival)
             elif cls is SetTimer:
                 at = schedule_timer(now, gst, a.duration, adversary.drift, rng)
                 push(at, pid, TimerFired(a.timer_id))
@@ -429,11 +406,8 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                              payload_bits(p, accounting, value_width)))
         if pid in halted:
             continue
-        auto = autos[pid]
-        if pid in strategy_pids:
-            auto.now = now
-            auto.rng = rng
-        if actions := auto.step(event):
+        # a root has no parent to abandon it, so it skips Automaton.step
+        if actions := autos[pid].on_event(event):
             absorb(now, pid, actions)
     return trace
 
@@ -453,7 +427,7 @@ CSV_HEADER = "seed,n,t,gst,delta,pbit_max,pbit_mean,latency,views_max,terminated
 
 def csv_row(trace: Trace) -> str:
     c = trace.config
-    bits = [pbit_post_gst(trace, p) for p in c.correct]
+    bits = [trace.pbit.get(p, 0) for p in c.correct]
     pbit_max = max(bits, default=0)
     pbit_mean = Fraction(sum(bits), len(bits)) if bits else Fraction(0)
     try:

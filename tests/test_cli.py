@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from operlab import harness
+from operlab import cli, harness
 from operlab.cli import main
 from operlab.simnet import CSV_HEADER
 
@@ -49,6 +49,15 @@ def test_bad_scenario_exits_2(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+def test_run_config_error_writes_no_output(tmp_path, capsys):
+    csv = tmp_path / "out.csv"
+    rc = main(["run", write_scn(tmp_path, {**BASE, "n": 3, "t": 1}),
+               "--csv", str(csv), "--trace", str(tmp_path / "traces")])
+    assert rc == 2
+    assert "scenario error" in capsys.readouterr().err
+    assert not csv.exists() and not (tmp_path / "traces").exists()
+
+
 def test_sweep_table(tmp_path, capsys):
     rc = main(["sweep", write_scn(tmp_path, BASE), "--n", "4", "--seeds", "1"])
     out = capsys.readouterr().out.splitlines()
@@ -76,13 +85,23 @@ def test_sweep_bad_n_list_exits_2(tmp_path):
 
 @pytest.mark.parametrize("flag, target", [
     ("--trace", "a_file"),            # FileExistsError
+    ("--trace", "a_file/traces"),     # NotADirectoryError
     ("--csv", "missing/out.csv"),     # FileNotFoundError
 ])
-def test_run_unwritable_output_exits_2(tmp_path, capsys, flag, target):
+def test_run_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, flag,
+                                       target):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return harness.run_and_check(*args, **kwargs)
+    monkeypatch.setattr(cli, "run_and_check", counted)
     (tmp_path / "a_file").write_text("")
-    rc = main(["run", write_scn(tmp_path, BASE), flag, str(tmp_path / target)])
+    rc = main(["run", write_scn(tmp_path, {**BASE, "seeds": 3}), flag,
+               str(tmp_path / target)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("operlab: cannot write output")
+    assert calls == []   # it fails before the first seed runs
 
 
 @pytest.mark.parametrize("n_list, seeds",

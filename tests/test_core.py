@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from operlab.core import (BOT, Payload, PayloadError, Tally,
-                          ValidityPredicate, path_bits, payload_bits, valid,
+                          ValidityPredicate, path_bits, payload_bits,
                           value_sort_key)
 
 
@@ -57,11 +57,11 @@ def test_malformed_payload_rejected(kind, kwargs):
 
 
 def test_validity_predicates():
-    assert valid(ValidityPredicate.always_true(), 123)
+    assert ValidityPredicate.always_true().check(123)
     member = ValidityPredicate.membership([1, 2, 3])
-    assert valid(member, 2) and not valid(member, 9)
+    assert member.check(2) and not member.check(9)
     mod = ValidityPredicate.modulo(5, 2)
-    assert valid(mod, 7) and not valid(mod, 8)
+    assert mod.check(7) and not mod.check(8)
 
 
 @given(st.booleans(),

@@ -36,7 +36,8 @@ def _flood_random(seed):
 
 def _max_delayer_crash(seed):
     # every pre-GST message takes the maximal delay; one faulty process is a
-    # delayer (its own maximal-delay branch), the other crashes before GST
+    # delayer (its copies take the "max" rule too), the other crashes before
+    # GST
     return {"n": 7, "t": 2, "delta": DELTA, "gst": 2000, "seed": seed,
             "faulty": [5, 6],
             "strategies": {"5": ["delayer"], "6": ["crash", 700]},

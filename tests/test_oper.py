@@ -83,7 +83,7 @@ def test_unanimous_decides_in_first_view():
         value, time = trace.decisions[pid]
         assert value == 7
         assert time <= p.delta_total + 2 * config.delta
-        assert trace.views_entered(pid) == [1]
+        assert [v for (_, q, v) in trace.enters if q == pid] == [1]
     assert trace.terminated
 
 
@@ -234,7 +234,7 @@ def test_a_view_change_abandons_every_instance_of_the_old_view():
     trace = run(config, adversary, factory,
                 max_time=config.gst + 20 * delta_total)
     for pid in config.correct:
-        assert trace.views_entered(pid) == [1, 2]
+        assert [v for (_, q, v) in trace.enters if q == pid] == [1, 2]
         oper = opers[pid]
         old = oper.children[crux_tag(1)]
         assert all(a.abandoned for a in automata(old) + composites(old))

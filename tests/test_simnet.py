@@ -7,12 +7,12 @@ from operlab.core import Payload
 from operlab.harness import oper_params
 from operlab.oper import make_oper
 from operlab.runtime import (Automaton, Broadcast, Composite, Halt, Indicate,
-                             MessageArrival, Request, Send, SetTimer, ToChild)
-from operlab.simnet import (AdversarySpec, CSV_HEADER, SimConfig,
-                            STRATEGY_KINDS, csv_row, draw, latency,
-                            make_strategy, pbit_post_gst, run,
-                            schedule_deliveries, schedule_delivery,
-                            schedule_timer, trace_lines)
+                             MessageArrival, Request, Send, SetTimer, ToChild,
+                             TimerFired)
+from operlab.simnet import (AdversarySpec, CSV_HEADER, SPEC_ARGS, STRATEGIES,
+                            SimConfig, csv_row, draw, latency, make_strategy,
+                            run, schedule_deliveries, schedule_timer,
+                            trace_lines)
 
 
 # -- envelope schedules ------------------------------------------------------
@@ -23,8 +23,8 @@ from operlab.simnet import (AdversarySpec, CSV_HEADER, SimConfig,
 def test_delivery_always_within_envelope(now, gst, delta, seed):
     rng = random.Random(seed)
     for rule in (("uniform",), ("max",), ("exact", 3), ("exact", 10**6)):
-        at = schedule_delivery(now, gst, delta, rule, rng)
-        assert now <= at <= max(now, gst) + delta
+        for at in schedule_deliveries(now, gst, delta, rule, rng, 3):
+            assert now <= at <= max(now, gst) + delta
 
 
 @given(st.integers(0, 1000), st.integers(0, 1000), st.integers(1, 50),
@@ -48,8 +48,9 @@ def test_batched_deliveries_match_sequential_draws(now, gst, delta, k, seed):
     for rule in DELAY_RULES:
         batched, sequential = random.Random(seed), random.Random(seed)
         times = schedule_deliveries(now, gst, delta, rule, batched, k)
-        assert times == [schedule_delivery(now, gst, delta, rule, sequential)
-                         for _ in range(k)]
+        assert times == [
+            schedule_deliveries(now, gst, delta, rule, sequential, 1)[0]
+            for _ in range(k)]
         assert batched.getstate() == sequential.getstate()
 
 
@@ -99,7 +100,7 @@ def test_send_to_out_of_range_destination_draws_nothing():
 def test_unknown_rules_rejected():
     rng = random.Random(0)
     with pytest.raises(ValueError):
-        schedule_delivery(0, 0, 10, ("bogus",), rng)
+        schedule_deliveries(0, 0, 10, ("bogus",), rng, 1)
     with pytest.raises(ValueError):
         schedule_timer(0, 10, 10, ("bogus",), rng)
 
@@ -133,12 +134,46 @@ def test_correct_excludes_faulty():
 
 def test_all_strategy_kinds_construct():
     config = SimConfig(n=4, t=1, faulty=frozenset({3}))
-    inner = Automaton()
-    for kind in STRATEGY_KINDS:
-        spec = (kind, 5) if kind == "crash" else (kind,)
-        assert make_strategy(spec, inner, config) is not None
+    inner, rng = Automaton(), random.Random(0)
+    assert set(STRATEGIES) == set(SPEC_ARGS["strategies"])
+    for kind, counts in SPEC_ARGS["strategies"].items():
+        for count in counts:   # every argument count a scenario may give
+            strategy = make_strategy((kind,) + (5,) * count, inner, config,
+                                     rng, lambda: 0)
+            assert type(strategy) is STRATEGIES[kind]
+            assert strategy.rng is rng and strategy.clock() == 0
     with pytest.raises(ValueError):
-        make_strategy(("bogus",), inner, config)
+        make_strategy(("bogus",), inner, config, rng, lambda: 0)
+
+
+def test_crash_strategy_drops_output_from_its_time_on():
+    config = SimConfig(n=4, t=1, faulty=frozenset({3}))
+    script = [Send(1, Payload("INIT", value=1)), Indicate("decide", (1,)),
+              SetTimer(5, ("t", 1))]
+    now = 0
+    crash = make_strategy(("crash", 10), Pinger(script), config,
+                          random.Random(0), lambda: now)
+    propose = Request("propose", (1,))
+    init = Broadcast(Payload("INIT", value=1))   # Pinger's own broadcast
+    assert crash.on_event(propose) == script + [init]
+    now = 9
+    assert crash.on_event(propose) == script + [init]
+    now = 10   # sends, broadcasts and indications go; timers stay
+    assert crash.on_event(propose) == [SetTimer(5, ("t", 1))]
+
+
+def test_flood_strategy_is_silent_from_gst_on():
+    config = SimConfig(n=4, t=1, faulty=frozenset({3}), gst=100)
+    now = 0
+    flood = make_strategy(("flood", 7), Pinger([]), config,
+                          random.Random(0), lambda: now)
+    assert flood.on_event(Request("propose", (1,))) == [
+        Broadcast(Payload("INIT", value=1)), SetTimer(7, ("flood",))]
+    tick = TimerFired(("flood",))
+    now = 99
+    assert [type(a) for a in flood.on_event(tick)] == [Broadcast, SetTimer]
+    now = 100
+    assert flood.on_event(tick) == []
 
 
 # -- event-loop behavior -----------------------------------------------------
@@ -184,15 +219,15 @@ def test_latency_undefined_without_full_termination():
 def test_pbit_counts_only_post_gst_traffic():
     config, trace = simple_run(gst=10_000)
     # all sends happen at time 0, before GST: nothing accrues
-    assert all(pbit_post_gst(trace, p) == 0 for p in config.correct)
+    assert all(trace.pbit.get(p, 0) == 0 for p in config.correct)
     config, trace = simple_run(gst=0)
     # one 40-bit broadcast to four destinations per process
-    assert all(pbit_post_gst(trace, p) == 160 for p in config.correct)
+    assert all(trace.pbit.get(p, 0) == 160 for p in config.correct)
 
 
 def test_silent_strategy_sends_nothing():
     config, trace = simple_run(faulty={3}, strategies={3: ("silent",)})
-    assert pbit_post_gst(trace, 3) == 0
+    assert trace.pbit.get(3, 0) == 0
     assert set(trace.decisions) >= {0, 1, 2}
 
 
