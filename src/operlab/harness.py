@@ -108,10 +108,15 @@ def _build_validity(spec) -> ValidityPredicate:
 
 
 def _int_key_map(m) -> dict:
+    """Keys of `m` as process ids, each spelled as `str` spells its int."""
     try:
-        return {int(k): v for k, v in (m or {}).items()}
+        out = {int(k): v for k, v in (m or {}).items()}
     except ValueError as e:
         raise ScenarioError(f"bad process id: {e}")
+    bad = set(m or ()) - set(map(str, out))
+    if bad:
+        raise ScenarioError(f"bad process ids {sorted(bad)}")
+    return out
 
 
 def scenario_config(scn: dict, seed=None, accounting=None) -> SimConfig:
@@ -141,8 +146,8 @@ def scenario_adversary(scn: dict) -> AdversarySpec:
     return AdversarySpec(
         pre_gst_delay=tuple(scn.get("pre_gst_delay", ["uniform"])),
         drift=tuple(scn.get("drift", ["none"])),
-        strategies={int(k): tuple(v)
-                    for k, v in scn.get("strategies", {}).items()},
+        strategies={pid: tuple(v) for pid, v
+                    in _int_key_map(scn.get("strategies")).items()},
     )
 
 

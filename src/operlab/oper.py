@@ -150,9 +150,17 @@ class Oper(Composite):
         return []
 
     def _spawn_view(self, tag, *events) -> list:
+        """Attach view `tag`; replay its buffered events, then `events`, a
+        request to the view, a message or timer through the route table."""
         view = make_crux(self.params, self.pid, default=self.core.own,
                          pred=self.pred)
-        return self.spawn(tag, view, [*self.pending.pop(tag, ()), *events])
+        self.children[tag] = view
+        view.attach((tag,), self)
+        out = []
+        for e in (*self.pending.pop(tag, ()), *events):
+            out.extend(self._step_child(tag, e) if isinstance(e, Request)
+                       else super().on_event(e))
+        return out
 
     def on_event(self, event):
         out = super().on_event(event)

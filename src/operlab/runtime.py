@@ -6,20 +6,21 @@ carry an instance path (tuple of string segments) that routes them to exactly
 one automaton. Child indications surface to the core as Request events whose
 args are prefixed with the child's tag.
 
-Paths are absolute. When a Composite is attached (as the root, as a
-constructor child or through `spawn`) it records its path, once, on itself,
-its core and its children, down the whole tree. An automaton builds each
-Send, Broadcast and SetTimer with its own `path` in front, so a parent passes
-its children's actions up unchanged. A timer id is its owner's path plus a
-sequence number, and the owner stores and compares that absolute id. A
-Composite at depth d routes a message by its `path` and a firing timer by
-`timer_id[:-1]`, with one rule: to the core when that path ends at d, else
-to the child tagged `path[d]`, passing the event on unchanged.
+Paths are absolute. When a Composite is attached (as the root or as a
+child) it records its path, once, on itself, its core and its children, down
+the whole tree. An automaton builds each Send, Broadcast and SetTimer with
+its own `path` in front, so a parent passes its children's actions up
+unchanged. A timer id is its owner's path plus a sequence number, and the
+owner stores and compares that absolute id. A message goes by its `path`
+and a firing timer by `timer_id[:-1]`: at a composite of depth d, to the
+core when that path ends at d, else to the child tagged `path[d]`.
 
-Routing is one dict lookup in a route table only the root holds, filled by
-`attach` and `spawn`, never by a message. It maps each automaton's path (a
-composite's own path: its core) to it and to the composites below the root
-down to its owner. Other paths resolve by their longest registered prefix: a
+Only the root routes: one dict lookup in a route table it alone holds,
+filled by `attach`, never by a message. Only the view loop (`oper.Oper`)
+attaches a child after construction. The table maps each automaton's path
+(a composite's own path: its core) to it and to the composites below the
+root down to its owner, so a nested composite only steps requests from its
+parent's core. Other paths resolve by their longest registered prefix: a
 leaf, or a composite without child `path[d]`. The target steps the event and
 its output comes back up through each level's lift, if there is any that is
 not a send, broadcast or timer; those alone return as they are.
@@ -31,14 +32,14 @@ it, so the simulator calls its `on_event` directly.
 Abandon is a runtime operation. The view loop sends Request("abandon") to a
 per-view core when it moves to a later view or finishes; `Automaton.step`
 answers it with [] after `abandon()`, which a Composite applies to its core
-and every child, down the whole tree, and to every child it spawns later. So
-an abandoned subtree is abandoned throughout, and routing checks nothing on
-the way to its target. From then on each automaton in it keeps its state and
-keeps processing messages and requests, but `step` mutes it: only
-Indicate("validate") leaves it. Validations outlive the view because the next
-view is proposed with a value the old view's validation broadcast validated;
-they come from message arrivals, so `step` drops an abandoned automaton's
-timers.
+and every child, down the whole tree; only the root, which is never
+abandoned, gains children later. So an abandoned subtree is abandoned
+throughout, and routing checks nothing on the way to its target. From then
+on each automaton in it keeps its state and keeps processing messages and
+requests, but `step` mutes it: only Indicate("validate") leaves it.
+Validations outlive the view because the next view is proposed with a value
+the old view's validation broadcast validated; they come from message
+arrivals, so `step` drops an abandoned automaton's timers.
 
 Timers are never cancelled: a timer of an abandoned instance fires and is
 ignored, so `step` is the one place that mutes an instance.
@@ -46,7 +47,6 @@ ignored, so `step` is the one place that mutes an instance.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .core import Payload
@@ -131,10 +131,9 @@ class Automaton:
         self.abandoned = False
         self._timer_seq = 0
 
-    def attach(self, path: tuple, root=None, way=()):
+    def attach(self, path: tuple, root, way=()):
         self.path = path
-        if root is not None:   # enter this automaton in root's route table
-            root.routes[path] = (self, way)
+        root.routes[path] = (self, way)
 
     def step(self, event) -> list:
         if isinstance(event, Request) and event.name == "abandon":
@@ -183,11 +182,10 @@ class Composite(Automaton):
 
     def attach(self, path: tuple, root=None, way=()):
         """Record `path`; enter this subtree in `root`'s route table below
-        the composites `way`. Only a root holds one, and no way holds a root,
+        the composites `way` (no root: hold the table). No way holds a root,
         so no reference cycle forms."""
         self.path, self.depth = path, len(path)
         self.routes = {} if root is None else None
-        self.root = weakref.ref(root) if root else None   # None at a root
         way, root = (way + (self,), root) if root else ((), self)
         self.core.attach(path, root, way)
         for tag, child in self.children.items():
@@ -202,17 +200,6 @@ class Composite(Automaton):
         for child in self.children.values():
             child.abandon()
 
-    def spawn(self, tag: str, child: Automaton, events=()) -> list:
-        """Register and attach a child, then step it through `events`."""
-        if tag in self.children:
-            raise ValueError(f"duplicate child tag {tag!r}")
-        self.children[tag] = child
-        if self.abandoned:   # an abandoned subtree stays abandoned throughout
-            child.abandon()
-        root = self.root() if self.root else self
-        child.attach(self.path + (tag,), root, root.routes[self.path][1])
-        return [a for event in events for a in self._step_child(tag, event)]
-
     def on_event(self, event):
         if isinstance(event, MessageArrival):
             path = event.path
@@ -220,10 +207,7 @@ class Composite(Automaton):
             path = event.timer_id[:-1]
         else:
             return self._absorb_core(self.core.step(event))
-        routes = self.routes or self.root().routes
-        target, way = routes.get(path) or self._longest_prefix(routes, path)
-        if self.routes is None:   # a nested composite routes from itself
-            way = way[way.index(self) + 1:]
+        target, way = self.routes.get(path) or self._longest_prefix(path)
         node = way[-1] if way else self
         if target is None:
             out = node._route_unknown(path[node.depth], event)
@@ -241,10 +225,10 @@ class Composite(Automaton):
 
     # -- internals -----------------------------------------------------
 
-    def _longest_prefix(self, routes, path):
+    def _longest_prefix(self, path):
         """Route of the longest registered prefix of `path` (registered
         paths are prefix-closed); no target if it names a composite."""
-        k = self.depth + 1
+        routes, k = self.routes, self.depth + 1
         while path[:k] in routes:
             k += 1
         target, way = routes[path[:k - 1]]

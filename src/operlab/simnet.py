@@ -272,7 +272,6 @@ class Trace:
     rows: list = field(default_factory=list)   # (time, pid, kind, path, pkind, bits)
     decisions: dict = field(default_factory=dict)      # pid -> (value, time)
     enters: list = field(default_factory=list)         # (time, pid, view)
-    indications: list = field(default_factory=list)    # (time, pid, name, args)
     sv_counts: dict = field(default_factory=dict)      # (pid, view) -> broadcasts
     pbit: dict = field(default_factory=dict)           # pid -> bits sent >= gst
 
@@ -368,7 +367,6 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                 at = schedule_timer(now, gst, a.duration, adversary.drift, rng)
                 push(at, pid, TimerFired(a.timer_id))
             elif cls is Indicate:
-                trace.indications.append((now, pid, a.name, a.args))
                 if collect_rows:
                     rows.append((now, pid, "indicate:" + a.name, (), "-", 0))
                 if a.name == "decide" and pid not in trace.decisions:

@@ -270,12 +270,8 @@ class RoundSimAdapter(Automaton):
         """Open round `self.round`, or indicate sync-done after the last."""
         if self.round >= self.total_rounds:
             self.done = True
-            return [Indicate("sync-done", (self._decision(),))]
+            return [Indicate("sync-done", (self.machine.decision(),))]
         return self._send_round() + [self.new_timer(self.delta_sync)[0]]
-
-    def _decision(self):
-        d = self.machine.decision()
-        return BOT if d is None else d
 
 
 class RecordingMachine(SyncMachine):

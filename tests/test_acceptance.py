@@ -18,7 +18,7 @@ from operlab.finisher import Finisher
 from operlab.graded_consensus import GradedConsensus
 from operlab.harness import (oper_params, oracle_sim, run_and_check,
                              scenario_adversary, scenario_config, sweep)
-from operlab.runtime import Request
+from operlab.runtime import Indicate, Request
 from operlab.simnet import AdversarySpec, SimConfig, run
 from operlab.sync_ba import GC_ROUNDS, SyncMachine, mc, rounds
 from operlab.validation_broadcast import make_validation_broadcast
@@ -137,7 +137,9 @@ def test_criterion_5_view_ceiling(fuzz_battery):
 
 
 def _indication_times(trace, name):
-    return {pid: tm for (tm, pid, n, _) in trace.indications if n == name}
+    """pid -> time of its last `name` indication (rows must be collected)."""
+    return {pid: tm for (tm, pid, kind, *_) in trace.rows
+            if kind == "indicate:" + name}
 
 
 def test_criterion_6_subprotocol_timing_bounds():
@@ -149,7 +151,7 @@ def test_criterion_6_subprotocol_timing_bounds():
     trace = run(config, AdversarySpec(),
                 lambda pid: Renamed(make_validation_broadcast(1, 0),
                                     {"propose": "broadcast"}),
-                max_time=100 * DELTA)
+                max_time=100 * DELTA, collect_rows=True)
     completed = _indication_times(trace, "completed")
     validated = _indication_times(trace, "validate")
     if set(completed) != set(config.correct):
@@ -163,7 +165,7 @@ def test_criterion_6_subprotocol_timing_bounds():
     trace = run(config, AdversarySpec(),
                 lambda pid: Renamed(Finisher(1),
                                     {"propose": "to_finish"}),
-                max_time=100 * DELTA)
+                max_time=100 * DELTA, collect_rows=True)
     finished = _indication_times(trace, "finish")
     if set(finished) != set(config.correct):
         bad.append(f"finishes missing: {sorted(finished)}")
@@ -258,6 +260,19 @@ def test_criterion_8_lockstep_budgets():
             f"{measured} <= {GC_ROUNDS}")
 
 
+class DecidingGC(GradedConsensus):
+    """Keeps the arguments of its last decide indication."""
+
+    decided = None
+
+    def on_event(self, event):
+        out = super().on_event(event)
+        for a in out or ():
+            if isinstance(a, Indicate) and a.name == "decide":
+                self.decided = a.args
+        return out
+
+
 def test_criterion_9_graded_consensus_consistency():
     bad = []
     runs = 0
@@ -274,7 +289,7 @@ def test_criterion_9_graded_consensus_consistency():
                     autos = {}
 
                     def factory(pid):
-                        autos[pid] = GradedConsensus(n, t)
+                        autos[pid] = DecidingGC(n, t)
                         return autos[pid]
 
                     adv = AdversarySpec(
@@ -282,9 +297,9 @@ def test_criterion_9_graded_consensus_consistency():
                         strategies={p: (strat,) for p in faulty})
                     trace = run(config, adv, factory,
                                 max_time=gst + 500 * DELTA)
-                    decided = {pid: args for (_, pid, name, args)
-                               in trace.indications
-                               if name == "decide" and pid in config.correct}
+                    decided = {pid: autos[pid].decided
+                               for pid in config.correct
+                               if autos[pid].decided is not None}
                     if set(decided) != set(config.correct):
                         bad.append(f"n={n} {strat} gst={gst} seed={seed}: "
                                    f"undecided correct processes")

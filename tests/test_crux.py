@@ -38,13 +38,13 @@ def run_crux(proposals, faulty=frozenset(), delta=10):
                          default=proposals.get(pid, 0))
 
     trace = run(config, AdversarySpec(), factory,
-                max_time=10 * params(delta=delta).delta_total)
+                max_time=10 * params(delta=delta).delta_total,
+                collect_rows=True)
     return config, trace
 
 
 def completions(trace):
-    return {pid for (_, pid, name, _) in trace.indications
-            if name == "completed"}
+    return {row[1] for row in trace.rows if row[2] == "indicate:completed"}
 
 
 def test_unanimous_decides_within_deadline():

@@ -49,6 +49,11 @@ def test_load_scenario_roundtrip(tmp_path):
     {**BASE, "strategies": {"3": ["silent"]}},            # 3 is not faulty
     {**BASE, "faulty": [3], "strategies": {"x": ["silent"]}},
     {"n": 4, "delta": 10, "proposals": {"a": 1}},
+    # a process id spelled other than as str(int) spells it
+    {"n": 4, "delta": 10, "proposals": {"00": 1}},
+    {"n": 4, "delta": 10, "proposals": {" 1": 1}},
+    {"n": 4, "delta": 10, "proposals": {"+2": 1}},
+    {"n": 11, "delta": 10, "faulty": [10], "strategies": {"1_0": ["crash", 5]}},
     {**BASE, "validity": {"kind": "membership"}},         # no members
     {**BASE, "validity": {"kind": "modulo", "divisor": 0, "residue": 0}},
     {**BASE, "n": "4"},

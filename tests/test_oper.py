@@ -1,3 +1,5 @@
+import gc
+
 import operlab.oper
 from operlab.core import Payload
 from operlab.oper import BUFFER_CAP, Oper, crux_tag, _tag_view, make_oper
@@ -55,12 +57,38 @@ def test_view_spawned_from_the_buffer_is_routed_by_the_table():
     oper.step(Request("propose", (5,)))
     view = oper.children[crux_tag(2)]
     gc1 = view.children["gc1"]
-    assert view.routes is None and view.root() is oper
+    assert view.routes is None
     assert oper.routes[path] == (gc1, (view,))
     assert gc1.tallies[1].count(5) == 1   # the replayed message
     oper.step(MessageArrival(2, Payload("ECHO", value=5), path=path))
     assert gc1.tallies[1].count(5) == 2
     assert len(oper.routes) == len(automata(oper)) == 14
+
+
+def test_buffered_message_reaches_a_nested_instance_of_its_view():
+    oper = Oper(4, 1, 10, pid=0)
+    oper.step(MessageArrival(1, Payload("INIT", value=5),
+                             path=(crux_tag(1), "vb", "rb")))
+    oper.step(Request("propose", (5,)))
+    rb = oper.children[crux_tag(1)].children["vb"].children["rb"]
+    assert rb.init.count(5) == 1
+
+
+def test_an_oper_holds_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        oper = Oper(4, 1, 10, pid=0)
+        oper.step(MessageArrival(1, Payload("INIT", value=5),
+                                 path=(crux_tag(1), "vb", "rb")))
+        oper.step(Request("propose", (5,)))   # spawns crux@1 from the buffer
+        oper.step(MessageArrival(1, Payload("ECHO", value=5),
+                                 path=(crux_tag(3), "gc1")))
+        assert sorted(oper.children) == [crux_tag(1), crux_tag(3), "fin"]
+        del oper
+        assert gc.collect() == 0   # refcounting freed the whole tree
+    finally:
+        gc.enable()
 
 
 def run_oper_net(proposals, faulty=frozenset(), gst=0, seed=0,
@@ -215,9 +243,8 @@ def test_decision_halts_the_process():
             assert pid not in halted, f"process {pid} sent after its halt"
     assert halted == set(config.correct)
     # decision indications recorded exactly once per process
-    decides = [(pid, args) for (_, pid, name, args) in trace.indications
-               if name == "decide"]
-    assert sorted(pid for pid, _ in decides) == config.correct
+    decides = [row[1] for row in trace.rows if row[2] == "indicate:decide"]
+    assert sorted(decides) == config.correct
 
 
 def test_a_view_change_abandons_every_instance_of_the_old_view():

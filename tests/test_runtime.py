@@ -1,7 +1,5 @@
 import gc
 
-import pytest
-
 from operlab.core import Payload
 from operlab.runtime import (Automaton, Broadcast, Composite, Indicate,
                              MessageArrival, Request, Send, SetTimer,
@@ -58,12 +56,6 @@ def test_to_child_for_unknown_tag_counts_misrouted():
     comp = Composite(Recorder())
     assert comp.step(Request("kick")) == []
     assert comp.misrouted == 1
-
-
-def test_duplicate_spawn_rejected():
-    comp = Composite(Recorder(), children={"a": Echoer()})
-    with pytest.raises(ValueError):
-        comp.spawn("a", Echoer())
 
 
 class Forwarder(Recorder):
@@ -146,24 +138,11 @@ class TimedCore(Recorder):
         return []
 
 
-class SpawnsMid(Composite):
-    """Spawns the prebuilt composite `mid` on the first event for it."""
-
-    def __init__(self, core, mid):
-        super().__init__(core)
-        self.mid = mid
-
-    def _route_unknown(self, tag, event):
-        if tag == "mid":
-            return self.spawn(tag, self.mid, [event])
-        return super()._route_unknown(tag, event)
-
-
 def nested():
-    """root -> lazily spawned "mid" composite -> prebuilt child "leaf"."""
+    """root -> composite child "mid" -> child "leaf"."""
     leaf = Leaf()
     mid = Composite(TimedCore(), children={"leaf": leaf})
-    root = SpawnsMid(Recorder(), mid)
+    root = Composite(Recorder(), children={"mid": mid})
     return root, mid, leaf
 
 
@@ -264,15 +243,17 @@ def composites(comp):
                      if isinstance(child, Composite) for c in composites(child)]
 
 
-def test_root_holds_the_route_table_filled_by_attach_and_spawn():
-    root, mid, leaf = nested()
+def test_root_holds_the_route_table_filled_by_attach():
+    leaf = Leaf()
+    mid = Composite(TimedCore(), children={"leaf": leaf})
     assert mid.routes == {(): (mid.core, ()), ("leaf",): (leaf, ())}
-    assert root.routes == {(): (root.core, ())}
-    root.step(msg(path=("mid", "leaf")))   # spawns mid
-    assert mid.routes is None and mid.root() is root and root.root is None
-    assert root.routes == {(): (root.core, ()),
-                           ("mid",): (mid.core, (mid,)),
-                           ("mid", "leaf"): (leaf, (mid,))}
+    root = Composite(Recorder(), children={"mid": mid})   # attaches mid
+    assert mid.routes is None
+    routes = {(): (root.core, ()), ("mid",): (mid.core, (mid,)),
+              ("mid", "leaf"): (leaf, (mid,))}
+    assert root.routes == routes
+    root.step(msg(path=("mid", "leaf")))
+    assert root.routes == routes
 
 
 def test_a_tree_holds_no_reference_cycle():
@@ -334,20 +315,6 @@ class Replier(Automaton):
 
     def on_event(self, event):
         return [Send(event.sender, event.payload, self.path)]
-
-
-def test_a_child_spawned_under_an_abandoned_composite_starts_abandoned():
-    mid = Composite(Recorder())
-    root = Composite(Recorder(), children={"mid": mid})
-    assert mid.step(Request("abandon")) == []
-    assert mid.spawn("leaf", Replier()) == []
-    assert mid.spawn("loud", Loud()) == []
-    assert mid.children["leaf"].abandoned and mid.children["loud"].abandoned
-    # routing checks nothing on the way: each target mutes itself
-    assert root.step(msg(2, path=("mid", "leaf"))) == []
-    assert root.step(msg(2, path=("mid", "loud"))) == []
-    assert mid.core.events == [Request("validate", ("loud", 7))]
-    assert root.core.events == []
 
 
 def test_a_route_used_before_an_abandon_mutes_its_target_after_it():

@@ -329,7 +329,7 @@ def test_actions_after_a_halt_are_dropped():
     assert "indicate:late" not in kinds(trace, 0)
     assert kinds(trace, 0).count("broadcast") == 1
     assert trace.pbit[0] == trace.pbit[1] == 160   # one 40-bit broadcast
-    assert [row for row in trace.indications if row[1] == 0] == []
+    assert [k for k in kinds(trace, 0) if k.startswith("indicate:")] == []
 
 
 def test_a_halted_process_is_never_stepped_again():
