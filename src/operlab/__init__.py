@@ -8,8 +8,8 @@ from .finisher import Finisher
 from .graded_consensus import GradedConsensus
 from .oper import Oper, make_oper
 from .reducing_broadcast import ReducingBroadcast
-from .simnet import (AdversarySpec, SimConfig, Trace, latency, run,
-                     schedule_deliveries, schedule_timer)
+from .simnet import (AdversarySpec, SimConfig, Trace, check_adversary,
+                     delivery_window, latency, run, schedule_timer)
 from .sync_ba import (GC_ROUNDS, RoundSimAdapter, SyncMachine, budget,
                       lockstep_run, mc, rounds)
 from .validation_broadcast import make_validation_broadcast
@@ -18,8 +18,9 @@ __all__ = [
     "BOT", "DEFAULT_VALUE_WIDTH", "Payload", "PayloadError",
     "ValidityPredicate", "payload_bits", "CruxParams", "est_rule",
     "make_crux", "Finisher", "GradedConsensus", "Oper", "make_oper",
-    "ReducingBroadcast", "AdversarySpec", "SimConfig", "Trace", "latency",
-    "run", "schedule_deliveries", "schedule_timer", "GC_ROUNDS",
+    "ReducingBroadcast", "AdversarySpec", "SimConfig", "Trace",
+    "check_adversary", "delivery_window", "latency", "run", "schedule_timer",
+    "GC_ROUNDS",
     "RoundSimAdapter", "SyncMachine", "budget", "lockstep_run", "mc",
     "rounds", "make_validation_broadcast",
 ]

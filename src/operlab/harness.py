@@ -6,8 +6,10 @@ error. The default check bundle evaluates agreement, strong validity,
 external validity, the termination deadline, the view ceiling and per-view
 START-VIEW budgets on every run. Post-halt silence and the delivery-time
 envelope hold by construction (`simnet.run` drops every action after a
-process's `Halt` and never steps it again; `simnet.schedule_deliveries`
-clamps into the envelope), so unit tests cover them instead of per-run checks.
+process's `Halt` and never steps it again; `simnet.delivery_window` keeps
+every copy in the envelope), so unit tests cover them instead of per-run
+checks. Strategy and rule specs are checked by the simulator's own
+`simnet.check_adversary`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from .core import ValidityPredicate
 from .crux import CruxParams
 from .oper import make_oper
-from .simnet import SPEC_ARGS, AdversarySpec, SimConfig, Trace, run
+from .simnet import AdversarySpec, SimConfig, Trace, check_adversary, run
 from .sync_ba import (RecordingMachine, RoundSimAdapter, SyncMachine,
                       lockstep_run)
 
@@ -64,26 +66,21 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError("give either 'proposal' or 'proposals', not both")
     if scn.get("seeds", 1) < 1:
         raise ScenarioError(f"seeds must be >= 1, not {scn['seeds']!r}")
-    for pid, spec in _int_key_map(scn.get("strategies")).items():
-        if pid not in scn.get("faulty", ()):
-            raise ScenarioError(f"strategy for process {pid}, not faulty")
-        _check_spec("strategies", spec)
-    for name in ("pre_gst_delay", "drift"):
-        if name in scn:
-            _check_spec(name, scn[name])
+    _check_adversary(scn)
     _build_validity(scn.get("validity"))  # raises on malformed input
     return scn
 
 
-def _check_spec(name, spec):
-    """A strategy or rule spec: a known kind, then as many arguments as
-    `SPEC_ARGS` allows it, each an int >= 0 (a flood interval >= 1)."""
-    kind = spec[0] if isinstance(spec, list) and spec else None
-    counts = SPEC_ARGS[name].get(kind) if isinstance(kind, str) else None
-    least = 1 if kind == "flood" else 0
-    if counts is None or len(spec) - 1 not in counts or any(
-            type(a) is not int or a < least for a in spec[1:]):
-        raise ScenarioError(f"bad {name} spec {spec!r}")
+def _check_adversary(scn):
+    """The simulator's own check of the rules and strategies (`SPEC_ARGS`),
+    on the scenario's raw specs, as a `ScenarioError`."""
+    rules = {k: scn[k] for k in ("pre_gst_delay", "drift") if k in scn}
+    adversary = AdversarySpec(
+        **rules, strategies=_int_key_map(scn.get("strategies")))
+    try:
+        check_adversary(adversary, scn.get("faulty", ()))
+    except ValueError as e:
+        raise ScenarioError(str(e))
 
 
 def _build_validity(spec) -> ValidityPredicate:

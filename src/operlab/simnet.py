@@ -4,16 +4,17 @@ Virtual time is integer ticks. Messages sent at time s are delivered by
 max(s, gst) + delta; timers set at s >= gst fire at exactly s + d, while
 timers set before gst may drift anywhere in (s, max(s, gst) + d]. The
 adversary picks delivery times and drift within those envelopes, and drives
-the faulty processes through pluggable strategies. One run is a pure
+the faulty processes through pluggable strategies. Events run in order of
+tick and, within a tick, in the order they were queued. One run is a pure
 function of (config, adversary, seed).
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .core import (DEFAULT_VALUE_WIDTH, Payload, ValidityPredicate, path_bits,
                    payload_bits)
@@ -90,19 +91,18 @@ def draw(getrandbits, low, width, k=None):
     return low + r
 
 
-def schedule_deliveries(now, gst, delta, rule, rng, k):
-    """Delivery times of k copies sent at `now`, within the model envelope:
-    under "uniform" each copy draws its own time, in copy order."""
+def delivery_window(now, gst, delta, rule):
+    """Ticks a copy sent at `now` may take under delay `rule` (a spec that
+    `check_adversary` accepts), as (low, width), within the model envelope;
+    `run` takes the fixed tick `low` when width is 1, else draws per copy."""
     bound = max(now, gst) + delta
     kind = rule[0]
     if kind == "uniform":
-        width = bound - now + 1
-        bits, getrandbits = width.bit_length(), rng.getrandbits
-        return [draw(getrandbits, now, width, bits) for _ in range(k)]
+        return now, bound - now + 1
     if kind == "max":
-        return [bound] * k
+        return bound, 1
     if kind == "exact":
-        return [min(max(now + rule[1], now), bound)] * k
+        return min(now + rule[1], bound), 1
     raise ValueError(f"unknown delay rule {kind!r}")
 
 
@@ -252,6 +252,29 @@ SPEC_ARGS = {
 }
 
 
+def _check_spec(name, spec):
+    """Raise ValueError unless `spec` is a (kind, *args) that
+    `SPEC_ARGS[name]` allows: a known kind, then as many arguments as it
+    takes, each an int >= 0 (a flood interval >= 1)."""
+    kind = spec[0] if isinstance(spec, (tuple, list)) and spec else None
+    counts = SPEC_ARGS[name].get(kind) if isinstance(kind, str) else None
+    least = 1 if kind == "flood" else 0
+    if counts is None or len(spec) - 1 not in counts or any(
+            type(a) is not int or a < least for a in spec[1:]):
+        raise ValueError(f"bad {name} spec {spec!r}")
+
+
+def check_adversary(adversary, faulty):
+    """Raise ValueError unless both rules and every strategy of `adversary`
+    are specs `SPEC_ARGS` allows, and each strategy drives a faulty process."""
+    _check_spec("pre_gst_delay", adversary.pre_gst_delay)
+    _check_spec("drift", adversary.drift)
+    for pid, spec in adversary.strategies.items():
+        if pid not in faulty:
+            raise ValueError(f"strategy for process {pid}, not faulty")
+        _check_spec("strategies", spec)
+
+
 def make_strategy(spec, inner, config, rng, clock):
     """Strategy `spec` = (kind, *args) wrapping `inner`; it draws from `rng`
     and reads the virtual time from `clock()`."""
@@ -299,7 +322,9 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
     root_factory(pid) builds the protocol automaton for each process; faulty
     processes get theirs wrapped in their strategy.
     """
+    check_adversary(adversary, config.faulty)
     rng = random.Random(config.seed)
+    getrandbits = rng.getrandbits
     trace = Trace(config)
 
     def clock():
@@ -318,13 +343,18 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                   else adversary.pre_gst_delay for p, auto in autos.items()}
 
     n, gst, delta = config.n, config.gst, config.delta
-    queue: list = []
-    seq = 0
+    # calendar queue: the events of each pending tick in push order, as one
+    # flat list pid, event, pid, event, ... (no tuple per event), and a heap
+    # that holds each pending tick once
+    calendar: dict = {}
+    ticks: list = []
 
-    def push(fire_at, pid, event):
-        nonlocal seq
-        seq += 1
-        heapq.heappush(queue, (fire_at, seq, pid, event))
+    def push(at, pid, event):
+        if (bucket := calendar.get(at)) is None:
+            calendar[at] = [pid, event]
+            heappush(ticks, at)
+        else:
+            bucket += pid, event
 
     rows, pbit = trace.rows, trace.pbit
     accounting, value_width = config.accounting, config.value_width
@@ -332,7 +362,9 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
     def absorb(now, pid, actions):
         correct = pid not in config.faulty
         counted = correct and now >= gst
-        rule = delay_rule[pid]
+        # every copy sent in this step shares one delivery window
+        low, width = delivery_window(now, gst, delta, delay_rule[pid])
+        k = width.bit_length()
         # bits and arrival of the last payload sent: a run of actions that
         # share one payload object and one path computes them once
         payload = path = None
@@ -358,10 +390,10 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                     dests = range(n)
                 else:   # a send out of range is charged, never delivered
                     dests = (a.to,) if 0 <= a.to < n else ()
-                # one arrival, shared by every copy
-                times = schedule_deliveries(now, gst, delta, rule, rng,
-                                            len(dests))
-                for dest, at in zip(dests, times):
+                # one arrival, shared by every copy; a window one tick wide
+                # is a fixed tick, which draws nothing
+                for dest in dests:
+                    at = low if width == 1 else draw(getrandbits, low, width, k)
                     push(at, dest, arrival)
             elif cls is SetTimer:
                 at = schedule_timer(now, gst, a.duration, adversary.drift, rng)
@@ -388,25 +420,33 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
         v = config.proposals.get(pid, 0)
         push(at, pid, Request("propose", (v,)))
 
-    # the loop ends once every correct process has halted
+    # the loop ends once every correct process has halted, even mid-tick
     halted, running = set(), set(config.correct)
-    while queue and running:
-        now, _, pid, event = heapq.heappop(queue)
+    while ticks and running:
+        now = heappop(ticks)
         if now > max_time:
             break
-        # every event is recorded; a halted process is never stepped again
-        if collect_rows:
-            if isinstance(event, TimerFired):
-                rows.append((now, pid, "timer-fire", event.timer_id, "-", 0))
-            elif isinstance(event, MessageArrival):
-                p = event.payload
-                rows.append((now, pid, "deliver", event.path, p.kind,
-                             payload_bits(p, accounting, value_width)))
-        if pid in halted:
-            continue
-        # a root has no parent to abandon it, so it skips Automaton.step
-        if actions := autos[pid].on_event(event):
-            absorb(now, pid, actions)
+        # an event pushed onto this tick while it runs joins the end of its
+        # list, so it is stepped after every event already there
+        events = iter(calendar[now])
+        for pid, event in zip(events, events):
+            # every event is recorded; a halted process is never stepped again
+            if collect_rows:
+                if isinstance(event, TimerFired):
+                    rows.append((now, pid, "timer-fire", event.timer_id,
+                                 "-", 0))
+                elif isinstance(event, MessageArrival):
+                    p = event.payload
+                    rows.append((now, pid, "deliver", event.path, p.kind,
+                                 payload_bits(p, accounting, value_width)))
+            if pid in halted:
+                continue
+            # a root has no parent to abandon it, so it skips Automaton.step
+            if actions := autos[pid].on_event(event):
+                absorb(now, pid, actions)
+                if not running:
+                    break
+        del calendar[now]
     return trace
 
 

@@ -1,0 +1,39 @@
+import importlib.util
+from pathlib import Path
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def result(rate, ms):
+    return {"correct": True, "attempted": 4, "failed": 0,
+            "metrics": {"runs_per_s": {"value": rate, "unit": "1/s"},
+                        "run_ms_p50": {"value": ms, "unit": "ms"}}}
+
+
+def test_summary_of_canned_pairs():
+    runs = {"parent": [result(r, m) for r, m in
+                       [(2.0, 500), (2.2, 450), (2.1, 480), (2.4, 400),
+                        (2.3, 300)]],
+            "change": [result(r, m) for r, m in
+                       [(2.5, 400), (2.1, 470), (2.6, 380), (2.4, 400),
+                        (2.9, 350)]]}
+    better = {"runs_per_s": "higher", "run_ms_p50": "lower"}
+    summary = bench_pairs.summarize(runs, better)
+    assert summary["pairs"] == 5
+    assert summary["runs"] is runs
+    assert summary["median"] == {
+        "parent": {"runs_per_s": 2.2, "run_ms_p50": 450},
+        "change": {"runs_per_s": 2.5, "run_ms_p50": 400}}
+    # the "exclusive" quartiles of 2.0, 2.1, 2.2, 2.3, 2.4
+    q1, q3 = summary["parent_quartiles"]["runs_per_s"]
+    assert round(q1, 9) == 2.05 and round(q3, 9) == 2.35
+    assert summary["change_quartiles"]["run_ms_p50"] == [365, 435]
+    # a tie is no win; a lower time wins, a higher rate wins
+    assert summary["change_wins"] == {"runs_per_s": 3, "run_ms_p50": 2}
+
+
+def test_quartiles_of_one_run_are_that_run():
+    assert bench_pairs.quartiles([3.5]) == [3.5, 3.5]

@@ -10,21 +10,25 @@ from operlab.runtime import (Automaton, Broadcast, Composite, Halt, Indicate,
                              MessageArrival, Request, Send, SetTimer, ToChild,
                              TimerFired)
 from operlab.simnet import (AdversarySpec, CSV_HEADER, SPEC_ARGS, STRATEGIES,
-                            SimConfig, csv_row, draw, latency, make_strategy,
-                            run, schedule_deliveries, schedule_timer,
+                            SimConfig, csv_row, delivery_window, draw,
+                            latency, make_strategy, run, schedule_timer,
                             trace_lines)
 
 
 # -- envelope schedules ------------------------------------------------------
 
 
-@given(st.integers(0, 1000), st.integers(0, 1000), st.integers(1, 50),
-       st.integers(0, 10_000))
-def test_delivery_always_within_envelope(now, gst, delta, seed):
-    rng = random.Random(seed)
-    for rule in (("uniform",), ("max",), ("exact", 3), ("exact", 10**6)):
-        for at in schedule_deliveries(now, gst, delta, rule, rng, 3):
-            assert now <= at <= max(now, gst) + delta
+DELAY_RULES = (("uniform",), ("max",), ("exact", 3), ("exact", 10**6))
+
+
+@given(st.integers(0, 1000), st.integers(0, 1000), st.integers(1, 50))
+def test_delivery_always_within_envelope(now, gst, delta):
+    """Every tick of the window lies in the envelope. The ticks that copies
+    take in `run` are checked by the batched-deliveries test below."""
+    for rule in DELAY_RULES:
+        low, width = delivery_window(now, gst, delta, rule)
+        assert width >= 1
+        assert now <= low and low + width - 1 <= max(now, gst) + delta
 
 
 @given(st.integers(0, 1000), st.integers(0, 1000), st.integers(1, 50),
@@ -39,19 +43,47 @@ def test_timer_always_within_envelope(now, gst, d, seed):
             assert now < at <= gst + d
 
 
-DELAY_RULES = (("uniform",), ("max",), ("exact", 3), ("exact", 10**6))
+class Tagged(Automaton):
+    """Broadcasts INIT(1) on the path ("from", pid) on its proposal."""
+
+    def __init__(self, pid):
+        super().__init__()
+        self.pid = pid
+
+    def on_event(self, event):
+        if isinstance(event, Request):
+            return [Broadcast(INIT1, ("from", self.pid))]
+        return []
 
 
 @given(st.integers(0, 1000), st.integers(0, 1000), st.integers(1, 50),
-       st.integers(0, 12), st.integers(0, 10_000))
-def test_batched_deliveries_match_sequential_draws(now, gst, delta, k, seed):
+       st.integers(4, 7), st.integers(0, 10_000))
+def test_batched_deliveries_match_sequential_draws(now, gst, delta, n, seed):
+    """Every process broadcasts in one step at `now`; process 1 is a delayer,
+    whose copies take the fixed "max" tick and draw nothing."""
     for rule in DELAY_RULES:
-        batched, sequential = random.Random(seed), random.Random(seed)
-        times = schedule_deliveries(now, gst, delta, rule, batched, k)
-        assert times == [
-            schedule_deliveries(now, gst, delta, rule, sequential, 1)[0]
-            for _ in range(k)]
-        assert batched.getstate() == sequential.getstate()
+        config = SimConfig(n=n, t=1, faulty=frozenset({1}), gst=gst,
+                           delta=delta, seed=seed,
+                           propose_at=dict.fromkeys(range(n), now))
+        adversary = AdversarySpec(pre_gst_delay=rule,
+                                  strategies={1: ("delayer",)})
+        trace = run(config, adversary, Tagged, max_time=10**6,
+                    collect_rows=True)
+        ticks = {(row[3][1], row[1]): row[0] for row in trace.rows
+                 if row[2] == "deliver"}
+        # every copy is delivered, inside the envelope
+        assert len(ticks) == n * n
+        assert all(now <= at <= max(now, gst) + delta
+                   for at in ticks.values())
+        # each sender's n copies, senders in step order, take the values
+        # of n sequential randint calls (or the fixed tick, without a draw)
+        stdlib = random.Random(seed)
+        for sender in range(n):
+            low, width = delivery_window(
+                now, gst, delta, ("max",) if sender == 1 else rule)
+            assert [ticks[sender, dest] for dest in range(n)] == [
+                low if width == 1 else stdlib.randint(low, low + width - 1)
+                for dest in range(n)]
 
 
 def test_draw_matches_stdlib_randint():
@@ -100,7 +132,7 @@ def test_send_to_out_of_range_destination_draws_nothing():
 def test_unknown_rules_rejected():
     rng = random.Random(0)
     with pytest.raises(ValueError):
-        schedule_deliveries(0, 0, 10, ("bogus",), rng, 1)
+        delivery_window(0, 0, 10, ("bogus",))
     with pytest.raises(ValueError):
         schedule_timer(0, 10, 10, ("bogus",), rng)
 
@@ -125,6 +157,26 @@ def test_config_rejects_bad_parameters():
         SimConfig(n=4, t=-1)
     with pytest.raises(ValueError, match="value_width must be >= 1"):
         SimConfig(n=4, t=1, value_width=0)
+
+
+@pytest.mark.parametrize("adversary", [
+    AdversarySpec(drift=("bogus",)),        # gst 0: no timer reads the drift
+    AdversarySpec(pre_gst_delay=("exact",)),
+    AdversarySpec(strategies={0: ("silent",)}),   # 0 is correct
+    AdversarySpec(strategies={3: ("crash",)}),
+    AdversarySpec(strategies={3: ("flood", 0)}),
+    AdversarySpec(pre_gst_delay=("max", 1)),
+])
+def test_run_rejects_a_bad_adversary_before_the_first_event(adversary):
+    config = SimConfig(n=4, t=1, faulty=frozenset({3}))
+    stepped = []
+
+    def factory(pid):
+        stepped.append(pid)
+        return Pinger([SetTimer(5, ("t",))])
+    with pytest.raises(ValueError):
+        run(config, adversary, factory, max_time=100)
+    assert stepped == []
 
 
 def test_correct_excludes_faulty():
@@ -250,6 +302,72 @@ def test_timeout_marks_non_terminated():
     trace = run(config, AdversarySpec(pre_gst_delay=("max",)),
                 lambda pid: PingDecider(), max_time=5)
     assert not trace.terminated
+
+
+class Logger(Automaton):
+    """Answers its proposal with `script`; logs (pid, event) per step."""
+
+    def __init__(self, pid, log, script=()):
+        super().__init__()
+        self.pid, self.log, self.script = pid, log, list(script)
+
+    def on_event(self, event):
+        self.log.append((self.pid, event))
+        return self.script if isinstance(event, Request) else []
+
+
+def logged_run(scripts, max_time=1000, **kwargs):
+    """An n=4 run of Loggers; returns the log of every step, in order."""
+    log = []
+    config = SimConfig(n=4, t=1, **kwargs)
+    run(config, AdversarySpec(pre_gst_delay=("exact", 0)),
+        lambda pid: Logger(pid, log, scripts.get(pid, ())),
+        max_time=max_time)
+    return log
+
+
+def propose(v=0):
+    return Request("propose", (v,))
+
+
+def test_a_copy_delivered_in_its_own_tick_runs_after_that_tick_s_events():
+    # process 3 proposes at tick 1; the others at tick 0, where process 0
+    # sends a copy that arrives at once
+    log = logged_run({0: [Send(1, INIT1)]}, gst=1000, propose_at={3: 1})
+    assert log == [(0, propose()), (1, propose()), (2, propose()),
+                   (1, MessageArrival(0, INIT1)), (3, propose())]
+
+
+def test_timers_and_deliveries_on_one_tick_run_in_push_order():
+    # gst 0: the timers fire at exactly 5, and ("exact", 0) delivers at once
+    log = logged_run({0: [SetTimer(5, ("a",)), Send(1, INIT1)],
+                      2: [Send(0, INIT2), SetTimer(0, ("b",))],
+                      3: [SetTimer(5, ("c",))]})
+    assert log[4:] == [(1, MessageArrival(0, INIT1)),
+                       (0, MessageArrival(2, INIT2)),
+                       (2, TimerFired(("b",))),
+                       (0, TimerFired(("a",))),
+                       (3, TimerFired(("c",)))]
+
+
+def test_an_event_at_max_time_is_stepped_and_one_after_it_is_not():
+    log = logged_run({0: [SetTimer(10, ("at",)), SetTimer(11, ("after",))]},
+                     max_time=10)
+    assert log[4:] == [(0, TimerFired(("at",)))]
+
+
+def test_the_loop_stops_mid_tick_once_the_last_correct_process_halts():
+    # each correct process sends to the faulty process 3 and halts; the
+    # copies would arrive at once, in the tick the last halt ends
+    log = []
+    config = SimConfig(n=4, t=1, faulty=frozenset({3}), gst=1000)
+    adversary = AdversarySpec(pre_gst_delay=("exact", 0),
+                              strategies={3: ("equivocate",)})
+    trace = run(config, adversary,
+                lambda pid: Logger(pid, log, [Send(3, INIT1), Halt()]),
+                max_time=1000, collect_rows=True)
+    assert log == [(0, propose()), (1, propose()), (2, propose())]
+    assert [row[2] for row in trace.rows] == ["send", "halt"] * 3
 
 
 class Mute(Automaton):

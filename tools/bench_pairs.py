@@ -1,0 +1,147 @@
+"""Benchmark a change against its parent in alternating pairs of runs.
+
+Usage, from the root of a source checkout:
+
+    python3 tools/bench_pairs.py --label LABEL --pairs N --seed S \\
+        --seconds X [--workload W ...] [--parent REV] [--change TEXT] \\
+        [--host TEXT]
+
+Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds X
+--trace 0` once in a checkout of the parent and once in the working tree.
+Odd pairs run the parent first, even pairs the change first, so a slow
+spell of the host hits both sides alike. The parent checkout is made with
+`git worktree add --detach` at REV (default HEAD) and removed at the end.
+Without --workload every workload in BENCHMARK.json runs.
+
+Writes BENCH_<label>.json at the root: per workload, the result of every
+run on each side, the median of each end-to-end metric, both sides'
+quartiles and, per metric, the number of pairs in which the change did
+better (the direction each metric improves in is read from BENCHMARK.json).
+Exits 1 if a run fails or reports an incorrect result.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def quartiles(values):
+    """First and third quartile (the `statistics` default method)."""
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [q1, q3]
+
+
+def summarize(runs, better):
+    """The BENCH_*.json entry of one workload. `runs` maps "parent" and
+    "change" to equally long lists of perfbench results, pair by pair;
+    `better` maps each end-to-end metric to "higher" or "lower"."""
+    values = {side: {m: [r["metrics"][m]["value"] for r in runs[side]]
+                     for m in better} for side in ("parent", "change")}
+    wins = {}
+    for m, direction in better.items():
+        sign = 1 if direction == "higher" else -1
+        wins[m] = sum(sign * (c - p) > 0 for p, c in
+                      zip(values["parent"][m], values["change"][m]))
+    return {
+        "pairs": len(runs["parent"]),
+        "runs": runs,
+        "median": {side: {m: statistics.median(v) for m, v in vals.items()}
+                   for side, vals in values.items()},
+        "parent_quartiles": {m: quartiles(v)
+                             for m, v in values["parent"].items()},
+        "change_quartiles": {m: quartiles(v)
+                             for m, v in values["change"].items()},
+        "change_wins": wins,
+    }
+
+
+def bench(checkout, workload, seed, seconds):
+    """One perfbench run in `checkout`; its result, the last output line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:"
+                 f"\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        sys.exit(f"{workload} in {checkout}: incorrect result {result}")
+    return result
+
+
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--label", required=True)
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--workload", action="append")
+    p.add_argument("--parent", default="HEAD")
+    p.add_argument("--change", default="")
+    p.add_argument("--host",
+                   default=f"{os.cpu_count()}-CPU {platform.machine()}")
+    args = p.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    parent = git("rev-parse", args.parent)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_dir = str(Path(tmp) / "parent")
+        git("worktree", "add", "--detach", parent_dir, parent)
+        try:
+            entries = {}
+            for w in workloads:
+                runs = {"parent": [], "change": []}
+                for i in range(args.pairs):
+                    order = ("parent", "change") if i % 2 == 0 \
+                        else ("change", "parent")
+                    for side in order:
+                        checkout = parent_dir if side == "parent" else ROOT
+                        runs[side].append(
+                            bench(checkout, w, args.seed, args.seconds))
+                    rate = {side: runs[side][-1]["metrics"]["runs_per_s"]
+                            ["value"] for side in order}
+                    print(f"{w} pair {i + 1}: runs_per_s parent "
+                          f"{rate['parent']:.3f}, change {rate['change']:.3f}",
+                          flush=True)
+                entries[w] = summarize(runs, better)
+        finally:
+            git("worktree", "remove", "--force", parent_dir)
+
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps({
+        "label": args.label,
+        "change": args.change,
+        "parent": parent,
+        "command": f"python3 perfbench/run.py --workload W --seed "
+                   f"{args.seed} --seconds {args.seconds:g} --trace 0",
+        "python": platform.python_version(),
+        "host": args.host,
+        "order": "pairs alternate which side runs first: odd pairs run the "
+                 "parent first, even pairs the change first",
+        "workloads": entries,
+    }, indent=1) + "\n")
+    print(f"wrote {out}")
+
+
+if __name__ == "__main__":
+    main()
