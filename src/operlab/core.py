@@ -105,9 +105,10 @@ _VALUE_KINDS = frozenset(
 _VIEW_KINDS = frozenset({"START-VIEW"})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Payload:
-    """A typed wire message. `value` may be an int, BOT, or None (absent)."""
+    """A typed wire message. `value` may be an int, BOT, or None (absent).
+    A record: slotted, never edited once built (see `runtime`)."""
 
     kind: str
     value: object = None

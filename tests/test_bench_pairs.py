@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -37,3 +39,17 @@ def test_summary_of_canned_pairs():
 
 def test_quartiles_of_one_run_are_that_run():
     assert bench_pairs.quartiles([3.5]) == [3.5, 3.5]
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_fewer_than_one_pair_exits_2_before_any_worktree(
+        pairs, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: calls.append(args))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--label", "t", "--pairs", pairs, "--seed", "1",
+                          "--seconds", "1"])
+    assert exit_info.value.code == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err
+    assert calls == [] and list(tmp_path.iterdir()) == []

@@ -1,7 +1,10 @@
 import gc
+from dataclasses import replace
 
-from operlab.core import Payload
-from operlab.runtime import (Automaton, Broadcast, Composite, Indicate,
+import pytest
+
+from operlab.core import Payload, PayloadError
+from operlab.runtime import (Automaton, Broadcast, Composite, Halt, Indicate,
                              MessageArrival, Request, Send, SetTimer,
                              TimerFired, ToChild)
 
@@ -356,3 +359,30 @@ def test_depth_two_indication_reaches_its_parent_core_in_order():
                    Send(2, p, ("mid", "leaf"))]
     assert mid.core.events == [Request("got", ("leaf", 5))]
     assert root.core.events == []
+
+
+# -- records -------------------------------------------------------------------
+
+
+INIT = Payload("INIT", value=1)
+RECORDS = [MessageArrival(3, INIT, ("a",)), TimerFired(("a", 1)),
+           Request("kick", (1,)), Send(2, INIT, ("a",)),
+           Broadcast(INIT, ("a",)), SetTimer(5, ("a", 1)),
+           Indicate("saw", (3,)), Halt(), ToChild("a", Request("kick")),
+           Payload("SYNC-ROUND", parity=1, inner=INIT)]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_slotted_values(record):
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.misspelt = 1   # a misspelt field write has nowhere to go
+    copy = replace(record)   # the same fields, built anew
+    assert copy == record and copy is not record
+
+
+def test_record_equality_checks_the_class():
+    assert Request("x") != Indicate("x")
+    assert Send(1, INIT) != Broadcast(INIT)
+    with pytest.raises(PayloadError):   # __post_init__ still checks
+        Payload("SYNC-ROUND", inner=INIT)

@@ -228,6 +228,41 @@ def test_flood_strategy_is_silent_from_gst_on():
     assert flood.on_event(tick) == []
 
 
+class Repeater(Automaton):
+    """Returns the same action object on every event."""
+
+    def __init__(self, action):
+        super().__init__()
+        self.action = action
+
+    def on_event(self, event):
+        return [self.action]
+
+
+def test_strategies_copy_the_inner_broadcast_and_never_edit_it():
+    # the simulator shares one payload among every copy of a broadcast, so
+    # a strategy that edited its inner's records would reach every receiver
+    config = SimConfig(n=4, t=1, faulty=frozenset({3}))
+    payload = Payload("INIT", value=5)
+    action = Broadcast(payload, ("a",))
+    propose = Request("propose", (5,))
+
+    def rewrite(spec, seed=0):
+        strategy = make_strategy(spec, Repeater(action), config,
+                                 random.Random(seed), lambda: 0)
+        return strategy.on_event(propose)
+
+    sends = rewrite(("equivocate",))
+    assert [(s.to, s.payload.value) for s in sends] == [
+        (0, 5), (1, 6), (2, 5), (3, 6)]
+    assert sends[0].payload is payload and sends[1].payload is not payload
+    [mutated] = rewrite(("random",), seed=3)   # its first roll mutates
+    assert mutated is not action and mutated.payload is not payload
+    assert rewrite(("crash", 0)) == []
+    assert action == Broadcast(Payload("INIT", value=5), ("a",))
+    assert action.payload is payload
+
+
 # -- event-loop behavior -----------------------------------------------------
 
 

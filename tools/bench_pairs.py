@@ -99,6 +99,8 @@ def main(argv=None):
     p.add_argument("--host",
                    default=f"{os.cpu_count()}-CPU {platform.machine()}")
     args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
