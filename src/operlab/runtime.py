@@ -8,12 +8,14 @@ args are prefixed with the child's tag.
 
 Paths are absolute. When a Composite is attached (as the root or as a
 child) it records its path, once, on itself, its core and its children, down
-the whole tree. An automaton builds each Send, Broadcast and SetTimer with
-its own `path` in front, so a parent passes its children's actions up
-unchanged. A timer id is its owner's path plus a sequence number, and the
-owner stores and compares that absolute id. A message goes by its `path`
-and a firing timer by `timer_id[:-1]`: at a composite of depth d, to the
-core when that path ends at d, else to the child tagged `path[d]`.
+the whole tree. An automaton builds each Send, Multicast, Broadcast and
+SetTimer with its own `path` in front, so a parent passes its children's
+actions up unchanged. A Multicast is one payload to a tuple of
+destinations, which the simulator handles as the Sends it stands for. A
+timer id is its owner's path plus a sequence number, and the owner stores
+and compares that absolute id. A message goes by its `path` and a firing
+timer by `timer_id[:-1]`: at a composite of depth d, to the core when that
+path ends at d, else to the child tagged `path[d]`.
 
 Only the root routes: one dict lookup in a route table it alone holds,
 filled by `attach`, never by a message. Only the view loop (`oper.Oper`)
@@ -21,9 +23,12 @@ attaches a child after construction. The table maps each automaton's path
 (a composite's own path: its core) to it and to the composites below the
 root down to its owner, so a nested composite only steps requests from its
 parent's core. Other paths resolve by their longest registered prefix: a
-leaf, or a composite without child `path[d]`. The target steps the event and
-its output comes back up through each level's lift, if there is any that is
-not a send, broadcast or timer; those alone return as they are.
+leaf, or a composite without child `path[d]`. A routed event is a message
+or a timer, never a request, so the root calls a live target's `on_event`
+directly; only an abandoned target goes through `Automaton.step`, which
+mutes it. An empty output returns at once. Other output comes back up
+through each level's lift, if there is any that is not a send, multicast,
+broadcast or timer; those alone return as they are.
 
 Only the root's core emits Halt; the simulator stops a process at its first
 Halt, so the runtime keeps no halt state. A root has no parent to abandon
@@ -34,7 +39,7 @@ per-view core when it moves to a later view or finishes; `Automaton.step`
 answers it with [] after `abandon()`, which a Composite applies to its core
 and every child, down the whole tree; only the root, which is never
 abandoned, gains children later. So an abandoned subtree is abandoned
-throughout, and routing checks nothing on the way to its target. From then
+throughout, and routing checks only its target's `abandoned` flag. From then
 on each automaton in it keeps its state and keeps processing messages and
 requests, but `step` mutes it: only Indicate("validate") leaves it.
 Validations outlive the view because the next view is proposed with a value
@@ -91,6 +96,15 @@ class Send:
 
 
 @dataclass(slots=True)
+class Multicast:
+    """The Sends of `payload` to each of `dests`, a tuple, in order."""
+
+    dests: tuple
+    payload: Payload
+    path: tuple = ()
+
+
+@dataclass(slots=True)
 class Broadcast:
     payload: Payload
     path: tuple = ()
@@ -122,7 +136,7 @@ class ToChild:
 
 
 # action types a parent passes up from a child unchanged
-_PASS_UP = frozenset((Send, Broadcast, SetTimer))
+_PASS_UP = frozenset((Send, Multicast, Broadcast, SetTimer))
 
 
 class Automaton:
@@ -209,9 +223,10 @@ class Composite(Automaton):
             child.abandon()
 
     def on_event(self, event):
-        if isinstance(event, MessageArrival):
+        cls = type(event)
+        if cls is MessageArrival:
             path = event.path
-        elif isinstance(event, TimerFired):
+        elif cls is TimerFired:
             path = event.timer_id[:-1]
         else:
             return self._absorb_core(self.core.step(event))
@@ -220,7 +235,11 @@ class Composite(Automaton):
         if target is None:
             out = node._route_unknown(path[node.depth], event)
         else:
-            actions = target.step(event)
+            # a routed event is never a request: only a muted target needs step
+            actions = target.step(event) if target.abandoned \
+                else target.on_event(event)
+            if not actions:
+                return []
             if _PASS_UP.issuperset(map(type, actions)):
                 return actions   # every level would pass it up unchanged
             out = node._absorb_core(actions) if target is node.core \

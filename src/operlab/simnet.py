@@ -19,7 +19,7 @@ from heapq import heappop, heappush
 from .core import (DEFAULT_VALUE_WIDTH, Payload, ValidityPredicate, path_bits,
                    payload_bits)
 from .runtime import (Automaton, Broadcast, Halt, Indicate, MessageArrival,
-                      Request, Send, SetTimer, TimerFired)
+                      Multicast, Request, Send, SetTimer, TimerFired)
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,8 @@ class CrashStrategy(Strategy):
 
     def rewrite(self, actions):
         if self.clock() >= self.at:
-            return [a for a in actions
-                    if not isinstance(a, (Send, Broadcast, Indicate))]
+            return [a for a in actions if not isinstance(
+                a, (Send, Multicast, Broadcast, Indicate))]
         return actions
 
 
@@ -213,7 +213,8 @@ class FloodStrategy(Strategy):
 
 
 class RandomStrategy(Strategy):
-    """Keeps, drops, duplicates, or value-mutates each outgoing action."""
+    """Keeps, drops, duplicates, or value-mutates each outgoing message;
+    a Multicast is rolled as the Sends it stands for."""
 
     def __init__(self, inner, config):
         super().__init__(inner, config)
@@ -222,6 +223,10 @@ class RandomStrategy(Strategy):
     def rewrite(self, actions):
         out = []
         for a in actions:
+            if isinstance(a, Multicast):   # rolled as its sends, in order
+                out += self.rewrite([Send(dest, a.payload, a.path)
+                                     for dest in a.dests])
+                continue
             if not isinstance(a, (Send, Broadcast)):
                 out.append(a)
                 continue
@@ -370,31 +375,34 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
         payload = path = None
         for a in actions:
             cls = type(a)
-            if cls is Send or cls is Broadcast:
+            if cls is Send or cls is Multicast or cls is Broadcast:
                 if a.payload is not payload or a.path is not path:
                     payload, path = a.payload, a.path
                     bits = payload_bits(payload, accounting, value_width) \
                         + path_bits(path, accounting)
                     arrival = MessageArrival(pid, payload, path)
-                total = bits if cls is Send else bits * n
-                if counted:
-                    pbit[pid] = pbit.get(pid, 0) + total
-                if collect_rows:
-                    rows.append((now, pid,
-                                 "send" if cls is Send else "broadcast",
-                                 path, payload.kind, total))
                 if cls is Broadcast:
+                    dests = range(n)
                     if correct and payload.kind == "START-VIEW":
                         key = (pid, payload.view)
                         trace.sv_counts[key] = trace.sv_counts.get(key, 0) + 1
-                    dests = range(n)
-                else:   # a send out of range is charged, never delivered
-                    dests = (a.to,) if 0 <= a.to < n else ()
+                else:
+                    dests = (a.to,) if cls is Send else a.dests
+                if counted:
+                    pbit[pid] = pbit.get(pid, 0) + bits * len(dests)
+                if collect_rows:   # a multicast has a send row per copy
+                    rows.extend([(now, pid, "broadcast", path, payload.kind,
+                                  bits * n)] if cls is Broadcast else
+                                [(now, pid, "send", path, payload.kind,
+                                  bits)] * len(dests))
                 # one arrival, shared by every copy; a window one tick wide
-                # is a fixed tick, which draws nothing
+                # is a fixed tick, which draws nothing; a copy to a process
+                # out of range is charged, never delivered
                 for dest in dests:
-                    at = low if width == 1 else draw(getrandbits, low, width, k)
-                    push(at, dest, arrival)
+                    if 0 <= dest < n:
+                        at = low if width == 1 \
+                            else draw(getrandbits, low, width, k)
+                        push(at, dest, arrival)
             elif cls is SetTimer:
                 at = schedule_timer(now, gst, a.duration, adversary.drift, rng)
                 push(at, pid, TimerFired(a.timer_id))

@@ -20,7 +20,7 @@ import functools
 
 from .core import BOT, Payload, Tally, payload_bits, value_sort_key
 from .runtime import (Automaton, Broadcast, Indicate, MessageArrival,
-                      Request, Send)
+                      Multicast, Request)
 from .graded_consensus import GradedConsensus
 
 # Lock-step round budget for one graded-consensus stage: five echo stages of
@@ -200,8 +200,8 @@ class RoundSimAdapter(Automaton):
 
     Per simulated round: send the machine's outbound messages tagged with the
     round parity, wait delta_sync, then feed back every buffered arrival whose
-    parity matches. Sends stop silently once the cumulative inner-message bit
-    count would exceed the cap.
+    parity matches. Copies stop silently once the cumulative inner-message
+    bit count would exceed the cap.
     """
 
     def __init__(self, machine_factory, total_rounds, delta_sync, bit_cap,
@@ -242,21 +242,28 @@ class RoundSimAdapter(Automaton):
         return self._next_round()
 
     def _send_round(self):
-        """One SYNC-ROUND wrapper and one bit count per inner payload: the
-        machine lists each payload's destinations one after another."""
-        out = []
-        parity = (self.round ^ self.parity_flip) & 1
-        inner = wrapped = None
+        """One SYNC-ROUND Multicast and one bit count per inner payload: the
+        machine lists each payload's destinations one after another. The
+        Multicast holds the first destinations that fit under the cumulative
+        bit cap; a payload that fits none is not sent."""
+        runs = []   # (inner payload, its destinations)
+        inner = None
         for dest, payload in self.machine.outbound(self.round):
             if payload is not inner:
-                inner = payload
-                inner_bits = payload_bits(inner, "payload-only",
-                                          self.value_width)
-                wrapped = Payload("SYNC-ROUND", parity=parity, inner=inner)
-            if self.sent_bits + inner_bits > self.bit_cap:
+                inner, dests = payload, []
+                runs.append((inner, dests))
+            dests.append(dest)
+        out = []
+        parity = (self.round ^ self.parity_flip) & 1
+        for inner, dests in runs:
+            bits = payload_bits(inner, "payload-only", self.value_width)
+            fit = (self.bit_cap - self.sent_bits) // bits
+            if fit <= 0:
                 continue  # budget exhausted: suppress silently
-            self.sent_bits += inner_bits
-            out.append(Send(dest, wrapped, self.path))
+            dests = tuple(dests[:fit])
+            self.sent_bits += bits * len(dests)
+            out.append(Multicast(dests, Payload("SYNC-ROUND", parity=parity,
+                                                inner=inner), self.path))
         return out
 
     def _finish_round(self):

@@ -41,15 +41,71 @@ def test_quartiles_of_one_run_are_that_run():
     assert bench_pairs.quartiles([3.5]) == [3.5, 3.5]
 
 
+def exit_before_any_worktree(argv, root, monkeypatch, capsys):
+    """Run main(argv) with `root` as the checkout and git stubbed out;
+    assert that it exits 2 with no git call, and return its stderr."""
+    calls = []
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: calls.append(args))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert calls == []
+    return capsys.readouterr().err
+
+
+def args(label="t", pairs="1", seconds="1", *extra):
+    return ["--label", label, "--pairs", pairs, "--seed", "1",
+            "--seconds", seconds, *extra]
+
+
 @pytest.mark.parametrize("pairs", ["0", "-1"])
 def test_fewer_than_one_pair_exits_2_before_any_worktree(
         pairs, tmp_path, monkeypatch, capsys):
-    calls = []
+    err = exit_before_any_worktree(args(pairs=pairs), tmp_path,
+                                   monkeypatch, capsys)
+    assert "--pairs must be at least 1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("label", ["a/b", "../up", ".hidden", "",
+                                   "a b", "a\\b"])
+def test_a_label_that_is_no_plain_file_name_exits_2_before_any_worktree(
+        label, tmp_path, monkeypatch, capsys):
+    err = exit_before_any_worktree(args(label=label), tmp_path,
+                                   monkeypatch, capsys)
+    assert "--label must be" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seconds", ["-1", "-0.5", "nan", "inf"])
+def test_a_negative_or_endless_run_exits_2_before_any_worktree(
+        seconds, tmp_path, monkeypatch, capsys):
+    err = exit_before_any_worktree(args(seconds=seconds), tmp_path,
+                                   monkeypatch, capsys)
+    assert "--seconds must be" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_unlisted_workload_exits_2_before_any_worktree(
+        tmp_path, monkeypatch, capsys):
+    spec = (_SCRIPT.parents[1] / "BENCHMARK.json").read_text()
+    (tmp_path / "BENCHMARK.json").write_text(spec)
+    err = exit_before_any_worktree(
+        args("t", "1", "1", "--workload", "flood", "--workload", "floood"),
+        tmp_path, monkeypatch, capsys)
+    assert "--workload 'floood' is not in BENCHMARK.json" in err
+    assert [f.name for f in tmp_path.iterdir()] == ["BENCHMARK.json"]
+
+
+@pytest.mark.parametrize("label", ["hot_path", "sync-round", "v1.2"])
+def test_plain_arguments_pass_every_check(label, tmp_path, monkeypatch):
+    spec = (_SCRIPT.parents[1] / "BENCHMARK.json").read_text()
+    (tmp_path / "BENCHMARK.json").write_text(spec)
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-    monkeypatch.setattr(bench_pairs, "git", lambda *args: calls.append(args))
-    with pytest.raises(SystemExit) as exit_info:
-        bench_pairs.main(["--label", "t", "--pairs", pairs, "--seed", "1",
-                          "--seconds", "1"])
-    assert exit_info.value.code == 2
-    assert "--pairs must be at least 1" in capsys.readouterr().err
-    assert calls == [] and list(tmp_path.iterdir()) == []
+
+    def git(*args):
+        raise LookupError(args)   # the first git call: past every check
+    monkeypatch.setattr(bench_pairs, "git", git)
+    with pytest.raises(LookupError):
+        bench_pairs.main(args(label, "1", "0", "--workload", "flood"))

@@ -5,8 +5,8 @@ import pytest
 
 from operlab.core import Payload, PayloadError
 from operlab.runtime import (Automaton, Broadcast, Composite, Halt, Indicate,
-                             MessageArrival, Request, Send, SetTimer,
-                             TimerFired, ToChild)
+                             MessageArrival, Multicast, Request, Send,
+                             SetTimer, TimerFired, ToChild)
 
 
 class Echoer(Automaton):
@@ -285,6 +285,22 @@ def test_junk_paths_add_no_route():
     assert (root.misrouted, mid.misrouted) == (50, 50)
 
 
+class Quiet(Automaton):
+    """Returns None, not a list, for every event."""
+
+    def on_event(self, event):
+        return None
+
+
+def test_a_leaf_that_returns_none_gives_the_root_an_empty_list():
+    mid = Composite(Recorder(), children={"leaf": Quiet()})
+    root = Composite(Recorder(), children={"mid": mid, "leaf": Quiet()})
+    for path in (("leaf",), ("mid", "leaf")):
+        assert root.on_event(msg(path=path)) == []
+        assert root.on_event(TimerFired(path + (1,))) == []
+    assert root.misrouted == mid.misrouted == 0
+
+
 # -- abandon -----------------------------------------------------------------
 
 
@@ -294,6 +310,7 @@ class Loud(Automaton):
     def on_event(self, event):
         timer, _ = self.new_timer(5)
         return [Send(1, event.payload, self.path),
+                Multicast((0, 2), event.payload, self.path),
                 Broadcast(event.payload, self.path), timer,
                 Indicate("decide", (7,)), Indicate("validate", (7,))]
 
@@ -302,7 +319,7 @@ def test_abandoned_subtree_passes_only_validations():
     mid = Composite(Recorder(), children={"leaf": Loud()})
     root = Composite(Recorder(), children={"mid": mid})
     live = root.step(msg(path=("mid", "leaf")))
-    assert [type(a) for a in live] == [Send, Broadcast, SetTimer]
+    assert [type(a) for a in live] == [Send, Multicast, Broadcast, SetTimer]
     assert mid.core.events == [Request("decide", ("leaf", 7)),
                                Request("validate", ("leaf", 7))]
     mid.core.events.clear()
@@ -367,7 +384,7 @@ def test_depth_two_indication_reaches_its_parent_core_in_order():
 INIT = Payload("INIT", value=1)
 RECORDS = [MessageArrival(3, INIT, ("a",)), TimerFired(("a", 1)),
            Request("kick", (1,)), Send(2, INIT, ("a",)),
-           Broadcast(INIT, ("a",)), SetTimer(5, ("a", 1)),
+           Multicast((2, 0), INIT, ("a",)), Broadcast(INIT, ("a",)), SetTimer(5, ("a", 1)),
            Indicate("saw", (3,)), Halt(), ToChild("a", Request("kick")),
            Payload("SYNC-ROUND", parity=1, inner=INIT)]
 
@@ -384,5 +401,6 @@ def test_records_are_slotted_values(record):
 def test_record_equality_checks_the_class():
     assert Request("x") != Indicate("x")
     assert Send(1, INIT) != Broadcast(INIT)
+    assert Multicast((1,), INIT) != Send(1, INIT)
     with pytest.raises(PayloadError):   # __post_init__ still checks
         Payload("SYNC-ROUND", inner=INIT)

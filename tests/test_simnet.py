@@ -7,8 +7,8 @@ from operlab.core import Payload
 from operlab.harness import oper_params
 from operlab.oper import make_oper
 from operlab.runtime import (Automaton, Broadcast, Composite, Halt, Indicate,
-                             MessageArrival, Request, Send, SetTimer, ToChild,
-                             TimerFired)
+                             MessageArrival, Multicast, Request, Send,
+                             SetTimer, ToChild, TimerFired)
 from operlab.simnet import (AdversarySpec, CSV_HEADER, SPEC_ARGS, STRATEGIES,
                             SimConfig, csv_row, delivery_window, draw,
                             latency, make_strategy, run, schedule_timer,
@@ -129,6 +129,51 @@ def test_send_to_out_of_range_destination_draws_nothing():
     assert len(deliveries([])) == 16
 
 
+ECHO2 = Payload("ECHO", value=2)
+# a multicast to four processes, one of them out of range, and its sends
+MULTICAST = [Multicast((2, 0, 9, 1), ECHO2)]
+SENDS = [Send(dest, ECHO2) for dest in (2, 0, 9, 1)]
+
+
+def test_a_multicast_runs_as_its_sends():
+    def traced(extra):
+        # a uniform delay: every copy draws its tick, after gst so that
+        # pbit counts; the broadcasts after it draw from the same rng
+        trace = run(SimConfig(n=4, t=1, seed=5), AdversarySpec(),
+                    lambda pid: Pinger(extra if pid == 0 else []),
+                    max_time=100, collect_rows=True)
+        return trace.rows, trace.pbit
+
+    rows, pbit = traced(MULTICAST)
+    assert (rows, pbit) == traced(SENDS)
+    # four send rows, four copies charged; destination 9 gets nothing
+    assert [r[1:] for r in rows if r[2] == "send"] == \
+        [(0, "send", (), "ECHO", 40)] * 4
+    assert pbit[0] == 4 * 40 + 4 * 40
+    echoes = sorted(r[1] for r in rows
+                    if r[2] == "deliver" and r[4] == "ECHO")
+    assert echoes == [0, 1, 2]
+    assert len({r[0] for r in rows if r[2] == "deliver"}) > 1  # ticks drawn
+
+
+def test_random_strategy_rolls_a_multicast_as_its_sends():
+    config = SimConfig(n=4, t=1, faulty=frozenset({3}))
+
+    def rewrite(script):
+        strategy = make_strategy(("random",), Pinger(script), config,
+                                 random.Random(62), lambda: 0)
+        out = strategy.on_event(Request("propose", (1,)))
+        return out, strategy.rng.getstate()
+
+    out, state = rewrite(MULTICAST)
+    assert (out, state) == rewrite(SENDS)
+    # at this seed the rolls drop the copy to 0, duplicate those to 2 and
+    # 9 and mutate the one to 1
+    sent = [(a.to, a.payload.value) for a in out if isinstance(a, Send)]
+    assert [dest for dest, _ in sent] == [2, 2, 9, 9, 1]
+    assert sent[-1][1] != 2 and all(value == 2 for _, value in sent[:-1])
+
+
 def test_unknown_rules_rejected():
     rng = random.Random(0)
     with pytest.raises(ValueError):
@@ -200,8 +245,9 @@ def test_all_strategy_kinds_construct():
 
 def test_crash_strategy_drops_output_from_its_time_on():
     config = SimConfig(n=4, t=1, faulty=frozenset({3}))
-    script = [Send(1, Payload("INIT", value=1)), Indicate("decide", (1,)),
-              SetTimer(5, ("t", 1))]
+    script = [Send(1, Payload("INIT", value=1)),
+              Multicast((0, 2), Payload("INIT", value=2)),
+              Indicate("decide", (1,)), SetTimer(5, ("t", 1))]
     now = 0
     crash = make_strategy(("crash", 10), Pinger(script), config,
                           random.Random(0), lambda: now)
@@ -210,7 +256,7 @@ def test_crash_strategy_drops_output_from_its_time_on():
     assert crash.on_event(propose) == script + [init]
     now = 9
     assert crash.on_event(propose) == script + [init]
-    now = 10   # sends, broadcasts and indications go; timers stay
+    now = 10   # messages and indications go; timers stay
     assert crash.on_event(propose) == [SetTimer(5, ("t", 1))]
 
 

@@ -3,7 +3,8 @@ from itertools import groupby
 import pytest
 
 from operlab.core import Payload
-from operlab.runtime import Indicate, Request, Send, SetTimer, TimerFired
+from operlab.runtime import (Indicate, MessageArrival, Multicast, Request,
+                             Send, SetTimer, TimerFired)
 from operlab.sync_ba import (GC_ROUNDS, RecordingMachine, RoundSimAdapter,
                              SyncMachine, budget, lockstep_run, mc,
                              round_schedule, rounds)
@@ -95,8 +96,15 @@ def test_unanimous_value_survives_minority_faults():
     assert {m.decision() for m in machines.values()} == {7}
 
 
+def copies(actions):
+    """(dest, payload) of every copy the adapter's Multicasts send."""
+    return [(dest, a.payload) for a in actions if isinstance(a, Multicast)
+            for dest in a.dests]
+
+
 class AdapterDriver:
-    """Delivers adapter Sends between peers and fires timers in order."""
+    """Delivers adapter Multicasts between peers, one copy per destination,
+    and fires timers in order."""
 
     def __init__(self, adapters):
         self.adapters = adapters
@@ -113,13 +121,12 @@ class AdapterDriver:
                     TimerFired(timer.timer_id)))
 
     def _dispatch(self, pid, actions):
-        from operlab.runtime import MessageArrival
+        for dest, payload in copies(actions):
+            if dest in self.adapters:
+                self._dispatch(dest, self.adapters[dest].step(
+                    MessageArrival(pid, payload)))
         for act in actions:
-            if isinstance(act, Send) and act.to in self.adapters:
-                peer = self.adapters[act.to]
-                self._dispatch(act.to,
-                               peer.step(MessageArrival(pid, act.payload)))
-            elif isinstance(act, SetTimer):
+            if isinstance(act, SetTimer):
                 self.pending.append((pid, act))
             elif isinstance(act, Indicate):
                 self.indications[pid].append(act)
@@ -157,20 +164,29 @@ def test_adapter_bit_cap_suppresses_sends():
                         rounds(2), delta_sync=30, bit_cap=0,
                         value_width=32)
     out = a.step(Request("propose", (5,)))
-    assert not any(isinstance(act, Send) for act in out)
+    assert not any(isinstance(act, (Send, Multicast)) for act in out)
     assert a.sent_bits == 0
+
+
+def test_adapter_bit_cap_cuts_a_multicast_at_the_first_copy_over_it():
+    # round 0 of n=4 sends one 40-bit ECHO to every member; a 130-bit cap
+    # lets the first three copies through
+    a = RoundSimAdapter(lambda b: SyncMachine(0, list(range(4)), b),
+                        rounds(4), delta_sync=30, bit_cap=130,
+                        value_width=32)
+    out = a.step(Request("propose", (5,)))
+    assert [dest for dest, _ in copies(out)] == [0, 1, 2]
+    assert a.sent_bits == 120
 
 
 def test_adapter_parity_tagging():
     a = make_adapters(2)[0]
-    out = a.step(Request("propose", (5,)))
-    sends = [act for act in out if isinstance(act, Send)]
-    assert sends and all(s.payload.parity == 0 for s in sends)
+    sent = copies(a.step(Request("propose", (5,))))
+    assert sent and all(p.parity == 0 for _, p in sent)
 
     flipped = make_adapters(2, parity_flip_pid=0)[0]
-    out = flipped.step(Request("propose", (5,)))
-    sends = [act for act in out if isinstance(act, Send)]
-    assert sends and all(s.payload.parity == 1 for s in sends)
+    sent = copies(flipped.step(Request("propose", (5,))))
+    assert sent and all(p.parity == 1 for _, p in sent)
 
 
 def test_adapter_trivial_membership_finishes_immediately():
@@ -214,7 +230,8 @@ def test_report_round_sends_one_payload_object():
     for _ in range(round_schedule(n).index(("report", 0, 1))):
         timer = next(a for a in out if isinstance(a, SetTimer))
         out = adapter.step(TimerFired(timer.timer_id))
-    sends = [a for a in out if isinstance(a, Send)]
-    assert [s.to for s in sends] == list(range(n))
-    assert sends[0].payload.inner == Payload("HALF-REPORT", value=5)
-    assert all(s.payload is sends[0].payload for s in sends)
+    sent = copies(out)
+    assert [dest for dest, _ in sent] == list(range(n))
+    assert sent[0][1].inner == Payload("HALF-REPORT", value=5)
+    assert all(p is sent[0][1] for _, p in sent)
+    assert sum(isinstance(a, Multicast) for a in out) == 1

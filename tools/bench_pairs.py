@@ -11,7 +11,10 @@ Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds X
 Odd pairs run the parent first, even pairs the change first, so a slow
 spell of the host hits both sides alike. The parent checkout is made with
 `git worktree add --detach` at REV (default HEAD) and removed at the end.
-Without --workload every workload in BENCHMARK.json runs.
+Without --workload every workload in BENCHMARK.json runs. Bad arguments
+(a label that is not a plain file-name part, a workload BENCHMARK.json does
+not list, fewer than one pair, a negative run length) exit 2 before any
+checkout is made.
 
 Writes BENCH_<label>.json at the root: per workload, the result of every
 run on each side, the median of each end-to-end metric, both sides'
@@ -24,8 +27,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -99,11 +104,21 @@ def main(argv=None):
     p.add_argument("--host",
                    default=f"{os.cpu_count()}-CPU {platform.machine()}")
     args = p.parse_args(argv)
+    if not re.fullmatch(r"\w[\w.-]*", args.label, re.ASCII):
+        p.error("--label must be letters, digits, '_', '-' and '.', "
+                "not starting with '.' or '-'")
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
+    if not (math.isfinite(args.seconds) and args.seconds >= 0):
+        p.error("--seconds must be a finite number >= 0")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    listed = [w["name"] for w in spec["workloads"]]
+    for w in args.workload or ():
+        if w not in listed:
+            p.error(f"--workload {w!r} is not in BENCHMARK.json "
+                    f"({', '.join(listed)})")
+    workloads = args.workload or listed
     parent = git("rev-parse", args.parent)
 
     with tempfile.TemporaryDirectory() as tmp:
