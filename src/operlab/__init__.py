@@ -9,7 +9,7 @@ from .graded_consensus import GradedConsensus
 from .oper import Oper, make_oper
 from .reducing_broadcast import ReducingBroadcast
 from .simnet import (AdversarySpec, SimConfig, Trace, check_adversary,
-                     delivery_window, latency, run, schedule_timer)
+                     latency, run)
 from .sync_ba import (GC_ROUNDS, RoundSimAdapter, SyncMachine, budget,
                       lockstep_run, mc, rounds)
 from .validation_broadcast import make_validation_broadcast
@@ -19,8 +19,7 @@ __all__ = [
     "ValidityPredicate", "payload_bits", "CruxParams", "est_rule",
     "make_crux", "Finisher", "GradedConsensus", "Oper", "make_oper",
     "ReducingBroadcast", "AdversarySpec", "SimConfig", "Trace",
-    "check_adversary", "delivery_window", "latency", "run", "schedule_timer",
-    "GC_ROUNDS",
+    "check_adversary", "latency", "run", "GC_ROUNDS",
     "RoundSimAdapter", "SyncMachine", "budget", "lockstep_run", "mc",
     "rounds", "make_validation_broadcast",
 ]

@@ -6,10 +6,10 @@ error. The default check bundle evaluates agreement, strong validity,
 external validity, the termination deadline, the view ceiling and per-view
 START-VIEW budgets on every run. Post-halt silence and the delivery-time
 envelope hold by construction (`simnet.run` drops every action after a
-process's `Halt` and never steps it again; `simnet.delivery_window` keeps
-every copy in the envelope), so unit tests cover them instead of per-run
-checks. Strategy and rule specs are checked by the simulator's own
-`simnet.check_adversary`.
+process's `Halt` and never steps it again; each delay rule of
+`simnet.DELAYS` keeps every copy in the envelope), so unit tests cover them
+instead of per-run checks. Strategy and rule specs are checked by the
+simulator's own `simnet.check_adversary`.
 """
 
 from __future__ import annotations
@@ -66,21 +66,12 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError("give either 'proposal' or 'proposals', not both")
     if scn.get("seeds", 1) < 1:
         raise ScenarioError(f"seeds must be >= 1, not {scn['seeds']!r}")
-    _check_adversary(scn)
-    _build_validity(scn.get("validity"))  # raises on malformed input
-    return scn
-
-
-def _check_adversary(scn):
-    """The simulator's own check of the rules and strategies (`SPEC_ARGS`),
-    on the scenario's raw specs, as a `ScenarioError`."""
-    rules = {k: scn[k] for k in ("pre_gst_delay", "drift") if k in scn}
-    adversary = AdversarySpec(
-        **rules, strategies=_int_key_map(scn.get("strategies")))
     try:
-        check_adversary(adversary, scn.get("faulty", ()))
+        check_adversary(scenario_adversary(scn), scn.get("faulty", ()))
     except ValueError as e:
         raise ScenarioError(str(e))
+    _build_validity(scn.get("validity"))  # raises on malformed input
+    return scn
 
 
 def _build_validity(spec) -> ValidityPredicate:
@@ -140,10 +131,14 @@ def scenario_config(scn: dict, seed=None, accounting=None) -> SimConfig:
 
 
 def scenario_adversary(scn: dict) -> AdversarySpec:
+    """Each spec a JSON list gives, as a tuple; any other value stays as it
+    is, for `check_adversary` to reject."""
+    def spec(v):
+        return tuple(v) if type(v) is list else v
     return AdversarySpec(
-        pre_gst_delay=tuple(scn.get("pre_gst_delay", ["uniform"])),
-        drift=tuple(scn.get("drift", ["none"])),
-        strategies={pid: tuple(v) for pid, v
+        pre_gst_delay=spec(scn.get("pre_gst_delay", ["uniform"])),
+        drift=spec(scn.get("drift", ["none"])),
+        strategies={pid: spec(v) for pid, v
                     in _int_key_map(scn.get("strategies")).items()},
     )
 

@@ -76,9 +76,9 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class AdversarySpec:
-    pre_gst_delay: tuple = ("uniform",)   # ("uniform",) | ("max",) | ("exact", d)
-    drift: tuple = ("none",)              # ("none",) | ("uniform",) | ("max",)
-    strategies: dict = field(default_factory=dict)  # pid -> strategy spec tuple
+    pre_gst_delay: tuple = ("uniform",)   # a spec of DELAYS
+    drift: tuple = ("none",)              # a spec of DRIFTS
+    strategies: dict = field(default_factory=dict)  # pid -> a STRATEGIES spec
 
 
 def draw(getrandbits, low, width, k=None):
@@ -91,36 +91,30 @@ def draw(getrandbits, low, width, k=None):
     return low + r
 
 
-def delivery_window(now, gst, delta, rule):
-    """Ticks a copy sent at `now` may take under delay `rule` (a spec that
-    `check_adversary` accepts), as (low, width), within the model envelope;
-    `run` takes the fixed tick `low` when width is 1, else draws per copy."""
-    bound = max(now, gst) + delta
-    kind = rule[0]
-    if kind == "uniform":
-        return now, bound - now + 1
-    if kind == "max":
-        return bound, 1
-    if kind == "exact":
-        return min(now + rule[1], bound), 1
-    raise ValueError(f"unknown delay rule {kind!r}")
+# -- delay and drift rules ----------------------------------------------------
+# Each adversary spec is a (kind, *args). One table per spec family maps each
+# kind to the argument counts it takes and its builder; `run` builds every
+# spec once, before the first event.
 
+# builder(*args) -> window(now, bound): the (low, width) ticks in which a copy
+# sent at `now` may arrive, bound = max(now, gst) + delta; `run` takes the
+# fixed tick `low` when width is 1, else draws per copy
+DELAYS = {
+    "uniform": ((0,), lambda: lambda now, bound: (now, bound - now + 1)),
+    "max": ((0,), lambda: lambda now, bound: (bound, 1)),
+    "exact": ((1,), lambda d: lambda now, bound: (min(now + d, bound), 1)),
+}
 
-def schedule_timer(now, gst, d, rule, rng):
-    """Fire time for a timer of duration d set at `now`."""
-    if now >= gst:
-        return now + d
-    bound = max(now, gst) + d
-    kind = rule[0]
-    if kind == "none":
-        raw = now + d
-    elif kind == "max":
-        raw = bound
-    elif kind == "uniform":
-        raw = draw(rng.getrandbits, now + 1, bound - now)
-    else:
-        raise ValueError(f"unknown drift rule {kind!r}")
-    return min(max(raw, now + 1), bound)
+# builder(getrandbits) -> fire(now, d, bound): the tick in (now, bound] at
+# which a timer of duration d set at now < gst fires, bound = gst + d; a
+# timer set at or after gst fires at exactly now + d
+DRIFTS = {
+    "none": ((0,), lambda getrandbits:
+             lambda now, d, bound: min(now + max(d, 1), bound)),
+    "uniform": ((0,), lambda getrandbits: lambda now, d, bound:
+                draw(getrandbits, now + 1, bound - now)),
+    "max": ((0,), lambda getrandbits: lambda now, d, bound: bound),
+}
 
 
 # -- Byzantine strategies ---------------------------------------------------
@@ -191,7 +185,7 @@ class FloodStrategy(Strategy):
     def __init__(self, inner, config, interval=None):
         super().__init__(inner, config)
         self.gst = config.gst
-        self.interval = max(1, config.delta if interval is None else interval)
+        self.interval = config.delta if interval is None else interval
         self.max_value = (1 << config.value_width) - 1
 
     def on_event(self, event):
@@ -243,50 +237,48 @@ class RandomStrategy(Strategy):
         return out
 
 
-STRATEGIES = {"silent": SilentStrategy, "crash": CrashStrategy,
-              "equivocate": EquivocateStrategy, "delayer": DelayerStrategy,
-              "flood": FloodStrategy, "random": RandomStrategy}
-
-# argument counts of each strategy kind and each delay and drift rule; every
-# argument is an int >= 0, and a flood interval >= 1
-SPEC_ARGS = {
-    "strategies": {"silent": (0,), "crash": (1,), "equivocate": (0,),
-                   "delayer": (0,), "flood": (0, 1), "random": (0,)},
-    "pre_gst_delay": {"uniform": (0,), "max": (0,), "exact": (1,)},
-    "drift": {"none": (0,), "uniform": (0,), "max": (0,)},
-}
+STRATEGIES = {   # builder(inner, config, *args)
+    "silent": ((0,), SilentStrategy), "crash": ((1,), CrashStrategy),
+    "equivocate": ((0,), EquivocateStrategy),
+    "delayer": ((0,), DelayerStrategy), "flood": ((0, 1), FloodStrategy),
+    "random": ((0,), RandomStrategy)}
 
 
-def _check_spec(name, spec):
-    """Raise ValueError unless `spec` is a (kind, *args) that
-    `SPEC_ARGS[name]` allows: a known kind, then as many arguments as it
-    takes, each an int >= 0 (a flood interval >= 1)."""
+def _check_spec(name, table, spec):
+    """Raise ValueError unless `spec` is a (kind, *args) that `table`
+    allows: a known kind, then as many arguments as it takes, each an
+    int >= 0 (a flood interval >= 1)."""
     kind = spec[0] if isinstance(spec, (tuple, list)) and spec else None
-    counts = SPEC_ARGS[name].get(kind) if isinstance(kind, str) else None
+    counts = table[kind][0] if isinstance(kind, str) and kind in table else ()
     least = 1 if kind == "flood" else 0
-    if counts is None or len(spec) - 1 not in counts or any(
+    if not counts or len(spec) - 1 not in counts or any(
             type(a) is not int or a < least for a in spec[1:]):
         raise ValueError(f"bad {name} spec {spec!r}")
 
 
 def check_adversary(adversary, faulty):
-    """Raise ValueError unless both rules and every strategy of `adversary`
-    are specs `SPEC_ARGS` allows, and each strategy drives a faulty process."""
-    _check_spec("pre_gst_delay", adversary.pre_gst_delay)
-    _check_spec("drift", adversary.drift)
+    """Raise ValueError unless the delay rule, the drift rule and every
+    strategy of `adversary` are specs that `DELAYS`, `DRIFTS` and
+    `STRATEGIES` allow, and each strategy drives a faulty process. `run`
+    and `harness.load_scenario` call it before anything runs, so a spec
+    that reaches a builder is a known kind with the arguments it takes."""
+    _check_spec("pre_gst_delay", DELAYS, adversary.pre_gst_delay)
+    _check_spec("drift", DRIFTS, adversary.drift)
     for pid, spec in adversary.strategies.items():
         if pid not in faulty:
             raise ValueError(f"strategy for process {pid}, not faulty")
-        _check_spec("strategies", spec)
+        _check_spec("strategies", STRATEGIES, spec)
+
+
+def _build(table, spec, *context):
+    """What `spec` = (kind, *args) of `table` builds from `context`."""
+    return table[spec[0]][1](*context, *spec[1:])
 
 
 def make_strategy(spec, inner, config, rng, clock):
     """Strategy `spec` = (kind, *args) wrapping `inner`; it draws from `rng`
     and reads the virtual time from `clock()`."""
-    cls = STRATEGIES.get(spec[0])
-    if cls is None:
-        raise ValueError(f"unknown strategy kind {spec[0]!r}")
-    strategy = cls(inner, config, *spec[1:])
+    strategy = _build(STRATEGIES, spec, inner, config)
     strategy.rng, strategy.clock = rng, clock
     return strategy
 
@@ -343,9 +335,13 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
             autos[pid] = make_strategy(spec, inner, config, rng, clock)
         else:
             autos[pid] = inner
-    # a delayer's copies all take the maximal delay, which is the "max" rule
-    delay_rule = {p: ("max",) if isinstance(auto, DelayerStrategy)
-                  else adversary.pre_gst_delay for p, auto in autos.items()}
+    # each process's delivery window; a delayer's copies all take the
+    # maximal delay, which is the "max" rule
+    delay = _build(DELAYS, adversary.pre_gst_delay)
+    delayer = _build(DELAYS, ("max",))
+    window = {p: delayer if isinstance(auto, DelayerStrategy) else delay
+              for p, auto in autos.items()}
+    drift = _build(DRIFTS, adversary.drift, getrandbits)
 
     n, gst, delta = config.n, config.gst, config.delta
     # calendar queue: the events of each pending tick in push order, as one
@@ -368,7 +364,7 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
         correct = pid not in config.faulty
         counted = correct and now >= gst
         # every copy sent in this step shares one delivery window
-        low, width = delivery_window(now, gst, delta, delay_rule[pid])
+        low, width = window[pid](now, max(now, gst) + delta)
         k = width.bit_length()
         # bits and arrival of the last payload sent: a run of actions that
         # share one payload object and one path computes them once
@@ -403,9 +399,10 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                         at = low if width == 1 \
                             else draw(getrandbits, low, width, k)
                         push(at, dest, arrival)
-            elif cls is SetTimer:
-                at = schedule_timer(now, gst, a.duration, adversary.drift, rng)
-                push(at, pid, TimerFired(a.timer_id))
+            elif cls is SetTimer:   # only a timer set before gst drifts
+                d = a.duration
+                push(now + d if now >= gst else drift(now, d, gst + d), pid,
+                     TimerFired(a.timer_id))
             elif cls is Indicate:
                 if collect_rows:
                     rows.append((now, pid, "indicate:" + a.name, (), "-", 0))

@@ -49,6 +49,32 @@ def test_bad_scenario_exits_2(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+def test_run_bad_validity_exits_2(tmp_path, capsys):
+    rc = main(["run", write_scn(tmp_path, {**BASE, "validity": 5})])
+    assert rc == 2
+    assert "bad validity spec 5" in capsys.readouterr().err
+
+
+def test_run_accounting_full_charges_more_bits(tmp_path, capsys):
+    # pre-GST drift takes seed 0 into view 2, so START-VIEW is broadcast
+    scn = write_scn(tmp_path, {
+        "n": 4, "delta": 10, "gst": 1620, "drift": ["uniform"],
+        "faulty": [3], "strategies": {"3": ["silent"]},
+        "proposals": {"0": 1, "1": 2, "2": 3, "3": 4}})
+
+    def row(*flags):
+        assert main(["run", scn, *flags]) == 0
+        header, line = capsys.readouterr().out.splitlines()
+        return dict(zip(header.split(","), line.split(",")))
+    payload, full = row("--accounting", "payload"), row("--accounting", "full")
+    assert row() == payload   # the scenario's own policy is payload-only
+    assert payload["views_max"] == "2"
+    # view numbers and path segments add bits; nothing else changes
+    for column in ("pbit_max", "pbit_mean"):
+        assert float(full.pop(column)) > float(payload.pop(column))
+    assert full == payload
+
+
 def test_run_config_error_writes_no_output(tmp_path, capsys):
     csv = tmp_path / "out.csv"
     rc = main(["run", write_scn(tmp_path, {**BASE, "n": 3, "t": 1}),

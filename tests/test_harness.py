@@ -1,8 +1,10 @@
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from operlab.core import ValidityPredicate
 from operlab.harness import (ScenarioError, check_trace, final_view,
                              first_entry_times, load_scenario, oper_params,
                              oracle_sim, run_and_check, scenario_adversary,
@@ -95,6 +97,27 @@ def test_load_scenario_rejects_bad_json(tmp_path):
         load_scenario(str(tmp_path / "missing.json"))
 
 
+@pytest.mark.parametrize("rule", ["pre_gst_delay", "drift"])
+def test_load_scenario_rejects_a_rule_that_is_no_list(tmp_path, rule):
+    # a JSON object is iterable, but its keys are no spec
+    with pytest.raises(ScenarioError, match=f"bad {rule} spec"):
+        load_scenario(write_scn(tmp_path, {**BASE, rule: {"max": 0}}))
+    strategies = {"3": {"silent": 0}}
+    with pytest.raises(ScenarioError, match="bad strategies spec"):
+        load_scenario(write_scn(tmp_path, {**BASE, "faulty": [3],
+                                           "strategies": strategies}))
+
+
+@pytest.mark.parametrize("spec, predicate", [
+    ({"kind": "always-true"}, ValidityPredicate.always_true()),
+    ({"kind": "modulo", "divisor": 4, "residue": 3},
+     ValidityPredicate.modulo(4, 3)),     # the proposal 7 is 3 mod 4
+])
+def test_scenario_validity_parsing(tmp_path, spec, predicate):
+    scn = load_scenario(write_scn(tmp_path, {**BASE, "validity": spec}))
+    assert scenario_config(scn).validity == predicate
+
+
 def test_scenario_config_defaults():
     config = scenario_config(BASE)
     assert config.t == 1
@@ -159,6 +182,46 @@ def test_check_trace_flags_late_decision():
                        decisions={p: (7, late) for p in range(4)})
     msgs = check_trace(trace, params)
     assert any(m.startswith("termination-deadline:") for m in msgs)
+
+
+def clean_trace():
+    """Every process enters view 1 at time 0 and decides 7 at time 5."""
+    return make_trace(enters=[(0, p, 1) for p in range(4)],
+                      decisions={p: (7, 5) for p in range(4)})
+
+
+def test_check_trace_flags_a_view_past_the_ceiling():
+    trace = clean_trace()
+    params = oper_params(trace.config)
+    assert check_trace(trace, params) == []
+    trace.enters.append((30, 2, 2))   # V_final + 1 is allowed
+    assert check_trace(trace, params) == []
+    trace.enters.append((60, 2, 3))
+    assert check_trace(trace, params) == [
+        "view-ceiling: entered view 3 > V_final+1 = 2"]
+
+
+def test_check_trace_flags_a_third_start_view_broadcast():
+    trace = clean_trace()
+    params = oper_params(trace.config)
+    trace.sv_counts = {(0, 2): 2, (1, 2): 1}   # twice is allowed
+    assert check_trace(trace, params) == []
+    trace.sv_counts[0, 2] = 3
+    assert check_trace(trace, params) == [
+        "start-view-count: process 0 broadcast START-VIEW(2) 3 times"]
+
+
+def test_check_trace_flags_an_invalid_decision():
+    # proposals that are not unanimous, so strong validity does not apply
+    trace = clean_trace()
+    trace.config = replace(trace.config,
+                           validity=ValidityPredicate.modulo(2, 1),
+                           proposals={0: 7, 1: 9, 2: 7, 3: 9})
+    params = oper_params(trace.config)
+    assert check_trace(trace, params) == []
+    trace.decisions = {p: (8, 5) for p in range(4)}
+    assert check_trace(trace, params) == [
+        "external-validity: decided invalid 8"]
 
 
 def test_run_and_check_clean_scenario():

@@ -9,10 +9,9 @@ from operlab.oper import make_oper
 from operlab.runtime import (Automaton, Broadcast, Composite, Halt, Indicate,
                              MessageArrival, Multicast, Request, Send,
                              SetTimer, ToChild, TimerFired)
-from operlab.simnet import (AdversarySpec, CSV_HEADER, SPEC_ARGS, STRATEGIES,
-                            SimConfig, csv_row, delivery_window, draw,
-                            latency, make_strategy, run, schedule_timer,
-                            trace_lines)
+from operlab.simnet import (AdversarySpec, CSV_HEADER, DELAYS, DRIFTS,
+                            STRATEGIES, SimConfig, csv_row, draw, latency,
+                            make_strategy, run, trace_lines)
 
 
 # -- envelope schedules ------------------------------------------------------
@@ -21,12 +20,20 @@ from operlab.simnet import (AdversarySpec, CSV_HEADER, SPEC_ARGS, STRATEGIES,
 DELAY_RULES = (("uniform",), ("max",), ("exact", 3), ("exact", 10**6))
 
 
+def window(rule, now, gst, delta):
+    """The (low, width) window of delay `rule` for a step at `now`, built
+    from its table and applied as `run` applies it."""
+    kind, *args = rule
+    return DELAYS[kind][1](*args)(now, max(now, gst) + delta)
+
+
 @given(st.integers(0, 1000), st.integers(0, 1000), st.integers(1, 50))
 def test_delivery_always_within_envelope(now, gst, delta):
     """Every tick of the window lies in the envelope. The ticks that copies
     take in `run` are checked by the batched-deliveries test below."""
+    assert {rule[0] for rule in DELAY_RULES} == set(DELAYS)
     for rule in DELAY_RULES:
-        low, width = delivery_window(now, gst, delta, rule)
+        low, width = window(rule, now, gst, delta)
         assert width >= 1
         assert now <= low and low + width - 1 <= max(now, gst) + delta
 
@@ -34,9 +41,17 @@ def test_delivery_always_within_envelope(now, gst, delta):
 @given(st.integers(0, 1000), st.integers(0, 1000), st.integers(1, 50),
        st.integers(0, 10_000))
 def test_timer_always_within_envelope(now, gst, d, seed):
-    rng = random.Random(seed)
-    for rule in (("none",), ("uniform",), ("max",)):
-        at = schedule_timer(now, gst, d, rule, rng)
+    """The table's rule, called as `run` calls it before gst, and the tick
+    at which a timer set at `now` fires in a run."""
+    for kind in DRIFTS:
+        if now < gst:
+            fire = DRIFTS[kind][1](random.Random(seed).getrandbits)
+            assert now < fire(now, d, gst + d) <= gst + d
+        config = SimConfig(n=1, t=0, gst=gst, seed=seed, propose_at={0: now})
+        trace = run(config, AdversarySpec(drift=(kind,)),
+                    lambda pid: Scripted([SetTimer(d, ("t",))]),
+                    max_time=10**6, collect_rows=True)
+        [at] = [row[0] for row in trace.rows if row[2] == "timer-fire"]
         if now >= gst:
             assert at == now + d
         else:
@@ -79,8 +94,8 @@ def test_batched_deliveries_match_sequential_draws(now, gst, delta, n, seed):
         # of n sequential randint calls (or the fixed tick, without a draw)
         stdlib = random.Random(seed)
         for sender in range(n):
-            low, width = delivery_window(
-                now, gst, delta, ("max",) if sender == 1 else rule)
+            low, width = window(("max",) if sender == 1 else rule,
+                                now, gst, delta)
             assert [ticks[sender, dest] for dest in range(n)] == [
                 low if width == 1 else stdlib.randint(low, low + width - 1)
                 for dest in range(n)]
@@ -174,14 +189,6 @@ def test_random_strategy_rolls_a_multicast_as_its_sends():
     assert sent[-1][1] != 2 and all(value == 2 for _, value in sent[:-1])
 
 
-def test_unknown_rules_rejected():
-    rng = random.Random(0)
-    with pytest.raises(ValueError):
-        delivery_window(0, 0, 10, ("bogus",))
-    with pytest.raises(ValueError):
-        schedule_timer(0, 10, 10, ("bogus",), rng)
-
-
 # -- configuration guards ----------------------------------------------------
 
 
@@ -232,15 +239,12 @@ def test_correct_excludes_faulty():
 def test_all_strategy_kinds_construct():
     config = SimConfig(n=4, t=1, faulty=frozenset({3}))
     inner, rng = Automaton(), random.Random(0)
-    assert set(STRATEGIES) == set(SPEC_ARGS["strategies"])
-    for kind, counts in SPEC_ARGS["strategies"].items():
+    for kind, (counts, cls) in STRATEGIES.items():
         for count in counts:   # every argument count a scenario may give
             strategy = make_strategy((kind,) + (5,) * count, inner, config,
                                      rng, lambda: 0)
-            assert type(strategy) is STRATEGIES[kind]
+            assert type(strategy) is cls
             assert strategy.rng is rng and strategy.clock() == 0
-    with pytest.raises(ValueError):
-        make_strategy(("bogus",), inner, config, rng, lambda: 0)
 
 
 def test_crash_strategy_drops_output_from_its_time_on():
