@@ -60,10 +60,13 @@ class Tally:
     def add(self, sender, v) -> int:
         if self.first_only and sender in self.senders:
             return 0
-        backers = self.backers.setdefault(v, set())
-        if sender in backers:
+        backers = self.backers.get(v)
+        if backers is None:
+            self.backers[v] = backers = {sender}
+        elif sender in backers:
             return 0
-        backers.add(sender)
+        else:
+            backers.add(sender)
         self.senders.add(sender)
         self.total += 1
         support = len(backers)
@@ -132,7 +135,8 @@ class Payload:
 
 @dataclass(frozen=True)
 class ValidityPredicate:
-    """Pure predicate over values: always-true, membership, or modulo."""
+    """Pure predicate over values: always-true, membership, or modulo.
+    `check(v)` is built once, for the kind, when the predicate is built."""
 
     kind: str = "always-true"
     members: frozenset = field(default_factory=frozenset)
@@ -151,14 +155,14 @@ class ValidityPredicate:
     def modulo(cls, divisor, residue):
         return cls("modulo", divisor=divisor, residue=residue)
 
-    def check(self, v) -> bool:
-        if self.kind == "always-true":
-            return True
-        if self.kind == "membership":
-            return v in self.members
-        if self.kind == "modulo":
-            return v % self.divisor == self.residue
-        raise ValueError(f"unknown predicate kind {self.kind!r}")
+    def __post_init__(self):
+        divisor, residue = self.divisor, self.residue
+        checks = {"always-true": lambda v: True,
+                  "membership": self.members.__contains__,
+                  "modulo": lambda v: v % divisor == residue}
+        if self.kind not in checks:
+            raise ValueError(f"unknown predicate kind {self.kind!r}")
+        object.__setattr__(self, "check", checks[self.kind])
 
 
 def payload_bits(p: Payload, policy: str = "payload-only",
@@ -167,9 +171,8 @@ def payload_bits(p: Payload, policy: str = "payload-only",
 
     payload-only: 8-bit kind tag + value fields at L bits + parity bits;
     view numbers excluded. full: view numbers also counted, at 16 bits.
+    `SimConfig` rejects any other policy.
     """
-    if policy not in ("payload-only", "full"):
-        raise ValueError(f"unknown accounting policy {policy!r}")
     bits = KIND_TAG_BITS
     if p.value is not None:
         bits += value_width  # BOT occupies the same declared field width

@@ -81,10 +81,11 @@ class AdversarySpec:
     strategies: dict = field(default_factory=dict)  # pid -> a STRATEGIES spec
 
 
-def draw(getrandbits, low, width, k=None):
-    """Random.randint(low, low + width - 1), k = width.bit_length(): the
-    stdlib's value from its getrandbits calls (Python 3.10-3.13), faster."""
-    k = k or width.bit_length()
+def draw(getrandbits, low, width):
+    """Random.randint(low, low + width - 1): the stdlib's value from its
+    getrandbits calls (Python 3.10-3.13), faster. `run` draws each
+    delivery's tick the same way, inline."""
+    k = width.bit_length()
     r = getrandbits(k)
     while r >= width:
         r = getrandbits(k)
@@ -346,16 +347,9 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
     n, gst, delta = config.n, config.gst, config.delta
     # calendar queue: the events of each pending tick in push order, as one
     # flat list pid, event, pid, event, ... (no tuple per event), and a heap
-    # that holds each pending tick once
+    # that holds each pending tick once; events are queued inline
     calendar: dict = {}
     ticks: list = []
-
-    def push(at, pid, event):
-        if (bucket := calendar.get(at)) is None:
-            calendar[at] = [pid, event]
-            heappush(ticks, at)
-        else:
-            bucket += pid, event
 
     rows, pbit = trace.rows, trace.pbit
     accounting, value_width = config.accounting, config.value_width
@@ -363,12 +357,9 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
     def absorb(now, pid, actions):
         correct = pid not in config.faulty
         counted = correct and now >= gst
-        # every copy sent in this step shares one delivery window
-        low, width = window[pid](now, max(now, gst) + delta)
-        k = width.bit_length()
         # bits and arrival of the last payload sent: a run of actions that
         # share one payload object and one path computes them once
-        payload = path = None
+        payload = path = low = None
         for a in actions:
             cls = type(a)
             if cls is Send or cls is Multicast or cls is Broadcast:
@@ -377,6 +368,9 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                     bits = payload_bits(payload, accounting, value_width) \
                         + path_bits(path, accounting)
                     arrival = MessageArrival(pid, payload, path)
+                    if low is None:   # every copy of the step, one window
+                        low, width = window[pid](now, max(now, gst) + delta)
+                        k = width.bit_length()
                 if cls is Broadcast:
                     dests = range(n)
                     if correct and payload.kind == "START-VIEW":
@@ -392,17 +386,30 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                                 [(now, pid, "send", path, payload.kind,
                                   bits)] * len(dests))
                 # one arrival, shared by every copy; a window one tick wide
-                # is a fixed tick, which draws nothing; a copy to a process
-                # out of range is charged, never delivered
+                # is a fixed tick, which draws nothing, else each copy draws
+                # as `draw` does; a copy to a process out of range is
+                # charged, never delivered
                 for dest in dests:
                     if 0 <= dest < n:
-                        at = low if width == 1 \
-                            else draw(getrandbits, low, width, k)
-                        push(at, dest, arrival)
+                        at = low
+                        if width != 1:
+                            r = getrandbits(k)
+                            while r >= width:
+                                r = getrandbits(k)
+                            at += r
+                        if (bucket := calendar.get(at)) is None:
+                            calendar[at] = [dest, arrival]
+                            heappush(ticks, at)
+                        else:
+                            bucket += dest, arrival
             elif cls is SetTimer:   # only a timer set before gst drifts
                 d = a.duration
-                push(now + d if now >= gst else drift(now, d, gst + d), pid,
-                     TimerFired(a.timer_id))
+                at = now + d if now >= gst else drift(now, d, gst + d)
+                if (bucket := calendar.get(at)) is None:
+                    calendar[at] = [pid, TimerFired(a.timer_id)]
+                    heappush(ticks, at)
+                else:
+                    bucket += pid, TimerFired(a.timer_id)
             elif cls is Indicate:
                 if collect_rows:
                     rows.append((now, pid, "indicate:" + a.name, (), "-", 0))
@@ -422,8 +429,10 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                     key=lambda p: (config.propose_at.get(p, 0), p))
     for pid in starts:
         at = config.propose_at.get(pid, 0)
-        v = config.proposals.get(pid, 0)
-        push(at, pid, Request("propose", (v,)))
+        if at not in calendar:
+            calendar[at] = []
+            heappush(ticks, at)
+        calendar[at] += pid, Request("propose", (config.proposals.get(pid, 0),))
 
     # the loop ends once every correct process has halted, even mid-tick
     halted, running = set(), set(config.correct)

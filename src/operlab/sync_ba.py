@@ -9,6 +9,12 @@ halves, and mc(1)=0, mc(n)=13n+mc(larger half). A machine looks up each
 round's stage in the round schedule of its member count (`round_schedule`),
 built once per count.
 
+A round is idle for a process when, at some depth of the recursion, it is a
+"half" round of the half the process is not in: the process sends nothing
+and reads nothing in it. The idle rounds of each (member count, position)
+are built once (`active_rounds`); on an idle round `outbound` returns `[]`
+and `absorb` returns at once, without walking down the recursion.
+
 The adapter stretches each lock-step round to delta_sync virtual time, tags
 wire messages with the round parity bit, and refuses to exceed a cumulative
 bit cap.
@@ -66,6 +72,22 @@ def round_schedule(m: int) -> tuple:
                                  ("report", 1)):
                 schedule.extend((kind, local, idx) for local in range(length))
     return tuple(schedule)
+
+
+@functools.cache
+def active_rounds(m: int, pos: int) -> bytes:
+    """Per round of the agreement among m members: 1 if the member at
+    position pos (-1 for a non-member) sends or absorbs in it, 0 if it is
+    idle, a "half" round of a half that member is not in, at any depth."""
+    table = bytearray()
+    if m > 1:
+        split = (m + 1) // 2
+        for size, sub in ((split, pos), (m // 2, pos - split)):
+            table += b"\1" * GC_ROUNDS
+            table += active_rounds(size, sub) if 0 <= sub < size \
+                else bytes(rounds(size))
+            table += b"\1"   # report: every member reads it
+    return bytes(table)
 
 
 def _sub_t(m: int) -> int:
@@ -134,32 +156,36 @@ class SyncMachine:
         # the half this process recurses in; 0 if it is in neither
         self.own_half = 1 if pid in self.halves[1] \
             else 2 if pid in self.halves[2] else 0
+        self.active = active_rounds(
+            n, self.members.index(pid) if self.own_half else -1)
 
     def outbound(self, r):
+        if not self.active[r]:
+            return []
         kind, local, idx = self.schedule[r]
-        out = []
         if kind == "gc":
             if local == 0:
                 self.gc = LockstepGC(self.members, self.b)
                 self.gc_grade = None
-            out = self.gc.outbound(local)
-        elif idx == self.own_half:
-            if kind == "half":
-                if local == 0:
-                    self.child = SyncMachine(self.pid, self.halves[idx], self.b)
-                out = self.child.outbound(local)
-            else:   # report: one payload for every member
-                v = self.child.decision() if self.child else self.b
-                report = Payload("HALF-REPORT", value=v)
-                out = [(m, report) for m in self.members]
-        return out
+            return self.gc.outbound(local)
+        if kind == "half":   # an active half round is in the own half
+            if local == 0:
+                self.child = SyncMachine(self.pid, self.halves[idx], self.b)
+            return self.child.outbound(local)
+        if idx != self.own_half:
+            return []
+        # report: one payload for every member
+        v = self.child.decision() if self.child else self.b
+        report = Payload("HALF-REPORT", value=v)
+        return [(m, report) for m in self.members]
 
     def absorb(self, r, received):
+        if not self.active[r]:
+            return
         kind, local, idx = self.schedule[r]
         if kind == "half":
             # only the level that consumes the batch sorts it
-            if idx == self.own_half:
-                self.child.absorb(local, received)
+            self.child.absorb(local, received)
             return
         received = sorted(received, key=_batch_key)
         if kind == "gc":
@@ -221,14 +247,15 @@ class RoundSimAdapter(Automaton):
         self.done = False
 
     def on_event(self, event):
-        if isinstance(event, Request):
-            if event.name == "propose":
-                return self._start(event.args[0])
-            return []
-        if isinstance(event, MessageArrival):
+        cls = type(event)
+        if cls is MessageArrival:
             p = event.payload
             if p.kind == "SYNC-ROUND" and not self.done:
                 self.received[p.parity].append((event.sender, p.inner))
+            return []
+        if cls is Request:
+            if event.name == "propose":
+                return self._start(event.args[0])
             return []
         # timer: close out the current round
         if self.machine is None or self.done:
@@ -246,9 +273,12 @@ class RoundSimAdapter(Automaton):
         machine lists each payload's destinations one after another. The
         Multicast holds the first destinations that fit under the cumulative
         bit cap; a payload that fits none is not sent."""
+        outbound = self.machine.outbound(self.round)
+        if not outbound:
+            return []
         runs = []   # (inner payload, its destinations)
         inner = None
-        for dest, payload in self.machine.outbound(self.round):
+        for dest, payload in outbound:
             if payload is not inner:
                 inner, dests = payload, []
                 runs.append((inner, dests))
@@ -278,7 +308,9 @@ class RoundSimAdapter(Automaton):
         if self.round >= self.total_rounds:
             self.done = True
             return [Indicate("sync-done", (self.machine.decision(),))]
-        return self._send_round() + [self.new_timer(self.delta_sync)[0]]
+        out = self._send_round()
+        out.append(self.new_timer(self.delta_sync)[0])
+        return out
 
 
 class RecordingMachine(SyncMachine):

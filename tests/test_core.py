@@ -64,6 +64,11 @@ def test_validity_predicates():
     assert mod.check(7) and not mod.check(8)
 
 
+def test_validity_predicate_rejects_an_unknown_kind_when_built():
+    with pytest.raises(ValueError, match="unknown predicate kind 'bogus'"):
+        ValidityPredicate("bogus")
+
+
 @given(st.booleans(),
        st.lists(st.tuples(st.integers(0, 6),
                           st.sampled_from((1, 2, 3, BOT))), max_size=40))

@@ -4,12 +4,14 @@ from dataclasses import replace
 
 import pytest
 
+from operlab import harness
 from operlab.core import ValidityPredicate
 from operlab.harness import (ScenarioError, check_trace, final_view,
                              first_entry_times, load_scenario, oper_params,
                              oracle_sim, run_and_check, scenario_adversary,
                              scenario_config, sweep)
 from operlab.simnet import SimConfig, Trace
+from operlab.sync_ba import RoundSimAdapter
 
 
 def write_scn(tmp_path, obj, name="scn.json"):
@@ -290,6 +292,22 @@ def test_oracle_sim_mutation_control_diverges():
     ok, detail = oracle_sim(ORACLE, seed=0, parity_flip_pid=0)
     assert not ok
     assert "diverges" in detail
+
+
+def test_oracle_sim_detects_a_process_that_simulates_too_few_rounds(
+        monkeypatch):
+    built = []
+
+    def adapter(machine_factory, total_rounds, *args, **kwargs):
+        built.append(total_rounds)   # process 0, built first, stops early
+        return RoundSimAdapter(machine_factory, total_rounds - (len(built) == 1),
+                               *args, **kwargs)
+    monkeypatch.setattr(harness, "RoundSimAdapter", adapter)
+    total = oper_params(scenario_config(ORACLE, seed=0)).R
+    assert oracle_sim(ORACLE, seed=0) == (
+        False, f"process 0: {total - 1} simulated rounds vs {total} "
+               "reference rounds")
+    assert built == [total] * ORACLE["n"]
 
 
 def test_oracle_sim_rejects_pre_gst_starts():

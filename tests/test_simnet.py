@@ -108,8 +108,7 @@ def test_draw_matches_stdlib_randint():
         for low in (0, 1, 36_000):
             for width in widths:
                 ours, stdlib = random.Random(seed), random.Random(seed)
-                k = width.bit_length()
-                assert [draw(ours.getrandbits, low, width, k)
+                assert [draw(ours.getrandbits, low, width)
                         for _ in range(6)] == \
                     [stdlib.randint(low, low + width - 1) for _ in range(6)]
                 assert ours.getstate() == stdlib.getstate()

@@ -1,13 +1,15 @@
+import random
 from itertools import groupby
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from operlab.core import Payload
+from operlab.core import BOT, Payload
 from operlab.runtime import (Indicate, MessageArrival, Multicast, Request,
                              Send, SetTimer, TimerFired)
 from operlab.sync_ba import (GC_ROUNDS, RecordingMachine, RoundSimAdapter,
-                             SyncMachine, budget, lockstep_run, mc,
-                             round_schedule, rounds)
+                             SyncMachine, active_rounds, budget, lockstep_run,
+                             mc, round_schedule, rounds)
 
 from lockstep import lockstep_sent
 
@@ -52,6 +54,89 @@ def test_round_schedule_runs_each_half_through_gc_recursion_and_report():
                                  ("report", 1))
             if length]   # a one-member half has no rounds of its own
         assert stages == want
+
+
+def walk_is_active(m, pos, r):
+    """Round r among m members, for the member at position pos: walks down
+    `round_schedule` to the level that owns the round; idle if it is a
+    "half" round of a half the member is not in."""
+    while True:
+        kind, local, idx = round_schedule(m)[r]
+        if kind != "half":
+            return True
+        split = (m + 1) // 2
+        low, high = (0, split) if idx == 1 else (split, m)
+        if not low <= pos < high:
+            return False
+        m, pos, r = high - low, pos - low, local
+
+
+def test_active_rounds_match_a_walk_of_the_schedule():
+    for m in range(1, 65):
+        for pos in (-1, *range(m)):   # -1: a non-member
+            table = active_rounds(m, pos)
+            assert type(table) is bytes and len(table) == rounds(m)
+            assert list(table) == [walk_is_active(m, pos, r)
+                                   for r in range(rounds(m))]
+
+
+class EveryRoundActive(SyncMachine):
+    """The recursion without the idle table: every round walks down to the
+    level whose half holds this process, at every depth."""
+
+    def __init__(self, pid, members, proposal):
+        super().__init__(pid, members, proposal)
+        self.active = b"\1" * len(self.schedule)
+
+    def outbound(self, r):
+        kind, local, idx = self.schedule[r]
+        if kind != "half":
+            return super().outbound(r)
+        if idx != self.own_half:
+            return []
+        if local == 0:
+            self.child = EveryRoundActive(self.pid, self.halves[idx], self.b)
+        return self.child.outbound(local)
+
+    def absorb(self, r, received):
+        kind, local, idx = self.schedule[r]
+        if kind != "half":
+            super().absorb(r, received)
+        elif idx == self.own_half:
+            self.child.absorb(local, received)
+
+
+SYNC_KINDS = ("INIT", "ECHO", "ECHO2", "ECHO3", "ECHO4", "ECHO5", "HALF-REPORT")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 16), st.data(), st.integers(0, 2 ** 32))
+def test_idle_rounds_change_no_outbound_and_no_state(n, data, seed):
+    """Random batches every round, junk at idle rounds too: the machine that
+    skips its idle rounds sends and holds what the full walk does."""
+    pid = data.draw(st.integers(0, n), label="pid")   # n: a non-member
+    proposal = data.draw(st.sampled_from((1, 2, 3)), label="proposal")
+    members = list(range(n))
+    fast = SyncMachine(pid, members, proposal)
+    full = EveryRoundActive(pid, members, proposal)
+    rng = random.Random(seed)
+    favourite = rng.choice((1, 2, 3, BOT))
+    for r in range(rounds(n)):
+        out = fast.outbound(r)
+        assert out == full.outbound(r), r
+        # members answer in the kinds sent this round (any kind when
+        # idle), mostly with one value; junk from non-members rides along
+        kinds = sorted({p.kind for _, p in out}) or SYNC_KINDS
+        batch = [(s, Payload(rng.choice(kinds), value=favourite
+                             if rng.random() < 0.8 else rng.choice((1, 2))))
+                 for s in members if rng.random() < 0.8]
+        batch += [(n + rng.randrange(3), Payload(rng.choice(SYNC_KINDS),
+                                                 value=favourite))
+                  for _ in range(rng.randrange(3))]
+        rng.shuffle(batch)
+        fast.absorb(r, batch)
+        full.absorb(r, batch)
+        assert fast.state_digest() == full.state_digest(), r
 
 
 def run_lockstep(n, proposals):
