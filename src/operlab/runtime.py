@@ -8,12 +8,12 @@ args are prefixed with the child's tag.
 
 Paths are absolute. When a Composite is attached (as the root or as a
 child) it records its path, once, on itself, its core and its children, down
-the whole tree. An automaton builds each Send, Multicast, Broadcast and
-SetTimer with its own `path` in front, so a parent passes its children's
-actions up unchanged. A Multicast is one payload to a tuple of
-destinations, which the simulator handles as the Sends it stands for. A
-timer id is its owner's path plus a sequence number, and the owner stores
-and compares that absolute id. A message goes by its `path` and a firing
+the whole tree. An automaton builds each Multicast, Broadcast and SetTimer
+with its own `path` in front, so a parent passes its children's actions up
+unchanged. A Multicast is one payload to a tuple of destinations; a
+message to one process is a Multicast to a one-tuple. A timer id is its
+owner's path plus a sequence number, and the owner stores and compares
+that absolute id. A message goes by its `path` and a firing
 timer by `timer_id[:-1]`: at a composite of depth d, to the core when that
 path ends at d, else to the child tagged `path[d]`.
 
@@ -27,7 +27,7 @@ leaf, or a composite without child `path[d]`. A routed event is a message
 or a timer, never a request, so the root calls a live target's `on_event`
 directly; only an abandoned target goes through `Automaton.step`, which
 mutes it. An empty output returns at once. Other output comes back up
-through each level's lift, if there is any that is not a send, multicast,
+through each level's lift, if there is any that is not a multicast,
 broadcast or timer; those alone return as they are.
 
 Only the root's core emits Halt; the simulator stops a process at its first
@@ -89,15 +89,8 @@ class Request:
 
 
 @dataclass(slots=True)
-class Send:
-    to: int
-    payload: Payload
-    path: tuple = ()
-
-
-@dataclass(slots=True)
 class Multicast:
-    """The Sends of `payload` to each of `dests`, a tuple, in order."""
+    """One copy of `payload` to each of `dests`, a tuple, in order."""
 
     dests: tuple
     payload: Payload
@@ -136,7 +129,7 @@ class ToChild:
 
 
 # action types a parent passes up from a child unchanged
-_PASS_UP = frozenset((Send, Multicast, Broadcast, SetTimer))
+_PASS_UP = frozenset((Multicast, Broadcast, SetTimer))
 
 
 class Automaton:

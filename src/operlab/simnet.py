@@ -19,7 +19,7 @@ from heapq import heappop, heappush
 from .core import (DEFAULT_VALUE_WIDTH, Payload, ValidityPredicate, path_bits,
                    payload_bits)
 from .runtime import (Automaton, Broadcast, Halt, Indicate, MessageArrival,
-                      Multicast, Request, Send, SetTimer, TimerFired)
+                      Multicast, Request, SetTimer, TimerFired)
 
 
 @dataclass(frozen=True)
@@ -150,12 +150,14 @@ class CrashStrategy(Strategy):
     def rewrite(self, actions):
         if self.clock() >= self.at:
             return [a for a in actions if not isinstance(
-                a, (Send, Multicast, Broadcast, Indicate))]
+                a, (Multicast, Broadcast, Indicate))]
         return actions
 
 
 class EquivocateStrategy(Strategy):
-    """Splits every value-carrying broadcast by receiver parity."""
+    """Splits every value-carrying broadcast by receiver parity, one
+    single-destination multicast per process; all else passes as it is, so
+    SYNC-ROUND multicasts, and the sync BA in them, see it behave honestly."""
 
     def __init__(self, inner, config):
         super().__init__(inner, config)
@@ -168,8 +170,8 @@ class EquivocateStrategy(Strategy):
             if isinstance(a, Broadcast) and isinstance(a.payload.value, int):
                 alt = replace(a.payload, value=(a.payload.value + 1) & self.mask)
                 for dest in range(self.n):
-                    out.append(Send(dest, a.payload if dest % 2 == 0 else alt,
-                                    a.path))
+                    out.append(Multicast((dest,), a.payload if dest % 2 == 0
+                                         else alt, a.path))
             else:
                 out.append(a)
         return out
@@ -209,7 +211,7 @@ class FloodStrategy(Strategy):
 
 class RandomStrategy(Strategy):
     """Keeps, drops, duplicates, or value-mutates each outgoing message;
-    a Multicast is rolled as the Sends it stands for."""
+    a multicast is rolled copy by copy, as single-destination multicasts."""
 
     def __init__(self, inner, config):
         super().__init__(inner, config)
@@ -218,11 +220,11 @@ class RandomStrategy(Strategy):
     def rewrite(self, actions):
         out = []
         for a in actions:
-            if isinstance(a, Multicast):   # rolled as its sends, in order
-                out += self.rewrite([Send(dest, a.payload, a.path)
+            if isinstance(a, Multicast) and len(a.dests) != 1:   # per copy
+                out += self.rewrite([Multicast((dest,), a.payload, a.path)
                                      for dest in a.dests])
                 continue
-            if not isinstance(a, (Send, Broadcast)):
+            if not isinstance(a, (Multicast, Broadcast)):
                 out.append(a)
                 continue
             roll = self.rng.random()
@@ -362,7 +364,7 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
         payload = path = low = None
         for a in actions:
             cls = type(a)
-            if cls is Send or cls is Multicast or cls is Broadcast:
+            if cls is Multicast or cls is Broadcast:
                 if a.payload is not payload or a.path is not path:
                     payload, path = a.payload, a.path
                     bits = payload_bits(payload, accounting, value_width) \
@@ -371,13 +373,11 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                     if low is None:   # every copy of the step, one window
                         low, width = window[pid](now, max(now, gst) + delta)
                         k = width.bit_length()
-                if cls is Broadcast:
-                    dests = range(n)
-                    if correct and payload.kind == "START-VIEW":
-                        key = (pid, payload.view)
-                        trace.sv_counts[key] = trace.sv_counts.get(key, 0) + 1
-                else:
-                    dests = (a.to,) if cls is Send else a.dests
+                dests = a.dests if cls is Multicast else range(n)
+                if cls is Broadcast and correct \
+                        and payload.kind == "START-VIEW":
+                    key = (pid, payload.view)
+                    trace.sv_counts[key] = trace.sv_counts.get(key, 0) + 1
                 if counted:
                     pbit[pid] = pbit.get(pid, 0) + bits * len(dests)
                 if collect_rows:   # a multicast has a send row per copy

@@ -1,6 +1,11 @@
 """Recursive synchronous Byzantine agreement and its partially synchronous
 round-simulation adapter.
 
+A round machine is all that the adapter and `lockstep_run` call:
+`outbound(r)` returns round r's messages as `(payload, dests)` runs, one per
+payload, `dests` a tuple of process ids; `absorb(r, received)` takes round
+r's `(sender, payload)` inputs; `decision()` is the value it holds.
+
 The lock-step machine halves the member set recursively: graded consensus
 over S, the first half recursing and reporting, a majority update gated on
 grade 0, then the same with the second half. Round and per-process message
@@ -111,7 +116,7 @@ class LockstepGC:
     """
 
     def __init__(self, members, proposal):
-        self.members = list(members)
+        self.members = tuple(members)
         self.auto = GradedConsensus(len(self.members), _sub_t(len(self.members)))
         self.proposal = proposal
         self.outbox = None   # payloads queued for the next outbound call
@@ -129,7 +134,7 @@ class LockstepGC:
             self.outbox = []
             self._collect(self.auto.step(Request("propose", (self.proposal,))))
         batch, self.outbox = self.outbox, []
-        return [(m, p) for p in batch for m in self.members]
+        return [(p, self.members) for p in batch]
 
     def absorb(self, r, received):
         for sender, payload in received:   # never abandoned: no step
@@ -144,7 +149,7 @@ class SyncMachine:
 
     def __init__(self, pid, members, proposal):
         self.pid = pid
-        self.members = list(members)
+        self.members = tuple(members)
         self.b = proposal
         n = len(self.members)
         self.schedule = round_schedule(n)
@@ -176,8 +181,7 @@ class SyncMachine:
             return []
         # report: one payload for every member
         v = self.child.decision() if self.child else self.b
-        report = Payload("HALF-REPORT", value=v)
-        return [(m, report) for m in self.members]
+        return [(Payload("HALF-REPORT", value=v), self.members)]
 
     def absorb(self, r, received):
         if not self.active[r]:
@@ -269,28 +273,17 @@ class RoundSimAdapter(Automaton):
         return self._next_round()
 
     def _send_round(self):
-        """One SYNC-ROUND Multicast and one bit count per inner payload: the
-        machine lists each payload's destinations one after another. The
-        Multicast holds the first destinations that fit under the cumulative
-        bit cap; a payload that fits none is not sent."""
-        outbound = self.machine.outbound(self.round)
-        if not outbound:
-            return []
-        runs = []   # (inner payload, its destinations)
-        inner = None
-        for dest, payload in outbound:
-            if payload is not inner:
-                inner, dests = payload, []
-                runs.append((inner, dests))
-            dests.append(dest)
+        """One SYNC-ROUND Multicast and one bit count per run of the
+        machine's outbound, holding the first destinations that fit under
+        the cumulative bit cap; a payload that fits none is not sent."""
         out = []
         parity = (self.round ^ self.parity_flip) & 1
-        for inner, dests in runs:
+        for inner, dests in self.machine.outbound(self.round):
             bits = payload_bits(inner, "payload-only", self.value_width)
             fit = (self.bit_cap - self.sent_bits) // bits
             if fit <= 0:
                 continue  # budget exhausted: suppress silently
-            dests = tuple(dests[:fit])
+            dests = dests[:fit]
             self.sent_bits += bits * len(dests)
             out.append(Multicast(dests, Payload("SYNC-ROUND", parity=parity,
                                                 inner=inner), self.path))
@@ -331,19 +324,21 @@ class RecordingMachine(SyncMachine):
 def lockstep_run(machines: dict, total_rounds: int, inject=None):
     """Reference lock-step execution of round machines.
 
-    machines: pid -> RoundMachine for the correct processes. inject maps
-    (round, receiver_pid) -> [(sender, payload)] for Byzantine round inputs.
-    Returns pid -> [digest per round].
+    machines: pid -> round machine for the correct processes, each run sent
+    to its destinations in order. inject maps (round, receiver_pid) ->
+    [(sender, payload)] for Byzantine round inputs. Returns pid -> [digest
+    per round].
     """
     inject = inject or {}
     digests = {pid: [] for pid in machines}
     for r in range(total_rounds):
         outs = {pid: m.outbound(r) for pid, m in machines.items()}
         inboxes = {pid: [] for pid in machines}
-        for sender, batch in outs.items():
-            for dest, payload in batch:
-                if dest in inboxes:
-                    inboxes[dest].append((sender, payload))
+        for sender, runs in outs.items():
+            for payload, dests in runs:
+                for dest in dests:
+                    if dest in inboxes:
+                        inboxes[dest].append((sender, payload))
         for pid, m in machines.items():
             m.absorb(r, inboxes[pid] + list(inject.get((r, pid), ())))
             digests[pid].append(m.state_digest())

@@ -2,7 +2,7 @@
 networks and a request-renaming wrapper."""
 
 from operlab.runtime import (Automaton, Broadcast, Indicate, MessageArrival,
-                             Request, Send)
+                             Multicast, Request, SetTimer)
 from operlab.sync_ba import lockstep_run
 
 
@@ -22,12 +22,12 @@ class Renamed(Automaton):
 
 def lockstep_sent(machines, total_rounds):
     """Runs sync_ba.lockstep_run and returns pid -> messages each machine
-    sent, the summed lengths of its outbound batches."""
+    sent: the copies of its outbound runs, one per destination."""
     sent = dict.fromkeys(machines, 0)
     for pid, m in machines.items():
         def outbound(r, pid=pid, inner=m.outbound):
             out = inner(r)
-            sent[pid] += len(out)
+            sent[pid] += sum(len(dests) for _, dests in out)
             return out
         m.outbound = outbound
     lockstep_run(machines, total_rounds)
@@ -38,20 +38,23 @@ def lockstep_network(autos, start_events, max_rounds):
     """Run automata in asynchronous lock-step rounds.
 
     Messages produced in round r (and by the start events, which count as
-    round 0 sends) are delivered to every process at the start of round r+1.
-    Timers never fire. Returns {pid: [(round, name, args), ...]} indications.
+    round 0 sends) are delivered to their destinations (a broadcast: every
+    process) at the start of round r+1. Timers never fire; any other action
+    raises TypeError. Returns {pid: [(round, name, args), ...]} indications.
     """
     indications = {pid: [] for pid in autos}
-    pending = []   # (sender, dest-or-None, payload, path)
+    pending = []   # (sender, dests or None for all, payload, path)
 
     def collect(pid, actions, r):
         for a in actions:
             if isinstance(a, Broadcast):
                 pending.append((pid, None, a.payload, a.path))
-            elif isinstance(a, Send):
-                pending.append((pid, a.to, a.payload, a.path))
+            elif isinstance(a, Multicast):
+                pending.append((pid, a.dests, a.payload, a.path))
             elif isinstance(a, Indicate):
                 indications[pid].append((r, a.name, a.args))
+            elif not isinstance(a, SetTimer):
+                raise TypeError(f"lock-step network cannot run {a!r}")
 
     for pid, event in start_events:
         collect(pid, autos[pid].step(event), 0)
@@ -59,9 +62,9 @@ def lockstep_network(autos, start_events, max_rounds):
         batch, pending[:] = list(pending), []
         if not batch:
             break
-        for sender, dest, payload, path in batch:
-            targets = autos if dest is None else \
-                ([dest] if dest in autos else [])
+        for sender, dests, payload, path in batch:
+            targets = autos if dests is None else \
+                [dest for dest in dests if dest in autos]
             for pid in targets:
                 collect(pid, autos[pid].step(
                     MessageArrival(sender, payload, path)), r)

@@ -12,7 +12,7 @@ The recursive sync BA is pinned the same way, one lock-step round at a time:
 a `SyncMachine` at n=7 and at n=10 absorbs seeded random round batches
 (messages from members in the kinds it sends that round, plus junk senders,
 a junk kind and BOT values, shuffled), and the repr of each round's outbound
-list and state digest is hashed.
+copies, as (dest, payload) pairs, and state digest is hashed.
 """
 
 import hashlib
@@ -172,7 +172,9 @@ def test_sync_machine_round_pin(n, sha):
         favourite = rng.choice(VALUES)
         machine = SyncMachine(rng.randrange(n), members, rng.choice((1, 2, 3)))
         for r in range(rounds(n)):
-            out = machine.outbound(r)
+            # (dest, payload) per copy, the shape these hashes were taken in
+            out = [(dest, p) for p, dests in machine.outbound(r)
+                   for dest in dests]
             machine.absorb(r, _round_batch(rng, members, out, favourite))
             h.update(repr((out, machine.state_digest())).encode() + b"\n")
             grades.add(machine.gc_grade)

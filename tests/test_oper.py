@@ -1,7 +1,7 @@
 import gc
 
 import operlab.oper
-from operlab.core import Payload
+from operlab.core import BOT, KINDS, Payload
 from operlab.oper import BUFFER_CAP, Oper, crux_tag, _tag_view, make_oper
 from operlab.runtime import Automaton, MessageArrival, Request
 from operlab.simnet import AdversarySpec, SimConfig, run
@@ -48,6 +48,31 @@ def test_junk_paths_leave_one_route_per_automaton():
     assert len(oper.routes) == len(automata(oper)) == 8
     assert (oper.misrouted, view.misrouted) == (200, 200)
     assert sorted(oper.children) == [crux_tag(1), "fin"]
+
+
+def junk_of_every_kind():
+    """One payload of each kind; value kinds once with a value, once BOT."""
+    for kind in KINDS:
+        if kind == "SYNC-ROUND":
+            yield Payload(kind, parity=0, inner=Payload("ECHO", value=5))
+        elif kind == "START-VIEW":
+            yield Payload(kind, view=1)
+        else:
+            yield Payload(kind, value=5)
+            yield Payload(kind, value=BOT)
+
+
+def test_junk_on_core_paths_is_absorbed_silently():
+    # a faulty process may send any kind to a core's own path: the view
+    # core, the validation core and the finisher ignore what they do not
+    # read, and one sender is below every threshold of what they do read
+    oper = Oper(4, 1, 10, pid=0)
+    oper.step(Request("propose", (5,)))
+    for path in ((crux_tag(1),), (crux_tag(1), "vb"), ("fin",)):
+        for payload in junk_of_every_kind():
+            assert oper.on_event(MessageArrival(3, payload, path)) == [], \
+                (path, payload)
+    assert [c.misrouted for c in composites(oper)] == [0, 0, 0]
 
 
 def test_view_spawned_from_the_buffer_is_routed_by_the_table():

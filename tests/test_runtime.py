@@ -5,8 +5,8 @@ import pytest
 
 from operlab.core import Payload, PayloadError
 from operlab.runtime import (Automaton, Broadcast, Composite, Halt, Indicate,
-                             MessageArrival, Multicast, Request, Send,
-                             SetTimer, TimerFired, ToChild)
+                             MessageArrival, Multicast, Request, SetTimer,
+                             TimerFired, ToChild)
 
 
 class Echoer(Automaton):
@@ -104,11 +104,12 @@ def test_new_timer_ids_are_unique():
 def test_send_path_prefixing():
     class Sender(Automaton):
         def on_event(self, event):
-            return [Send(2, Payload("INIT", value=4), self.path + ("deep",))]
+            return [Multicast((2,), Payload("INIT", value=4),
+                              self.path + ("deep",))]
 
     comp = Composite(Forwarder("s"), children={"s": Sender()})
     out = comp.step(Request("go"))
-    assert out == [Send(2, Payload("INIT", value=4), ("s", "deep"))]
+    assert out == [Multicast((2,), Payload("INIT", value=4), ("s", "deep"))]
 
 
 # -- absolute paths at depth 2 ----------------------------------------------
@@ -123,7 +124,8 @@ class Leaf(Recorder):
         if isinstance(event, MessageArrival):
             timer, _ = self.new_timer(5)
             return [Broadcast(event.payload, self.path),
-                    Send(1, event.payload, self.path + ("x",)), timer,
+                    Multicast((1,), event.payload, self.path + ("x",)),
+                    timer,
                     Indicate("saw", (event.sender,))]
         if isinstance(event, TimerFired):
             return [Indicate("fired", (event.timer_id,))]
@@ -155,7 +157,8 @@ def test_depth_two_actions_carry_absolute_paths():
     assert root.children == {"mid": mid}
     assert leaf.path == ("mid", "leaf") and mid.core.path == ("mid",)
     assert out == [Broadcast(Payload("INIT", value=1), ("mid", "leaf")),
-                   Send(1, Payload("INIT", value=1), ("mid", "leaf", "x")),
+                   Multicast((1,), Payload("INIT", value=1),
+                             ("mid", "leaf", "x")),
                    SetTimer(5, ("mid", "leaf", 1))]
     assert mid.core.events[-1] == Request("saw", ("leaf", 3))
 
@@ -309,8 +312,7 @@ class Loud(Automaton):
 
     def on_event(self, event):
         timer, _ = self.new_timer(5)
-        return [Send(1, event.payload, self.path),
-                Multicast((0, 2), event.payload, self.path),
+        return [Multicast((0, 2), event.payload, self.path),
                 Broadcast(event.payload, self.path), timer,
                 Indicate("decide", (7,)), Indicate("validate", (7,))]
 
@@ -319,7 +321,7 @@ def test_abandoned_subtree_passes_only_validations():
     mid = Composite(Recorder(), children={"leaf": Loud()})
     root = Composite(Recorder(), children={"mid": mid})
     live = root.step(msg(path=("mid", "leaf")))
-    assert [type(a) for a in live] == [Send, Multicast, Broadcast, SetTimer]
+    assert [type(a) for a in live] == [Multicast, Broadcast, SetTimer]
     assert mid.core.events == [Request("decide", ("leaf", 7)),
                                Request("validate", ("leaf", 7))]
     mid.core.events.clear()
@@ -331,16 +333,16 @@ def test_abandoned_subtree_passes_only_validations():
 
 
 class Replier(Automaton):
-    """Answers every message with a Send to its sender."""
+    """Answers every message with a copy to its sender."""
 
     def on_event(self, event):
-        return [Send(event.sender, event.payload, self.path)]
+        return [Multicast((event.sender,), event.payload, self.path)]
 
 
 def test_a_route_used_before_an_abandon_mutes_its_target_after_it():
     mid = Composite(Recorder(), children={"leaf": Replier()})
     root = Composite(Recorder(), children={"mid": mid})
-    reply = Send(2, Payload("INIT", value=1), ("mid", "leaf"))
+    reply = Multicast((2,), Payload("INIT", value=1), ("mid", "leaf"))
     assert root.step(msg(2, path=("mid", "leaf"))) == [reply]
     assert root.step(msg(2, path=("mid", "leaf", "x"))) == [reply]
     assert mid.step(Request("abandon")) == []
@@ -352,8 +354,9 @@ class Reporter(Automaton):
     """Sends, indicates and sends again on every message."""
 
     def on_event(self, event):
-        return [Send(1, event.payload, self.path), Indicate("got", (5,)),
-                Send(2, event.payload, self.path)]
+        return [Multicast((1,), event.payload, self.path),
+                Indicate("got", (5,)),
+                Multicast((2,), event.payload, self.path)]
 
 
 class Answering(Recorder):
@@ -371,9 +374,9 @@ def test_depth_two_indication_reaches_its_parent_core_in_order():
     root = Composite(Recorder(), children={"mid": mid})
     out = root.step(msg(3, path=("mid", "leaf")))
     p = Payload("INIT", value=1)
-    assert out == [Send(1, p, ("mid", "leaf")),
+    assert out == [Multicast((1,), p, ("mid", "leaf")),
                    Broadcast(Payload("ECHO", value=5), ("mid",)),
-                   Send(2, p, ("mid", "leaf"))]
+                   Multicast((2,), p, ("mid", "leaf"))]
     assert mid.core.events == [Request("got", ("leaf", 5))]
     assert root.core.events == []
 
@@ -383,8 +386,8 @@ def test_depth_two_indication_reaches_its_parent_core_in_order():
 
 INIT = Payload("INIT", value=1)
 RECORDS = [MessageArrival(3, INIT, ("a",)), TimerFired(("a", 1)),
-           Request("kick", (1,)), Send(2, INIT, ("a",)),
-           Multicast((2, 0), INIT, ("a",)), Broadcast(INIT, ("a",)), SetTimer(5, ("a", 1)),
+           Request("kick", (1,)), Multicast((2, 0), INIT, ("a",)),
+           Broadcast(INIT, ("a",)), SetTimer(5, ("a", 1)),
            Indicate("saw", (3,)), Halt(), ToChild("a", Request("kick")),
            Payload("SYNC-ROUND", parity=1, inner=INIT)]
 
@@ -400,7 +403,6 @@ def test_records_are_slotted_values(record):
 
 def test_record_equality_checks_the_class():
     assert Request("x") != Indicate("x")
-    assert Send(1, INIT) != Broadcast(INIT)
-    assert Multicast((1,), INIT) != Send(1, INIT)
+    assert Multicast((1,), INIT) != Broadcast(INIT)
     with pytest.raises(PayloadError):   # __post_init__ still checks
         Payload("SYNC-ROUND", inner=INIT)

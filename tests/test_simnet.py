@@ -7,8 +7,8 @@ from operlab.core import Payload
 from operlab.harness import oper_params
 from operlab.oper import make_oper
 from operlab.runtime import (Automaton, Broadcast, Composite, Halt, Indicate,
-                             MessageArrival, Multicast, Request, Send,
-                             SetTimer, ToChild, TimerFired)
+                             MessageArrival, Multicast, Request, SetTimer,
+                             ToChild, TimerFired)
 from operlab.simnet import (AdversarySpec, CSV_HEADER, DELAYS, DRIFTS,
                             STRATEGIES, SimConfig, csv_row, draw, latency,
                             make_strategy, run, trace_lines)
@@ -128,8 +128,8 @@ class Pinger(Automaton):
 
 
 def test_send_to_out_of_range_destination_draws_nothing():
-    stray = [Send(9, Payload("INIT", value=2)),
-             Send(-1, Payload("INIT", value=3))]
+    stray = [Multicast((9,), Payload("INIT", value=2)),
+             Multicast((-1,), Payload("INIT", value=3))]
 
     def deliveries(extra):
         trace = run(SimConfig(n=4, t=1, seed=3), AdversarySpec(),
@@ -144,9 +144,10 @@ def test_send_to_out_of_range_destination_draws_nothing():
 
 
 ECHO2 = Payload("ECHO", value=2)
-# a multicast to four processes, one of them out of range, and its sends
+# a multicast to four processes, one of them out of range, and its sends:
+# one single-destination multicast per copy
 MULTICAST = [Multicast((2, 0, 9, 1), ECHO2)]
-SENDS = [Send(dest, ECHO2) for dest in (2, 0, 9, 1)]
+SENDS = [Multicast((dest,), ECHO2) for dest in (2, 0, 9, 1)]
 
 
 def test_a_multicast_runs_as_its_sends():
@@ -183,7 +184,10 @@ def test_random_strategy_rolls_a_multicast_as_its_sends():
     assert (out, state) == rewrite(SENDS)
     # at this seed the rolls drop the copy to 0, duplicate those to 2 and
     # 9 and mutate the one to 1
-    sent = [(a.to, a.payload.value) for a in out if isinstance(a, Send)]
+    sent = [(a.dests, a.payload.value) for a in out
+            if isinstance(a, Multicast)]
+    assert all(len(dests) == 1 for dests, _ in sent)
+    sent = [(dests[0], value) for dests, value in sent]
     assert [dest for dest, _ in sent] == [2, 2, 9, 9, 1]
     assert sent[-1][1] != 2 and all(value == 2 for _, value in sent[:-1])
 
@@ -248,7 +252,7 @@ def test_all_strategy_kinds_construct():
 
 def test_crash_strategy_drops_output_from_its_time_on():
     config = SimConfig(n=4, t=1, faulty=frozenset({3}))
-    script = [Send(1, Payload("INIT", value=1)),
+    script = [Multicast((1,), Payload("INIT", value=1)),
               Multicast((0, 2), Payload("INIT", value=2)),
               Indicate("decide", (1,)), SetTimer(5, ("t", 1))]
     now = 0
@@ -302,8 +306,8 @@ def test_strategies_copy_the_inner_broadcast_and_never_edit_it():
         return strategy.on_event(propose)
 
     sends = rewrite(("equivocate",))
-    assert [(s.to, s.payload.value) for s in sends] == [
-        (0, 5), (1, 6), (2, 5), (3, 6)]
+    assert [(s.dests, s.payload.value) for s in sends] == [
+        ((0,), 5), ((1,), 6), ((2,), 5), ((3,), 6)]
     assert sends[0].payload is payload and sends[1].payload is not payload
     [mutated] = rewrite(("random",), seed=3)   # its first roll mutates
     assert mutated is not action and mutated.payload is not payload
@@ -417,15 +421,16 @@ def propose(v=0):
 def test_a_copy_delivered_in_its_own_tick_runs_after_that_tick_s_events():
     # process 3 proposes at tick 1; the others at tick 0, where process 0
     # sends a copy that arrives at once
-    log = logged_run({0: [Send(1, INIT1)]}, gst=1000, propose_at={3: 1})
+    log = logged_run({0: [Multicast((1,), INIT1)]}, gst=1000,
+                     propose_at={3: 1})
     assert log == [(0, propose()), (1, propose()), (2, propose()),
                    (1, MessageArrival(0, INIT1)), (3, propose())]
 
 
 def test_timers_and_deliveries_on_one_tick_run_in_push_order():
     # gst 0: the timers fire at exactly 5, and ("exact", 0) delivers at once
-    log = logged_run({0: [SetTimer(5, ("a",)), Send(1, INIT1)],
-                      2: [Send(0, INIT2), SetTimer(0, ("b",))],
+    log = logged_run({0: [SetTimer(5, ("a",)), Multicast((1,), INIT1)],
+                      2: [Multicast((0,), INIT2), SetTimer(0, ("b",))],
                       3: [SetTimer(5, ("c",))]})
     assert log[4:] == [(1, MessageArrival(0, INIT1)),
                        (0, MessageArrival(2, INIT2)),
@@ -448,7 +453,8 @@ def test_the_loop_stops_mid_tick_once_the_last_correct_process_halts():
     adversary = AdversarySpec(pre_gst_delay=("exact", 0),
                               strategies={3: ("equivocate",)})
     trace = run(config, adversary,
-                lambda pid: Logger(pid, log, [Send(3, INIT1), Halt()]),
+                lambda pid: Logger(pid, log,
+                                   [Multicast((3,), INIT1), Halt()]),
                 max_time=1000, collect_rows=True)
     assert log == [(0, propose()), (1, propose()), (2, propose())]
     assert [row[2] for row in trace.rows] == ["send", "halt"] * 3

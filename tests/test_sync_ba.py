@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from operlab.core import BOT, Payload
-from operlab.runtime import (Indicate, MessageArrival, Multicast, Request,
-                             Send, SetTimer, TimerFired)
+from operlab.runtime import (Automaton, Halt, Indicate, MessageArrival,
+                             Multicast, Request, SetTimer, TimerFired)
 from operlab.sync_ba import (GC_ROUNDS, RecordingMachine, RoundSimAdapter,
                              SyncMachine, active_rounds, budget, lockstep_run,
                              mc, round_schedule, rounds)
 
-from lockstep import lockstep_sent
+from lockstep import lockstep_network, lockstep_sent
 
 
 def test_round_recurrence_values():
@@ -126,7 +126,7 @@ def test_idle_rounds_change_no_outbound_and_no_state(n, data, seed):
         assert out == full.outbound(r), r
         # members answer in the kinds sent this round (any kind when
         # idle), mostly with one value; junk from non-members rides along
-        kinds = sorted({p.kind for _, p in out}) or SYNC_KINDS
+        kinds = sorted({p.kind for p, _ in out}) or SYNC_KINDS
         batch = [(s, Payload(rng.choice(kinds), value=favourite
                              if rng.random() < 0.8 else rng.choice((1, 2))))
                  for s in members if rng.random() < 0.8]
@@ -170,6 +170,44 @@ def test_lockstep_respects_message_budget(n):
                     for p in range(n)}
         for sent in lockstep_sent(machines, rounds(n)).values():
             assert sent <= mc(n)
+
+
+def test_lockstep_sent_counts_copies_not_runs():
+    n = 10
+    machines = {p: SyncMachine(p, list(range(n)), p + 1) for p in range(n)}
+    sent = lockstep_sent(machines, rounds(n))
+    assert sorted(sent.values()) == [197, 197, 202, 202, 208, 222, 230, 230,
+                                     248, 248]
+
+
+class Scripted(Automaton):
+    """Emits `script` when asked to propose; reports each message's sender."""
+
+    def __init__(self, script=()):
+        super().__init__()
+        self.script = list(script)
+
+    def on_event(self, event):
+        if isinstance(event, Request):
+            return self.script
+        return [Indicate("got", (event.sender,))]
+
+
+def test_lockstep_network_delivers_each_multicast_copy():
+    autos = {0: Scripted([Multicast((2, 7, 1), Payload("INIT", value=1)),
+                          SetTimer(5, (1,))]), 1: Scripted(), 2: Scripted()}
+    inds = lockstep_network(autos, [(0, Request("propose"))], max_rounds=3)
+    assert inds == {0: [], 1: [(1, "got", (0,))], 2: [(1, "got", (0,))]}
+    with pytest.raises(TypeError):   # an action it cannot run is no drop
+        lockstep_network({0: Scripted([Halt()])},
+                         [(0, Request("propose"))], max_rounds=3)
+
+
+def test_outbound_is_one_run_per_payload_to_the_member_tuple():
+    machine = SyncMachine(0, list(range(4)), 5)
+    runs = machine.outbound(0)
+    assert runs and all(dests == (0, 1, 2, 3) for _, dests in runs)
+    assert len({id(p) for p, _ in runs}) == len(runs)
 
 
 def test_unanimous_value_survives_minority_faults():
@@ -249,7 +287,7 @@ def test_adapter_bit_cap_suppresses_sends():
                         rounds(2), delta_sync=30, bit_cap=0,
                         value_width=32)
     out = a.step(Request("propose", (5,)))
-    assert not any(isinstance(act, (Send, Multicast)) for act in out)
+    assert not any(isinstance(act, Multicast) for act in out)
     assert a.sent_bits == 0
 
 
