@@ -162,6 +162,9 @@ class ValidityPredicate:
                   "modulo": lambda v: v % divisor == residue}
         if self.kind not in checks:
             raise ValueError(f"unknown predicate kind {self.kind!r}")
+        if self.kind == "modulo" and not (   # an int divisor >= 1, int residue
+                type(divisor) is type(residue) is int and divisor >= 1):
+            raise ValueError(f"bad modulo fields {divisor!r}, {residue!r}")
         object.__setattr__(self, "check", checks[self.kind])
 
 

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import ValidityPredicate
+from .core import KIND_TAG_BITS, ValidityPredicate
 from .crux import CruxParams
 from .oper import make_oper
 from .simnet import AdversarySpec, SimConfig, Trace, check_adversary, run
@@ -66,11 +66,11 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError("give either 'proposal' or 'proposals', not both")
     if scn.get("seeds", 1) < 1:
         raise ScenarioError(f"seeds must be >= 1, not {scn['seeds']!r}")
-    try:
+    try:   # both raise on malformed input
         check_adversary(scenario_adversary(scn), scn.get("faulty", ()))
+        _build_validity(scn.get("validity"))
     except ValueError as e:
         raise ScenarioError(str(e))
-    _build_validity(scn.get("validity"))  # raises on malformed input
     return scn
 
 
@@ -86,10 +86,9 @@ def _build_validity(spec) -> ValidityPredicate:
         members = spec.get("members")
         if isinstance(members, list) and all(type(m) is int for m in members):
             return ValidityPredicate.membership(members)
-    elif kind == "modulo":
-        divisor, residue = spec.get("divisor"), spec.get("residue")
-        if type(divisor) is int and divisor >= 1 and type(residue) is int:
-            return ValidityPredicate.modulo(divisor, residue)
+    elif kind == "modulo":   # the predicate checks its fields
+        return ValidityPredicate.modulo(spec.get("divisor"),
+                                        spec.get("residue"))
     else:
         raise ScenarioError(f"unknown validity kind {kind!r}")
     raise ScenarioError(f"bad {kind} validity fields {spec!r}")
@@ -280,7 +279,7 @@ def sweep(scn: dict, n_list, seeds: int):
             pbit_max = max(pbit_max, *(report.trace.pbit.get(p, 0)
                                        for p in config.correct))
         width = scn.get("value_width", 32)
-        ratio = Fraction(pbit_max, n * (8 + width))
+        ratio = Fraction(pbit_max, n * (KIND_TAG_BITS + width))
         rows.append((n, t, pbit_max, ratio))
     return rows, violations
 

@@ -107,10 +107,10 @@ class OperCore(Automaton):
 
     def _try_advance(self):
         out = []
-        while (self.pending_target is not None
-               and self.pending_target > self.view
-               and self.pending_target - 1 in self.validated
-               and self.own is not None):
+        if (self.pending_target is not None
+                and self.pending_target > self.view
+                and self.pending_target - 1 in self.validated
+                and self.own is not None):
             target = self.pending_target
             value = self.validated[target - 1]
             out.append(ToChild(crux_tag(self.view), Request("abandon")))

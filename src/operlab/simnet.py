@@ -349,9 +349,14 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
     n, gst, delta = config.n, config.gst, config.delta
     # calendar queue: the events of each pending tick in push order, as one
     # flat list pid, event, pid, event, ... (no tuple per event), and a heap
-    # that holds each pending tick once; events are queued inline
+    # that holds each pending tick once; events are queued inline. Every
+    # process is kicked off with its proposal, in pid order within a tick,
+    # and a sorted list is a heap.
     calendar: dict = {}
-    ticks: list = []
+    for pid in range(n):
+        calendar.setdefault(config.propose_at.get(pid, 0), []).extend(
+            (pid, Request("propose", (config.proposals.get(pid, 0),))))
+    ticks = sorted(calendar)
 
     rows, pbit = trace.rows, trace.pbit
     accounting, value_width = config.accounting, config.value_width
@@ -359,20 +364,17 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
     def absorb(now, pid, actions):
         correct = pid not in config.faulty
         counted = correct and now >= gst
-        # bits and arrival of the last payload sent: a run of actions that
-        # share one payload object and one path computes them once
-        payload = path = low = None
+        low = None
         for a in actions:
             cls = type(a)
             if cls is Multicast or cls is Broadcast:
-                if a.payload is not payload or a.path is not path:
-                    payload, path = a.payload, a.path
-                    bits = payload_bits(payload, accounting, value_width) \
-                        + path_bits(path, accounting)
-                    arrival = MessageArrival(pid, payload, path)
-                    if low is None:   # every copy of the step, one window
-                        low, width = window[pid](now, max(now, gst) + delta)
-                        k = width.bit_length()
+                payload, path = a.payload, a.path
+                bits = payload_bits(payload, accounting, value_width) \
+                    + path_bits(path, accounting)
+                arrival = MessageArrival(pid, payload, path)
+                if low is None:   # every copy of the step, one window
+                    low, width = window[pid](now, max(now, gst) + delta)
+                    k = width.bit_length()
                 dests = a.dests if cls is Multicast else range(n)
                 if cls is Broadcast and correct \
                         and payload.kind == "START-VIEW":
@@ -423,16 +425,6 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                 halted.add(pid)
                 running.discard(pid)
                 return
-
-    # kick off every process with its proposal
-    starts = sorted(range(config.n),
-                    key=lambda p: (config.propose_at.get(p, 0), p))
-    for pid in starts:
-        at = config.propose_at.get(pid, 0)
-        if at not in calendar:
-            calendar[at] = []
-            heappush(ticks, at)
-        calendar[at] += pid, Request("propose", (config.proposals.get(pid, 0),))
 
     # the loop ends once every correct process has halted, even mid-tick
     halted, running = set(), set(config.correct)

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import functools
 
-from .core import BOT, Payload, Tally, payload_bits, value_sort_key
+from .core import (BOT, KIND_TAG_BITS, Payload, Tally, payload_bits,
+                   value_sort_key)
 from .runtime import (Automaton, Broadcast, Indicate, MessageArrival,
                       Multicast, Request)
 from .graded_consensus import GradedConsensus
@@ -61,8 +62,8 @@ def mc(n: int) -> int:
 
 
 def budget(n: int, value_width: int) -> int:
-    """Per-process bit budget: every message is an 8-bit tag plus a value."""
-    return mc(n) * (8 + value_width)
+    """Per-process bit budget: every message is a kind tag plus a value."""
+    return mc(n) * (KIND_TAG_BITS + value_width)
 
 
 @functools.cache
@@ -95,10 +96,6 @@ def active_rounds(m: int, pos: int) -> bytes:
     return bytes(table)
 
 
-def _sub_t(m: int) -> int:
-    return (m - 1) // 3
-
-
 def _batch_key(item):
     """Canonical in-round ordering; lock-step state must not depend on
     arrival order within a round."""
@@ -111,16 +108,17 @@ def _batch_key(item):
 class LockstepGC:
     """Drives the event-driven graded consensus in lock-step rounds.
 
-    Messages produced while absorbing round r are sent in round r+1 and
-    delivered (to every member, including self) at the end of that round.
+    Its proposal (made when it is built) goes out in round 0 and what absorbing
+    round r yields in round r+1, reaching every member and self at round end.
     """
 
     def __init__(self, members, proposal):
         self.members = tuple(members)
-        self.auto = GradedConsensus(len(self.members), _sub_t(len(self.members)))
-        self.proposal = proposal
-        self.outbox = None   # payloads queued for the next outbound call
+        m = len(self.members)
+        self.auto = GradedConsensus(m, (m - 1) // 3)
+        self.outbox = []   # payloads queued for the next outbound call
         self.decision = None
+        self._collect(self.auto.step(Request("propose", (proposal,))))
 
     def _collect(self, actions):
         for a in actions:
@@ -130,9 +128,6 @@ class LockstepGC:
                 self.decision = a.args
 
     def outbound(self, r):
-        if r == 0:
-            self.outbox = []
-            self._collect(self.auto.step(Request("propose", (self.proposal,))))
         batch, self.outbox = self.outbox, []
         return [(p, self.members) for p in batch]
 

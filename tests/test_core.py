@@ -64,6 +64,13 @@ def test_validity_predicates():
     assert mod.check(7) and not mod.check(8)
 
 
+@pytest.mark.parametrize("divisor, residue", [
+    (0, 0), (-3, 1), (2.0, 1), (True, 0), (4, "1"), (4, None)])
+def test_modulo_predicate_rejects_bad_fields_when_built(divisor, residue):
+    with pytest.raises(ValueError, match="bad modulo fields"):
+        ValidityPredicate.modulo(divisor, residue)
+
+
 def test_validity_predicate_rejects_an_unknown_kind_when_built():
     with pytest.raises(ValueError, match="unknown predicate kind 'bogus'"):
         ValidityPredicate("bogus")

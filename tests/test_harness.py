@@ -110,6 +110,15 @@ def test_load_scenario_rejects_a_rule_that_is_no_list(tmp_path, rule):
                                            "strategies": strategies}))
 
 
+@pytest.mark.parametrize("fields", [{"divisor": 0, "residue": 0},
+                                    {"divisor": 4},   # no residue
+                                    {"divisor": "4", "residue": 1}])
+def test_load_scenario_reports_bad_modulo_as_scenario_error(tmp_path, fields):
+    scn = {**BASE, "validity": {"kind": "modulo", **fields}}
+    with pytest.raises(ScenarioError, match="bad modulo fields"):
+        load_scenario(write_scn(tmp_path, scn))
+
+
 @pytest.mark.parametrize("spec, predicate", [
     ({"kind": "always-true"}, ValidityPredicate.always_true()),
     ({"kind": "modulo", "divisor": 4, "residue": 3},

@@ -418,6 +418,12 @@ def propose(v=0):
     return Request("propose", (v,))
 
 
+def test_processes_are_kicked_off_by_start_tick_then_by_pid():
+    log = logged_run({}, propose_at={0: 2, 1: 1, 3: 2})
+    assert log == [(2, propose()), (1, propose()), (0, propose()),
+                   (3, propose())]
+
+
 def test_a_copy_delivered_in_its_own_tick_runs_after_that_tick_s_events():
     # process 3 proposes at tick 1; the others at tick 0, where process 0
     # sends a copy that arrives at once
