@@ -1,5 +1,5 @@
 """Command-line front end: run scenarios, sweep process counts, and check
-the lock-step equivalence oracle.
+the lock-step equivalence oracle (`oracle`).
 
 Exit codes: 0 success, 1 at least one check violation or oracle mismatch,
 2 usage, scenario or output-path error.
@@ -12,9 +12,9 @@ import os
 import sys
 from contextlib import nullcontext
 
-from .harness import (ScenarioError, load_scenario, oracle_sim,
-                      run_and_check, scenario_adversary, scenario_config,
-                      sweep)
+from .harness import (ScenarioError, load_scenario, run_and_check,
+                      scenario_adversary, scenario_config, sweep)
+from .oracle import oracle_sim
 from .simnet import CSV_HEADER, csv_row, trace_lines
 
 
@@ -26,6 +26,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a scenario and check it")
+    p_run.set_defaults(handler=cmd_run)
     p_run.add_argument("scenario")
     p_run.add_argument("--seed", type=int, default=None,
                        help="run a single seed instead of the scenario's range")
@@ -37,6 +38,7 @@ def _build_parser():
                        help="write the metrics CSV to FILE instead of stdout")
 
     p_sweep = sub.add_parser("sweep", help="per-n bit-complexity table")
+    p_sweep.set_defaults(handler=cmd_sweep)
     p_sweep.add_argument("scenario")
     p_sweep.add_argument("--n", required=True,
                          help="comma-separated process counts, e.g. 4,7,10,13")
@@ -44,6 +46,7 @@ def _build_parser():
 
     p_oracle = sub.add_parser(
         "oracle-sim", help="lock-step vs simulated equivalence check")
+    p_oracle.set_defaults(handler=cmd_oracle)
     p_oracle.add_argument("scenario")
     p_oracle.add_argument("--seed", type=int, default=None)
     return parser
@@ -120,19 +123,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "oracle-sim":
-            return cmd_oracle(args)
+        return args.handler(args)
     except ScenarioError as e:
         print(f"operlab: scenario error: {e}", file=sys.stderr)
         return 2
     except OSError as e:   # a --trace or --csv path that cannot be written
         print(f"operlab: cannot write output: {e}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ finish indication. Both react to the `Tally` support of the value that moved.
 from __future__ import annotations
 
 from .core import BOT, Payload, Tally
-from .runtime import Automaton, Broadcast, Indicate, MessageArrival, Request
+from .runtime import Automaton, Broadcast, Indicate, Request
 
 
 class Finisher(Automaton):
@@ -20,17 +20,13 @@ class Finisher(Automaton):
         self.finish_from = Tally()
 
     def on_event(self, event):
-        if isinstance(event, Request):
-            if event.name == "to_finish":
-                return self._to_finish(event.args[0])
+        if isinstance(event, Request):   # to_finish, the one request
+            return self._to_finish(event.args[0])
+        p = event.payload
+        if p.kind != "FINISH" or p.value is BOT:
             return []
-        if isinstance(event, MessageArrival):
-            p = event.payload
-            if p.kind != "FINISH" or p.value is BOT:
-                return []
-            return self._evaluate(
-                p.value, self.finish_from.add(event.sender, p.value))
-        return []
+        return self._evaluate(
+            p.value, self.finish_from.add(event.sender, p.value))
 
     def _to_finish(self, v):
         if self.started:

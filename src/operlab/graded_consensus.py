@@ -16,7 +16,7 @@ stage, and they react to the crossings of the one value that moved.
 from __future__ import annotations
 
 from .core import BOT, Payload, Tally, value_sort_key
-from .runtime import Automaton, Broadcast, Indicate, MessageArrival, Request
+from .runtime import Automaton, Broadcast, Indicate, Request
 
 _STAGE_KIND = {1: "ECHO", 2: "ECHO2", 3: "ECHO3", 4: "ECHO4", 5: "ECHO5"}
 _KIND_STAGE = {v: k for k, v in _STAGE_KIND.items()}
@@ -39,13 +39,9 @@ class GradedConsensus(Automaton):
     # -- events --------------------------------------------------------
 
     def on_event(self, event):
-        if isinstance(event, Request):
-            if event.name == "propose":
-                return self._propose(event.args[0])
-            return []
-        if isinstance(event, MessageArrival):
-            return self.receive(event.sender, event.payload)
-        return []
+        if isinstance(event, Request):   # propose, the one request
+            return self._propose(event.args[0])
+        return self.receive(event.sender, event.payload)
 
     def _propose(self, v):
         if self.own is not None:

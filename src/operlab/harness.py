@@ -1,5 +1,5 @@
-"""Batch experiment layer: scenario files, theorem checks over traces,
-seed sweeps, and the lock-step equivalence oracle.
+"""Batch experiment layer: scenario files, theorem checks over traces and
+seed sweeps.
 
 A scenario is a JSON object with a closed key set; unknown keys are a hard
 error. The default check bundle evaluates agreement, strong validity,
@@ -18,12 +18,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import KIND_TAG_BITS, ValidityPredicate
+from .core import DEFAULT_VALUE_WIDTH, KIND_TAG_BITS, ValidityPredicate
 from .crux import CruxParams
 from .oper import make_oper
 from .simnet import AdversarySpec, SimConfig, Trace, check_adversary, run
-from .sync_ba import (RecordingMachine, RoundSimAdapter, SyncMachine,
-                      lockstep_run)
 
 
 class ScenarioError(ValueError):
@@ -120,7 +118,7 @@ def scenario_config(scn: dict, seed=None, accounting=None) -> SimConfig:
             gst=scn.get("gst", 0),
             seed=scn.get("seed", 0) if seed is None else seed,
             accounting=accounting or scn.get("accounting", "payload-only"),
-            value_width=scn.get("value_width", 32),
+            value_width=scn.get("value_width", DEFAULT_VALUE_WIDTH),
             validity=_build_validity(scn.get("validity")),
             proposals=proposals,
             propose_at=_int_key_map(scn.get("propose_at")),
@@ -278,68 +276,8 @@ def sweep(scn: dict, n_list, seeds: int):
                               for v in report.violations)
             pbit_max = max(pbit_max, *(report.trace.pbit.get(p, 0)
                                        for p in config.correct))
-        width = scn.get("value_width", 32)
+        width = scn.get("value_width", DEFAULT_VALUE_WIDTH)
         ratio = Fraction(pbit_max, n * (KIND_TAG_BITS + width))
         rows.append((n, t, pbit_max, ratio))
     return rows, violations
 
-
-# -- lock-step equivalence oracle -------------------------------------------
-
-
-def oracle_sim(scn: dict, seed=None, parity_flip_pid=None):
-    """Compare one adapter-simulated run against the lock-step reference.
-
-    Returns (ok, detail). With parity_flip_pid set, that process's adapter
-    mis-tags its round parity -- the negative control, expected to diverge.
-    """
-    config = scenario_config(scn, seed=seed)
-    adversary = scenario_adversary(scn)
-    params = oper_params(config)
-    starts = [config.propose_at.get(p, 0) for p in config.correct]
-    for p, at in zip(config.correct, starts):
-        if at < config.gst:
-            raise ScenarioError(
-                f"oracle scenario: process {p} starts at {at} before GST")
-    if starts and max(starts) - min(starts) > params.delta_shift:
-        raise ScenarioError("oracle scenario: start spread exceeds "
-                            f"delta_shift = {params.delta_shift}")
-
-    members = list(range(config.n))
-    total = params.R
-    recorders: dict = {}   # pid -> the RecordingMachine its adapter drives
-
-    def factory(pid):
-        def machine_factory(proposal):
-            recorders[pid] = RecordingMachine(pid, members, proposal)
-            return recorders[pid]
-        return RoundSimAdapter(machine_factory, total, params.delta_sync,
-                               params.bit_cap, config.value_width,
-                               parity_flip=(pid == parity_flip_pid))
-
-    run(config, adversary, factory,
-        max_time=max(starts, default=0) + (total + 2) * params.delta_sync
-        + config.gst)
-
-    # reference: identical machines in perfect lock-step, with the Byzantine
-    # round inputs observed by each correct process injected verbatim
-    inject: dict = {}
-    for pid in config.correct:
-        for r, batch in enumerate(recorders[pid].absorbed):
-            bad = [(s, p) for (s, p) in batch if s in config.faulty]
-            if bad:
-                inject[(r, pid)] = bad
-    machines = {pid: SyncMachine(pid, members, config.proposals.get(pid, 0))
-                for pid in config.correct}
-    ref = lockstep_run(machines, total, inject=inject)
-
-    for pid in config.correct:
-        got = recorders[pid].digests
-        want = ref[pid]
-        if len(got) != len(want):
-            return False, (f"process {pid}: {len(got)} simulated rounds vs "
-                           f"{len(want)} reference rounds")
-        for r, (g, w) in enumerate(zip(got, want)):
-            if g != w:
-                return False, f"process {pid}: state diverges at round {r}"
-    return True, f"{len(config.correct)} processes, {total} rounds bit-exact"

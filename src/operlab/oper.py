@@ -68,8 +68,6 @@ class OperCore(Automaton):
     def _request(self, event):
         name, args = event.name, event.args
         if name == "propose":
-            if self.own is not None:
-                return []
             self.own = args[0]
             return [Indicate("enter-view", (1,)),
                     ToChild(crux_tag(1), Request("propose", (args[0],)))]

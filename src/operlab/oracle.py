@@ -1,0 +1,107 @@
+"""Lock-step equivalence oracle: once a view is synchronized, the
+round-simulation adapter must replay a lock-step run of the synchronous
+algorithm, state digest for state digest, round by round.
+"""
+
+from __future__ import annotations
+
+from .harness import (ScenarioError, oper_params, scenario_adversary,
+                      scenario_config)
+from .simnet import run
+from .sync_ba import RoundSimAdapter, SyncMachine
+
+
+class RecordingMachine(SyncMachine):
+    """SyncMachine that keeps, per absorbed round, its input and its state
+    digest afterwards: what the oracle compares."""
+
+    def __init__(self, pid, members, proposal):
+        super().__init__(pid, members, proposal)
+        self.absorbed: list = []   # per round: [(sender, payload)]
+        self.digests: list = []
+
+    def absorb(self, r, received):
+        super().absorb(r, received)
+        self.absorbed.append(received)
+        self.digests.append(self.state_digest())
+
+
+def lockstep_run(machines: dict, total_rounds: int, inject=None):
+    """Reference lock-step execution of round machines.
+
+    machines: pid -> round machine for the correct processes, each run sent
+    to its destinations in order. inject maps (round, receiver_pid) ->
+    [(sender, payload)] for Byzantine round inputs. Returns pid -> [digest
+    per round].
+    """
+    inject = inject or {}
+    digests = {pid: [] for pid in machines}
+    for r in range(total_rounds):
+        outs = {pid: m.outbound(r) for pid, m in machines.items()}
+        inboxes = {pid: [] for pid in machines}
+        for sender, runs in outs.items():
+            for payload, dests in runs:
+                for dest in dests:
+                    if dest in inboxes:
+                        inboxes[dest].append((sender, payload))
+        for pid, m in machines.items():
+            m.absorb(r, inboxes[pid] + list(inject.get((r, pid), ())))
+            digests[pid].append(m.state_digest())
+    return digests
+
+
+def oracle_sim(scn: dict, seed=None):
+    """Compare one adapter-simulated run against the lock-step reference.
+
+    Returns (ok, detail). Every correct process must start at or after GST,
+    within delta_shift of the others; else ScenarioError.
+    """
+    config = scenario_config(scn, seed=seed)
+    adversary = scenario_adversary(scn)
+    params = oper_params(config)
+    starts = [config.propose_at.get(p, 0) for p in config.correct]
+    for p, at in zip(config.correct, starts):
+        if at < config.gst:
+            raise ScenarioError(
+                f"oracle scenario: process {p} starts at {at} before GST")
+    if starts and max(starts) - min(starts) > params.delta_shift:
+        raise ScenarioError("oracle scenario: start spread exceeds "
+                            f"delta_shift = {params.delta_shift}")
+
+    members = list(range(config.n))
+    total = params.R
+    recorders: dict = {}   # pid -> the RecordingMachine its adapter drives
+
+    def factory(pid):
+        def machine_factory(proposal):
+            recorders[pid] = RecordingMachine(pid, members, proposal)
+            return recorders[pid]
+        return RoundSimAdapter(machine_factory, total, params.delta_sync,
+                               params.bit_cap, config.value_width)
+
+    run(config, adversary, factory,
+        max_time=max(starts, default=0) + (total + 2) * params.delta_sync
+        + config.gst)
+
+    # reference: identical machines in perfect lock-step, with the Byzantine
+    # round inputs observed by each correct process injected verbatim
+    inject: dict = {}
+    for pid in config.correct:
+        for r, batch in enumerate(recorders[pid].absorbed):
+            bad = [(s, p) for (s, p) in batch if s in config.faulty]
+            if bad:
+                inject[(r, pid)] = bad
+    machines = {pid: SyncMachine(pid, members, config.proposals.get(pid, 0))
+                for pid in config.correct}
+    ref = lockstep_run(machines, total, inject=inject)
+
+    for pid in config.correct:
+        got = recorders[pid].digests
+        want = ref[pid]
+        if len(got) != len(want):
+            return False, (f"process {pid}: {len(got)} simulated rounds vs "
+                           f"{len(want)} reference rounds")
+        for r, (g, w) in enumerate(zip(got, want)):
+            if g != w:
+                return False, f"process {pid}: state diverges at round {r}"
+    return True, f"{len(config.correct)} processes, {total} rounds bit-exact"

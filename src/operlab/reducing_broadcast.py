@@ -12,7 +12,7 @@ value that moved; only the broadcast, which fixes own, scans every value.
 from __future__ import annotations
 
 from .core import BOT, Payload, Tally
-from .runtime import Automaton, Broadcast, Indicate, MessageArrival, Request
+from .runtime import Automaton, Broadcast, Indicate, Request
 
 
 class ReducingBroadcast(Automaton):
@@ -26,17 +26,11 @@ class ReducingBroadcast(Automaton):
         self.delivered = False
 
     def on_event(self, event):
-        if isinstance(event, Request):
-            if event.name == "broadcast":
-                return self._broadcast(event.args[0])
-            return []
-        if isinstance(event, MessageArrival):
-            return self._receive(event.sender, event.payload)
-        return []
+        if isinstance(event, Request):   # broadcast, the one request
+            return self._broadcast(event.args[0])
+        return self._receive(event.sender, event.payload)
 
     def _broadcast(self, v):
-        if self.broadcast_done:
-            return []
         self.broadcast_done = True
         self.own = v
         out = [Broadcast(Payload("INIT", value=v), self.path)]

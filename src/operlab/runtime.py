@@ -49,6 +49,11 @@ arrivals, so `step` drops an abandoned automaton's timers.
 Timers are never cancelled: a timer of an abandoned instance fires and is
 ignored, so `step` is the one place that mutes an instance.
 
+An automaton handles only the events that reach it, with no fallback for
+others: a timer only if it set one, a request only from its parent or (at
+a core) as a child's indication, never `abandon`, which `step` takes, and
+`propose` once, since the simulator sends it once.
+
 Records: the events and actions below and `core.Payload` are slotted
 dataclasses, equal by class and fields. None is edited after it is built,
 since the simulator shares one payload and one arrival among every copy of

@@ -1,7 +1,7 @@
 """Recursive synchronous Byzantine agreement and its partially synchronous
 round-simulation adapter.
 
-A round machine is all that the adapter and `lockstep_run` call:
+A round machine is all that the adapter and `oracle.lockstep_run` call:
 `outbound(r)` returns round r's messages as `(payload, dests)` runs, one per
 payload, `dests` a tuple of process ids; `absorb(r, received)` takes round
 r's `(sender, payload)` inputs; `decision()` is the value it holds.
@@ -230,14 +230,13 @@ class RoundSimAdapter(Automaton):
     """
 
     def __init__(self, machine_factory, total_rounds, delta_sync, bit_cap,
-                 value_width, parity_flip=False):
+                 value_width):
         super().__init__()
         self.machine_factory = machine_factory
         self.total_rounds = total_rounds
         self.delta_sync = delta_sync
         self.bit_cap = bit_cap
         self.value_width = value_width
-        self.parity_flip = 1 if parity_flip else 0
         self.machine = None
         self.round = 0
         self.sent_bits = 0
@@ -252,10 +251,8 @@ class RoundSimAdapter(Automaton):
             if p.kind == "SYNC-ROUND" and not self.done:
                 self.received[p.parity].append((event.sender, p.inner))
             return []
-        if cls is Request:
-            if event.name == "propose":
-                return self._start(event.args[0])
-            return []
+        if cls is Request:   # propose, the one request
+            return self._start(event.args[0])
         # timer: close out the current round
         if self.machine is None or self.done:
             return []
@@ -272,7 +269,7 @@ class RoundSimAdapter(Automaton):
         machine's outbound, holding the first destinations that fit under
         the cumulative bit cap; a payload that fits none is not sent."""
         out = []
-        parity = (self.round ^ self.parity_flip) & 1
+        parity = self.round & 1
         for inner, dests in self.machine.outbound(self.round):
             bits = payload_bits(inner, "payload-only", self.value_width)
             fit = (self.bit_cap - self.sent_bits) // bits
@@ -285,8 +282,8 @@ class RoundSimAdapter(Automaton):
         return out
 
     def _finish_round(self):
-        want = (self.round ^ self.parity_flip) & 1
-        current, self.received[want] = self.received[want], []
+        parity = self.round & 1
+        current, self.received[parity] = self.received[parity], []
         self.machine.absorb(self.round, current)
         self.round += 1
         return self._next_round()
@@ -300,41 +297,3 @@ class RoundSimAdapter(Automaton):
         out.append(self.new_timer(self.delta_sync)[0])
         return out
 
-
-class RecordingMachine(SyncMachine):
-    """SyncMachine that keeps, per absorbed round, its input and its state
-    digest afterwards: what the lock-step equivalence oracle compares."""
-
-    def __init__(self, pid, members, proposal):
-        super().__init__(pid, members, proposal)
-        self.absorbed: list = []   # per round: [(sender, payload)]
-        self.digests: list = []
-
-    def absorb(self, r, received):
-        super().absorb(r, received)
-        self.absorbed.append(received)
-        self.digests.append(self.state_digest())
-
-
-def lockstep_run(machines: dict, total_rounds: int, inject=None):
-    """Reference lock-step execution of round machines.
-
-    machines: pid -> round machine for the correct processes, each run sent
-    to its destinations in order. inject maps (round, receiver_pid) ->
-    [(sender, payload)] for Byzantine round inputs. Returns pid -> [digest
-    per round].
-    """
-    inject = inject or {}
-    digests = {pid: [] for pid in machines}
-    for r in range(total_rounds):
-        outs = {pid: m.outbound(r) for pid, m in machines.items()}
-        inboxes = {pid: [] for pid in machines}
-        for sender, runs in outs.items():
-            for payload, dests in runs:
-                for dest in dests:
-                    if dest in inboxes:
-                        inboxes[dest].append((sender, payload))
-        for pid, m in machines.items():
-            m.absorb(r, inboxes[pid] + list(inject.get((r, pid), ())))
-            digests[pid].append(m.state_digest())
-    return digests

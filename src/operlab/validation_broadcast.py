@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from .core import BOT, Payload, Tally
 from .reducing_broadcast import ReducingBroadcast
-from .runtime import (Automaton, Broadcast, Composite, Indicate,
-                      MessageArrival, Request, ToChild)
+from .runtime import (Automaton, Broadcast, Composite, Indicate, Request,
+                      ToChild)
 
 
 class ValidationCore(Automaton):
@@ -32,18 +32,12 @@ class ValidationCore(Automaton):
     def on_event(self, event):
         if isinstance(event, Request):
             if event.name == "broadcast":
-                if self.broadcast_done:
-                    return []
                 self.broadcast_done = True
                 return [ToChild("rb", Request("broadcast", event.args))]
-            if event.name == "deliver" and event.args[0] == "rb":
-                # reduced value (possibly BOT) -> INIT round
-                return [Broadcast(Payload("INIT", value=event.args[1]),
-                                  self.path)]
-            return []
-        if isinstance(event, MessageArrival):
-            return self._receive(event.sender, event.payload)
-        return []
+            # rb's one indication: its reduced value (possibly BOT) -> INIT
+            return [Broadcast(Payload("INIT", value=event.args[1]),
+                              self.path)]
+        return self._receive(event.sender, event.payload)
 
     def _receive(self, sender, payload):
         v = payload.value

@@ -1,9 +1,13 @@
 """Shared test drivers: asynchronous-round lock-step execution of automata
-networks and a request-renaming wrapper."""
+networks, a request-renaming wrapper, and the lock-step oracle's negative
+control."""
 
+from dataclasses import replace
+
+from operlab.oracle import lockstep_run
 from operlab.runtime import (Automaton, Broadcast, Indicate, MessageArrival,
                              Multicast, Request, SetTimer)
-from operlab.sync_ba import lockstep_run
+from operlab.sync_ba import RoundSimAdapter
 
 
 class Renamed(Automaton):
@@ -20,8 +24,21 @@ class Renamed(Automaton):
         return self.inner.step(event)
 
 
+class ParityFlipAdapter(RoundSimAdapter):
+    """An adapter that reads each arriving SYNC-ROUND message as if it
+    carried the other round parity: the oracle's negative control, injected
+    in place of `oracle.RoundSimAdapter`, which must make it diverge."""
+
+    def on_event(self, event):
+        if isinstance(event, MessageArrival) \
+                and event.payload.kind == "SYNC-ROUND":
+            p = event.payload
+            event = replace(event, payload=replace(p, parity=p.parity ^ 1))
+        return super().on_event(event)
+
+
 def lockstep_sent(machines, total_rounds):
-    """Runs sync_ba.lockstep_run and returns pid -> messages each machine
+    """Runs oracle.lockstep_run and returns pid -> messages each machine
     sent: the copies of its outbound runs, one per destination."""
     sent = dict.fromkeys(machines, 0)
     for pid, m in machines.items():

@@ -12,18 +12,21 @@ import time
 
 import pytest
 
+from operlab import oracle
 from operlab.core import BOT
 from operlab.cli import main as cli_main
 from operlab.finisher import Finisher
 from operlab.graded_consensus import GradedConsensus
-from operlab.harness import (oper_params, oracle_sim, run_and_check,
-                             scenario_adversary, scenario_config, sweep)
+from operlab.harness import (oper_params, run_and_check, scenario_adversary,
+                             scenario_config, sweep)
+from operlab.oracle import oracle_sim
 from operlab.runtime import Indicate, Request
 from operlab.simnet import AdversarySpec, SimConfig, run
 from operlab.sync_ba import GC_ROUNDS, SyncMachine, mc, rounds
 from operlab.validation_broadcast import make_validation_broadcast
 
-from lockstep import Renamed, lockstep_network, lockstep_sent
+from lockstep import (ParityFlipAdapter, Renamed, lockstep_network,
+                      lockstep_sent)
 
 DELTA = 10
 STRATEGY_SET = ("silent", "crash", "equivocate", "delayer", "flood", "random")
@@ -207,7 +210,7 @@ def _oracle_scenarios():
     return scenarios
 
 
-def test_criterion_7_round_simulation_oracle():
+def test_criterion_7_round_simulation_oracle(monkeypatch):
     scenarios = _oracle_scenarios()
     assert len(scenarios) >= 50
     bad = []
@@ -215,7 +218,8 @@ def test_criterion_7_round_simulation_oracle():
         ok, detail = oracle_sim(scn)
         if not ok:
             bad.append(f"scenario {i}: {detail}")
-    mutated_ok, detail = oracle_sim(scenarios[0], parity_flip_pid=0)
+    monkeypatch.setattr(oracle, "RoundSimAdapter", ParityFlipAdapter)
+    mutated_ok, detail = oracle_sim(scenarios[0])
     if mutated_ok:
         bad.append("mutation negative control did not diverge")
     _report(7, not bad, bad[0] if bad else

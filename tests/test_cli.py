@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from operlab import cli, harness
+from operlab import cli, harness, oracle
 from operlab.cli import main
 from operlab.simnet import CSV_HEADER
+
+from lockstep import ParityFlipAdapter
 
 
 def write_scn(tmp_path, obj, name="scn.json"):
@@ -140,9 +142,28 @@ def test_sweep_fails_closed(tmp_path, capsys, n_list, seeds):
     assert captured.err.startswith("operlab: scenario error: sweep needs")
 
 
+ORACLE = {"n": 4, "t": 1, "delta": 10,
+          "proposals": {"0": 1, "1": 2, "2": 3, "3": 4}}
+
+
 def test_oracle_sim_pass(tmp_path, capsys):
-    scn = write_scn(tmp_path, {"n": 4, "t": 1, "delta": 10,
-                               "proposals": {"0": 1, "1": 2, "2": 3, "3": 4}})
+    scn = write_scn(tmp_path, ORACLE)
     rc = main(["oracle-sim", scn, "--seed", "0"])
     assert rc == 0
     assert capsys.readouterr().out.startswith("PASS:")
+
+
+def test_oracle_sim_divergence_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "RoundSimAdapter", ParityFlipAdapter)
+    rc = main(["oracle-sim", write_scn(tmp_path, ORACLE), "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.startswith("FAIL: ") and "state diverges" in out
+
+
+def test_oracle_sim_start_before_gst_exits_2(tmp_path, capsys):
+    rc = main(["oracle-sim", write_scn(tmp_path, {**ORACLE, "gst": 50})])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("operlab: scenario error: oracle scenario: "
+                                   "process 0 starts at 0 before GST")

@@ -4,14 +4,17 @@ from dataclasses import replace
 
 import pytest
 
-from operlab import harness
+from operlab import oracle
 from operlab.core import ValidityPredicate
 from operlab.harness import (ScenarioError, check_trace, final_view,
                              first_entry_times, load_scenario, oper_params,
-                             oracle_sim, run_and_check, scenario_adversary,
+                             run_and_check, scenario_adversary,
                              scenario_config, sweep)
+from operlab.oracle import oracle_sim
 from operlab.simnet import SimConfig, Trace
 from operlab.sync_ba import RoundSimAdapter
+
+from lockstep import ParityFlipAdapter
 
 
 def write_scn(tmp_path, obj, name="scn.json"):
@@ -297,8 +300,9 @@ def test_oracle_sim_matches_reference():
     assert "bit-exact" in detail
 
 
-def test_oracle_sim_mutation_control_diverges():
-    ok, detail = oracle_sim(ORACLE, seed=0, parity_flip_pid=0)
+def test_oracle_sim_mutation_control_diverges(monkeypatch):
+    monkeypatch.setattr(oracle, "RoundSimAdapter", ParityFlipAdapter)
+    ok, detail = oracle_sim(ORACLE, seed=0)
     assert not ok
     assert "diverges" in detail
 
@@ -311,7 +315,7 @@ def test_oracle_sim_detects_a_process_that_simulates_too_few_rounds(
         built.append(total_rounds)   # process 0, built first, stops early
         return RoundSimAdapter(machine_factory, total_rounds - (len(built) == 1),
                                *args, **kwargs)
-    monkeypatch.setattr(harness, "RoundSimAdapter", adapter)
+    monkeypatch.setattr(oracle, "RoundSimAdapter", adapter)
     total = oper_params(scenario_config(ORACLE, seed=0)).R
     assert oracle_sim(ORACLE, seed=0) == (
         False, f"process 0: {total - 1} simulated rounds vs {total} "

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from operlab.core import BOT, Payload
 from operlab.runtime import (Automaton, Halt, Indicate, MessageArrival,
                              Multicast, Request, SetTimer, TimerFired)
-from operlab.sync_ba import (GC_ROUNDS, RecordingMachine, RoundSimAdapter,
-                             SyncMachine, active_rounds, budget, lockstep_run,
-                             mc, round_schedule, rounds)
+from operlab.oracle import RecordingMachine, lockstep_run
+from operlab.sync_ba import (GC_ROUNDS, RoundSimAdapter, SyncMachine,
+                             active_rounds, budget, mc, round_schedule, rounds)
 
 from lockstep import lockstep_network, lockstep_sent
 
@@ -255,12 +255,12 @@ class AdapterDriver:
                 self.indications[pid].append(act)
 
 
-def make_adapters(n, parity_flip_pid=None):
+def make_adapters(n):
     members = list(range(n))
     return {p: RoundSimAdapter(
         (lambda pid: lambda b: RecordingMachine(pid, members, b))(p),
         rounds(n), delta_sync=30, bit_cap=2 * budget(n, 32),
-        value_width=32, parity_flip=(p == parity_flip_pid))
+        value_width=32)
         for p in range(n)}
 
 
@@ -304,11 +304,15 @@ def test_adapter_bit_cap_cuts_a_multicast_at_the_first_copy_over_it():
 
 def test_adapter_parity_tagging():
     a = make_adapters(2)[0]
-    sent = copies(a.step(Request("propose", (5,))))
+    out = a.step(Request("propose", (5,)))
+    sent = copies(out)
     assert sent and all(p.parity == 0 for _, p in sent)
 
-    flipped = make_adapters(2, parity_flip_pid=0)[0]
-    sent = copies(flipped.step(Request("propose", (5,))))
+    for sender in (0, 1):   # both members echo 5 in round 0
+        a.step(MessageArrival(sender, sent[0][1]))
+    (timer,) = [act for act in out if isinstance(act, SetTimer)]
+    sent = copies(a.step(TimerFired(timer.timer_id)))
+    assert a.round == 1
     assert sent and all(p.parity == 1 for _, p in sent)
 
 
