@@ -120,9 +120,8 @@ class CruxCore(Automaton):
             return self._after_gc2()
         if name == "validate" and args[0] == "vb":
             return [Indicate("validate", (args[1],))]
-        if name == "completed" and args[0] == "vb":
-            return [Indicate("completed")]
-        return []
+        # the one request left: vb's completed
+        return [Indicate("completed")]
 
     def _propose(self, v):
         if self.own is not None:

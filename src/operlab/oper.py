@@ -136,8 +136,9 @@ class Oper(Composite):
         """Spawn view `tag` after the proposal; before it, buffer the event
         (up to BUFFER_CAP, oldest dropped), to be replayed in arrival order
         when the proposal spawns the buffered views in view order. A tag
-        that names no view is misrouted."""
-        if _tag_view(tag) is None:
+        that names no view, or a view it holds (a path below it that the
+        route table lacks), is misrouted."""
+        if _tag_view(tag) is None or tag in self.children:
             return super()._route_unknown(tag, event)
         if self.core.own is not None:
             return self._spawn_view(tag, event)
@@ -156,7 +157,7 @@ class Oper(Composite):
         view.attach((tag,), self)
         out = []
         for e in (*self.pending.pop(tag, ()), *events):
-            out.extend(self._step_child(tag, e) if isinstance(e, Request)
+            out.extend(self._lift(tag, view.step(e)) if isinstance(e, Request)
                        else super().on_event(e))
         return out
 

@@ -2,9 +2,9 @@
 
 Every protocol is a deterministic Automaton: step(event) -> list of actions.
 A Composite hosts a core automaton plus tagged children; inbound messages
-carry an instance path (tuple of string segments) that routes them to exactly
-one automaton. Child indications surface to the core as Request events whose
-args are prefixed with the child's tag.
+carry an instance path (tuple of string segments) that names the one
+automaton they are for. Child indications surface to the core as Request
+events whose args are prefixed with the child's tag.
 
 Paths are absolute. When a Composite is attached (as the root or as a
 child) it records its path, once, on itself, its core and its children, down
@@ -13,22 +13,21 @@ with its own `path` in front, so a parent passes its children's actions up
 unchanged. A Multicast is one payload to a tuple of destinations; a
 message to one process is a Multicast to a one-tuple. A timer id is its
 owner's path plus a sequence number, and the owner stores and compares
-that absolute id. A message goes by its `path` and a firing
-timer by `timer_id[:-1]`: at a composite of depth d, to the core when that
-path ends at d, else to the child tagged `path[d]`.
+that absolute id.
 
 Only the root routes: one dict lookup in a route table it alone holds,
 filled by `attach`, never by a message. Only the view loop (`oper.Oper`)
 attaches a child after construction. The table maps each automaton's path
 (a composite's own path: its core) to it and to the composites below the
-root down to its owner, so a nested composite only steps requests from its
-parent's core. Other paths resolve by their longest registered prefix: a
-leaf, or a composite without child `path[d]`. A routed event is a message
-or a timer, never a request, so the root calls a live target's `on_event`
-directly; only an abandoned target goes through `Automaton.step`, which
-mutes it. An empty output returns at once. Other output comes back up
-through each level's lift, if there is any that is not a multicast,
-broadcast or timer; those alone return as they are.
+root down to its owner. A message goes by its exact `path` and a firing
+timer by its exact `timer_id[:-1]`; a path the table lacks, a path below
+an existing automaton included, goes to the root's `_route_unknown`. A
+routed event is a message or a timer, never a request, so the root calls
+a live target's `on_event` directly; only an abandoned target goes
+through `Automaton.step`, which mutes it. An empty output returns at once.
+Other output comes back up through each level's lift, if there is any
+that is not a multicast, broadcast or timer; those alone return as they
+are.
 
 Only the root's core emits Halt; the simulator stops a process at its first
 Halt, so the runtime keeps no halt state. A root has no parent to abandon
@@ -186,10 +185,11 @@ class Automaton:
 
 
 class Composite(Automaton):
-    """Core automaton plus the children it routes to. A routed event or a
-    core's ToChild whose tag names no child goes to `_route_unknown`, which
-    counts it as misrouted; only the view loop (`oper.Oper`) overrides that,
-    to spawn, buffer or refuse a child."""
+    """Core automaton plus the children it routes to. A message or timer
+    goes by its exact path alone: a path the root's route table lacks goes
+    to the root's `_route_unknown`, and a core's ToChild whose tag names no
+    child to its composite's. That counts it as misrouted; only the view
+    loop (`oper.Oper`) overrides it, to spawn, buffer or refuse a child."""
 
     buffer_dropped = 0   # events a buffering subclass dropped at its cap
 
@@ -227,70 +227,49 @@ class Composite(Automaton):
         elif cls is TimerFired:
             path = event.timer_id[:-1]
         else:
-            return self._absorb_core(self.core.step(event))
-        target, way = self.routes.get(path) or self._longest_prefix(path)
+            return self._lift(None, self.core.step(event))
+        route = self.routes.get(path)
+        if route is None:   # () always routes, so path[0] exists
+            return self._route_unknown(path[0], event)
+        target, way = route
+        # a routed event is never a request: only a muted target needs step
+        actions = target.step(event) if target.abandoned \
+            else target.on_event(event)
+        if not actions:
+            return []
+        if _PASS_UP.issuperset(map(type, actions)):
+            return actions   # every level would pass it up unchanged
         node = way[-1] if way else self
-        if target is None:
-            out = node._route_unknown(path[node.depth], event)
-        else:
-            # a routed event is never a request: only a muted target needs step
-            actions = target.step(event) if target.abandoned \
-                else target.on_event(event)
-            if not actions:
-                return []
-            if _PASS_UP.issuperset(map(type, actions)):
-                return actions   # every level would pass it up unchanged
-            out = node._absorb_core(actions) if target is node.core \
-                else node._lift(path[node.depth], actions)
+        out = node._lift(None if target is node.core else path[node.depth],
+                         actions)
         while out and way:   # lift the output back up
-            *way, child = way
+            way = way[:-1]
             node = way[-1] if way else self
             out = node._lift(path[node.depth], out)
         return out
 
     # -- internals -----------------------------------------------------
 
-    def _longest_prefix(self, path):
-        """Route of the longest registered prefix of `path` (registered
-        paths are prefix-closed); no target if it names a composite."""
-        routes, k = self.routes, self.depth + 1
-        while path[:k] in routes:
-            k += 1
-        target, way = routes[path[:k - 1]]
-        return (None if target is (way[-1] if way else self).core
-                else target), way
-
-    def _absorb_core(self, actions) -> list:
-        out = []
-        for a in actions:
-            if isinstance(a, ToChild):
-                out.extend(self._step_child(a.tag, a.event)
-                           if a.tag in self.children
-                           else self._route_unknown(a.tag, a.event))
-            else:
-                out.append(a)
-        return out
-
     def _route_unknown(self, tag, event) -> list:
-        """An event for child `tag`, which this composite does not have."""
+        """An event for child `tag`, which this composite does not have, or
+        (at the root) for a path below `tag` that the route table lacks."""
         self.misrouted += 1
         return []
 
-    def _step_child(self, tag: str, event) -> list:
-        return self._lift(tag, self.children[tag].step(event))
-
-    def _lift(self, tag: str, actions) -> list:
-        """Child `tag`'s actions, already on absolute paths, pass up
-        unchanged; its indications become tag-prefixed requests to the core."""
+    def _lift(self, tag, actions) -> list:
+        """Walk the actions of child `tag` (None: of the core). A core's
+        ToChild steps that child; a child's indication becomes a
+        tag-prefixed request to the core; the rest, already on absolute
+        paths, passes up unchanged."""
         out = []
         for a in actions:
-            if type(a) in _PASS_UP:
+            if type(a) is ToChild:
+                child = self.children.get(a.tag)
+                out.extend(self._route_unknown(a.tag, a.event) if child is None
+                           else self._lift(a.tag, child.step(a.event)))
+            elif tag is None or type(a) is not Indicate:
                 out.append(a)
-            elif isinstance(a, Indicate):
-                out.extend(self._absorb_core(
-                    self.core.step(Request(a.name, (tag,) + a.args))))
-            elif isinstance(a, ToChild):  # pragma: no cover - cores only
-                raise TypeError("ToChild emitted by a non-core automaton")
-            else:  # pragma: no cover
-                raise TypeError(f"unknown action {a!r}")
+            else:
+                out.extend(self._lift(None, self.core.step(
+                    Request(a.name, (tag,) + a.args))))
         return out

@@ -22,7 +22,7 @@ def test_reports_each_import_no_code_reads():
 
 
 def test_the_repo_has_no_unused_imports():
-    # the files the CI step checks: src/operlab, tests, tools and perfbench
+    # an imported name no code reads (a leftover of a deletion) fails here
     files = [f for d in ("src/operlab", "tests", "tools", "perfbench")
              for f in sorted((_ROOT / d).glob("*.py"))]
     assert files
