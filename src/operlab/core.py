@@ -44,22 +44,25 @@ def value_sort_key(v):
 
 class Tally:
     """Support per value: each (sender, value) pair counts once, or with
-    first_only a sender's first message only. `add` returns v's new support,
-    or 0 if the message does not count, so `support == k` marks a crossing.
-    `total` (counted messages) and `top` (plurality) serve the gap rules."""
+    first_only a sender's first message only (its `senders`, kept with
+    first_only alone). `add` returns v's new support, or 0 if the message
+    does not count, so `support == k` marks a crossing. `total` (counted
+    messages) and `top` (plurality) serve the gap rules."""
 
     __slots__ = ("first_only", "backers", "senders", "total", "top")
 
     def __init__(self, first_only: bool = False):
         self.first_only = first_only
         self.backers: dict = {}     # value -> senders
-        self.senders: set = set()   # senders with a counted message
+        self.senders: set = set()
         self.total = 0
         self.top = 0
 
     def add(self, sender, v) -> int:
-        if self.first_only and sender in self.senders:
-            return 0
+        if self.first_only:
+            if sender in self.senders:
+                return 0
+            self.senders.add(sender)
         backers = self.backers.get(v)
         if backers is None:
             self.backers[v] = backers = {sender}
@@ -67,7 +70,6 @@ class Tally:
             return 0
         else:
             backers.add(sender)
-        self.senders.add(sender)
         self.total += 1
         support = len(backers)
         if support > self.top:

@@ -58,19 +58,20 @@ class GradedConsensus(Automaton):
         # each rule reads tallies at or below its own stage, plus `approved`
         stage = _KIND_STAGE.get(payload.kind)
         v = payload.value
-        if stage is None or not self.tallies[stage].add(sender, v):
+        support = stage and self.tallies[stage].add(sender, v)
+        if not support:   # not a cascade kind, or not counted
             return []
         if stage == 1:
-            return self._stage1(v)
+            return self._stage1(v, support)
         if stage == 2:
-            return self._stage3(v)
+            return self._stage3(v, support)
         if stage == 3:
-            return self._stage4(v)
+            return self._stage4(v, support)
         if stage == 4:
-            return self._stage5(v) + self._resolve_decision(v)
+            return self._stage5(v, support) + self._resolve_decision(v)
         # the grade-1 branch opens with the (n-t)-th ECHO5 sender
         return self._resolve_decision(
-            v, scan=self.tallies[5].total == self.n - self.t)
+            v, support, scan=self.tallies[5].total == self.n - self.t)
 
     def _echo(self, v):
         self.sent1.add(v)
@@ -85,16 +86,16 @@ class GradedConsensus(Automaton):
     def _mixed(self) -> bool:
         return len(self.approved) > 1 or BOT in self.approved
 
-    def _stage1(self, v):
+    def _stage1(self, v, support):
         echo1 = self.tallies[1]
         out = []
-        if echo1.count(v) >= self.t + 1 and v not in self.sent1:   # amplify
+        if support >= self.t + 1 and v not in self.sent1:   # amplify
             out += self._echo(v)
         # spread evidence: the non-plurality echoes alone exceed the fault
         # budget, so the proposers cannot have been unanimous
         if BOT not in self.sent1 and echo1.total - echo1.top >= self.t + 1:
             out += self._echo(BOT)
-        if echo1.count(v) < self.n - self.t or v in self.approved:
+        if support < self.n - self.t or v in self.approved:
             return out
         self.approved.add(v)
         if 2 not in self.sent:
@@ -103,46 +104,47 @@ class GradedConsensus(Automaton):
             out += self._send(3, BOT)
         # the approval may have opened the mixed branches of stages 4 and 5
         # and of the decision; no ECHO3-5 support moved
-        return out + self._stage4(None) + self._stage5(None) \
+        return out + self._stage4(None, 0) + self._stage5(None, 0) \
             + self._resolve_decision(None, scan=True)
 
     # At most one value can hold an n-t quorum of first messages, so a
-    # quorum rule checks only the value that just arrived.
+    # quorum rule checks only the new support of the value that arrived.
 
-    def _stage3(self, v):
-        if 3 in self.sent or self.tallies[2].count(v) < self.n - self.t:
+    def _stage3(self, v, support):
+        if 3 in self.sent or support < self.n - self.t:
             return []
         return self._send(3, v)
 
-    def _stage4(self, v):
+    def _stage4(self, v, support):
         if 4 in self.sent:
             return []
         echo3 = self.tallies[3]
         # the mixed branch takes precedence at this stage
         if echo3.total >= self.n - self.t and self._mixed():
             return self._send(4, BOT)
-        if echo3.count(v) >= self.n - self.t:
+        if support >= self.n - self.t:
             return self._send(4, v)
         return []
 
-    def _stage5(self, v):
+    def _stage5(self, v, support):
         if 5 in self.sent:
             return []
         echo4 = self.tallies[4]
-        if echo4.count(v) >= self.n - self.t:
+        if support >= self.n - self.t:
             return self._send(5, v)
         if echo4.total >= self.n - self.t and self._mixed():
             return self._send(5, BOT)
         return []
 
-    def _resolve_decision(self, v, scan=False):
+    def _resolve_decision(self, v, support=0, scan=False):
         """Grade 2, else 1, else 0, once v's ECHO4 or ECHO5 support grew.
         Only v can be a new grade-1 candidate, unless the branch just opened
-        (scan)."""
+        (scan). `support` is v's new ECHO5 support (0 from other stages):
+        the ECHO5 that completes an n-t quorum decides grade 2 or 0."""
         if self.gbca_outcome is not None:
             return []
         echo4, echo5 = self.tallies[4], self.tallies[5]
-        if v is not BOT and echo5.count(v) >= self.n - self.t:
+        if v is not BOT and support >= self.n - self.t:
             return self._decide(v, 2)
         if echo5.total >= self.n - self.t and self._mixed():
             w = min((c for c in (echo5.backers if scan else (v,))
@@ -151,7 +153,7 @@ class GradedConsensus(Automaton):
                     key=value_sort_key, default=None)
             if w is not None:
                 return self._decide(w, 1)
-        if echo5.count(BOT) >= self.n - self.t:
+        if v is BOT and support >= self.n - self.t:
             return self._decide(BOT, 0)
         return []
 

@@ -162,7 +162,8 @@ class Oper(Composite):
         return out
 
     def on_event(self, event):
-        out = super().on_event(event)
+        # no super() object per event; the attribute is read at call time
+        out = Composite.on_event(self, event)
         if self.pending and self.core.own is not None:   # just proposed
             for tag in sorted(self.pending, key=_tag_view):
                 if tag not in self.children:   # a replay may have spawned it

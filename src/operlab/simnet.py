@@ -123,15 +123,16 @@ DRIFTS = {
 
 class Strategy(Automaton):
     """Driver for a faulty process: steps the wrapped root automaton and
-    rewrites its actions. `make_strategy` gives it the run's `rng` and a
-    `clock` that returns the current virtual time."""
+    rewrites its actions, if it has any. `make_strategy` gives it the run's
+    `rng` and a `clock` that returns the current virtual time."""
 
     def __init__(self, inner, config):
         super().__init__()
         self.inner = inner
 
     def on_event(self, event):
-        return self.rewrite(self.inner.on_event(event) or [])
+        actions = self.inner.on_event(event)
+        return self.rewrite(actions) if actions else []
 
     def rewrite(self, actions):
         return actions
@@ -202,10 +203,11 @@ class FloodStrategy(Strategy):
     def _flood(self):
         if self.clock() >= self.gst:
             return []
-        kind = self.rng.choice(("INIT", "ECHO", "ECHO3", "FINISH"))
-        value = self.rng.randint(0, self.max_value)
+        getrandbits = self.rng.getrandbits   # rng.choice and rng.randint draws
+        kind = ("INIT", "ECHO", "ECHO3", "FINISH")[draw(getrandbits, 0, 4)]
+        value = draw(getrandbits, 0, self.max_value + 1)
         return [Broadcast(Payload(kind, value=value),
-                          path=self.rng.choice(((), ("fin",)))),
+                          path=((), ("fin",))[draw(getrandbits, 0, 2)]),
                 SetTimer(self.interval, ("flood",))]
 
 

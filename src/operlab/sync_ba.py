@@ -22,15 +22,17 @@ and `absorb` returns at once, without walking down the recursion.
 
 The adapter stretches each lock-step round to delta_sync virtual time, tags
 wire messages with the round parity bit, and refuses to exceed a cumulative
-bit cap.
+bit cap. A round's timer closes it in one step: the adapter hands `absorb`
+the round's arrivals as a new list, every round, idle ones included, since
+the machine may keep it (the oracle's recording machine does), then opens
+the next round in `_next_round`.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .core import (BOT, KIND_TAG_BITS, Payload, Tally, payload_bits,
-                   value_sort_key)
+from .core import BOT, KIND_TAG_BITS, Payload, Tally, payload_bits
 from .runtime import (Automaton, Broadcast, Indicate, MessageArrival,
                       Multicast, Request)
 from .graded_consensus import GradedConsensus
@@ -98,11 +100,11 @@ def active_rounds(m: int, pos: int) -> bytes:
 
 def _batch_key(item):
     """Canonical in-round ordering; lock-step state must not depend on
-    arrival order within a round."""
+    arrival order within a round. `value_sort_key`, inlined."""
     sender, p = item
-    has_value = p.value is not None
-    return (sender, p.kind, has_value,
-            value_sort_key(p.value) if has_value else (0, 0))
+    v = p.value
+    return (sender, p.kind, v is not None,
+            (0, 0) if v is None else (1, 0) if v is BOT else (0, v))
 
 
 class LockstepGC:
@@ -132,8 +134,10 @@ class LockstepGC:
         return [(p, self.members) for p in batch]
 
     def absorb(self, r, received):
-        for sender, payload in received:   # never abandoned: no step
-            self._collect(self.auto.receive(sender, payload))
+        receive = self.auto.receive   # never abandoned: no step
+        for sender, payload in received:
+            if out := receive(sender, payload):
+                self._collect(out)
 
     def state_digest(self):
         return self.auto.state_digest()
@@ -253,10 +257,14 @@ class RoundSimAdapter(Automaton):
             return []
         if cls is Request:   # propose, the one request
             return self._start(event.args[0])
-        # timer: close out the current round
-        if self.machine is None or self.done:
+        # timer: hand the machine this round's arrivals and open the next
+        if self.done:
             return []
-        return self._finish_round()
+        r = self.round
+        current, self.received[r & 1] = self.received[r & 1], []
+        self.machine.absorb(r, current)
+        self.round = r + 1
+        return self._next_round()
 
     def _start(self, proposal):
         if self.machine is not None:
@@ -264,36 +272,26 @@ class RoundSimAdapter(Automaton):
         self.machine = self.machine_factory(proposal)
         return self._next_round()
 
-    def _send_round(self):
-        """One SYNC-ROUND Multicast and one bit count per run of the
-        machine's outbound, holding the first destinations that fit under
-        the cumulative bit cap; a payload that fits none is not sent."""
+    def _next_round(self):
+        """Open round `self.round`, or indicate sync-done after the last.
+        A round sends one SYNC-ROUND Multicast and one bit count per run of
+        the machine's outbound, holding the first destinations that fit
+        under the cumulative bit cap (a payload that fits none is not
+        sent), and sets the round's timer."""
+        r = self.round
+        if r >= self.total_rounds:
+            self.done = True
+            return [Indicate("sync-done", (self.machine.decision(),))]
         out = []
-        parity = self.round & 1
-        for inner, dests in self.machine.outbound(self.round):
+        for inner, dests in self.machine.outbound(r):
             bits = payload_bits(inner, "payload-only", self.value_width)
             fit = (self.bit_cap - self.sent_bits) // bits
             if fit <= 0:
                 continue  # budget exhausted: suppress silently
             dests = dests[:fit]
             self.sent_bits += bits * len(dests)
-            out.append(Multicast(dests, Payload("SYNC-ROUND", parity=parity,
+            out.append(Multicast(dests, Payload("SYNC-ROUND", parity=r & 1,
                                                 inner=inner), self.path))
-        return out
-
-    def _finish_round(self):
-        parity = self.round & 1
-        current, self.received[parity] = self.received[parity], []
-        self.machine.absorb(self.round, current)
-        self.round += 1
-        return self._next_round()
-
-    def _next_round(self):
-        """Open round `self.round`, or indicate sync-done after the last."""
-        if self.round >= self.total_rounds:
-            self.done = True
-            return [Indicate("sync-done", (self.machine.decision(),))]
-        out = self._send_round()
         out.append(self.new_timer(self.delta_sync)[0])
         return out
 

@@ -6,6 +6,7 @@ must leave every pin as it is; a change that alters behaviour on purpose
 updates the pins and says why.
 """
 
+import gc
 import hashlib
 
 import pytest
@@ -141,3 +142,16 @@ def test_golden_set_covers_view_change():
     # before the proposal, which left the run undecided in view 1
     assert views["view-change-1"] >= 2
     assert stalled == set()
+
+
+@pytest.mark.parametrize("scn", [_flood_random(0), _sync_large(0)],
+                         ids=["flood-random-0", "sync-large-0"])
+def test_a_run_leaves_no_reference_cycles(scn):
+    # freed by reference counts alone, a run needs no cycle collection
+    gc.collect()
+    gc.disable()
+    try:
+        run_and_check(scenario_config(scn), scenario_adversary(scn))
+    finally:
+        gc.enable()
+    assert gc.collect() == 0

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operlab.core import BOT, Payload
+from operlab.core import BOT, Payload, value_sort_key
 from operlab.graded_consensus import GradedConsensus, map_decision
 from operlab.runtime import Broadcast, Indicate, MessageArrival, Request
 
@@ -207,3 +207,72 @@ def test_lockstep_latency_within_seven_rounds():
             rounds_to_decide = [r for (r, name, _) in events
                                 if name == "decide"]
             assert rounds_to_decide and rounds_to_decide[0] <= 7
+
+
+class RecountingGC(GradedConsensus):
+    """The rules as they read before they took the support `Tally.add`
+    returned: each recounts its value through `Tally.count`, and the
+    decision reads the ECHO5 tally for grades 2 and 0 on every call."""
+
+    def _stage1(self, v, support):
+        return super()._stage1(v, self.tallies[1].count(v))
+
+    def _stage3(self, v, support):
+        return super()._stage3(v, self.tallies[2].count(v))
+
+    def _stage4(self, v, support):
+        return super()._stage4(v, self.tallies[3].count(v))
+
+    def _stage5(self, v, support):
+        return super()._stage5(v, self.tallies[4].count(v))
+
+    def _resolve_decision(self, v, support=0, scan=False):
+        if self.gbca_outcome is not None:
+            return []
+        echo4, echo5 = self.tallies[4], self.tallies[5]
+        quorum = self.n - self.t
+        if v is not BOT and echo5.count(v) >= quorum:
+            return self._decide(v, 2)
+        if echo5.total >= quorum and self._mixed():
+            w = min((c for c in (echo5.backers if scan else (v,))
+                     if c is not BOT and echo5.count(c)
+                     and echo4.count(c) >= self.t + 1),
+                    key=value_sort_key, default=None)
+            if w is not None:
+                return self._decide(w, 1)
+        if echo5.count(BOT) >= quorum:
+            return self._decide(BOT, 0)
+        return []
+
+
+# mostly cascade kinds, plus kinds the cascade does not read
+GC_KINDS = ("ECHO", "ECHO2", "ECHO3", "ECHO4", "ECHO5") * 3 \
+    + ("INIT", "FINISH", "HALF-REPORT")
+
+
+@st.composite
+def gc_streams(draw):
+    n = draw(st.sampled_from((4, 5, 7)))
+    # a few values per stream, so that quorums form
+    values = st.sampled_from(draw(st.lists(st.sampled_from((1, 2, 3, BOT)),
+                                           min_size=1, max_size=3)))
+    message = st.builds(lambda s, k, v: MessageArrival(s, Payload(k, value=v)),
+                        st.integers(0, n + 1),   # senders >= n included
+                        st.sampled_from(GC_KINDS), values)
+    events = draw(st.lists(message, min_size=10, max_size=150))
+    at = draw(st.none() | st.integers(0, len(events)))   # None: no proposal
+    if at is not None:
+        events.insert(at, Request("propose", (draw(values),)))
+    return n, events
+
+
+@settings(max_examples=200, deadline=None)
+@given(gc_streams())
+def test_support_driven_rules_match_recounting_rules(stream):
+    """Duplicates, BOT, junk kinds and out-of-range senders included: after
+    every event both give the same actions and the same state digest."""
+    n, events = stream
+    ours, ref = GradedConsensus(n, (n - 1) // 3), RecountingGC(n, (n - 1) // 3)
+    for event in events:
+        assert ours.step(event) == ref.step(event)
+        assert ours.state_digest() == ref.state_digest()

@@ -281,6 +281,25 @@ def test_flood_strategy_is_silent_from_gst_on():
     assert flood.on_event(tick) == []
 
 
+@pytest.mark.parametrize("seed,width", [(0, 32), (1, 32), (2, 5)])
+def test_flood_draws_match_stdlib_choice_and_randint(seed, width):
+    """1,000 floods: kind, value and path as rng.choice, rng.randint and
+    rng.choice would draw them, and the same rng state afterwards."""
+    config = SimConfig(n=4, t=1, faulty=frozenset({3}), gst=100,
+                       value_width=width)
+    rng, stdlib = random.Random(seed), random.Random(seed)
+    flood = make_strategy(("flood",), Pinger([]), config, rng, lambda: 0)
+    tick = TimerFired(("flood",))
+    for _ in range(1000):
+        kind = stdlib.choice(("INIT", "ECHO", "ECHO3", "FINISH"))
+        value = stdlib.randint(0, 2 ** width - 1)
+        path = stdlib.choice(((), ("fin",)))
+        assert flood.on_event(tick) == [Broadcast(Payload(kind, value=value),
+                                                  path),
+                                        SetTimer(10, ("flood",))]
+    assert rng.getstate() == stdlib.getstate()
+
+
 class Repeater(Automaton):
     """Returns the same action object on every event."""
 

@@ -8,6 +8,7 @@ from operlab.core import BOT, Payload
 from operlab.runtime import (Automaton, Halt, Indicate, MessageArrival,
                              Multicast, Request, SetTimer, TimerFired)
 from operlab.oracle import RecordingMachine, lockstep_run
+from operlab.simnet import AdversarySpec, SimConfig, run
 from operlab.sync_ba import (GC_ROUNDS, RoundSimAdapter, SyncMachine,
                              active_rounds, budget, mc, round_schedule, rounds)
 
@@ -362,3 +363,40 @@ def test_report_round_sends_one_payload_object():
     assert sent[0][1].inner == Payload("HALF-REPORT", value=5)
     assert all(p is sent[0][1] for _, p in sent)
     assert sum(isinstance(a, Multicast) for a in out) == 1
+
+
+class SnapshotMachine(RecordingMachine):
+    """A recording machine that also copies each batch as it absorbs it."""
+
+    def __init__(self, pid, members, proposal):
+        super().__init__(pid, members, proposal)
+        self.snapshots = []
+
+    def absorb(self, r, received):
+        super().absorb(r, received)
+        self.snapshots.append(list(received))
+
+
+def test_adapter_hands_the_machine_a_fresh_batch_every_round():
+    # the oracle's recording machine keeps each batch it absorbs, so the
+    # adapter must never append to one afterwards, idle rounds included; a
+    # faulty process sends in rounds where the others are idle
+    n, delta_sync = 4, 20
+    config = SimConfig(n=n, t=1, faulty=frozenset({3}), seed=4)
+    machines = {}
+
+    def factory(pid):
+        def machine_factory(b):
+            machines[pid] = SnapshotMachine(pid, list(range(n)), b)
+            return machines[pid]
+        return RoundSimAdapter(machine_factory, rounds(n), delta_sync,
+                               2 * budget(n, 32), 32)
+
+    run(config, AdversarySpec(strategies={3: ("random",)}), factory,
+        max_time=(rounds(n) + 2) * delta_sync)
+    batches = [b for m in machines.values() for b in m.absorbed]
+    assert len(batches) == n * rounds(n)
+    assert len({id(b) for b in batches}) == len(batches)
+    assert any(batches) and not all(batches)
+    for m in machines.values():
+        assert [list(b) for b in m.absorbed] == m.snapshots
