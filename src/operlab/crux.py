@@ -124,8 +124,6 @@ class CruxCore(Automaton):
         return [Indicate("completed")]
 
     def _propose(self, v):
-        if self.own is not None:
-            return []
         self.own = v
         timer, self._timer1 = self.new_timer(
             self.params.delta_shift + self.params.delta1)

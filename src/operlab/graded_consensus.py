@@ -44,8 +44,6 @@ class GradedConsensus(Automaton):
         return self.receive(event.sender, event.payload)
 
     def _propose(self, v):
-        if self.own is not None:
-            return []
         self.own = v
         out = self._echo(v)
         # a cascade that ended in (BOT, 0) before the proposal had no own

@@ -36,30 +36,29 @@ it, so the simulator calls its `on_event` directly.
 Abandon is a runtime operation. The view loop sends Request("abandon") to a
 per-view core when it moves to a later view or finishes; `Automaton.step`
 answers it with [] after `abandon()`, which a Composite applies to its core
-and every child, down the whole tree; only the root, which is never
-abandoned, gains children later. So an abandoned subtree is abandoned
-throughout, and routing checks only its target's `abandoned` flag. From then
-on each automaton in it keeps its state and keeps processing messages and
-requests, but `step` mutes it: only Indicate("validate") leaves it.
-Validations outlive the view because the next view is proposed with a value
-the old view's validation broadcast validated; they come from message
-arrivals, so `step` drops an abandoned automaton's timers.
+and every child, down the whole tree. Only the root, never abandoned, gains
+children later, so a subtree is abandoned throughout and routing checks only
+its target's `abandoned` flag. An abandoned automaton keeps its state and keeps
+processing messages and requests, but `step` mutes it: only
+Indicate("validate") leaves it, since the next view is proposed with a value
+the old view's validation broadcast validated. Validations come from message
+arrivals, so `step` drops its timers; timers are never cancelled, so `step`
+is the one place that mutes an instance.
 
-Timers are never cancelled: a timer of an abandoned instance fires and is
-ignored, so `step` is the one place that mutes an instance.
-
-An automaton handles only the events that reach it, with no fallback for
-others: a timer only if it set one, a request only from its parent or (at
-a core) as a child's indication, never `abandon`, which `step` takes, and
-`propose` once, since the simulator sends it once.
+An automaton handles only the events that reach it, with no fallback: a
+timer only if it set one, a request only from its parent or (at a core) as
+a child's indication, never `abandon`, which `step` takes, and `propose` at
+most once, which its parent guarantees. The simulator proposes to each root
+once; `OperCore` to view 1 at its own proposal and to a later view only in
+`_try_advance`, where views strictly increase; `CruxCore` to gc1, as and
+gc2, and asks vb to broadcast, once each, each step gated on a one-shot
+timer and a one-shot indication; `LockstepGC` proposes when it is built.
 
 Records: the events and actions below and `core.Payload` are slotted
-dataclasses, equal by class and fields. None is edited after it is built,
-since the simulator shares one payload and one arrival among every copy of
-a broadcast; `dataclasses.replace` makes a changed copy. They are not
-frozen because a frozen dataclass sets each field through
-`object.__setattr__`, which makes a record two to four times as costly to
-build, and a run builds tens of thousands.
+dataclasses, equal by class and fields. The simulator shares one payload
+and one arrival among the copies of a send, so none is edited once built
+(`dataclasses.replace` copies). None is frozen: that would set each field
+through `object.__setattr__`, making a record 2-4 times as costly to build.
 """
 
 from __future__ import annotations

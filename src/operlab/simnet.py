@@ -18,8 +18,8 @@ from heapq import heappop, heappush
 
 from .core import (DEFAULT_VALUE_WIDTH, Payload, ValidityPredicate, path_bits,
                    payload_bits)
-from .runtime import (Automaton, Broadcast, Halt, Indicate, MessageArrival,
-                      Multicast, Request, SetTimer, TimerFired)
+from .runtime import (Broadcast, Halt, Indicate, MessageArrival, Multicast,
+                      Request, SetTimer, TimerFired)
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,12 @@ DRIFTS = {
 # -- Byzantine strategies ---------------------------------------------------
 
 
-class Strategy(Automaton):
-    """Driver for a faulty process: steps the wrapped root automaton and
-    rewrites its actions, if it has any. `make_strategy` gives it the run's
-    `rng` and a `clock` that returns the current virtual time."""
+class Strategy:
+    """Driver for a faulty process, not an automaton: steps the wrapped root
+    and rewrites its actions, if it has any. `make_strategy` gives it the
+    run's `rng` and a `clock` that returns the current virtual time."""
 
     def __init__(self, inner, config):
-        super().__init__()
         self.inner = inner
 
     def on_event(self, event):

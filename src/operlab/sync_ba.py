@@ -228,9 +228,9 @@ class RoundSimAdapter(Automaton):
     """Runs a lock-step round machine over the partially synchronous network.
 
     Per simulated round: send the machine's outbound messages tagged with the
-    round parity, wait delta_sync, then feed back every buffered arrival whose
-    parity matches. Copies stop silently once the cumulative inner-message
-    bit count would exceed the cap.
+    round parity, wait delta_sync, then feed back every arrival of that
+    parity, kept until the last round closes. Copies stop silently once the
+    cumulative inner-message bit count would exceed the cap.
     """
 
     def __init__(self, machine_factory, total_rounds, delta_sync, bit_cap,
@@ -246,30 +246,22 @@ class RoundSimAdapter(Automaton):
         self.sent_bits = 0
         # parity -> [(sender, inner payload)] in arrival order
         self.received = {0: [], 1: []}
-        self.done = False
 
     def on_event(self, event):
         cls = type(event)
         if cls is MessageArrival:
             p = event.payload
-            if p.kind == "SYNC-ROUND" and not self.done:
+            if p.kind == "SYNC-ROUND" and self.round < self.total_rounds:
                 self.received[p.parity].append((event.sender, p.inner))
             return []
-        if cls is Request:   # propose, the one request
-            return self._start(event.args[0])
+        if cls is Request:   # propose, once (see the runtime docstring)
+            self.machine = self.machine_factory(event.args[0])
+            return self._next_round()
         # timer: hand the machine this round's arrivals and open the next
-        if self.done:
-            return []
         r = self.round
         current, self.received[r & 1] = self.received[r & 1], []
         self.machine.absorb(r, current)
         self.round = r + 1
-        return self._next_round()
-
-    def _start(self, proposal):
-        if self.machine is not None:
-            return []
-        self.machine = self.machine_factory(proposal)
         return self._next_round()
 
     def _next_round(self):
@@ -280,7 +272,6 @@ class RoundSimAdapter(Automaton):
         sent), and sets the round's timer."""
         r = self.round
         if r >= self.total_rounds:
-            self.done = True
             return [Indicate("sync-done", (self.machine.decision(),))]
         out = []
         for inner, dests in self.machine.outbound(r):

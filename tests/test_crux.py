@@ -99,13 +99,6 @@ def test_decide_requires_strong_second_grade():
     assert ToChild("vb", Request("broadcast", (8,))) in out
 
 
-def test_propose_is_idempotent():
-    comp = make_crux(params(), pid=0, default=0)
-    first = comp.step(Request("propose", (5,)))
-    assert first
-    assert comp.step(Request("propose", (6,))) == []
-
-
 def test_abandon_reaches_every_instance_of_the_view():
     comp = make_crux(params(), pid=0, default=0)
     comp.step(Request("propose", (5,)))

@@ -8,11 +8,16 @@ updates the pins and says why.
 
 import gc
 import hashlib
+from collections import Counter
 
 import pytest
 
+from operlab.crux import CruxCore
+from operlab.graded_consensus import GradedConsensus
 from operlab.harness import run_and_check, scenario_adversary, scenario_config
+from operlab.runtime import Indicate, Request
 from operlab.simnet import csv_row, trace_lines
+from operlab.sync_ba import RoundSimAdapter
 
 DELTA = 10
 
@@ -142,6 +147,36 @@ def test_golden_set_covers_view_change():
     # before the proposal, which left the run undecided in view 1
     assert views["view-change-1"] >= 2
     assert stalled == set()
+
+
+def test_each_instance_gets_propose_at_most_once(monkeypatch):
+    # no automaton checks for a second proposal: its parent guarantees one
+    # at most (see the runtime docstring), and each adapter's one proposal
+    # gives one sync-done at most
+    counts = Counter()   # (instance, "propose" or "sync-done") -> count
+
+    def counting(cls):
+        on_event = cls.on_event
+
+        def wrapper(self, event):
+            out = on_event(self, event)
+            if type(event) is Request and event.name == "propose":
+                counts[self, "propose"] += 1
+            for a in out or ():
+                if type(a) is Indicate and a.name == "sync-done":
+                    counts[self, "sync-done"] += 1
+            return out
+        monkeypatch.setattr(cls, "on_event", wrapper)
+
+    for cls in (GradedConsensus, CruxCore, RoundSimAdapter):
+        counting(cls)
+    for _, scn, _, _ in GOLDEN:
+        run_and_check(scenario_config(scn), scenario_adversary(scn))
+    seen = {(type(auto), kind) for auto, kind in counts}
+    assert seen == {(GradedConsensus, "propose"), (CruxCore, "propose"),
+                    (RoundSimAdapter, "propose"),
+                    (RoundSimAdapter, "sync-done")}
+    assert max(counts.values()) == 1
 
 
 @pytest.mark.parametrize("scn", [_flood_random(0), _sync_large(0)],

@@ -148,13 +148,6 @@ def test_no_second_decide_after_the_decision():
     assert decides == [Indicate("decide", (7, 1))]
 
 
-def test_propose_twice_ignored():
-    gc = GradedConsensus(4, 1)
-    first = gc.step(Request("propose", (7,)))
-    assert first == [Broadcast(Payload("ECHO", value=7))]
-    assert gc.step(Request("propose", (9,))) == []
-
-
 def test_abandon_mutes_but_retains_state():
     gc = GradedConsensus(4, 1)
     gc.step(Request("propose", (7,)))

@@ -317,9 +317,17 @@ def test_adapter_parity_tagging():
     assert sent and all(p.parity == 1 for _, p in sent)
 
 
+def sync_round(parity, value):
+    return Payload("SYNC-ROUND", parity=parity,
+                   inner=Payload("ECHO", value=value))
+
+
 def test_adapter_trivial_membership_finishes_immediately():
     a = RoundSimAdapter(lambda b: SyncMachine(0, [0], b), rounds(1),
                         delta_sync=30, bit_cap=100, value_width=32)
+    # no round would ever read an arrival: it is dropped, not buffered
+    assert a.step(MessageArrival(0, sync_round(0, 9))) == []
+    assert a.received == {0: [], 1: []}
     out = a.step(Request("propose", (6,)))
     assert out == [Indicate("sync-done", (6,))]
 
@@ -329,12 +337,12 @@ def test_adapter_is_silent_after_sync_done():
     driver = AdapterDriver(adapters)
     driver.start({0: 4, 1: 4})
     a = adapters[0]
-    assert a.done and a.round == rounds(2)
-    # one timer per round: the last one carries the round count
-    assert a.step(TimerFired((rounds(2),))) == []
-    assert a.step(Request("propose", (9,))) == []
     assert a.round == rounds(2)
     assert [i.name for i in driver.indications[0]] == ["sync-done"]
+    # no round is left to read them: arrivals of either parity are dropped
+    for parity in (0, 1):
+        assert a.step(MessageArrival(1, sync_round(parity, 9))) == []
+    assert a.received == {0: [], 1: []}
 
 
 def test_byzantine_injection_cannot_break_unanimity():
