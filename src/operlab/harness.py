@@ -9,7 +9,8 @@ envelope hold by construction (`simnet.run` drops every action after a
 process's `Halt` and never steps it again; each delay rule of
 `simnet.DELAYS` keeps every copy in the envelope), so unit tests cover them
 instead of per-run checks. Strategy and rule specs are checked by the
-simulator's own `simnet.check_adversary`.
+simulator's own `simnet.check_adversary`. `scenario` builds the one shape
+that sweeps and test batteries share: the last t ids faulty.
 """
 
 from __future__ import annotations
@@ -64,12 +65,21 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError("give either 'proposal' or 'proposals', not both")
     if scn.get("seeds", 1) < 1:
         raise ScenarioError(f"seeds must be >= 1, not {scn['seeds']!r}")
+    if scn.get("seed", 0) < 0:   # random.Random(-s) is random.Random(s)
+        raise ScenarioError(f"seed must be >= 0, not {scn['seed']!r}")
+    faulty = scn.get("faulty", [])
+    if any(type(p) is not int or faulty.count(p) > 1 for p in faulty):
+        raise ScenarioError(f"faulty must hold distinct ints, not {faulty!r}")
     try:   # both raise on malformed input
-        check_adversary(scenario_adversary(scn), scn.get("faulty", ()))
+        check_adversary(scenario_adversary(scn), faulty)
         _build_validity(scn.get("validity"))
     except ValueError as e:
         raise ScenarioError(str(e))
     return scn
+
+
+_VALIDITY_FIELDS = {"always-true": {"kind"}, "membership": {"kind", "members"},
+                    "modulo": {"kind", "divisor", "residue"}}
 
 
 def _build_validity(spec) -> ValidityPredicate:
@@ -78,17 +88,18 @@ def _build_validity(spec) -> ValidityPredicate:
     if not isinstance(spec, dict):
         raise ScenarioError(f"bad validity spec {spec!r}")
     kind = spec.get("kind")
+    if type(kind) is not str or kind not in _VALIDITY_FIELDS:
+        raise ScenarioError(f"unknown validity kind {kind!r}")
+    if not set(spec) <= _VALIDITY_FIELDS[kind]:
+        raise ScenarioError(f"bad {kind} validity fields {spec!r}")
     if kind == "always-true":
         return ValidityPredicate.always_true()
-    if kind == "membership":
-        members = spec.get("members")
-        if isinstance(members, list) and all(type(m) is int for m in members):
-            return ValidityPredicate.membership(members)
-    elif kind == "modulo":   # the predicate checks its fields
+    if kind == "modulo":   # the predicate checks its fields
         return ValidityPredicate.modulo(spec.get("divisor"),
                                         spec.get("residue"))
-    else:
-        raise ScenarioError(f"unknown validity kind {kind!r}")
+    members = spec.get("members")
+    if isinstance(members, list) and all(type(m) is int for m in members):
+        return ValidityPredicate.membership(members)
     raise ScenarioError(f"bad {kind} validity fields {spec!r}")
 
 
@@ -138,6 +149,16 @@ def scenario_adversary(scn: dict) -> AdversarySpec:
         strategies={pid: spec(v) for pid, v
                     in _int_key_map(scn.get("strategies")).items()},
     )
+
+
+def scenario(n: int, kinds=(), **keys) -> dict:
+    """`keys` plus n, t = (n-1)//3 and, when `kinds` is non-empty, the last
+    t ids faulty: the i-th of them runs `kinds[i % len(kinds)]`."""
+    t = (n - 1) // 3
+    faulty = list(range(n - t, n)) if kinds else []
+    return {**keys, "n": n, "t": t, "faulty": faulty,
+            "strategies": {str(p): kinds[i % len(kinds)]
+                           for i, p in enumerate(faulty)}}
 
 
 # -- full-protocol runs -----------------------------------------------------
@@ -255,19 +276,12 @@ def sweep(scn: dict, n_list, seeds: int):
     if seeds <= 0:
         return rows, violations
     base_seed = scn.get("seed", 0)
+    kinds = list(scn.get("strategies", {}).values()) \
+        or [["delayer"], ["equivocate"], ["silent"]]
+    keys = {k: v for k, v in scn.items() if k not in ("n", "proposals")}
+    keys.setdefault("proposal", 7)
     for n in n_list:
-        t = (n - 1) // 3
-        faulty = list(range(n - t, n))
-        kinds = [list(v) for v in scn.get("strategies", {}).values()] \
-            or [["delayer"], ["equivocate"], ["silent"]]
-        sub = dict(scn)
-        sub["n"] = n
-        sub["t"] = t
-        sub["faulty"] = faulty
-        sub["strategies"] = {str(p): kinds[i % len(kinds)]
-                             for i, p in enumerate(faulty)}
-        sub.pop("proposals", None)
-        sub.setdefault("proposal", 7)
+        sub = scenario(n, kinds, **keys)
         pbit_max = 0
         for k in range(seeds):
             config = scenario_config(sub, seed=base_seed + k)
@@ -278,6 +292,6 @@ def sweep(scn: dict, n_list, seeds: int):
                                        for p in config.correct))
         width = scn.get("value_width", DEFAULT_VALUE_WIDTH)
         ratio = Fraction(pbit_max, n * (KIND_TAG_BITS + width))
-        rows.append((n, t, pbit_max, ratio))
+        rows.append((n, sub["t"], pbit_max, ratio))
     return rows, violations
 

@@ -1,13 +1,25 @@
 """Shared test drivers: asynchronous-round lock-step execution of automata
-networks, a request-renaming wrapper, and the lock-step oracle's negative
-control."""
+networks, a request-renaming wrapper, the lock-step oracle's negative
+control, and the scenarios the harness and CLI tests share."""
 
+import json
 from dataclasses import replace
 
 from operlab.oracle import lockstep_run
 from operlab.runtime import (Automaton, Broadcast, Indicate, MessageArrival,
                              Multicast, Request, SetTimer)
 from operlab.sync_ba import RoundSimAdapter
+
+
+BASE = {"n": 4, "delta": 10, "proposal": 7}
+ORACLE = {"n": 4, "t": 1, "delta": 10,
+          "proposals": {"0": 1, "1": 2, "2": 3, "3": 4}}
+
+
+def write_scn(tmp_path, obj, name="scn.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
 
 
 class Renamed(Automaton):

@@ -17,8 +17,8 @@ from operlab.core import BOT
 from operlab.cli import main as cli_main
 from operlab.finisher import Finisher
 from operlab.graded_consensus import GradedConsensus
-from operlab.harness import (oper_params, run_and_check, scenario_adversary,
-                             scenario_config, sweep)
+from operlab.harness import (oper_params, run_and_check, scenario,
+                             scenario_adversary, scenario_config, sweep)
 from operlab.oracle import oracle_sim
 from operlab.runtime import Indicate, Request
 from operlab.simnet import AdversarySpec, SimConfig, run
@@ -41,20 +41,11 @@ def _report(criterion, ok, detail=""):
 
 
 def _battery_scenario(n, strategy, gst, seed):
-    t = (n - 1) // 3
-    faulty = list(range(n - t, n))
     spec = ["crash", max(1, gst // 2)] if strategy == "crash" else [strategy]
-    scn = {
-        "n": n, "t": t, "delta": DELTA, "gst": gst,
-        "faulty": faulty,
-        "strategies": {str(p): spec for p in faulty},
-        "drift": ["uniform"],
-    }
-    if seed % 2 == 0:
-        scn["proposal"] = 7
-    else:
-        scn["proposals"] = {str(p): (p % 3) + 1 for p in range(n)}
-    return scn
+    proposals = {"proposal": 7} if seed % 2 == 0 else \
+        {"proposals": {str(p): (p % 3) + 1 for p in range(n)}}
+    return scenario(n, [spec], delta=DELTA, gst=gst, drift=["uniform"],
+                    **proposals)
 
 
 @pytest.fixture(scope="module")
@@ -189,25 +180,15 @@ def test_criterion_6_subprotocol_timing_bounds():
 
 
 def _oracle_scenarios():
-    scenarios = []
-    for n, strategies in ((4, [None, "silent", "equivocate", "random"]),
-                          (7, [None, "silent", "equivocate"])):
-        t = (n - 1) // 3
-        for strat in strategies:
-            for seed in range(4):
-                scn = {"n": n, "t": t, "delta": DELTA,
-                       "proposals": {str(p): (p * seed) % 5 for p in range(n)},
-                       "seed": seed}
-                if strat is not None:
-                    faulty = list(range(n - t, n))
-                    scn["faulty"] = faulty
-                    scn["strategies"] = {str(p): [strat] for p in faulty}
-                scenarios.append(scn)
-    for seed in range(25):
-        scenarios.append({"n": 4, "t": 1, "delta": DELTA, "seed": seed,
-                          "proposals": {str(p): (p + seed) % 4
-                                        for p in range(4)}})
-    return scenarios
+    cells = [(4, s) for s in (None, "silent", "equivocate", "random")] + \
+        [(7, s) for s in (None, "silent", "equivocate")]
+    grid = [scenario(n, [[strat]] if strat else (), delta=DELTA, seed=seed,
+                     proposals={str(p): (p * seed) % 5 for p in range(n)})
+            for n, strat in cells for seed in range(4)]
+    fault_free = [scenario(4, delta=DELTA, seed=seed,
+                           proposals={str(p): (p + seed) % 4 for p in range(4)})
+                  for seed in range(25)]
+    return grid + fault_free
 
 
 def test_criterion_7_round_simulation_oracle(monkeypatch):
@@ -280,27 +261,24 @@ class DecidingGC(GradedConsensus):
 def test_criterion_9_graded_consensus_consistency():
     bad = []
     runs = 0
-    for n, t in ((4, 1), (7, 2)):
+    for n in (4, 7):
         for strat in ("equivocate", "random", "silent", "delayer"):
             for gst in (0, 20 * DELTA):
                 for seed in range(13):
                     runs += 1
-                    faulty = frozenset(range(n - t, n))
-                    config = SimConfig(
-                        n=n, t=t, faulty=faulty, delta=DELTA, gst=gst,
-                        seed=seed,
-                        proposals={p: (p + seed) % 3 for p in range(n)})
+                    scn = scenario(
+                        n, [[strat]], delta=DELTA, gst=gst, seed=seed,
+                        proposals={str(p): (p + seed) % 3 for p in range(n)},
+                        drift=["uniform"])
+                    config = scenario_config(scn)
                     autos = {}
 
                     def factory(pid):
-                        autos[pid] = DecidingGC(n, t)
+                        autos[pid] = DecidingGC(n, config.t)
                         return autos[pid]
 
-                    adv = AdversarySpec(
-                        drift=("uniform",),
-                        strategies={p: (strat,) for p in faulty})
-                    trace = run(config, adv, factory,
-                                max_time=gst + 500 * DELTA)
+                    run(config, scenario_adversary(scn), factory,
+                        max_time=gst + 500 * DELTA)
                     decided = {pid: autos[pid].decided
                                for pid in config.correct
                                if autos[pid].decided is not None}
@@ -326,9 +304,8 @@ def test_criterion_9_graded_consensus_consistency():
 
 
 def test_criterion_10_byte_identical_reruns(tmp_path):
-    scn = {"n": 4, "delta": DELTA, "gst": 100, "proposal": 7,
-           "faulty": [3], "strategies": {"3": ["random"]},
-           "drift": ["uniform"]}
+    scn = scenario(4, [["random"]], delta=DELTA, gst=100, proposal=7,
+                   drift=["uniform"])
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scn))
     outputs = []

@@ -1,21 +1,10 @@
-import json
-
 import pytest
 
 from operlab import cli, harness, oracle
 from operlab.cli import main
 from operlab.simnet import CSV_HEADER
 
-from lockstep import ParityFlipAdapter
-
-
-def write_scn(tmp_path, obj, name="scn.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(obj))
-    return str(path)
-
-
-BASE = {"n": 4, "delta": 10, "proposal": 7}
+from lockstep import BASE, ORACLE, ParityFlipAdapter, write_scn
 
 
 def test_run_clean_scenario(tmp_path, capsys):
@@ -33,6 +22,9 @@ def test_run_seed_range_and_csv_file(tmp_path):
     assert rc == 0
     lines = csv.read_text().splitlines()
     assert lines[0] == CSV_HEADER and len(lines) == 4
+    for command in ("run", "oracle-sim"):   # -3 would run seed 3's run
+        with pytest.raises(SystemExit, match="^2$"):
+            main([command, scn, "--seed", "-3"])
 
 
 def test_run_writes_trace_files(tmp_path):
@@ -59,10 +51,9 @@ def test_run_bad_validity_exits_2(tmp_path, capsys):
 
 def test_run_accounting_full_charges_more_bits(tmp_path, capsys):
     # pre-GST drift takes seed 0 into view 2, so START-VIEW is broadcast
-    scn = write_scn(tmp_path, {
-        "n": 4, "delta": 10, "gst": 1620, "drift": ["uniform"],
-        "faulty": [3], "strategies": {"3": ["silent"]},
-        "proposals": {"0": 1, "1": 2, "2": 3, "3": 4}})
+    scn = write_scn(tmp_path, harness.scenario(
+        4, [["silent"]], delta=10, gst=1620, drift=["uniform"],
+        proposals={"0": 1, "1": 2, "2": 3, "3": 4}))
 
     def row(*flags):
         assert main(["run", scn, *flags]) == 0
@@ -140,10 +131,6 @@ def test_sweep_fails_closed(tmp_path, capsys, n_list, seeds):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith("operlab: scenario error: sweep needs")
-
-
-ORACLE = {"n": 4, "t": 1, "delta": 10,
-          "proposals": {"0": 1, "1": 2, "2": 3, "3": 4}}
 
 
 def test_oracle_sim_pass(tmp_path, capsys):

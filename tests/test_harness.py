@@ -1,6 +1,8 @@
-import json
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -8,22 +10,13 @@ from operlab import oracle
 from operlab.core import ValidityPredicate
 from operlab.harness import (ScenarioError, check_trace, final_view,
                              first_entry_times, load_scenario, oper_params,
-                             run_and_check, scenario_adversary,
+                             run_and_check, scenario, scenario_adversary,
                              scenario_config, sweep)
 from operlab.oracle import oracle_sim
 from operlab.simnet import SimConfig, Trace
 from operlab.sync_ba import RoundSimAdapter
 
-from lockstep import ParityFlipAdapter
-
-
-def write_scn(tmp_path, obj, name="scn.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(obj))
-    return str(path)
-
-
-BASE = {"n": 4, "delta": 10, "proposal": 7}
+from lockstep import BASE, ORACLE, ParityFlipAdapter, write_scn
 
 
 # -- scenario loading --------------------------------------------------------
@@ -87,6 +80,10 @@ def test_load_scenario_roundtrip(tmp_path):
     {"n": 4, "delta": 10, "validity": {"kind": "membership", "members": []}},
     {"n": 4, "delta": 10, "validity": {"kind": "membership", "members": [5]},
      "proposals": {"0": 5}},
+    {**BASE, "faulty": [[3]]},                            # a list, no id
+    {**BASE, "faulty": [3, 3], "strategies": {"3": ["silent"]}},   # repeated
+    {**BASE, "seed": -3},                 # random.Random(-3) is Random(3)
+    {**BASE, "validity": {"kind": "always-true", "members": [1], "divisr": 3}},
 ])
 def test_load_scenario_fails_closed(tmp_path, obj):
     with pytest.raises(ScenarioError):
@@ -272,12 +269,9 @@ def test_sweep_rows():
 def test_sync_phase_bits_within_cap_on_full_runs():
     # n=10 with pre-GST drift and equivocators; seed 0 enters view 2, so two
     # per-view sync phases are charged separately
-    faulty = [7, 8, 9]
-    scn = {"n": 10, "t": 3, "delta": 10, "gst": 36000, "seed": 0,
-           "faulty": faulty,
-           "strategies": {str(p): ["equivocate"] for p in faulty},
-           "proposals": {str(p): (p % 3) + 1 for p in range(10)},
-           "drift": ["uniform"]}
+    scn = scenario(10, [["equivocate"]], delta=10, gst=36000, seed=0,
+                   proposals={str(p): (p % 3) + 1 for p in range(10)},
+                   drift=["uniform"])
     config = scenario_config(scn)
     trace = run_and_check(config, scenario_adversary(scn),
                           collect_rows=True).trace
@@ -290,8 +284,16 @@ def test_sync_phase_bits_within_cap_on_full_runs():
     assert max(as_bits.values()) <= oper_params(config).bit_cap
 
 
-ORACLE = {"n": 4, "t": 1, "delta": 10,
-          "proposals": {"0": 1, "1": 2, "2": 3, "3": 4}}
+def test_a_protocol_run_never_loads_the_oracle():
+    # a fresh interpreter, so no other test's import of `oracle` counts
+    code = ("import sys; from operlab import harness as h; "
+            f"s = {BASE!r}; "
+            "h.run_and_check(h.scenario_config(s), h.scenario_adversary(s)); "
+            "print('operlab.oracle' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, cwd=Path(oracle.__file__).parents[1],
+                         timeout=60)
+    assert out.stdout == "False\n", out.stderr
 
 
 def test_oracle_sim_matches_reference():
