@@ -58,10 +58,8 @@ def _seed(arg) -> int:   # random.Random(-s) is random.Random(s)
     return int(arg)
 
 
-def _accounting(arg):
-    if arg is None:
-        return None
-    return {"payload": "payload-only", "full": "full"}[arg]
+def _accounting(arg):   # None: the scenario's own
+    return {"payload": "payload-only", "full": "full"}.get(arg)
 
 
 def _report_violations(violations) -> int:

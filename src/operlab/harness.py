@@ -41,10 +41,17 @@ _KEY_TYPES = {**dict.fromkeys(("n", "t", "delta", "gst", "seed", "seeds",
               "strategies": dict}
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object; a repeated key, whose last value `json` keeps, fails."""
+    if len(obj := dict(pairs)) < len(pairs):
+        raise ScenarioError(f"repeated key among {[k for k, _ in pairs]}")
+    return obj
+
+
 def load_scenario(path: str) -> dict:
     try:
         with open(path) as f:
-            scn = json.load(f)
+            scn = json.load(f, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise ScenarioError(f"cannot read scenario: {e}")
     except json.JSONDecodeError as e:

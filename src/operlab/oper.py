@@ -120,7 +120,8 @@ class OperCore(Automaton):
 
 class Oper(Composite):
     """Top-level composite: finisher plus lazily spawned per-view cores.
-    It alone spawns children: see `_route_unknown`."""
+    It alone spawns children: see `_route_unknown`. Its `on_event` is
+    `Composite.on_event`, held as its own class entry (see `runtime`)."""
 
     def __init__(self, n: int, t: int, delta: int,
                  value_width: int = DEFAULT_VALUE_WIDTH,
@@ -150,7 +151,8 @@ class Oper(Composite):
 
     def _spawn_view(self, tag, *events) -> list:
         """Attach view `tag`; replay its buffered events, then `events`, a
-        request to the view, a message or timer through the route table."""
+        request to the view, a message or timer through the route table.
+        Spawning view 1 ends the proposal; the other buffered views follow."""
         view = make_crux(self.params, self.pid, default=self.core.own,
                          pred=self.pred)
         self.children[tag] = view
@@ -158,17 +160,13 @@ class Oper(Composite):
         out = []
         for e in (*self.pending.pop(tag, ()), *events):
             out.extend(self._lift(tag, view.step(e)) if isinstance(e, Request)
-                       else super().on_event(e))
+                       else self.on_event(e))
+        if tag == crux_tag(1):   # each spawn pops its tag from the buffer
+            while self.pending:
+                out.extend(self._spawn_view(min(self.pending, key=_tag_view)))
         return out
 
-    def on_event(self, event):
-        # no super() object per event; the attribute is read at call time
-        out = Composite.on_event(self, event)
-        if self.pending and self.core.own is not None:   # just proposed
-            for tag in sorted(self.pending, key=_tag_view):
-                if tag not in self.children:   # a replay may have spawned it
-                    out.extend(self._spawn_view(tag))
-        return out
+    on_event = Composite.on_event
 
 
 def make_oper(n: int, t: int, delta: int, pid: int,

@@ -31,7 +31,9 @@ are.
 
 Only the root's core emits Halt; the simulator stops a process at its first
 Halt, so the runtime keeps no halt state. A root has no parent to abandon
-it, so the simulator calls its `on_event` directly.
+it, so the simulator calls its `on_event` directly, read once per run. The
+view loop's is `Composite.on_event`, held as `Oper`'s own class entry: the
+benchmark's tracer would leave a wrapper on a subclass that inherits it.
 
 Abandon is a runtime operation. The view loop sends Request("abandon") to a
 per-view core when it moves to a later view or finishes; `Automaton.step`

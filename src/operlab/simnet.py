@@ -331,20 +331,16 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
     def clock():
         return now
 
-    autos = {}
-    for pid in range(config.n):
-        inner = root_factory(pid)
-        if pid in config.faulty:
-            spec = adversary.strategies.get(pid, ("silent",))
-            autos[pid] = make_strategy(spec, inner, config, rng, clock)
-        else:
-            autos[pid] = inner
+    autos = [root_factory(pid) for pid in range(config.n)]
+    for pid in config.faulty:   # a strategy draws nothing when built
+        spec = adversary.strategies.get(pid, ("silent",))
+        autos[pid] = make_strategy(spec, autos[pid], config, rng, clock)
     # each process's delivery window; a delayer's copies all take the
     # maximal delay, which is the "max" rule
     delay = _build(DELAYS, adversary.pre_gst_delay)
     delayer = _build(DELAYS, ("max",))
-    window = {p: delayer if isinstance(auto, DelayerStrategy) else delay
-              for p, auto in autos.items()}
+    window = [delayer if isinstance(auto, DelayerStrategy) else delay
+              for auto in autos]
     drift = _build(DRIFTS, adversary.drift, getrandbits)
 
     n, gst, delta = config.n, config.gst, config.delta
@@ -423,12 +419,15 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
             elif cls is Halt:   # the process stops: drop the rest
                 if collect_rows:
                     rows.append((now, pid, "halt", (), "-", 0))
-                halted.add(pid)
+                step[pid] = lambda event: None   # it steps no more
                 running.discard(pid)
                 return
 
-    # the loop ends once every correct process has halted, even mid-tick
-    halted, running = set(), set(config.correct)
+    # each process's handler, read once per run, after any class patch made
+    # before it (a root has no parent to abandon it: no Automaton.step); the
+    # loop ends once every correct process has halted, even mid-tick
+    step = [auto.on_event for auto in autos]
+    running = set(config.correct)
     while ticks and running:
         now = heappop(ticks)
         if now > max_time:
@@ -437,7 +436,7 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
         # list, so it is stepped after every event already there
         events = iter(calendar[now])
         for pid, event in zip(events, events):
-            # every event is recorded; a halted process is never stepped again
+            # every event is recorded; a halted process's handler is a no-op
             if collect_rows:
                 if isinstance(event, TimerFired):
                     rows.append((now, pid, "timer-fire", event.timer_id,
@@ -446,10 +445,7 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
                     p = event.payload
                     rows.append((now, pid, "deliver", event.path, p.kind,
                                  payload_bits(p, accounting, value_width)))
-            if pid in halted:
-                continue
-            # a root has no parent to abandon it, so it skips Automaton.step
-            if actions := autos[pid].on_event(event):
+            if actions := step[pid](event):
                 absorb(now, pid, actions)
                 if not running:
                     break

@@ -68,6 +68,17 @@ def test_run_accounting_full_charges_more_bits(tmp_path, capsys):
     assert full == payload
 
 
+def test_repeated_scenario_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "repeat.json"
+    path.write_text('{"n": 4, "delta": 10, "seed": 1, "seed": 2, '
+                    '"faulty": [3], "strategies": {"3": ["silent"], '
+                    '"3": ["crash", 5]}}')
+    rc = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("operlab: scenario error: repeated key")
+
+
 def test_run_config_error_writes_no_output(tmp_path, capsys):
     csv = tmp_path / "out.csv"
     rc = main(["run", write_scn(tmp_path, {**BASE, "n": 3, "t": 1}),

@@ -99,6 +99,20 @@ def test_load_scenario_rejects_bad_json(tmp_path):
         load_scenario(str(tmp_path / "missing.json"))
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 4, "delta": 10, "seed": 1, "seed": 2}',
+    '{"n": 4, "delta": 10, "faulty": [3],'
+    ' "strategies": {"3": ["silent"], "3": ["crash", 5]}}',
+    '{"n": 4, "delta": 10,'
+    ' "validity": {"kind": "modulo", "kind": "always-true"}}'])
+def test_load_scenario_rejects_a_repeated_key_at_any_depth(tmp_path, text):
+    # json keeps the last of a repeated key; a dict literal cannot hold one
+    path = tmp_path / "repeat.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match="repeated key"):
+        load_scenario(str(path))
+
+
 @pytest.mark.parametrize("rule", ["pre_gst_delay", "drift"])
 def test_load_scenario_rejects_a_rule_that_is_no_list(tmp_path, rule):
     # a JSON object is iterable, but its keys are no spec

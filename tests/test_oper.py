@@ -3,7 +3,8 @@ import gc
 import operlab.oper
 from operlab.core import BOT, KINDS, Payload
 from operlab.oper import BUFFER_CAP, Oper, crux_tag, _tag_view, make_oper
-from operlab.runtime import Automaton, MessageArrival, Request
+from operlab.runtime import (Automaton, Broadcast, Indicate, MessageArrival,
+                             Request)
 from operlab.simnet import AdversarySpec, SimConfig, run
 from operlab.harness import oper_params
 from test_runtime import automata, composites
@@ -176,7 +177,8 @@ def test_view_messages_buffered_until_proposal():
 
 
 class ViewRecorder(Automaton):
-    """Stands in for a per-view core and records the events it steps."""
+    """Stands in for a per-view core: records the events it steps and
+    answers each with one broadcast on its own path."""
 
     def __init__(self):
         super().__init__()
@@ -184,15 +186,15 @@ class ViewRecorder(Automaton):
 
     def on_event(self, event):
         self.events.append(event)
-        return []
+        return [Broadcast(Payload("ECHO", value=len(self.events)), self.path)]
 
 
-def recorded_views(monkeypatch):
-    """Makes Oper spawn ViewRecorders; returns them in spawn order."""
+def recorded_views(monkeypatch, recorder=ViewRecorder):
+    """Makes Oper spawn `recorder`s; returns them in spawn order."""
     views = []
 
     def fake_crux(params, pid, default, pred=None):
-        views.append(ViewRecorder())
+        views.append(recorder())
         return views[-1]
     monkeypatch.setattr(operlab.oper, "make_crux", fake_crux)
     return views
@@ -249,7 +251,7 @@ def test_buffered_views_spawn_in_view_order_and_replay_in_arrival_order(
     for m in msgs:
         assert oper.step(m) == []
     assert views == []
-    oper.step(Request("propose", (5,)))
+    out = oper.step(Request("propose", (5,)))
     assert [v.path for v in views] == [(crux_tag(1),), (crux_tag(2),),
                                        (crux_tag(3),)]
     assert [oper.children[crux_tag(v)] for v in (1, 2, 3)] == views
@@ -257,6 +259,41 @@ def test_buffered_views_spawn_in_view_order_and_replay_in_arrival_order(
     assert views[1].events == [msgs[0], msgs[2]]
     assert views[2].events == [msgs[3]]
     assert not oper.pending
+    # the proposal's output: entering view 1, then each view's answers in
+    # spawn order, each view's in the order it stepped its events
+    assert out[0] == Indicate("enter-view", (1,))
+    assert [(a.path[0], a.payload.value) for a in out[1:]] == [
+        (crux_tag(1), 1), (crux_tag(1), 2), (crux_tag(2), 1),
+        (crux_tag(2), 2), (crux_tag(3), 1)]
+
+
+class ValidatingView(ViewRecorder):
+    """A ViewRecorder that, as view 1, validates 9 before answering its
+    first event."""
+
+    def on_event(self, event):
+        out = super().on_event(event)
+        if self.path == (crux_tag(1),) and len(self.events) == 1:
+            return [Indicate("validate", (9,))] + out
+        return out
+
+
+def test_a_view_change_while_proposing_leaves_the_buffered_views_last(
+        monkeypatch):
+    views = recorded_views(monkeypatch, ValidatingView)
+    oper = Oper(4, 1, 10, pid=0)
+    for sender in (1, 2, 3):   # a 2t+1 START-VIEW quorum for view 2
+        oper.step(MessageArrival(sender, Payload("START-VIEW", view=2)))
+    for v in (1, 3):
+        oper.step(view_msg(1, v))
+    out = oper.step(Request("propose", (5,)))
+    # view 1's replay validates 9, which moves this process to view 2 in
+    # the middle of view 1's output; view 3 still comes after all of it
+    assert oper.core.view == 2 and views[1].events == [
+        Request("propose", (9,))]
+    assert [a if type(a) is Indicate else a.path[0] for a in out] == [
+        Indicate("enter-view", (1,)), Indicate("enter-view", (2,)),
+        crux_tag(2), crux_tag(1), crux_tag(3)]
 
 
 def test_decision_halts_the_process():
