@@ -92,9 +92,10 @@ class CruxCore(Automaton):
         self._timer2 = None
 
     def on_event(self, event):
-        if isinstance(event, Request):
+        cls = type(event)
+        if cls is Request:
             return self._request(event)
-        if isinstance(event, TimerFired):
+        if cls is TimerFired:
             if event.timer_id == self._timer1:
                 self.timer1_done = True
                 return self._after_gc1()

@@ -8,7 +8,7 @@ finish indication. Both react to the `Tally` support of the value that moved.
 from __future__ import annotations
 
 from .core import BOT, Payload, Tally
-from .runtime import Automaton, Broadcast, Indicate, Request
+from .runtime import Automaton, Broadcast, Indicate, MessageArrival
 
 
 class Finisher(Automaton):
@@ -20,13 +20,13 @@ class Finisher(Automaton):
         self.finish_from = Tally()
 
     def on_event(self, event):
-        if isinstance(event, Request):   # to_finish, the one request
-            return self._to_finish(event.args[0])
-        p = event.payload
-        if p.kind != "FINISH" or p.value is BOT:
-            return []
-        return self._evaluate(
-            p.value, self.finish_from.add(event.sender, p.value))
+        if type(event) is MessageArrival:
+            p = event.payload
+            if p.kind != "FINISH" or p.value is BOT:
+                return []
+            return self._evaluate(
+                p.value, self.finish_from.add(event.sender, p.value))
+        return self._to_finish(event.args[0])   # to_finish, the one request
 
     def _to_finish(self, v):
         if self.started:

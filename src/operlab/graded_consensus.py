@@ -16,7 +16,7 @@ stage, and they react to the crossings of the one value that moved.
 from __future__ import annotations
 
 from .core import BOT, Payload, Tally, value_sort_key
-from .runtime import Automaton, Broadcast, Indicate, Request
+from .runtime import Automaton, Broadcast, Indicate, MessageArrival
 
 _STAGE_KIND = {1: "ECHO", 2: "ECHO2", 3: "ECHO3", 4: "ECHO4", 5: "ECHO5"}
 _KIND_STAGE = {v: k for k, v in _STAGE_KIND.items()}
@@ -39,9 +39,9 @@ class GradedConsensus(Automaton):
     # -- events --------------------------------------------------------
 
     def on_event(self, event):
-        if isinstance(event, Request):   # propose, the one request
-            return self._propose(event.args[0])
-        return self.receive(event.sender, event.payload)
+        if type(event) is MessageArrival:
+            return self.receive(event.sender, event.payload)
+        return self._propose(event.args[0])   # propose, the one request
 
     def _propose(self, v):
         self.own = v

@@ -57,13 +57,12 @@ class OperCore(Automaton):
         self.pending_target = None        # highest quorum view above view_i
 
     def on_event(self, event):
-        if isinstance(event, Request):
-            return self._request(event)
-        if isinstance(event, MessageArrival):
+        if type(event) is MessageArrival:
             p = event.payload
             if p.kind == "START-VIEW":
                 return self._start_view(event.sender, p.view)
-        return []
+            return []
+        return self._request(event)   # it sets no timer
 
     def _request(self, event):
         name, args = event.name, event.args

@@ -12,7 +12,7 @@ value that moved; only the broadcast, which fixes own, scans every value.
 from __future__ import annotations
 
 from .core import BOT, Payload, Tally
-from .runtime import Automaton, Broadcast, Indicate, Request
+from .runtime import Automaton, Broadcast, Indicate, MessageArrival
 
 
 class ReducingBroadcast(Automaton):
@@ -26,9 +26,9 @@ class ReducingBroadcast(Automaton):
         self.delivered = False
 
     def on_event(self, event):
-        if isinstance(event, Request):   # broadcast, the one request
-            return self._broadcast(event.args[0])
-        return self._receive(event.sender, event.payload)
+        if type(event) is MessageArrival:
+            return self._receive(event.sender, event.payload)
+        return self._broadcast(event.args[0])   # broadcast, the one request
 
     def _broadcast(self, v):
         self.broadcast_done = True

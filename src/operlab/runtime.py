@@ -47,6 +47,10 @@ the old view's validation broadcast validated. Validations come from message
 arrivals, so `step` drops its timers; timers are never cancelled, so `step`
 is the one place that mutes an instance.
 
+A handler dispatches on the exact event class, read once as `type(event)`
+and compared with `is`, the message class first where it takes messages:
+no event class is subclassed, and messages are most of the traffic.
+
 An automaton handles only the events that reach it, with no fallback: a
 timer only if it set one, a request only from its parent or (at a core) as
 a child's indication, never `abandon`, which `step` takes, and `propose` at
@@ -156,12 +160,13 @@ class Automaton:
         root.routes[path] = (self, way)
 
     def step(self, event) -> list:
-        if isinstance(event, Request) and event.name == "abandon":
+        cls = type(event)
+        if cls is Request and event.name == "abandon":
             self.abandon()
             return []
         if not self.abandoned:
             return self.on_event(event) or []
-        if isinstance(event, TimerFired):
+        if cls is TimerFired:
             return []
         # validations outlive a view: OperCore._try_advance proposes view V
         # with view V-1's validated value

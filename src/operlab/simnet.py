@@ -124,7 +124,10 @@ DRIFTS = {
 class Strategy:
     """Driver for a faulty process, not an automaton: steps the wrapped root
     and rewrites its actions, if it has any. `make_strategy` gives it the
-    run's `rng` and a `clock` that returns the current virtual time."""
+    run's `rng` and a `clock` that returns the current virtual time. A
+    wrapper costs its process one frame per event; flood hands messages
+    straight to the root, and an equivocator's output with no broadcast
+    passes as it is."""
 
     def __init__(self, inner, config):
         self.inner = inner
@@ -165,6 +168,8 @@ class EquivocateStrategy(Strategy):
         self.mask = (1 << config.value_width) - 1
 
     def rewrite(self, actions):
+        if Broadcast not in map(type, actions):
+            return actions
         out = []
         for a in actions:
             if isinstance(a, Broadcast) and isinstance(a.payload.value, int):
@@ -192,10 +197,13 @@ class FloodStrategy(Strategy):
         self.max_value = (1 << config.value_width) - 1
 
     def on_event(self, event):
-        if isinstance(event, TimerFired) and event.timer_id == ("flood",):
+        cls = type(event)
+        if cls is MessageArrival:   # flood rewrites nothing
+            return self.inner.on_event(event)
+        if cls is TimerFired and event.timer_id == ("flood",):
             return self._flood()   # the strategy's own timer, not the inner's
         actions = super().on_event(event)
-        if isinstance(event, Request) and event.name == "propose":
+        if cls is Request and event.name == "propose":
             actions = actions + [SetTimer(self.interval, ("flood",))]
         return actions
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from .core import BOT, Payload, Tally
 from .reducing_broadcast import ReducingBroadcast
-from .runtime import (Automaton, Broadcast, Composite, Indicate, Request,
-                      ToChild)
+from .runtime import (Automaton, Broadcast, Composite, Indicate,
+                      MessageArrival, Request, ToChild)
 
 
 class ValidationCore(Automaton):
@@ -30,14 +30,13 @@ class ValidationCore(Automaton):
         self.validated: set = set()
 
     def on_event(self, event):
-        if isinstance(event, Request):
-            if event.name == "broadcast":
-                self.broadcast_done = True
-                return [ToChild("rb", Request("broadcast", event.args))]
-            # rb's one indication: its reduced value (possibly BOT) -> INIT
-            return [Broadcast(Payload("INIT", value=event.args[1]),
-                              self.path)]
-        return self._receive(event.sender, event.payload)
+        if type(event) is MessageArrival:
+            return self._receive(event.sender, event.payload)
+        if event.name == "broadcast":
+            self.broadcast_done = True
+            return [ToChild("rb", Request("broadcast", event.args))]
+        # rb's one indication: its reduced value (possibly BOT) -> INIT
+        return [Broadcast(Payload("INIT", value=event.args[1]), self.path)]
 
     def _receive(self, sender, payload):
         v = payload.value

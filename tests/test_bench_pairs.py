@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -9,10 +11,14 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
-def result(rate, ms):
+DIGEST = "csv_digest flood pass=1 sha256=99cd0301c3bd8d88 runs=20"
+
+
+def result(rate, ms, digest=DIGEST):
     return {"correct": True, "attempted": 4, "failed": 0,
             "metrics": {"runs_per_s": {"value": rate, "unit": "1/s"},
-                        "run_ms_p50": {"value": ms, "unit": "ms"}}}
+                        "run_ms_p50": {"value": ms, "unit": "ms"}},
+            "csv_digest": digest}
 
 
 def test_summary_of_canned_pairs():
@@ -35,6 +41,37 @@ def test_summary_of_canned_pairs():
     assert summary["change_quartiles"]["run_ms_p50"] == [365, 435]
     # a tie is no win; a lower time wins, a higher rate wins
     assert summary["change_wins"] == {"runs_per_s": 3, "run_ms_p50": 2}
+    assert summary["csv_digest_equal"] == [True] * 5
+
+
+def test_csv_digest_equal_reports_each_pair():
+    other = DIGEST.replace("99cd0301c3bd8d88", "3d0d020fb86e446b")
+    runs = {"parent": [result(2.0, 500), result(2.0, 500),
+                       result(2.0, 500, None)],
+            "change": [result(2.1, 490), result(2.1, 490, other),
+                       result(2.1, 490, None)]}
+    summary = bench_pairs.summarize(runs, {"runs_per_s": "higher"})
+    # a pair in which either side printed no digest shows nothing equal
+    assert summary["csv_digest_equal"] == [True, False, False]
+
+
+def test_bench_keeps_the_csv_digest_line(monkeypatch):
+    canned = result(2.5, 400)
+    del canned["csv_digest"]
+    stdout = "\n".join(["setup_s = 0.04 s", DIGEST, "runs_per_s = 2.5 1/s",
+                        json.dumps(canned)]) + "\n"
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append((cmd, kwargs["cwd"]))
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    got = bench_pairs.bench("/checkout", "flood", 7, 25)
+    assert got == {**canned, "csv_digest": DIGEST}
+    [(cmd, cwd)] = calls
+    assert cmd[1:] == ["perfbench/run.py", "--workload", "flood", "--seed",
+                       "7", "--seconds", "25", "--trace", "0"]
+    assert cwd == "/checkout"
 
 
 def test_quartiles_of_one_run_are_that_run():

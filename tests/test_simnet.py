@@ -281,6 +281,58 @@ def test_flood_strategy_is_silent_from_gst_on():
     assert flood.on_event(tick) == []
 
 
+class Held(Automaton):
+    """Returns the one list `out` on every event."""
+
+    def __init__(self, out):
+        super().__init__()
+        self.out = out
+
+    def on_event(self, event):
+        return self.out
+
+
+def no_rewrite(actions):
+    pytest.fail(f"rewrite called on {actions!r}")
+
+
+def test_flood_hands_a_message_straight_to_the_root():
+    config = SimConfig(n=4, t=1, faulty=frozenset({3}), gst=100)
+    out = [Broadcast(Payload("ECHO", value=4), ("fin",)),
+           Indicate("decide", (4,))]
+    flood = make_strategy(("flood",), Held(out), config, random.Random(0),
+                          lambda: 0)
+    flood.rewrite = no_rewrite
+    arrival = MessageArrival(1, Payload("FINISH", value=4), ("fin",))
+    assert flood.on_event(arrival) is out
+
+
+def test_equivocator_output_with_no_broadcast_comes_back_unchanged():
+    config = SimConfig(n=4, t=1, faulty=frozenset({3}))
+    out = [Multicast((0, 1, 2, 3), Payload("SYNC-ROUND", parity=0,
+                                           inner=Payload("INIT", value=2)),
+                     ("v1", "as")),
+           SetTimer(5, ("v1", "as", 1))]
+    equivocate = make_strategy(("equivocate",), Held(out), config,
+                               random.Random(0), lambda: 0)
+    assert equivocate.on_event(TimerFired(("v1", "as", 0))) is out
+
+
+def test_equivocator_splits_a_value_broadcast_by_receiver_parity():
+    config = SimConfig(n=4, t=1, faulty=frozenset({3}))
+    echo = Payload("ECHO", value=3)
+    start = Broadcast(Payload("START-VIEW", view=2))   # carries no value
+    timer = SetTimer(5, ("v1", 1))
+    equivocate = make_strategy(("equivocate",),
+                               Held([timer, Broadcast(echo, ("v1",)), start]),
+                               config, random.Random(0), lambda: 0)
+    four = Payload("ECHO", value=4)
+    assert equivocate.on_event(Request("propose", (3,))) == [
+        timer, Multicast((0,), echo, ("v1",)), Multicast((1,), four, ("v1",)),
+        Multicast((2,), echo, ("v1",)), Multicast((3,), four, ("v1",)),
+        start]
+
+
 @pytest.mark.parametrize("seed,width", [(0, 32), (1, 32), (2, 5)])
 def test_flood_draws_match_stdlib_choice_and_randint(seed, width):
     """1,000 floods: kind, value and path as rng.choice, rng.randint and

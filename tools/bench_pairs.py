@@ -17,10 +17,12 @@ not list, fewer than one pair, a negative run length) exit 2 before any
 checkout is made.
 
 Writes BENCH_<label>.json at the root: per workload, the result of every
-run on each side, the median of each end-to-end metric, both sides'
-quartiles and, per metric, the number of pairs in which the change did
-better (the direction each metric improves in is read from BENCHMARK.json).
-Exits 1 if a run fails or reports an incorrect result.
+run on each side with its `csv_digest ... sha256=...` line, the median of
+each end-to-end metric, both sides' quartiles, per metric the number of
+pairs in which the change did better (the direction each metric improves in
+is read from BENCHMARK.json) and, per pair, whether both sides printed the
+same csv_digest line. That last is a report, not a gate. Exits 1 if a run
+fails or reports an incorrect result.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ def summarize(runs, better):
         sign = 1 if direction == "higher" else -1
         wins[m] = sum(sign * (c - p) > 0 for p, c in
                       zip(values["parent"][m], values["change"][m]))
+    digests = [(p["csv_digest"], c["csv_digest"])
+               for p, c in zip(runs["parent"], runs["change"])]
     return {
         "pairs": len(runs["parent"]),
         "runs": runs,
@@ -69,11 +73,13 @@ def summarize(runs, better):
         "change_quartiles": {m: quartiles(v)
                              for m, v in values["change"].items()},
         "change_wins": wins,
+        "csv_digest_equal": [p is not None and p == c for p, c in digests],
     }
 
 
 def bench(checkout, workload, seed, seconds):
-    """One perfbench run in `checkout`; its result, the last output line."""
+    """One perfbench run in `checkout`: its result, the last output line,
+    with its csv_digest line (None if it printed none) as "csv_digest"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -84,6 +90,8 @@ def bench(checkout, workload, seed, seconds):
     result = json.loads(lines[-1])
     if not result["correct"]:
         sys.exit(f"{workload} in {checkout}: incorrect result {result}")
+    result["csv_digest"] = next(
+        (line for line in lines if line.startswith("csv_digest ")), None)
     return result
 
 
