@@ -126,8 +126,7 @@ class Strategy:
     and rewrites its actions, if it has any. `make_strategy` gives it the
     run's `rng` and a `clock` that returns the current virtual time. A
     wrapper costs its process one frame per event; flood hands messages
-    straight to the root, and an equivocator's output with no broadcast
-    passes as it is."""
+    straight to the root."""
 
     def __init__(self, inner, config):
         self.inner = inner
@@ -168,8 +167,6 @@ class EquivocateStrategy(Strategy):
         self.mask = (1 << config.value_width) - 1
 
     def rewrite(self, actions):
-        if Broadcast not in map(type, actions):
-            return actions
         out = []
         for a in actions:
             if isinstance(a, Broadcast) and isinstance(a.payload.value, int):

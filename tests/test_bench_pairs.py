@@ -146,3 +146,42 @@ def test_plain_arguments_pass_every_check(label, tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "git", git)
     with pytest.raises(LookupError):
         bench_pairs.main(args(label, "1", "0", "--workload", "flood"))
+
+
+@pytest.mark.parametrize("stash,change", [("c0ffee", "c0ffee"), ("", "head")])
+def test_both_sides_run_in_equally_long_checkouts(stash, change, tmp_path,
+                                                  monkeypatch):
+    """The parent at --parent and the change at the working tree's tracked
+    files (HEAD when nothing changed), each a worktree beside the other."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "flood"}],
+        "end_to_end": [{"name": "runs_per_s", "better": "higher"},
+                       {"name": "run_ms_p50", "better": "lower"}]}))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    added, ran, revs = {}, [], {}
+
+    def git(*args):
+        if args[:2] == ("worktree", "add"):
+            added[args[3]] = revs[Path(args[3]).name] = args[4]
+            Path(args[3]).mkdir()
+        elif args[:2] == ("worktree", "remove"):
+            del added[args[3]]
+        return {("rev-parse", "base"): "parent", ("rev-parse", "HEAD"): "head",
+                ("stash", "create"): stash}.get(args, "")
+
+    def bench(checkout, workload, seed, seconds):
+        ran.append(checkout)
+        return result(2.0, 500)
+    monkeypatch.setattr(bench_pairs, "git", git)
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    bench_pairs.main(args("t", "2", "0", "--workload", "flood",
+                          "--parent", "base"))
+    assert added == {}   # both worktrees removed
+    assert revs == {"parent": "parent", "change": change}
+    parent, first = ran[0], ran[1]
+    assert ran == [parent, first, first, parent]
+    assert Path(parent).name == "parent" and Path(first).name == "change"
+    assert Path(parent).parent == Path(first).parent
+    assert len(parent) == len(first)
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert (out["parent"], out["change_rev"]) == ("parent", change)

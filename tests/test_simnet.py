@@ -315,7 +315,7 @@ def test_equivocator_output_with_no_broadcast_comes_back_unchanged():
            SetTimer(5, ("v1", "as", 1))]
     equivocate = make_strategy(("equivocate",), Held(out), config,
                                random.Random(0), lambda: 0)
-    assert equivocate.on_event(TimerFired(("v1", "as", 0))) is out
+    assert equivocate.on_event(TimerFired(("v1", "as", 0))) == out
 
 
 def test_equivocator_splits_a_value_broadcast_by_receiver_parity():

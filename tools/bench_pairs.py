@@ -7,10 +7,14 @@ Usage, from the root of a source checkout:
         [--host TEXT]
 
 Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds X
---trace 0` once in a checkout of the parent and once in the working tree.
-Odd pairs run the parent first, even pairs the change first, so a slow
-spell of the host hits both sides alike. The parent checkout is made with
-`git worktree add --detach` at REV (default HEAD) and removed at the end.
+--trace 0` once in a checkout of the parent and once in a checkout of the
+change. Odd pairs run the parent first, even pairs the change first, so a
+slow spell of the host hits both sides alike. Both checkouts are made with
+`git worktree add --detach` side by side in one temporary directory, so
+their paths are equally long and `peak_rss_mb` compares code, not where it
+lives, and removed at the end: the parent at REV (default HEAD), the change
+at the working tree's tracked files (`git stash create`, or HEAD when
+nothing changed; a new file must be added to the index to count).
 Without --workload every workload in BENCHMARK.json runs. Bad arguments
 (a label that is not a plain file-name part, a workload BENCHMARK.json does
 not list, fewer than one pair, a negative run length) exit 2 before any
@@ -128,11 +132,14 @@ def main(argv=None):
                     f"({', '.join(listed)})")
     workloads = args.workload or listed
     parent = git("rev-parse", args.parent)
+    change = git("stash", "create") or git("rev-parse", "HEAD")
 
     with tempfile.TemporaryDirectory() as tmp:
-        parent_dir = str(Path(tmp) / "parent")
-        git("worktree", "add", "--detach", parent_dir, parent)
+        checkouts = {"parent": str(Path(tmp) / "parent"),
+                     "change": str(Path(tmp) / "change")}
         try:
+            for side, rev in (("parent", parent), ("change", change)):
+                git("worktree", "add", "--detach", checkouts[side], rev)
             entries = {}
             for w in workloads:
                 runs = {"parent": [], "change": []}
@@ -140,9 +147,8 @@ def main(argv=None):
                     order = ("parent", "change") if i % 2 == 0 \
                         else ("change", "parent")
                     for side in order:
-                        checkout = parent_dir if side == "parent" else ROOT
-                        runs[side].append(
-                            bench(checkout, w, args.seed, args.seconds))
+                        runs[side].append(bench(checkouts[side], w,
+                                                args.seed, args.seconds))
                     rate = {side: runs[side][-1]["metrics"]["runs_per_s"]
                             ["value"] for side in order}
                     print(f"{w} pair {i + 1}: runs_per_s parent "
@@ -150,13 +156,16 @@ def main(argv=None):
                           flush=True)
                 entries[w] = summarize(runs, better)
         finally:
-            git("worktree", "remove", "--force", parent_dir)
+            for checkout in checkouts.values():
+                if Path(checkout).exists():
+                    git("worktree", "remove", "--force", checkout)
 
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({
         "label": args.label,
         "change": args.change,
         "parent": parent,
+        "change_rev": change,
         "command": f"python3 perfbench/run.py --workload W --seed "
                    f"{args.seed} --seconds {args.seconds:g} --trace 0",
         "python": platform.python_version(),
