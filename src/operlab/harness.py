@@ -262,7 +262,6 @@ def check_trace(trace: Trace, params: CruxParams) -> list:
 
 @dataclass
 class RunReport:
-    config: SimConfig
     trace: Trace
     violations: list = field(default_factory=list)
 
@@ -270,7 +269,7 @@ class RunReport:
 def run_and_check(config: SimConfig, adversary: AdversarySpec,
                   collect_rows=False) -> RunReport:
     trace = run_oper(config, adversary, collect_rows=collect_rows)
-    return RunReport(config, trace, check_trace(trace, oper_params(config)))
+    return RunReport(trace, check_trace(trace, oper_params(config)))
 
 
 # -- complexity sweep -------------------------------------------------------

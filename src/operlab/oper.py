@@ -54,7 +54,7 @@ class OperCore(Automaton):
         self.view = 1
         self.start_view_from = Tally()   # START-VIEW support per view
         self.validated: dict = {}         # view -> first validated value
-        self.pending_target = None        # highest quorum view above view_i
+        self.pending_target = 1           # highest 2t+1 quorum view; 1: none
 
     def on_event(self, event):
         if type(event) is MessageArrival:
@@ -97,15 +97,13 @@ class OperCore(Automaton):
         if support == self.t + 1:   # amplified once per view
             out.append(Broadcast(Payload("START-VIEW", view=v), self.path))
         if support >= 2 * self.t + 1 and v > self.view:
-            if self.pending_target is None or v > self.pending_target:
-                self.pending_target = v
+            self.pending_target = max(self.pending_target, v)
             out.extend(self._try_advance())
         return out
 
     def _try_advance(self):
         out = []
-        if (self.pending_target is not None
-                and self.pending_target > self.view
+        if (self.pending_target > self.view
                 and self.pending_target - 1 in self.validated
                 and self.own is not None):
             target = self.pending_target

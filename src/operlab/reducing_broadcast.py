@@ -19,8 +19,7 @@ class ReducingBroadcast(Automaton):
     def __init__(self, t: int):
         super().__init__()
         self.t = t
-        self.own = None
-        self.broadcast_done = False
+        self.own = None                      # None until the broadcast
         self.init = Tally(first_only=True)   # first INIT per sender wins
         self.support = Tally()               # counted INITs and all ECHOs
         self.delivered = False
@@ -31,7 +30,6 @@ class ReducingBroadcast(Automaton):
         return self._broadcast(event.args[0])   # broadcast, the one request
 
     def _broadcast(self, v):
-        self.broadcast_done = True
         self.own = v
         out = [Broadcast(Payload("INIT", value=v), self.path)]
         # the one full scan: conflicts are judged against own, known from here
@@ -57,7 +55,7 @@ class ReducingBroadcast(Automaton):
 
     def _delivery(self, v):
         """Delivery rules once v's support grew (v is own at the broadcast)."""
-        if not self.broadcast_done or self.delivered:
+        if self.own is None or self.delivered:
             return []
         # conflicting-value evidence: t+1 supporters of a non-own value
         if v != self.own and self.support.count(v) >= self.t + 1:

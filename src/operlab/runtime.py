@@ -18,16 +18,17 @@ that absolute id.
 Only the root routes: one dict lookup in a route table it alone holds,
 filled by `attach`, never by a message. Only the view loop (`oper.Oper`)
 attaches a child after construction. The table maps each automaton's path
-(a composite's own path: its core) to it and to the composites below the
-root down to its owner. A message goes by its exact `path` and a firing
-timer by its exact `timer_id[:-1]`; a path the table lacks, a path below
-an existing automaton included, goes to the root's `_route_unknown`. A
-routed event is a message or a timer, never a request, so the root calls
-a live target's `on_event` directly; only an abandoned target goes
-through `Automaton.step`, which mutes it. An empty output returns at once.
-Other output comes back up through each level's lift, if there is any
-that is not a multicast, broadcast or timer; those alone return as they
-are.
+(a composite's own path: its core) to the automaton and its lift chain: one
+`(composite, tag)` pair per composite between it and the root, innermost
+first, the tag None where the automaton is that composite's core. A message
+goes by its exact `path` and a firing timer by its exact `timer_id[:-1]`; a
+path the table lacks, a path below an existing automaton included, goes to
+the root's `_route_unknown`. A routed event is a message or a timer, never
+a request, so the root calls a live target's `on_event` directly; only an
+abandoned target goes through `Automaton.step`, which mutes it. An empty
+output returns at once. Other output, if there is any that is not a
+multicast, broadcast or timer, is lifted along the chain and then by the
+root; those alone return as they are.
 
 Only the root's core emits Halt; the simulator stops a process at its first
 Halt, so the runtime keeps no halt state. A root has no parent to abandon
@@ -155,9 +156,9 @@ class Automaton:
         self.abandoned = False
         self._timer_seq = 0
 
-    def attach(self, path: tuple, root, way=()):
+    def attach(self, path: tuple, root, lifts=()):
         self.path = path
-        root.routes[path] = (self, way)
+        root.routes[path] = (self, lifts)
 
     def step(self, event) -> list:
         cls = type(event)
@@ -206,16 +207,16 @@ class Composite(Automaton):
         self.misrouted = 0
         self.attach(())
 
-    def attach(self, path: tuple, root=None, way=()):
-        """Record `path`; enter this subtree in `root`'s route table below
-        the composites `way` (no root: hold the table). No way holds a root,
-        so no reference cycle forms."""
-        self.path, self.depth = path, len(path)
+    def attach(self, path: tuple, root=None, lifts=()):
+        """Record `path`; enter this subtree in `root`'s route table (no root:
+        hold the table). An entry is an automaton and its lift chain, the
+        `(composite, tag)` pairs between it and the root, innermost first;
+        `lifts` is this composite's. No chain holds the root: no cycle."""
+        self.path = path
         self.routes = {} if root is None else None
-        way, root = (way + (self,), root) if root else ((), self)
-        self.core.attach(path, root, way)
-        for tag, child in self.children.items():
-            child.attach(path + (tag,), root, way)
+        for tag, auto in ((None, self.core), *self.children.items()):
+            auto.attach(path if tag is None else path + (tag,), root or self,
+                        lifts if root is None else ((self, tag),) + lifts)
 
     # -- public --------------------------------------------------------
 
@@ -237,7 +238,7 @@ class Composite(Automaton):
         route = self.routes.get(path)
         if route is None:   # () always routes, so path[0] exists
             return self._route_unknown(path[0], event)
-        target, way = route
+        target, lifts = route
         # a routed event is never a request: only a muted target needs step
         actions = target.step(event) if target.abandoned \
             else target.on_event(event)
@@ -245,14 +246,9 @@ class Composite(Automaton):
             return []
         if _PASS_UP.issuperset(map(type, actions)):
             return actions   # every level would pass it up unchanged
-        node = way[-1] if way else self
-        out = node._lift(None if target is node.core else path[node.depth],
-                         actions)
-        while out and way:   # lift the output back up
-            way = way[:-1]
-            node = way[-1] if way else self
-            out = node._lift(path[node.depth], out)
-        return out
+        for node, tag in lifts:   # lift the output back up
+            actions = node._lift(tag, actions)
+        return self._lift(path[0] if path else None, actions)
 
     # -- internals -----------------------------------------------------
 

@@ -125,8 +125,8 @@ class Strategy:
     """Driver for a faulty process, not an automaton: steps the wrapped root
     and rewrites its actions, if it has any. `make_strategy` gives it the
     run's `rng` and a `clock` that returns the current virtual time. A
-    wrapper costs its process one frame per event; flood hands messages
-    straight to the root."""
+    wrapper costs its process one frame per event; flood hands every event
+    but its own timer straight to the root."""
 
     def __init__(self, inner, config):
         self.inner = inner
@@ -195,11 +195,9 @@ class FloodStrategy(Strategy):
 
     def on_event(self, event):
         cls = type(event)
-        if cls is MessageArrival:   # flood rewrites nothing
-            return self.inner.on_event(event)
         if cls is TimerFired and event.timer_id == ("flood",):
             return self._flood()   # the strategy's own timer, not the inner's
-        actions = super().on_event(event)
+        actions = self.inner.on_event(event)   # flood rewrites nothing
         if cls is Request and event.name == "propose":
             actions = actions + [SetTimer(self.interval, ("flood",))]
         return actions

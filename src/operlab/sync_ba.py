@@ -144,7 +144,7 @@ class LockstepGC:
 
 
 class SyncMachine:
-    """One process's view of the recursive agreement over an ordered member set."""
+    """Member pid's view of the recursive agreement among ordered members."""
 
     def __init__(self, pid, members, proposal):
         self.pid = pid
@@ -157,11 +157,9 @@ class SyncMachine:
         self.child = None
         split = (n + 1) // 2
         self.halves = {1: self.members[:split], 2: self.members[split:]}
-        # the half this process recurses in; 0 if it is in neither
-        self.own_half = 1 if pid in self.halves[1] \
-            else 2 if pid in self.halves[2] else 0
-        self.active = active_rounds(
-            n, self.members.index(pid) if self.own_half else -1)
+        pos = self.members.index(pid)   # ValueError for a non-member
+        self.own_half = 1 if pos < split else 2   # the half it recurses in
+        self.active = active_rounds(n, pos)
 
     def outbound(self, r):
         if not self.active[r]:

@@ -68,8 +68,8 @@ def _violations(reports, prefixes):
     for rep in reports:
         for v in rep.violations:
             if v.split(":")[0] in prefixes:
-                out.append(f"n={rep.config.n} gst={rep.config.gst} "
-                           f"seed={rep.config.seed}: {v}")
+                cfg = rep.trace.config
+                out.append(f"n={cfg.n} gst={cfg.gst} seed={cfg.seed}: {v}")
     return out
 
 

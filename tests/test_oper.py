@@ -85,7 +85,7 @@ def test_view_spawned_from_the_buffer_is_routed_by_the_table():
     view = oper.children[crux_tag(2)]
     gc1 = view.children["gc1"]
     assert view.routes is None
-    assert oper.routes[path] == (gc1, (view,))
+    assert oper.routes[path] == (gc1, ((view, "gc1"),))
     assert gc1.tallies[1].count(5) == 1   # the replayed message
     oper.step(MessageArrival(2, Payload("ECHO", value=5), path=path))
     assert gc1.tallies[1].count(5) == 2

@@ -254,8 +254,8 @@ def test_root_holds_the_route_table_filled_by_attach():
     assert mid.routes == {(): (mid.core, ()), ("leaf",): (leaf, ())}
     root = Composite(Recorder(), children={"mid": mid})   # attaches mid
     assert mid.routes is None
-    routes = {(): (root.core, ()), ("mid",): (mid.core, (mid,)),
-              ("mid", "leaf"): (leaf, (mid,))}
+    routes = {(): (root.core, ()), ("mid",): (mid.core, ((mid, None),)),
+              ("mid", "leaf"): (leaf, ((mid, "leaf"),))}
     assert root.routes == routes
     root.step(msg(path=("mid", "leaf")))
     assert root.routes == routes

@@ -307,6 +307,18 @@ def test_flood_hands_a_message_straight_to_the_root():
     assert flood.on_event(arrival) is out
 
 
+def test_flood_passes_timer_and_proposal_output_through_unrewritten():
+    config = SimConfig(n=4, t=1, faulty=frozenset({3}), gst=100)
+    out = [Broadcast(Payload("ECHO", value=4), ("fin",)),
+           SetTimer(5, ("v1", 1))]
+    flood = make_strategy(("flood", 7), Held(out), config, random.Random(0),
+                          lambda: 0)
+    flood.rewrite = no_rewrite
+    assert flood.on_event(TimerFired(("v1", 1))) is out
+    assert flood.on_event(Request("propose", (4,))) == [
+        *out, SetTimer(7, ("flood",))]
+
+
 def test_equivocator_output_with_no_broadcast_comes_back_unchanged():
     config = SimConfig(n=4, t=1, faulty=frozenset({3}))
     out = [Multicast((0, 1, 2, 3), Payload("SYNC-ROUND", parity=0,

@@ -81,6 +81,11 @@ def test_active_rounds_match_a_walk_of_the_schedule():
                                    for r in range(rounds(m))]
 
 
+def test_a_machine_is_built_for_a_member_only():
+    with pytest.raises(ValueError):
+        SyncMachine(4, [0, 1, 2, 3], 1)
+
+
 class EveryRoundActive(SyncMachine):
     """The recursion without the idle table: every round walks down to the
     level whose half holds this process, at every depth."""
@@ -115,7 +120,7 @@ SYNC_KINDS = ("INIT", "ECHO", "ECHO2", "ECHO3", "ECHO4", "ECHO5", "HALF-REPORT")
 def test_idle_rounds_change_no_outbound_and_no_state(n, data, seed):
     """Random batches every round, junk at idle rounds too: the machine that
     skips its idle rounds sends and holds what the full walk does."""
-    pid = data.draw(st.integers(0, n), label="pid")   # n: a non-member
+    pid = data.draw(st.integers(0, n - 1), label="pid")
     proposal = data.draw(st.sampled_from((1, 2, 3)), label="proposal")
     members = list(range(n))
     fast = SyncMachine(pid, members, proposal)
