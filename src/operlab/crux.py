@@ -19,7 +19,7 @@ from .core import BOT, DEFAULT_VALUE_WIDTH, ValidityPredicate
 from .graded_consensus import GradedConsensus
 from .runtime import (Automaton, Composite, Indicate, Request, TimerFired,
                       ToChild)
-from .sync_ba import GC_ROUNDS, RoundSimAdapter, SyncMachine, budget, rounds
+from .sync_ba import GC_ROUNDS, RoundSimAdapter, budget, rounds
 from .validation_broadcast import make_validation_broadcast
 
 
@@ -164,16 +164,10 @@ def make_crux(params: CruxParams, pid: int, default,
     proposal when embedded in the view-based protocol).
     """
     pred = pred or ValidityPredicate.always_true()
-    members = list(range(params.n))
-
-    def machine_factory(proposal):
-        return SyncMachine(pid, members, proposal)
-
     children = {
         "gc1": GradedConsensus(params.n, params.t),
         "gc2": GradedConsensus(params.n, params.t),
-        "as": RoundSimAdapter(machine_factory, params.R, params.delta_sync,
-                              params.bit_cap, params.value_width),
+        "as": RoundSimAdapter(params, pid),
         "vb": make_validation_broadcast(params.t, default),
     }
     return Composite(CruxCore(params, pred), children=children)

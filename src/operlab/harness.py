@@ -176,17 +176,6 @@ def oper_params(config: SimConfig) -> CruxParams:
                       value_width=config.value_width)
 
 
-def run_oper(config: SimConfig, adversary: AdversarySpec,
-             collect_rows=False) -> Trace:
-    """One full-protocol run, capped at GST + 100 view durations."""
-    def factory(pid):
-        return make_oper(config.n, config.t, config.delta, pid,
-                         value_width=config.value_width, pred=config.validity)
-    max_time = config.gst + 100 * oper_params(config).delta_total
-    return run(config, adversary, factory, max_time=max_time,
-               collect_rows=collect_rows)
-
-
 # -- theorem checks ---------------------------------------------------------
 
 
@@ -268,8 +257,15 @@ class RunReport:
 
 def run_and_check(config: SimConfig, adversary: AdversarySpec,
                   collect_rows=False) -> RunReport:
-    trace = run_oper(config, adversary, collect_rows=collect_rows)
-    return RunReport(trace, check_trace(trace, oper_params(config)))
+    """One full-protocol run, capped at GST + 100 view durations, checked."""
+    def factory(pid):
+        return make_oper(config.n, config.t, config.delta, pid,
+                         value_width=config.value_width, pred=config.validity)
+    params = oper_params(config)
+    trace = run(config, adversary, factory,
+                max_time=config.gst + 100 * params.delta_total,
+                collect_rows=collect_rows)
+    return RunReport(trace, check_trace(trace, params))
 
 
 # -- complexity sweep -------------------------------------------------------
@@ -296,8 +292,7 @@ def sweep(scn: dict, n_list, seeds: int):
                               for v in report.violations)
             pbit_max = max(pbit_max, *(report.trace.pbit.get(p, 0)
                                        for p in config.correct))
-        width = scn.get("value_width", DEFAULT_VALUE_WIDTH)
-        ratio = Fraction(pbit_max, n * (KIND_TAG_BITS + width))
+        ratio = Fraction(pbit_max, n * (KIND_TAG_BITS + config.value_width))
         rows.append((n, sub["t"], pbit_max, ratio))
     return rows, violations
 

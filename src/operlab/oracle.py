@@ -1,7 +1,7 @@
 """Lock-step equivalence oracle: once a view is synchronized, the
-round-simulation adapter must replay a lock-step run of the synchronous
-algorithm, state digest for state digest, round by round.
-"""
+`RecordingMachine` each adapter builds must replay a lock-step run of plain
+`SyncMachine`s fed the faulty inputs it recorded, digest for digest, round
+by round."""
 
 from __future__ import annotations
 
@@ -68,18 +68,10 @@ def oracle_sim(scn: dict, seed=None):
         raise ScenarioError("oracle scenario: start spread exceeds "
                             f"delta_shift = {params.delta_shift}")
 
-    members = list(range(config.n))
     total = params.R
-    recorders: dict = {}   # pid -> the RecordingMachine its adapter drives
-
-    def factory(pid):
-        def machine_factory(proposal):
-            recorders[pid] = RecordingMachine(pid, members, proposal)
-            return recorders[pid]
-        return RoundSimAdapter(machine_factory, total, params.delta_sync,
-                               params.bit_cap, config.value_width)
-
-    run(config, adversary, factory,
+    adapters = {pid: RoundSimAdapter(params, pid, RecordingMachine)
+                for pid in range(config.n)}
+    run(config, adversary, adapters.__getitem__,
         max_time=max(starts, default=0) + (total + 2) * params.delta_sync
         + config.gst)
 
@@ -87,16 +79,17 @@ def oracle_sim(scn: dict, seed=None):
     # round inputs observed by each correct process injected verbatim
     inject: dict = {}
     for pid in config.correct:
-        for r, batch in enumerate(recorders[pid].absorbed):
+        for r, batch in enumerate(adapters[pid].machine.absorbed):
             bad = [(s, p) for (s, p) in batch if s in config.faulty]
             if bad:
                 inject[(r, pid)] = bad
-    machines = {pid: SyncMachine(pid, members, config.proposals.get(pid, 0))
+    machines = {pid: SyncMachine(pid, range(config.n),
+                                 config.proposals.get(pid, 0))
                 for pid in config.correct}
     ref = lockstep_run(machines, total, inject=inject)
 
     for pid in config.correct:
-        got = recorders[pid].digests
+        got = adapters[pid].machine.digests
         want = ref[pid]
         if len(got) != len(want):
             return False, (f"process {pid}: {len(got)} simulated rounds vs "

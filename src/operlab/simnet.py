@@ -179,10 +179,6 @@ class EquivocateStrategy(Strategy):
         return out
 
 
-class DelayerStrategy(Strategy):
-    """Behaves correctly but its messages always take the maximal delay."""
-
-
 class FloodStrategy(Strategy):
     """Broadcasts random well-formed payloads every `interval` ticks (delta
     by default) pre-GST."""
@@ -247,7 +243,7 @@ class RandomStrategy(Strategy):
 STRATEGIES = {   # builder(inner, config, *args)
     "silent": ((0,), SilentStrategy), "crash": ((1,), CrashStrategy),
     "equivocate": ((0,), EquivocateStrategy),
-    "delayer": ((0,), DelayerStrategy), "flood": ((0, 1), FloodStrategy),
+    "delayer": ((0,), Strategy), "flood": ((0, 1), FloodStrategy),
     "random": ((0,), RandomStrategy)}
 
 
@@ -335,15 +331,14 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
         return now
 
     autos = [root_factory(pid) for pid in range(config.n)]
+    # each process's delivery window; a delayer's copies all take the
+    # maximal delay, which is the "max" rule
+    window = [_build(DELAYS, adversary.pre_gst_delay)] * config.n
     for pid in config.faulty:   # a strategy draws nothing when built
         spec = adversary.strategies.get(pid, ("silent",))
         autos[pid] = make_strategy(spec, autos[pid], config, rng, clock)
-    # each process's delivery window; a delayer's copies all take the
-    # maximal delay, which is the "max" rule
-    delay = _build(DELAYS, adversary.pre_gst_delay)
-    delayer = _build(DELAYS, ("max",))
-    window = [delayer if isinstance(auto, DelayerStrategy) else delay
-              for auto in autos]
+        if spec[0] == "delayer":
+            window[pid] = _build(DELAYS, ("max",))
     drift = _build(DRIFTS, adversary.drift, getrandbits)
 
     n, gst, delta = config.n, config.gst, config.delta

@@ -20,12 +20,14 @@ and reads nothing in it. The idle rounds of each (member count, position)
 are built once (`active_rounds`); on an idle round `outbound` returns `[]`
 and `absorb` returns at once, without walking down the recursion.
 
-The adapter stretches each lock-step round to delta_sync virtual time, tags
-wire messages with the round parity bit, and refuses to exceed a cumulative
-bit cap. A round's timer closes it in one step: the adapter hands `absorb`
-the round's arrivals as a new list, every round, idle ones included, since
-the machine may keep it (the oracle's recording machine does), then opens
-the next round in `_next_round`.
+The adapter builds `machine(pid, range(params.n), proposal)` at its
+proposal (`SyncMachine` by default) and takes R, delta_sync, the bit cap and
+the value width from the same `CruxParams`. It stretches each round to
+delta_sync virtual time, tags wire messages with the round parity bit, and
+refuses to exceed the cumulative bit cap. A round's timer closes it in one
+step: the adapter hands `absorb` the round's arrivals as a new list, every
+round, idle ones included, since the machine may keep it (the oracle's
+recording machine does), then opens the next round in `_next_round`.
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ class SyncMachine:
 
 
 class RoundSimAdapter(Automaton):
-    """Runs a lock-step round machine over the partially synchronous network.
+    """Runs machine(pid, range(params.n), proposal) over the network.
 
     Per simulated round: send the machine's outbound messages tagged with the
     round parity, wait delta_sync, then feed back every arrival of that
@@ -231,14 +233,15 @@ class RoundSimAdapter(Automaton):
     cumulative inner-message bit count would exceed the cap.
     """
 
-    def __init__(self, machine_factory, total_rounds, delta_sync, bit_cap,
-                 value_width):
+    def __init__(self, params, pid, machine=SyncMachine):
         super().__init__()
-        self.machine_factory = machine_factory
-        self.total_rounds = total_rounds
-        self.delta_sync = delta_sync
-        self.bit_cap = bit_cap
-        self.value_width = value_width
+        self.params = params
+        self.pid = pid
+        self.machine_class = machine
+        self.total_rounds = params.R   # read per arrival; R recurses
+        self.delta_sync = params.delta_sync
+        self.bit_cap = params.bit_cap
+        self.value_width = params.value_width
         self.machine = None
         self.round = 0
         self.sent_bits = 0
@@ -253,7 +256,8 @@ class RoundSimAdapter(Automaton):
                 self.received[p.parity].append((event.sender, p.inner))
             return []
         if cls is Request:   # propose, once (see the runtime docstring)
-            self.machine = self.machine_factory(event.args[0])
+            self.machine = self.machine_class(
+                self.pid, range(self.params.n), event.args[0])
             return self._next_round()
         # timer: hand the machine this round's arrivals and open the next
         r = self.round

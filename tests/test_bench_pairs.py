@@ -29,7 +29,8 @@ def test_summary_of_canned_pairs():
                        [(2.5, 400), (2.1, 470), (2.6, 380), (2.4, 400),
                         (2.9, 350)]]}
     better = {"runs_per_s": "higher", "run_ms_p50": "lower"}
-    summary = bench_pairs.summarize(runs, better)
+    bound = {"runs_per_s": 0.25, "run_ms_p50": 0.25}
+    summary = bench_pairs.summarize(runs, better, bound)
     assert summary["pairs"] == 5
     assert summary["runs"] is runs
     assert summary["median"] == {
@@ -50,9 +51,46 @@ def test_csv_digest_equal_reports_each_pair():
                        result(2.0, 500, None)],
             "change": [result(2.1, 490), result(2.1, 490, other),
                        result(2.1, 490, None)]}
-    summary = bench_pairs.summarize(runs, {"runs_per_s": "higher"})
+    summary = bench_pairs.summarize(runs, {"runs_per_s": "higher"},
+                                    {"runs_per_s": 0.25})
     # a pair in which either side printed no digest shows nothing equal
     assert summary["csv_digest_equal"] == [True, False, False]
+
+
+RATES = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+TIMES = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]
+WIDE = [float(r) for r in range(1, 11)]   # quartile spread 5.5, median 5.5
+
+
+@pytest.mark.parametrize("metric,parent,change,expected", [
+    # the same runs on both sides
+    ("runs_per_s", RATES, RATES, "flat"),
+    # 9 of 10 pairs won, by 1 where the parent's quartiles are 0.25 apart
+    ("runs_per_s", RATES, [9.5] + [r + 1 for r in RATES[1:]], "better"),
+    # the same gain, won in only 8 of 10 pairs
+    ("runs_per_s", RATES, [9.5, 9.5] + [r + 1 for r in RATES[2:]], "flat"),
+    # every pair won, by less than the parent's quartile spread
+    ("runs_per_s", RATES, [r + 0.1 for r in RATES], "flat"),
+    # a time 30% up against a bound of 25%
+    ("run_ms_p50", TIMES, [1.3 * t for t in TIMES], "worse"),
+    # a time 20% up: within the bound
+    ("run_ms_p50", TIMES, [1.2 * t for t in TIMES], "flat"),
+    # the parent's own runs spread wider than the bound
+    ("runs_per_s", WIDE, WIDE[::-1], "unresolved"),
+    # a spread that wide, but every change run beats every parent run
+    ("runs_per_s", WIDE, [r + 10 for r in WIDE], "better"),
+], ids=["same-runs", "won-9-of-10", "won-8-of-10", "won-within-spread",
+        "30pct-slower", "20pct-slower", "wide-spread", "wide-but-beats-all"])
+def test_verdict_of_canned_pairs(metric, parent, change, expected):
+    def results(values):   # the other metric stays fixed
+        return [result(v, 100) if metric == "runs_per_s" else result(10.0, v)
+                for v in values]
+    runs = {"parent": results(parent), "change": results(change)}
+    better = {"runs_per_s": "higher", "run_ms_p50": "lower"}
+    summary = bench_pairs.summarize(runs, better,
+                                    dict.fromkeys(better, 0.25))
+    assert summary["verdict"] == {**dict.fromkeys(better, "flat"),
+                                  metric: expected}
 
 
 def test_bench_keeps_the_csv_digest_line(monkeypatch):
@@ -155,8 +193,10 @@ def test_both_sides_run_in_equally_long_checkouts(stash, change, tmp_path,
     files (HEAD when nothing changed), each a worktree beside the other."""
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "workloads": [{"name": "flood"}],
-        "end_to_end": [{"name": "runs_per_s", "better": "higher"},
-                       {"name": "run_ms_p50", "better": "lower"}]}))
+        "end_to_end": [{"name": "runs_per_s", "better": "higher",
+                        "bound": 0.25},
+                       {"name": "run_ms_p50", "better": "lower",
+                        "bound": 0.25}]}))
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     added, ran, revs = {}, [], {}
 

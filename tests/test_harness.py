@@ -327,10 +327,11 @@ def test_oracle_sim_detects_a_process_that_simulates_too_few_rounds(
         monkeypatch):
     built = []
 
-    def adapter(machine_factory, total_rounds, *args, **kwargs):
-        built.append(total_rounds)   # process 0, built first, stops early
-        return RoundSimAdapter(machine_factory, total_rounds - (len(built) == 1),
-                               *args, **kwargs)
+    def adapter(params, pid, machine):
+        a = RoundSimAdapter(params, pid, machine)
+        built.append(a.total_rounds)   # process 0, built first, stops early
+        a.total_rounds -= len(built) == 1
+        return a
     monkeypatch.setattr(oracle, "RoundSimAdapter", adapter)
     total = oper_params(scenario_config(ORACLE, seed=0)).R
     assert oracle_sim(ORACLE, seed=0) == (

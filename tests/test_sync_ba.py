@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from operlab.core import BOT, Payload
+from operlab.crux import CruxParams
 from operlab.runtime import (Automaton, Halt, Indicate, MessageArrival,
                              Multicast, Request, SetTimer, TimerFired)
 from operlab.oracle import RecordingMachine, lockstep_run
@@ -262,12 +263,20 @@ class AdapterDriver:
 
 
 def make_adapters(n):
-    members = list(range(n))
-    return {p: RoundSimAdapter(
-        (lambda pid: lambda b: RecordingMachine(pid, members, b))(p),
-        rounds(n), delta_sync=30, bit_cap=2 * budget(n, 32),
-        value_width=32)
-        for p in range(n)}
+    # delta_sync 30, bit cap 2 * budget(n, 32), value width 32
+    return {p: RoundSimAdapter(CruxParams(n, (n - 1) // 3, 10), p,
+                               RecordingMachine)
+            for p in range(n)}
+
+
+def test_adapter_takes_its_constants_and_machine_from_params():
+    a = RoundSimAdapter(CruxParams(7, 2, 10), 3)
+    assert (a.total_rounds, a.delta_sync, a.bit_cap, a.value_width) == (
+        rounds(7), 30, 2 * budget(7, 32), 32)
+    a.step(Request("propose", (5,)))
+    assert type(a.machine) is SyncMachine
+    assert (a.machine.pid, a.machine.members) == (3, tuple(range(7)))
+    assert a.machine.decision() == 5
 
 
 def test_adapter_end_to_end_agreement():
@@ -289,9 +298,8 @@ def test_adapter_matches_lockstep_reference():
 
 
 def test_adapter_bit_cap_suppresses_sends():
-    a = RoundSimAdapter(lambda b: SyncMachine(0, [0, 1], b),
-                        rounds(2), delta_sync=30, bit_cap=0,
-                        value_width=32)
+    a = RoundSimAdapter(CruxParams(2, 0, 10), 0)
+    a.bit_cap = 0
     out = a.step(Request("propose", (5,)))
     assert not any(isinstance(act, Multicast) for act in out)
     assert a.sent_bits == 0
@@ -300,9 +308,8 @@ def test_adapter_bit_cap_suppresses_sends():
 def test_adapter_bit_cap_cuts_a_multicast_at_the_first_copy_over_it():
     # round 0 of n=4 sends one 40-bit ECHO to every member; a 130-bit cap
     # lets the first three copies through
-    a = RoundSimAdapter(lambda b: SyncMachine(0, list(range(4)), b),
-                        rounds(4), delta_sync=30, bit_cap=130,
-                        value_width=32)
+    a = RoundSimAdapter(CruxParams(4, 1, 10), 0)
+    a.bit_cap = 130
     out = a.step(Request("propose", (5,)))
     assert [dest for dest, _ in copies(out)] == [0, 1, 2]
     assert a.sent_bits == 120
@@ -328,8 +335,8 @@ def sync_round(parity, value):
 
 
 def test_adapter_trivial_membership_finishes_immediately():
-    a = RoundSimAdapter(lambda b: SyncMachine(0, [0], b), rounds(1),
-                        delta_sync=30, bit_cap=100, value_width=32)
+    a = RoundSimAdapter(CruxParams(1, 0, 10), 0)
+    a.bit_cap = 100
     # no round would ever read an arrival: it is dropped, not buffered
     assert a.step(MessageArrival(0, sync_round(0, 9))) == []
     assert a.received == {0: [], 1: []}
@@ -364,9 +371,7 @@ def test_byzantine_injection_cannot_break_unanimity():
 
 def test_report_round_sends_one_payload_object():
     n = 4
-    adapter = RoundSimAdapter(lambda b: SyncMachine(0, list(range(n)), b),
-                              rounds(n), delta_sync=30,
-                              bit_cap=2 * budget(n, 32), value_width=32)
+    adapter = RoundSimAdapter(CruxParams(n, 1, 10), 0)
     out = adapter.step(Request("propose", (5,)))
     for _ in range(round_schedule(n).index(("report", 0, 1))):
         timer = next(a for a in out if isinstance(a, SetTimer))
@@ -396,17 +401,14 @@ def test_adapter_hands_the_machine_a_fresh_batch_every_round():
     # faulty process sends in rounds where the others are idle
     n, delta_sync = 4, 20
     config = SimConfig(n=n, t=1, faulty=frozenset({3}), seed=4)
-    machines = {}
+    adapters = {p: RoundSimAdapter(CruxParams(n, 1, 10), p, SnapshotMachine)
+                for p in range(n)}
+    for a in adapters.values():
+        a.delta_sync = delta_sync
 
-    def factory(pid):
-        def machine_factory(b):
-            machines[pid] = SnapshotMachine(pid, list(range(n)), b)
-            return machines[pid]
-        return RoundSimAdapter(machine_factory, rounds(n), delta_sync,
-                               2 * budget(n, 32), 32)
-
-    run(config, AdversarySpec(strategies={3: ("random",)}), factory,
-        max_time=(rounds(n) + 2) * delta_sync)
+    run(config, AdversarySpec(strategies={3: ("random",)}),
+        adapters.__getitem__, max_time=(rounds(n) + 2) * delta_sync)
+    machines = {p: a.machine for p, a in adapters.items()}
     batches = [b for m in machines.values() for b in m.absorbed]
     assert len(batches) == n * rounds(n)
     assert len({id(b) for b in batches}) == len(batches)

@@ -24,8 +24,10 @@ Writes BENCH_<label>.json at the root: per workload, the result of every
 run on each side with its `csv_digest ... sha256=...` line, the median of
 each end-to-end metric, both sides' quartiles, per metric the number of
 pairs in which the change did better (the direction each metric improves in
-is read from BENCHMARK.json) and, per pair, whether both sides printed the
-same csv_digest line. That last is a report, not a gate. Exits 1 if a run
+is read from BENCHMARK.json), per metric a verdict (`better`, `worse`,
+`flat` or `unresolved`, from its bound in BENCHMARK.json; see `verdict`)
+and, per pair, whether both sides printed the same csv_digest line. That
+last is a report, not a gate. Exits 1 if a run
 fails or reports an incorrect result.
 """
 
@@ -54,10 +56,39 @@ def quartiles(values):
     return [q1, q3]
 
 
-def summarize(runs, better):
+def verdict(parent, change, direction, bound):
+    """How one end-to-end metric moved: its values on each side, pair by
+    pair, the direction it improves in ("higher" or "lower") and its bound
+    from BENCHMARK.json, a share of the parent's median. The first that
+    holds of
+      unresolved  the parent's quartile spread exceeds bound * its median,
+                  unless every change run beats every parent run;
+      worse       the change's median is worse by more than bound * the
+                  parent's median;
+      better      the change won at least 9/10 of the pairs (a tie is no
+                  win) and its median beats the parent's by more than the
+                  parent's quartile spread;
+      flat        anything else."""
+    sign = 1 if direction == "higher" else -1
+    base = statistics.median(parent)
+    gain = sign * (statistics.median(change) - base)
+    q1, q3 = quartiles(parent)
+    if q3 - q1 > bound * abs(base) and not all(
+            sign * (c - p) > 0 for c in change for p in parent):
+        return "unresolved"
+    if -gain > bound * abs(base):
+        return "worse"
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    if 10 * wins >= 9 * len(parent) and gain > q3 - q1:
+        return "better"
+    return "flat"
+
+
+def summarize(runs, better, bound):
     """The BENCH_*.json entry of one workload. `runs` maps "parent" and
     "change" to equally long lists of perfbench results, pair by pair;
-    `better` maps each end-to-end metric to "higher" or "lower"."""
+    `better` maps each end-to-end metric to "higher" or "lower", and
+    `bound` maps it to its bound from BENCHMARK.json."""
     values = {side: {m: [r["metrics"][m]["value"] for r in runs[side]]
                      for m in better} for side in ("parent", "change")}
     wins = {}
@@ -77,6 +108,9 @@ def summarize(runs, better):
         "change_quartiles": {m: quartiles(v)
                              for m, v in values["change"].items()},
         "change_wins": wins,
+        "verdict": {m: verdict(values["parent"][m], values["change"][m],
+                               direction, bound[m])
+                    for m, direction in better.items()},
         "csv_digest_equal": [p is not None and p == c for p, c in digests],
     }
 
@@ -125,6 +159,7 @@ def main(argv=None):
         p.error("--seconds must be a finite number >= 0")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     listed = [w["name"] for w in spec["workloads"]]
     for w in args.workload or ():
         if w not in listed:
@@ -154,7 +189,7 @@ def main(argv=None):
                     print(f"{w} pair {i + 1}: runs_per_s parent "
                           f"{rate['parent']:.3f}, change {rate['change']:.3f}",
                           flush=True)
-                entries[w] = summarize(runs, better)
+                entries[w] = summarize(runs, better, bound)
         finally:
             for checkout in checkouts.values():
                 if Path(checkout).exists():
