@@ -87,8 +87,8 @@ class PayloadError(ValueError):
     """Raised when a payload is built with an unknown kind or missing fields."""
 
 
-# Message kinds. ECHO..ECHO5 serve both the graded-consensus cascade and the
-# reducer / validation broadcast (instance paths disambiguate).
+# Message kinds. ECHO..ECHO5 serve the graded consensus (in the sync BA only
+# ECHO, ECHO2) and the reducer / validation broadcast; paths disambiguate.
 KINDS = (
     "INIT",
     "ECHO",

@@ -19,8 +19,12 @@ from .core import BOT, DEFAULT_VALUE_WIDTH, ValidityPredicate
 from .graded_consensus import GradedConsensus
 from .runtime import (Automaton, Composite, Indicate, Request, TimerFired,
                       ToChild)
-from .sync_ba import GC_ROUNDS, RoundSimAdapter, budget, rounds
+from .sync_ba import RoundSimAdapter, budget, rounds
 from .validation_broadcast import make_validation_broadcast
+
+# Message depth of the graded consensus after GST, in delta: five echo stages
+# and one amplification round (its lock-step latency, acceptance criterion 8).
+GC_DEPTH = 7
 
 
 @dataclass(frozen=True)
@@ -37,11 +41,11 @@ class CruxParams:
 
     @property
     def delta1(self) -> int:
-        return GC_ROUNDS * self.delta
+        return GC_DEPTH * self.delta
 
     @property
     def delta2(self) -> int:
-        return GC_ROUNDS * self.delta
+        return GC_DEPTH * self.delta
 
     @property
     def delta_sync(self) -> int:

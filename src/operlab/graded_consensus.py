@@ -39,24 +39,13 @@ class GradedConsensus(Automaton):
     # -- events --------------------------------------------------------
 
     def on_event(self, event):
-        if type(event) is MessageArrival:
-            return self.receive(event.sender, event.payload)
-        return self._propose(event.args[0])   # propose, the one request
-
-    def _propose(self, v):
-        self.own = v
-        out = self._echo(v)
-        # a cascade that ended in (BOT, 0) before the proposal had no own
-        # value to map onto; graded outcomes were indicated when decided
-        if self.gbca_outcome == (BOT, 0):
-            out.append(Indicate("decide", map_decision(self.gbca_outcome, v)))
-        return out
-
-    def receive(self, sender, payload):
+        if type(event) is not MessageArrival:
+            return self._propose(event.args[0])   # propose, the one request
         # each rule reads tallies at or below its own stage, plus `approved`
+        payload = event.payload
         stage = _KIND_STAGE.get(payload.kind)
         v = payload.value
-        support = stage and self.tallies[stage].add(sender, v)
+        support = stage and self.tallies[stage].add(event.sender, v)
         if not support:   # not a cascade kind, or not counted
             return []
         if stage == 1:
@@ -70,6 +59,15 @@ class GradedConsensus(Automaton):
         # the grade-1 branch opens with the (n-t)-th ECHO5 sender
         return self._resolve_decision(
             v, support, scan=self.tallies[5].total == self.n - self.t)
+
+    def _propose(self, v):
+        self.own = v
+        out = self._echo(v)
+        # a cascade that ended in (BOT, 0) before the proposal had no own
+        # value to map onto; graded outcomes were indicated when decided
+        if self.gbca_outcome == (BOT, 0):
+            out.append(Indicate("decide", map_decision(self.gbca_outcome, v)))
+        return out
 
     def _echo(self, v):
         self.sent1.add(v)

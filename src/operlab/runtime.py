@@ -59,7 +59,7 @@ most once, which its parent guarantees. The simulator proposes to each root
 once; `OperCore` to view 1 at its own proposal and to a later view only in
 `_try_advance`, where views strictly increase; `CruxCore` to gc1, as and
 gc2, and asks vb to broadcast, once each, each step gated on a one-shot
-timer and a one-shot indication; `LockstepGC` proposes when it is built.
+timer and a one-shot indication.
 
 Records: the events and actions below and `core.Payload` are slotted
 dataclasses, equal by class and fields. The simulator shares one payload

@@ -6,13 +6,13 @@ A round machine is all that the adapter and `oracle.lockstep_run` call:
 payload, `dests` a tuple of process ids; `absorb(r, received)` takes round
 r's `(sender, payload)` inputs; `decision()` is the value it holds.
 
-The lock-step machine halves the member set recursively: graded consensus
-over S, the first half recursing and reporting, a majority update gated on
-grade 0, then the same with the second half. Round and per-process message
-budgets follow the recurrences rounds(1)=0, rounds(n)=2*GC_ROUNDS+2+both
-halves, and mc(1)=0, mc(n)=13n+mc(larger half). A machine looks up each
-round's stage in the round schedule of its member count (`round_schedule`),
-built once per count.
+The lock-step machine halves the member set recursively: a two-round graded
+consensus over S (`LockstepGC`), the first half recursing and reporting, a
+majority update gated on grade 0, then the same with the second half. So
+rounds(1)=0 and rounds(n)=2*GC_ROUNDS+2+rounds of both halves. Whatever it
+receives, a member sends its two graded-consensus payloads and one report to
+every member per level, so mc(1)=0 and mc(n)=5n+mc(larger half) bound its
+copies. Each round's stage comes from `round_schedule`, built once per count.
 
 A round is idle for a process when, at some depth of the recursion, it is a
 "half" round of the half the process is not in: the process sends nothing
@@ -35,14 +35,10 @@ from __future__ import annotations
 import functools
 
 from .core import BOT, KIND_TAG_BITS, Payload, Tally, payload_bits
-from .runtime import (Automaton, Broadcast, Indicate, MessageArrival,
-                      Multicast, Request)
-from .graded_consensus import GradedConsensus
+from .runtime import Automaton, Indicate, MessageArrival, Multicast, Request
 
-# Lock-step round budget for one graded-consensus stage: five echo stages of
-# message depth plus one amplification round, measured by the lock-step
-# latency test before being frozen here.
-GC_ROUNDS = 7
+# Lock-step rounds of one graded consensus (`LockstepGC`).
+GC_ROUNDS = 2
 
 
 def rounds(n: int) -> int:
@@ -51,18 +47,16 @@ def rounds(n: int) -> int:
         raise ValueError("n >= 1")
     if n == 1:
         return 0
-    half1 = (n + 1) // 2
-    half2 = n // 2
-    return 2 * GC_ROUNDS + 2 + rounds(half1) + rounds(half2)
+    return 2 * GC_ROUNDS + 2 + rounds((n + 1) // 2) + rounds(n // 2)
 
 
 def mc(n: int) -> int:
-    """Per-process message budget: 13n per level along the deeper half."""
+    """Per-process message budget: 5n per level along the deeper half."""
     if n < 1:
         raise ValueError("n >= 1")
     if n == 1:
         return 0
-    return 13 * n + mc((n + 1) // 2)
+    return 5 * n + mc((n + 1) // 2)
 
 
 def budget(n: int, value_width: int) -> int:
@@ -109,40 +103,60 @@ def _batch_key(item):
             (0, 0) if v is None else (1, 0) if v is BOT else (0, v))
 
 
-class LockstepGC:
-    """Drives the event-driven graded consensus in lock-step rounds.
+def _lead(received, kind, senders):
+    """The value other than BOT that most of `senders` sent as their first
+    `kind` message in `_batch_key` order, and its count."""
+    tally = Tally(first_only=True)
+    lead, top = BOT, 0
+    for sender, p in sorted(received, key=_batch_key):
+        if p.kind == kind and sender in senders:
+            support = tally.add(sender, p.value)
+            if support > top and p.value is not BOT:
+                lead, top = p.value, support
+    return lead, top
 
-    Its proposal (made when it is built) goes out in round 0 and what absorbing
-    round r yields in round r+1, reaching every member and self at round end.
+
+class LockstepGC:
+    """Two-round graded consensus among `members`, all of which propose (the
+    problem PAPER.md quotes from Attiya and Welch 2023), in lock-step. Of m
+    members at most t = (m-1)//3 are faulty; only a member's first message
+    of the round's kind counts. Round 0 sends the proposal as ECHO and votes
+    x on m-t ECHOs of x, else BOT. Round 1 sends the vote as ECHO2 and
+    decides (x, 1) on m-t ECHO2s of x, (x, 0) on t+1, else (own, 0).
+
+    As m > 3t, two sets of m-t members share a correct one, which sent both
+    the same ECHO: correct members vote at most one x other than BOT, and
+    any other value gets at most t ECHO2s. So if a correct member decides
+    (x, 1), m-2t >= t+1 correct members sent every member ECHO2 x, and every
+    correct member decides x: the consistency the recursion needs, as a
+    grade-1 member keeps its value and a grade-0 one may adopt a half's
+    majority. If every correct member proposes v, each gets m-t ECHOs, then
+    m-t ECHO2s of v, and decides (v, 1): AW-Validity.
     """
 
     def __init__(self, members, proposal):
         self.members = tuple(members)
-        m = len(self.members)
-        self.auto = GradedConsensus(m, (m - 1) // 3)
-        self.outbox = []   # payloads queued for the next outbound call
+        self.t = (len(self.members) - 1) // 3
+        self.own = proposal
+        self.vote = None       # what round 1 sends
         self.decision = None
-        self._collect(self.auto.step(Request("propose", (proposal,))))
-
-    def _collect(self, actions):
-        for a in actions:
-            if isinstance(a, Broadcast):
-                self.outbox.append(a.payload)
-            elif isinstance(a, Indicate) and a.name == "decide":
-                self.decision = a.args
 
     def outbound(self, r):
-        batch, self.outbox = self.outbox, []
-        return [(p, self.members) for p in batch]
+        p = Payload("ECHO2", value=self.vote) if r \
+            else Payload("ECHO", value=self.own)
+        return [(p, self.members)]
 
     def absorb(self, r, received):
-        receive = self.auto.receive   # never abandoned: no step
-        for sender, payload in received:
-            if out := receive(sender, payload):
-                self._collect(out)
+        x, support = _lead(received, "ECHO2" if r else "ECHO", self.members)
+        quorum = len(self.members) - self.t
+        if not r:
+            self.vote = x if support >= quorum else BOT
+        else:
+            self.decision = (x, 1) if support >= quorum else \
+                (x, 0) if support > self.t else (self.own, 0)
 
     def state_digest(self):
-        return self.auto.state_digest()
+        return (self.own, self.vote, self.decision)
 
 
 class SyncMachine:
@@ -170,7 +184,6 @@ class SyncMachine:
         if kind == "gc":
             if local == 0:
                 self.gc = LockstepGC(self.members, self.b)
-                self.gc_grade = None
             return self.gc.outbound(local)
         if kind == "half":   # an active half round is in the own half
             if local == 0:
@@ -187,30 +200,16 @@ class SyncMachine:
             return
         kind, local, idx = self.schedule[r]
         if kind == "half":
-            # only the level that consumes the batch sorts it
             self.child.absorb(local, received)
-            return
-        received = sorted(received, key=_batch_key)
-        if kind == "gc":
+        elif kind == "gc":
             self.gc.absorb(local, received)
             if local == GC_ROUNDS - 1:
-                if self.gc.decision is not None:
-                    v, g = self.gc.decision
-                else:
-                    v, g = self.b, 0   # timed out: keep current value, grade 0
-                self.b = v
-                self.gc_grade = g
-        else:
+                self.b, self.gc_grade = self.gc.decision
+        elif self.gc_grade == 0:   # report: a half's majority is unique
             half = self.halves[idx]
-            reports = Tally(first_only=True)   # first report per sender
-            for sender, payload in received:
-                if payload.kind != "HALF-REPORT" or sender not in half:
-                    continue
-                v = payload.value
-                # a majority of the half is unique: no tie-break
-                if reports.add(sender, v) > len(half) / 2 \
-                        and self.gc_grade == 0 and v is not BOT:
-                    self.b = v
+            v, support = _lead(received, "HALF-REPORT", half)
+            if support > len(half) / 2:
+                self.b = v
 
     def decision(self):
         return self.b

@@ -49,9 +49,10 @@ class ParityFlipAdapter(RoundSimAdapter):
         return super().on_event(event)
 
 
-def lockstep_sent(machines, total_rounds):
-    """Runs oracle.lockstep_run and returns pid -> messages each machine
-    sent: the copies of its outbound runs, one per destination."""
+def lockstep_sent(machines, total_rounds, inject=None):
+    """Runs oracle.lockstep_run (with its `inject`) and returns pid ->
+    messages each machine sent: the copies of its outbound runs, one per
+    destination."""
     sent = dict.fromkeys(machines, 0)
     for pid, m in machines.items():
         def outbound(r, pid=pid, inner=m.outbound):
@@ -59,7 +60,7 @@ def lockstep_sent(machines, total_rounds):
             sent[pid] += sum(len(dests) for _, dests in out)
             return out
         m.outbound = outbound
-    lockstep_run(machines, total_rounds)
+    lockstep_run(machines, total_rounds, inject=inject)
     return sent
 
 

@@ -13,10 +13,10 @@ def test_timing_parameters():
     p = params()
     assert p.delta1 == 70 and p.delta2 == 70
     assert p.delta_sync == 30
-    assert p.R == 48
-    assert p.B == 78 * 40
+    assert p.R == 18
+    assert p.B == 30 * 40
     assert p.bit_cap == 2 * p.B
-    assert p.delta_total == (20 + 70) + 48 * 30 + (20 + 70) == 1620
+    assert p.delta_total == (20 + 70) + 18 * 30 + (20 + 70) == 720
 
 
 def test_estimate_rule():

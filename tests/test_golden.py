@@ -23,8 +23,8 @@ DELTA = 10
 
 
 def _view_change(seed):
-    # n=10 at GST = 8 * delta_total with pre-GST timer drift and three
-    # equivocating processes: some seeds reach view 2.
+    # n=10 at GST = 36000 = 20 * delta_total with pre-GST timer drift and
+    # three equivocating processes: some seeds reach view 2.
     faulty = [7, 8, 9]
     return {"n": 10, "t": 3, "delta": DELTA, "gst": 36000, "seed": seed,
             "faulty": faulty,
@@ -83,43 +83,46 @@ UNANIMOUS = {"n": 4, "delta": DELTA, "gst": 0, "seed": 0, "proposal": 7}
 # (label, scenario, csv row, sha256 of the trace lines joined by newlines)
 GOLDEN = [
     ("view-change-0", _view_change(0),
-     "0,10,3,36000,10,36399,34026.142857142855,891.4,2,1",
-     "a17fe897e6da085409cacb28a22bb1512976f7f46bab57ba24a6a3d416cbd168"),
+     "0,10,3,36000,10,19870,18524.0,349.2,2,1",
+     "1a05e1bdfe3f550d647a2bd0903b9838d46ced8c2359b6173cdef1ea3c1649af"),
     ("view-change-1", _view_change(1),
-     "1,10,3,36000,10,34072,31919.571428571428,889.3,2,1",
-     "3450c659f9f12c37d4577548088bab3909997024487cb8641588d7b019ecbf6b"),
+     "1,10,3,36000,10,19535,18902.14285714286,350.1,2,1",
+     "bddd21a0073784346811e03b1d008e970f99dccd8e342e5ecacd5627cbf8e21c"),
     ("view-change-2", _view_change(2),
-     "2,10,3,36000,10,15058,13266.142857142857,438.1,1,1",
-     "90397632bfa31a49e09a0a404c86cd14a2f7928e257958e40aa6d9418264a75d"),
+     "2,10,3,36000,10,19535,18510.0,349.9,2,1",
+     "e12e2e58da4ad42f58e5deb8bc6d3bdb67948fde394e6c32c0523cc91da3bda0"),
     ("view-change-3", _view_change(3),
-     "3,10,3,36000,10,31647,29431.428571428572,889.3,2,1",
-     "212240c8a4868e703ec47ca5812a3174a1508d53dcc443adc4e35ac40b18cbec"),
-    # correct process 0 finishes and halts at 40366 with its view-1 round
-    # timer crux@1/as/144 pending; the timer fires at 40371 and is ignored
+     "3,10,3,36000,10,18670,17575.714285714286,351.3,2,1",
+     "fcc02aeb860c2559428c7b33c9a6a3831d629f28ad29cba65f932ac1eba1981c"),
     ("view-change-80", _view_change(80),
-     "80,10,3,36000,10,14037,12991.57142857143,437.5,1,1",
-     "217faea7578c405151d89b2c9a15f07eef72c39798c7af6d0d2b17788a2c46af"),
+     "80,10,3,36000,10,18680,17315.0,349.8,2,1",
+     "eb3dda2c9b1b76f27a2ab8ecb93d31283677aef1750d65b9cdfdb3ae4eb1c588"),
+    # correct process 0 finishes and halts at 37675 with its view-1 gc2 gate
+    # timer crux@1/2 pending; the timer fires at 37676 and is ignored
+    ("view-change-29", _view_change(29),
+     "29,10,3,36000,10,7610,6830.714285714285,168.1,1,1",
+     "58b9c22244ac4b7b43d07815874133b711686649822d930c2fb7280b3e880a23"),
     ("flood-random-0", _flood_random(0),
-     "0,7,2,2000,10,10605,10011.4,298.4,1,1",
-     "b73e86cedaf7463adca0aa62e1bbc36523b9f7657d50c5f38cdbbef05b8497fd"),
+     "0,7,2,2000,10,5985,5488.0,118.4,1,1",
+     "32d8d119c2f6ddbce0330e21d10567df2904cf8cc5b4120196aa8f1ebeafec39"),
     ("flood-random-1", _flood_random(1),
-     "1,7,2,2000,10,11081,10185.0,298.3,1,1",
-     "174565cb59c60e67f1d04cd1e08be0f4c3ab510818e3edbadf6ee984f5ed1c60"),
+     "1,7,2,2000,10,5705,5320.0,118.3,1,1",
+     "75dbbc8a53071be79ff5d73b164d18a0adcd42b79a75bccf11a97caf111860ba"),
     ("max-delayer-crash-0", _max_delayer_crash(0),
-     "0,7,2,2000,10,11578,10848.6,303.0,1,1",
-     "04d638b8d6bd55ded2d1d3678054d3ad5f71651a491e5c5ef593ecc5600d26ac"),
+     "0,7,2,2000,10,6825,6664.0,123.0,1,1",
+     "bdda0f3fe413aa8bf276b6440df020fed8f724d856b82db9e0f586cb87c5e41d"),
     ("exact3-drift-max-0", _exact_drift_max(0),
-     "0,7,2,2000,10,10241,9800.0,306.3,1,1",
-     "b1a4d4e9b45d37c475423051d51f18356dc318182d1d9b77e8549cfe3098070e"),
+     "0,7,2,2000,10,5145,5063.333333333333,126.3,1,1",
+     "7ce49cfb549c5efc4b595f4ba75a7c42454b82f0791de5a21151b40b9fce018f"),
     ("sync-large-0", _sync_large(0),
-     "0,31,10,0,10,58697,55795.09523809524,1459.0,1,1",
-     "a4b5a136f4dbb4c7817355496ad487440414b1b900d794f338741f06ad5ac904"),
+     "0,31,10,0,10,34785,34136.19047619047,559.0,1,1",
+     "0c66985f6bf1638aee28a0372df6279402596dc772e4fb5573fbe9c641e87568"),
     ("staggered-0", _staggered(0),
-     "0,7,2,0,10,12761,11993.333333333334,307.0,1,1",
-     "4e7ef093716bfec67451bddae2df00646fbf4219536cef44cc8dec252e1bad01"),
+     "0,7,2,0,10,7665,7303.333333333333,127.3,1,1",
+     "1d6e792edd621c3beef32ae0d917a1162ab86004b672433ae4d635efe45fe002"),
     ("unanimous-n4", UNANIMOUS,
-     "0,4,1,0,10,5314,5234.0,162.6,1,1",
-     "ac751f88f3b011480b27950ecaad4b06ed70bab88e942c3b5d19294d039de0b1"),
+     "0,4,1,0,10,3550,3430.0,72.7,1,1",
+     "2b515b9e3100f55730399d66d531b6e8b9979841d82b7e76417f4081c5cba705"),
 ]
 
 

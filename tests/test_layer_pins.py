@@ -133,8 +133,8 @@ SYNC_KINDS = ("INIT", "ECHO", "ECHO2", "ECHO3", "ECHO4", "ECHO5", "HALF-REPORT")
 
 # (member count, sha256 of every round's outbound and state digest)
 SYNC_PINS = [
-    (7, "34ce8c5c12784af99902899ce6520414c4c2fd0bae7e8c3c9ce3a75a24cb6a0b"),
-    (10, "2c3b14f8c333ab4004af2575c3fafe8bea517ccecf5dcefc3f9a1577dc363e86"),
+    (7, "4a61b71dfd25843dac43747db3e8909576ff8ed358956fd526763a2f80922add"),
+    (10, "feb33abd28d4e6ad6b79fc14a0aaf1b8f79bba638b843e3859fa8c4e2c044d72"),
 ]
 
 

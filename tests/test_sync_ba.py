@@ -10,27 +10,28 @@ from operlab.runtime import (Automaton, Halt, Indicate, MessageArrival,
                              Multicast, Request, SetTimer, TimerFired)
 from operlab.oracle import RecordingMachine, lockstep_run
 from operlab.simnet import AdversarySpec, SimConfig, run
-from operlab.sync_ba import (GC_ROUNDS, RoundSimAdapter, SyncMachine,
-                             active_rounds, budget, mc, round_schedule, rounds)
+from operlab.sync_ba import (GC_ROUNDS, LockstepGC, RoundSimAdapter,
+                             SyncMachine, active_rounds, budget, mc,
+                             round_schedule, rounds)
 
 from lockstep import lockstep_network, lockstep_sent
 
 
 def test_round_recurrence_values():
     assert rounds(1) == 0
-    assert rounds(2) == 16
-    assert rounds(4) == 48
-    assert rounds(8) == 112
-    assert rounds(10) == 144
-    assert rounds(16) == 240
+    assert rounds(2) == 6
+    assert rounds(4) == 18
+    assert rounds(8) == 42
+    assert rounds(10) == 54
+    assert rounds(16) == 90
 
 
 def test_message_budget_values():
     assert mc(1) == 0
-    assert mc(2) == 26
-    assert mc(4) == 78
-    assert mc(8) == 182
-    assert budget(4, 32) == 78 * 40
+    assert mc(2) == 10
+    assert mc(4) == 30
+    assert mc(8) == 70
+    assert budget(4, 32) == 30 * 40
 
 
 def test_recurrence_rejects_nonpositive():
@@ -183,8 +184,8 @@ def test_lockstep_sent_counts_copies_not_runs():
     n = 10
     machines = {p: SyncMachine(p, list(range(n)), p + 1) for p in range(n)}
     sent = lockstep_sent(machines, rounds(n))
-    assert sorted(sent.values()) == [197, 197, 202, 202, 208, 222, 230, 230,
-                                     248, 248]
+    assert sorted(sent.values()) == [85, 85, 85, 85, 90, 90, 100, 100, 100,
+                                     100]
 
 
 class Scripted(Automaton):
@@ -367,6 +368,81 @@ def test_byzantine_injection_cannot_break_unanimity():
                               (3, Payload("HALF-REPORT", value=9))]
     lockstep_run(machines, rounds(n), inject=inject)
     assert {m.decision() for m in machines.values()} == {7}
+
+
+JUNK_KINDS = SYNC_KINDS + ("FINISH",)
+
+
+def junk(rng, faulty, kinds=JUNK_KINDS):
+    """0-3 payloads from each faulty sender: any of `kinds`, any value."""
+    return [(f, Payload(rng.choice(kinds),
+                        value=rng.choice((1, 2, 3, BOT, rng.getrandbits(32)))))
+            for f in faulty for _ in range(rng.randrange(4))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(4, 16), st.data(), st.integers(0, 2 ** 32))
+def test_round_machine_contract_under_any_junk(n, data, seed):
+    """The contract the adapter relies on after GST: whatever 1..t faulty
+    processes send, in any round, to any receiver, inside the sub-instance
+    or not, every correct process sends at most mc(n) copies, the correct
+    processes agree, and unanimous correct proposals give that value."""
+    t = (n - 1) // 3
+    faulty = data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                               max_size=t), label="faulty")
+    unanimous = data.draw(st.booleans(), label="unanimous")
+    rng = random.Random(seed)
+    correct = [p for p in range(n) if p not in faulty]
+    proposals = {p: 7 if unanimous else rng.choice((1, 2, 3))
+                 for p in correct}
+    machines = {p: SyncMachine(p, range(n), proposals[p]) for p in correct}
+    inject = {(r, p): junk(rng, sorted(faulty))
+              for r in range(rounds(n)) for p in correct}
+    sent = lockstep_sent(machines, rounds(n), inject=inject)
+    assert max(sent.values()) <= mc(n), sent
+    decisions = {m.decision() for m in machines.values()}
+    assert len(decisions) == 1, decisions
+    if unanimous:
+        assert decisions == {7}
+
+
+def run_gc(members, proposals, inject):
+    """One LockstepGC per correct member, run through its two rounds."""
+    gcs = {p: LockstepGC(members, v) for p, v in proposals.items()}
+    lockstep_run(gcs, GC_ROUNDS, inject=inject)
+    return {p: gc.decision for p, gc in gcs.items()}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 16), st.data(), st.integers(0, 2 ** 32))
+def test_lockstep_gc_validity_and_consistency(m, data, seed):
+    """AW-Validity and grade-1 consistency with up to t faulty members
+    sending anything, and non-members that change nothing."""
+    members = tuple(range(10, 10 + 2 * m, 2))   # ids need not be 0..m-1
+    t = (m - 1) // 3
+    faulty = data.draw(st.sets(st.sampled_from(members), max_size=t),
+                       label="faulty")
+    unanimous = data.draw(st.booleans(), label="unanimous")
+    rng = random.Random(seed)
+    proposals = {p: 5 if unanimous else rng.choice((1, 2, 3))
+                 for p in members if p not in faulty}
+    # besides junk, a faulty member may back each receiver's own proposal,
+    # which splits the correct members if a quorum is one short
+    inject = {(r, p): junk(rng, sorted(faulty), ("ECHO", "ECHO2", "INIT"))
+              + [(f, Payload(("ECHO", "ECHO2")[r], value=v))
+                 for f in sorted(faulty) if rng.random() < 0.5]
+              for r in range(GC_ROUNDS) for p, v in proposals.items()}
+    decisions = run_gc(members, proposals, inject)
+    if unanimous:
+        assert set(decisions.values()) == {(5, 1)}
+    strong = {v for v, g in decisions.values() if g == 1}
+    if strong:
+        assert {v for v, _ in decisions.values()} == strong
+    assert all(g in (0, 1) and v is not BOT for v, g in decisions.values())
+    # 11 lies between two members; 0 and 99 outside them all
+    noisy = {key: batch + junk(rng, (0, 11, 99))
+             for key, batch in inject.items()}
+    assert run_gc(members, proposals, noisy) == decisions
 
 
 def test_report_round_sends_one_payload_object():
