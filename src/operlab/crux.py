@@ -7,8 +7,8 @@ synchronous agreement simulated for exactly R rounds of delta_sync each
 under a bit cap; (3) the estimate rule; (4) second graded consensus, gated
 the same way; (5) decide iff the second grade is 1; (6) broadcast the second
 value through the validation broadcast; (7) completed once that broadcast
-completes. Validations are relayed outward unconditionally, even after an
-abandon (the runtime lets them through).
+completes. A live core relays each validation outward; an abandoned one
+relays nothing (see `runtime`).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .runtime import (Automaton, Composite, Indicate, Request, TimerFired,
 from .sync_ba import RoundSimAdapter, budget, rounds
 from .validation_broadcast import make_validation_broadcast
 
-# Message depth of the graded consensus after GST, in delta: five echo stages
-# and one amplification round (its lock-step latency, acceptance criterion 8).
+# Message depth of the graded consensus after GST, in delta: acceptance
+# criterion 8 measures its lock-step latency (6) and checks it is at most this.
 GC_DEPTH = 7
 
 

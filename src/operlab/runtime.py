@@ -24,8 +24,7 @@ first, the tag None where the automaton is that composite's core. A message
 goes by its exact `path` and a firing timer by its exact `timer_id[:-1]`; a
 path the table lacks, a path below an existing automaton included, goes to
 the root's `_route_unknown`. A routed event is a message or a timer, never
-a request, so the root calls a live target's `on_event` directly; only an
-abandoned target goes through `Automaton.step`, which mutes it. An empty
+a request, so the root calls its target's `on_event` directly. An empty
 output returns at once. Other output, if there is any that is not a
 multicast, broadcast or timer, is lifted along the chain and then by the
 root; those alone return as they are.
@@ -39,14 +38,18 @@ benchmark's tracer would leave a wrapper on a subclass that inherits it.
 Abandon is a runtime operation. The view loop sends Request("abandon") to a
 per-view core when it moves to a later view or finishes; `Automaton.step`
 answers it with [] after `abandon()`, which a Composite applies to its core
-and every child, down the whole tree. Only the root, never abandoned, gains
-children later, so a subtree is abandoned throughout and routing checks only
-its target's `abandoned` flag. An abandoned automaton keeps its state and keeps
-processing messages and requests, but `step` mutes it: only
-Indicate("validate") leaves it, since the next view is proposed with a value
-the old view's validation broadcast validated. Validations come from message
-arrivals, so `step` drops its timers; timers are never cancelled, so `step`
-is the one place that mutes an instance.
+and every child, down the whole tree, since routing reaches each directly.
+`abandon()` swaps in `stopped`, the no-op handler of a halted process too:
+the state stays as it is, and every later event, a timer included, gets [].
+
+No validation needs to leave an abandoned view. `OperCore` advances when
+`pending_target > view`, `pending_target - 1` is validated and it has
+proposed. That never stays true outside `_try_advance`: each event that can
+make it true calls it (a higher 2t+1 START-VIEW quorum, or the validation of
+`pending_target - 1`), and `validated` is empty until the proposal spawns
+view 1. A process abandons only the view it is in, so a validation of a
+view w < view would only add an entry that `_try_advance`, reading
+`pending_target - 1 >= view > w`, never reads; it would return [].
 
 A handler dispatches on the exact event class, read once as `type(event)`
 and compared with `is`, the message class first where it takes messages:
@@ -142,9 +145,13 @@ class ToChild:
 _PASS_UP = frozenset((Multicast, Broadcast, SetTimer))
 
 
+def stopped(event):
+    """Handler of an abandoned automaton or halted process: not a bound
+    method, which would make each holder a reference cycle."""
+
+
 class Automaton:
-    """Deterministic event-driven state machine; an abandoned one passes
-    only validations (see the module docstring).
+    """Deterministic event-driven state machine, silent once abandoned.
 
     `path` is this automaton's absolute instance path, recorded by the
     Composite it is attached to; the actions it sends or sets carry it.
@@ -153,7 +160,6 @@ class Automaton:
     path: tuple = ()
 
     def __init__(self):
-        self.abandoned = False
         self._timer_seq = 0
 
     def attach(self, path: tuple, root, lifts=()):
@@ -161,22 +167,14 @@ class Automaton:
         root.routes[path] = (self, lifts)
 
     def step(self, event) -> list:
-        cls = type(event)
-        if cls is Request and event.name == "abandon":
+        if type(event) is Request and event.name == "abandon":
             self.abandon()
             return []
-        if not self.abandoned:
-            return self.on_event(event) or []
-        if cls is TimerFired:
-            return []
-        # validations outlive a view: OperCore._try_advance proposes view V
-        # with view V-1's validated value
-        return [a for a in self.on_event(event) or ()
-                if isinstance(a, Indicate) and a.name == "validate"]
+        return self.on_event(event) or []
 
     def abandon(self):
-        """Mute this automaton."""
-        self.abandoned = True
+        """Stop this automaton: its state stays as it is."""
+        self.on_event = stopped
 
     def on_event(self, event):  # pragma: no cover - abstract
         """Returns a list of actions (or None for none)."""
@@ -221,11 +219,10 @@ class Composite(Automaton):
     # -- public --------------------------------------------------------
 
     def abandon(self):
-        """Abandon the core and every child, down the whole tree."""
+        """Abandon this composite, its core and every child, down the tree."""
         super().abandon()
-        self.core.abandon()
-        for child in self.children.values():
-            child.abandon()
+        for auto in (self.core, *self.children.values()):
+            auto.abandon()
 
     def on_event(self, event):
         cls = type(event)
@@ -239,9 +236,7 @@ class Composite(Automaton):
         if route is None:   # () always routes, so path[0] exists
             return self._route_unknown(path[0], event)
         target, lifts = route
-        # a routed event is never a request: only a muted target needs step
-        actions = target.step(event) if target.abandoned \
-            else target.on_event(event)
+        actions = target.on_event(event)   # a routed event is never a request
         if not actions:
             return []
         if _PASS_UP.issuperset(map(type, actions)):

@@ -19,7 +19,7 @@ from heapq import heappop, heappush
 from .core import (DEFAULT_VALUE_WIDTH, Payload, ValidityPredicate, path_bits,
                    payload_bits)
 from .runtime import (Broadcast, Halt, Indicate, MessageArrival, Multicast,
-                      Request, SetTimer, TimerFired)
+                      Request, SetTimer, TimerFired, stopped)
 
 
 @dataclass(frozen=True)
@@ -417,7 +417,7 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
             elif cls is Halt:   # the process stops: drop the rest
                 if collect_rows:
                     rows.append((now, pid, "halt", (), "-", 0))
-                step[pid] = lambda event: None   # it steps no more
+                step[pid] = stopped   # it steps no more
                 running.discard(pid)
                 return
 

@@ -5,8 +5,8 @@ Composite of a core echo layer over an embedded reducing-broadcast child
 echoes values with t+1 INIT support (plus a most-frequent-gap BOT echo),
 completes on a 2t+1 echo quorum (broadcasters only), and validates on t+1
 echoes -- substituting this process's default value for BOT. Validation
-indications keep firing after completion and after abandon (the runtime lets
-them through). Rules react to the `Tally` support of the one value that moved.
+indications keep firing after completion. Rules react to the `Tally` support
+of the one value that moved.
 """
 
 from __future__ import annotations

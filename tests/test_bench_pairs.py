@@ -21,16 +21,23 @@ def result(rate, ms, digest=DIGEST):
             "csv_digest": digest}
 
 
-def test_summary_of_canned_pairs():
-    runs = {"parent": [result(r, m) for r, m in
+def canned_runs():
+    return {"parent": [result(r, m) for r, m in
                        [(2.0, 500), (2.2, 450), (2.1, 480), (2.4, 400),
                         (2.3, 300)]],
             "change": [result(r, m) for r, m in
                        [(2.5, 400), (2.1, 470), (2.6, 380), (2.4, 400),
                         (2.9, 350)]]}
+
+
+def canned_summary(runs):
     better = {"runs_per_s": "higher", "run_ms_p50": "lower"}
-    bound = {"runs_per_s": 0.25, "run_ms_p50": 0.25}
-    summary = bench_pairs.summarize(runs, better, bound)
+    return bench_pairs.summarize(runs, better, dict.fromkeys(better, 0.25))
+
+
+def test_summary_of_canned_pairs():
+    runs = canned_runs()
+    summary = canned_summary(runs)
     assert summary["pairs"] == 5
     assert summary["runs"] is runs
     assert summary["median"] == {
@@ -43,6 +50,17 @@ def test_summary_of_canned_pairs():
     # a tie is no win; a lower time wins, a higher rate wins
     assert summary["change_wins"] == {"runs_per_s": 3, "run_ms_p50": 2}
     assert summary["csv_digest_equal"] == [True] * 5
+
+
+def test_verdicts_print_one_line_per_workload(capsys):
+    runs = canned_runs()
+    runs["change"][1]["csv_digest"] = None
+    summary = canned_summary(runs)
+    bench_pairs.print_verdicts({"flood": summary, "view-change": summary})
+    line = ("runs_per_s flat 3/5, run_ms_p50 unresolved 2/5; "
+            "csv_digest equal 4/5")
+    assert capsys.readouterr().out.splitlines() == [
+        "flood: " + line, "view-change: " + line]
 
 
 def test_csv_digest_equal_reports_each_pair():

@@ -1,6 +1,7 @@
 from operlab.core import BOT, Payload
 from operlab.finisher import Finisher
 from operlab.runtime import Broadcast, Indicate, MessageArrival, Request
+from test_runtime import silent
 
 
 def finish_msg(sender, value):
@@ -74,8 +75,5 @@ def test_bot_finish_ignored():
 def test_abandon_mutes():
     f = Finisher(1)
     f.step(Request("abandon"))
-    assert f.step(Request("to_finish", (7,))) == []
-    out = []
-    for s in (0, 1, 2, 3):
-        out += f.step(finish_msg(s, 7))
-    assert out == []
+    assert silent(f, [Request("to_finish", (7,)),
+                      *(finish_msg(s, 7) for s in (0, 1, 2, 3))])

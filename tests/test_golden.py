@@ -15,6 +15,7 @@ import pytest
 from operlab.crux import CruxCore
 from operlab.graded_consensus import GradedConsensus
 from operlab.harness import run_and_check, scenario_adversary, scenario_config
+from operlab.oper import OperCore, _tag_view
 from operlab.runtime import Indicate, Request
 from operlab.simnet import csv_row, trace_lines
 from operlab.sync_ba import RoundSimAdapter
@@ -94,6 +95,11 @@ GOLDEN = [
     ("view-change-3", _view_change(3),
      "3,10,3,36000,10,18670,17575.714285714286,351.3,2,1",
      "fcc02aeb860c2559428c7b33c9a6a3831d629f28ad29cba65f932ac1eba1981c"),
+    # processes enter view 2 while view 1's validation broadcasts still
+    # run, so view 1's abandoned instances get messages after the abandon
+    ("view-change-21", _view_change(21),
+     "21,10,3,36000,10,19070,17610.714285714286,350.6,2,1",
+     "26b5342b8a550c90bdac4c6ce1e4e9644dd07b84674cd8536efbefab7884a756"),
     ("view-change-80", _view_change(80),
      "80,10,3,36000,10,18680,17315.0,349.8,2,1",
      "eb3dda2c9b1b76f27a2ab8ecb93d31283677aef1750d65b9cdfdb3ae4eb1c588"),
@@ -180,6 +186,25 @@ def test_each_instance_gets_propose_at_most_once(monkeypatch):
                     (RoundSimAdapter, "propose"),
                     (RoundSimAdapter, "sync-done")}
     assert max(counts.values()) == 1
+
+
+def test_no_validation_of_an_abandoned_view_reaches_the_view_loop(
+        monkeypatch):
+    # a process abandons a view only to enter a later one, so a validation
+    # of a view below its current one comes from an abandoned instance,
+    # which is silent
+    stale = []   # (validated view, view the process was in)
+    request = OperCore._request
+
+    def recording(self, event):
+        if event.name == "validate" and _tag_view(event.args[0]) < self.view:
+            stale.append((_tag_view(event.args[0]), self.view))
+        return request(self, event)
+    monkeypatch.setattr(OperCore, "_request", recording)
+    report = run_and_check(scenario_config(_view_change(21)),
+                           scenario_adversary(_view_change(21)))
+    assert max(v for (_, _, v) in report.trace.enters) == 2
+    assert stale == []
 
 
 @pytest.mark.parametrize("scn", [_flood_random(0), _sync_large(0)],

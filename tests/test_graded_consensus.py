@@ -148,15 +148,15 @@ def test_no_second_decide_after_the_decision():
     assert decides == [Indicate("decide", (7, 1))]
 
 
-def test_abandon_mutes_but_retains_state():
+def test_abandon_freezes_state():
     gc = GradedConsensus(4, 1)
     gc.step(Request("propose", (7,)))
     gc.step(Request("abandon"))
     out = []
-    for s in (1, 2, 3):
+    for s in (1, 2, 3):   # n - t ECHOs of 7 would approve it
         out += gc.step(MessageArrival(s, Payload("ECHO", value=7)))
     assert out == []
-    assert 7 in gc.approved   # state still tracked
+    assert gc.approved == set() and gc.tallies[1].total == 0
 
 
 def _equivocator(values):

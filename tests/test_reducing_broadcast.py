@@ -1,6 +1,7 @@
 from operlab.core import BOT, Payload
 from operlab.reducing_broadcast import ReducingBroadcast
 from operlab.runtime import Broadcast, Indicate, MessageArrival, Request
+from test_runtime import silent
 
 
 def init(sender, value):
@@ -98,7 +99,4 @@ def test_abandon_mutes_output():
     rb = ReducingBroadcast(t=1)
     rb.step(Request("broadcast", (7,)))
     rb.step(Request("abandon"))
-    out = []
-    for s in (0, 1, 2):
-        out += rb.step(init(s, 7))
-    assert out == []
+    assert silent(rb, [init(s, 7) for s in (0, 1, 2)])

@@ -56,13 +56,16 @@ def test_bot_validation_substitutes_default():
             assert v in (1, 2, 3, 4, defaults[p])
 
 
-def test_validate_fires_after_abandon():
+def test_an_abandoned_process_validates_nothing():
     autos = build(4, 1, {p: 50 for p in range(4)})
     starts = [(p, Request("broadcast", (7,))) for p in range(4)]
     starts.append((0, Request("abandon")))
     inds = lockstep_network(autos, starts, max_rounds=10)
-    assert events_named(inds, 0, "validate")
-    assert not events_named(inds, 0, "completed")
+    assert inds[0] == []
+    for p in (1, 2, 3):   # 2t + 1 broadcasters are enough
+        assert {args for (_, args) in events_named(inds, p, "validate")} \
+            == {(7,)}
+        assert events_named(inds, p, "completed")
 
 
 def test_validations_deduplicated_per_value():

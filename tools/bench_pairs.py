@@ -27,8 +27,9 @@ pairs in which the change did better (the direction each metric improves in
 is read from BENCHMARK.json), per metric a verdict (`better`, `worse`,
 `flat` or `unresolved`, from its bound in BENCHMARK.json; see `verdict`)
 and, per pair, whether both sides printed the same csv_digest line. That
-last is a report, not a gate. Exits 1 if a run
-fails or reports an incorrect result.
+last is a report, not a gate. Then prints one line per workload: each
+metric's verdict with the pairs the change won, and the pairs with equal
+csv_digest lines. Exits 1 if a run fails or reports an incorrect result.
 """
 
 from __future__ import annotations
@@ -113,6 +114,19 @@ def summarize(runs, better, bound):
                     for m, direction in better.items()},
         "csv_digest_equal": [p is not None and p == c for p, c in digests],
     }
+
+
+def print_verdicts(entries):
+    """One line per workload of BENCH_*.json `entries`, e.g. `flood:
+    runs_per_s flat 6/10, ...; csv_digest equal 10/10`: each end-to-end
+    metric's verdict and the pairs the change won, then the pairs in which
+    both sides printed the same csv_digest line."""
+    for w, e in entries.items():
+        pairs = e["pairs"]
+        metrics = ", ".join(f"{m} {v} {e['change_wins'][m]}/{pairs}"
+                            for m, v in e["verdict"].items())
+        print(f"{w}: {metrics}; csv_digest equal "
+              f"{sum(e['csv_digest_equal'])}/{pairs}")
 
 
 def bench(checkout, workload, seed, seconds):
@@ -210,6 +224,7 @@ def main(argv=None):
         "workloads": entries,
     }, indent=1) + "\n")
     print(f"wrote {out}")
+    print_verdicts(entries)
 
 
 if __name__ == "__main__":
