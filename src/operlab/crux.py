@@ -86,7 +86,7 @@ class CruxCore(Automaton):
         self.pred = pred
         self.own = None
         self.gc1_out = None       # (v1, g1)
-        self.v_a = None           # synchronous decision, BOT if none in time
+        self.v_a = None           # sync BA's value, indicated after R rounds
         self.gc2_out = None       # (v2, g2)
         self.timer1_done = False
         self.timer2_done = False

@@ -70,24 +70,23 @@ class OperCore(Automaton):
             self.own = args[0]
             return [Indicate("enter-view", (1,)),
                     ToChild(crux_tag(1), Request("propose", (args[0],)))]
-        # child indications, tag-prefixed
-        if name == "completed" and args[0] == crux_tag(self.view):
+        # tagged child indications. Only a proposed, unabandoned view completes
+        # or decides: the current one. A validation may come from a higher one
+        if name == "completed":
             return [Broadcast(Payload("START-VIEW", view=self.view + 1),
                               self.path)]
         if name == "validate":
             w = _tag_view(args[0])
-            if w is not None and w not in self.validated:
+            if w not in self.validated:
                 self.validated[w] = args[1]
                 return self._try_advance()
             return []
-        if name == "decide" and args[0] == crux_tag(self.view):
+        if name == "decide":
             return [ToChild("fin", Request("to_finish", (args[1],)))]
-        # the finisher finishes once; the Halt ends every later event
-        if name == "finish" and args[0] == "fin":
-            return [Indicate("decide", (args[1],)),
-                    ToChild(crux_tag(self.view), Request("abandon")),
-                    Halt()]
-        return []
+        # the finisher's finish, once; the Halt ends every later event
+        return [Indicate("decide", (args[1],)),
+                ToChild(crux_tag(self.view), Request("abandon")),
+                Halt()]
 
     def _start_view(self, sender, v):
         if v < 2:

@@ -12,13 +12,11 @@ majority update gated on grade 0, then the same with the second half. So
 rounds(1)=0 and rounds(n)=2*GC_ROUNDS+2+rounds of both halves. Whatever it
 receives, a member sends its two graded-consensus payloads and one report to
 every member per level, so mc(1)=0 and mc(n)=5n+mc(larger half) bound its
-copies. Each round's stage comes from `round_schedule`, built once per count.
-
-A round is idle for a process when, at some depth of the recursion, it is a
-"half" round of the half the process is not in: the process sends nothing
-and reads nothing in it. The idle rounds of each (member count, position)
-are built once (`active_rounds`); on an idle round `outbound` returns `[]`
-and `absorb` returns at once, without walking down the recursion.
+copies. Each member follows one plan, built once per member count and
+position (`round_plan`): its step in each round, or None when it is idle, in
+a "half" round of the half it is not in at some depth of the recursion. On an
+idle round `outbound` returns `[]` and `absorb` returns at once, without
+walking down the recursion; in the other half's report round it only reads.
 
 The adapter builds `machine(pid, range(params.n), proposal)` at its
 proposal (`SyncMachine` by default) and takes R, delta_sync, the bit cap and
@@ -65,33 +63,23 @@ def budget(n: int, value_width: int) -> int:
 
 
 @functools.cache
-def round_schedule(m: int) -> tuple:
-    """Per round of the agreement among m members: (stage kind, round within
-    the stage, half). Each half in turn has GC_ROUNDS "gc" rounds (among all
-    m members), rounds(half) "half" rounds and one "report" round."""
-    schedule = []
-    if m > 1:
-        for idx, size in ((1, (m + 1) // 2), (2, m // 2)):
-            for kind, length in (("gc", GC_ROUNDS), ("half", rounds(size)),
-                                 ("report", 1)):
-                schedule.extend((kind, local, idx) for local in range(length))
-    return tuple(schedule)
-
-
-@functools.cache
-def active_rounds(m: int, pos: int) -> bytes:
-    """Per round of the agreement among m members: 1 if the member at
-    position pos (-1 for a non-member) sends or absorbs in it, 0 if it is
-    idle, a "half" round of a half that member is not in, at any depth."""
-    table = bytearray()
+def round_plan(m: int, pos: int) -> tuple:
+    """Step of the member at position pos in each round of the agreement among
+    m members: None when idle, else (kind, round within the stage, half). Each
+    half in turn has GC_ROUNDS "gc" rounds, rounds(half) "half" rounds for its
+    members only, and a round its members "report" and the rest "listen" in."""
+    plan = []
     if m > 1:
         split = (m + 1) // 2
-        for size, sub in ((split, pos), (m // 2, pos - split)):
-            table += b"\1" * GC_ROUNDS
-            table += active_rounds(size, sub) if 0 <= sub < size \
-                else bytes(rounds(size))
-            table += b"\1"   # report: every member reads it
-    return bytes(table)
+        for idx, size, sub in ((1, split, pos), (2, m // 2, pos - split)):
+            plan += [("gc", local, idx) for local in range(GC_ROUNDS)]
+            if 0 <= sub < size:   # the member's own half
+                plan += [step and ("half", local, idx) for local, step
+                         in enumerate(round_plan(size, sub))]
+                plan.append(("report", 0, idx))
+            else:
+                plan += [None] * rounds(size) + [("listen", 0, idx)]
+    return tuple(plan)
 
 
 def _batch_key(item):
@@ -167,45 +155,42 @@ class SyncMachine:
         self.members = tuple(members)
         self.b = proposal
         n = len(self.members)
-        self.schedule = round_schedule(n)
         self.gc = None
         self.gc_grade = None
         self.child = None
         split = (n + 1) // 2
         self.halves = {1: self.members[:split], 2: self.members[split:]}
-        pos = self.members.index(pid)   # ValueError for a non-member
-        self.own_half = 1 if pos < split else 2   # the half it recurses in
-        self.active = active_rounds(n, pos)
+        self.plan = round_plan(n, self.members.index(pid))  # non-member: error
 
     def outbound(self, r):
-        if not self.active[r]:
+        if (step := self.plan[r]) is None:
             return []
-        kind, local, idx = self.schedule[r]
+        kind, local, idx = step
         if kind == "gc":
             if local == 0:
                 self.gc = LockstepGC(self.members, self.b)
             return self.gc.outbound(local)
-        if kind == "half":   # an active half round is in the own half
+        if kind == "half":
             if local == 0:
                 self.child = SyncMachine(self.pid, self.halves[idx], self.b)
             return self.child.outbound(local)
-        if idx != self.own_half:
+        if kind == "listen":
             return []
         # report: one payload for every member
         v = self.child.decision() if self.child else self.b
         return [(Payload("HALF-REPORT", value=v), self.members)]
 
     def absorb(self, r, received):
-        if not self.active[r]:
+        if (step := self.plan[r]) is None:
             return
-        kind, local, idx = self.schedule[r]
+        kind, local, idx = step
         if kind == "half":
             self.child.absorb(local, received)
         elif kind == "gc":
             self.gc.absorb(local, received)
             if local == GC_ROUNDS - 1:
                 self.b, self.gc_grade = self.gc.decision
-        elif self.gc_grade == 0:   # report: a half's majority is unique
+        elif self.gc_grade == 0:   # report or listen: the majority is unique
             half = self.halves[idx]
             v, support = _lead(received, "HALF-REPORT", half)
             if support > len(half) / 2:

@@ -192,18 +192,25 @@ def test_no_validation_of_an_abandoned_view_reaches_the_view_loop(
         monkeypatch):
     # a process abandons a view only to enter a later one, so a validation
     # of a view below its current one comes from an abandoned instance,
-    # which is silent
-    stale = []   # (validated view, view the process was in)
+    # which is silent; and only a proposed view completes or decides, so
+    # those come from the current view alone
+    stale = []   # (indication, view it names, view the process was in)
+    seen = set()
     request = OperCore._request
 
     def recording(self, event):
-        if event.name == "validate" and _tag_view(event.args[0]) < self.view:
-            stale.append((_tag_view(event.args[0]), self.view))
+        name = event.name
+        if name in ("completed", "validate", "decide"):
+            w = _tag_view(event.args[0])
+            seen.add(name)
+            if w < self.view or (w > self.view and name != "validate"):
+                stale.append((name, w, self.view))
         return request(self, event)
     monkeypatch.setattr(OperCore, "_request", recording)
     report = run_and_check(scenario_config(_view_change(21)),
                            scenario_adversary(_view_change(21)))
     assert max(v for (_, _, v) in report.trace.enters) == 2
+    assert seen == {"completed", "validate", "decide"}
     assert stale == []
 
 

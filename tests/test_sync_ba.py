@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import groupby
 
@@ -11,8 +12,7 @@ from operlab.runtime import (Automaton, Halt, Indicate, MessageArrival,
 from operlab.oracle import RecordingMachine, lockstep_run
 from operlab.simnet import AdversarySpec, SimConfig, run
 from operlab.sync_ba import (GC_ROUNDS, LockstepGC, RoundSimAdapter,
-                             SyncMachine, active_rounds, budget, mc,
-                             round_schedule, rounds)
+                             SyncMachine, budget, mc, round_plan, rounds)
 
 from lockstep import lockstep_network, lockstep_sent
 
@@ -41,9 +41,47 @@ def test_recurrence_rejects_nonpositive():
         mc(0)
 
 
-def test_round_schedule_runs_each_half_through_gc_recursion_and_report():
+@functools.cache
+def reference_schedule(m):
+    """Per round of the agreement among m members: (stage kind, round within
+    the stage, half). Each half in turn has GC_ROUNDS "gc" rounds (among all
+    m members), rounds(half) "half" rounds and one "report" round."""
+    if m == 1:
+        return ()
+    return tuple((kind, local, idx)
+                 for idx, size in ((1, (m + 1) // 2), (2, m // 2))
+                 for kind, length in (("gc", GC_ROUNDS),
+                                      ("half", rounds(size)), ("report", 1))
+                 for local in range(length))
+
+
+def own_half(m, pos):
+    """The half (1 or 2) that the member at position pos of m recurses in,
+    and its position there."""
+    split = (m + 1) // 2
+    return (1, pos) if pos < split else (2, pos - split)
+
+
+def walk_plan(m, pos, r):
+    """Round r among m members, for the member at position pos: walks down
+    the reference schedule to the level that owns the round; idle if it is a
+    "half" round of a half the member is not in; the other half's report is
+    read only."""
+    kind, local, idx = reference_schedule(m)[r]
+    half, sub = own_half(m, pos)
+    if kind == "report" and idx != half:
+        return ("listen", local, idx)
+    if kind != "half":
+        return (kind, local, idx)
+    size = (m + 1) // 2 if idx == 1 else m // 2
+    if idx != half or walk_plan(size, sub, local) is None:
+        return None
+    return (kind, local, idx)
+
+
+def test_round_plan_matches_a_walk_of_the_reference_schedule():
     for m in range(1, 65):
-        schedule = round_schedule(m)
+        schedule = reference_schedule(m)
         assert len(schedule) == rounds(m)
         stages = []
         for (kind, idx), entries in groupby(schedule, lambda e: (e[0], e[2])):
@@ -57,30 +95,11 @@ def test_round_schedule_runs_each_half_through_gc_recursion_and_report():
                                  ("report", 1))
             if length]   # a one-member half has no rounds of its own
         assert stages == want
-
-
-def walk_is_active(m, pos, r):
-    """Round r among m members, for the member at position pos: walks down
-    `round_schedule` to the level that owns the round; idle if it is a
-    "half" round of a half the member is not in."""
-    while True:
-        kind, local, idx = round_schedule(m)[r]
-        if kind != "half":
-            return True
-        split = (m + 1) // 2
-        low, high = (0, split) if idx == 1 else (split, m)
-        if not low <= pos < high:
-            return False
-        m, pos, r = high - low, pos - low, local
-
-
-def test_active_rounds_match_a_walk_of_the_schedule():
-    for m in range(1, 65):
-        for pos in (-1, *range(m)):   # -1: a non-member
-            table = active_rounds(m, pos)
-            assert type(table) is bytes and len(table) == rounds(m)
-            assert list(table) == [walk_is_active(m, pos, r)
-                                   for r in range(rounds(m))]
+        for pos in range(m):
+            plan = round_plan(m, pos)
+            assert type(plan) is tuple
+            assert list(plan) == [walk_plan(m, pos, r)
+                                  for r in range(rounds(m))]
 
 
 def test_a_machine_is_built_for_a_member_only():
@@ -89,19 +108,24 @@ def test_a_machine_is_built_for_a_member_only():
 
 
 class EveryRoundActive(SyncMachine):
-    """The recursion without the idle table: every round walks down to the
-    level whose half holds this process, at every depth."""
+    """The recursion without the plan's idle rounds: every round walks down
+    the reference schedule to the level whose half holds this process, at
+    every depth."""
 
     def __init__(self, pid, members, proposal):
         super().__init__(pid, members, proposal)
-        self.active = b"\1" * len(self.schedule)
+        self.schedule = reference_schedule(len(self.members))
+        self.own_half, _ = own_half(len(self.members),
+                                    self.members.index(pid))
 
     def outbound(self, r):
         kind, local, idx = self.schedule[r]
-        if kind != "half":
+        if kind == "gc":
             return super().outbound(r)
         if idx != self.own_half:
             return []
+        if kind == "report":
+            return super().outbound(r)
         if local == 0:
             self.child = EveryRoundActive(self.pid, self.halves[idx], self.b)
         return self.child.outbound(local)
@@ -449,7 +473,7 @@ def test_report_round_sends_one_payload_object():
     n = 4
     adapter = RoundSimAdapter(CruxParams(n, 1, 10), 0)
     out = adapter.step(Request("propose", (5,)))
-    for _ in range(round_schedule(n).index(("report", 0, 1))):
+    for _ in range(round_plan(n, 0).index(("report", 0, 1))):
         timer = next(a for a in out if isinstance(a, SetTimer))
         out = adapter.step(TimerFired(timer.timer_id))
     sent = copies(out)
