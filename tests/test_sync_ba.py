@@ -79,7 +79,7 @@ def walk_plan(m, pos, r):
     return (kind, local, idx)
 
 
-def test_round_plan_matches_a_walk_of_the_reference_schedule():
+def test_round_schedule_runs_each_half_through_gc_recursion_and_report():
     for m in range(1, 65):
         schedule = reference_schedule(m)
         assert len(schedule) == rounds(m)
@@ -95,6 +95,19 @@ def test_round_plan_matches_a_walk_of_the_reference_schedule():
                                  ("report", 1))
             if length]   # a one-member half has no rounds of its own
         assert stages == want
+        for pos in range(m):
+            # every member takes part in every gc and report round; a step
+            # it takes is the reference stage, a report read as "listen"
+            for step, (kind, local, idx) in zip(round_plan(m, pos), schedule):
+                if kind != "half":
+                    assert step is not None
+                if step is not None:
+                    seen = "report" if step[0] == "listen" else step[0]
+                    assert (seen, *step[1:]) == (kind, local, idx)
+
+
+def test_active_rounds_match_a_walk_of_the_schedule():
+    for m in range(1, 65):
         for pos in range(m):
             plan = round_plan(m, pos)
             assert type(plan) is tuple
