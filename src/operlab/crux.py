@@ -1,14 +1,15 @@
 """Single-view agreement core combining both safety guards with a
 round-simulated synchronous agreement in the middle.
 
-Seven sequential steps per proposal: (1) first graded consensus, gated on
-both a delta_shift + delta1 timer and an actual decision; (2) the recursive
-synchronous agreement simulated for exactly R rounds of delta_sync each
-under a bit cap; (3) the estimate rule; (4) second graded consensus, gated
-the same way; (5) decide iff the second grade is 1; (6) broadcast the second
+Seven sequential steps per proposal: (1) first graded consensus; (2) the
+recursive synchronous agreement simulated for exactly R rounds of
+delta_sync each under a bit cap; (3) the estimate rule; (4) second graded
+consensus; (5) decide iff the second grade is 1; (6) broadcast the second
 value through the validation broadcast; (7) completed once that broadcast
-completes. A live core relays each validation outward; an abandoned one
-relays nothing (see `runtime`).
+completes. Both graded consensus instances pass one gate: the core acts on
+an instance's (value, grade) once it has decided and delta_shift +
+gate_window has passed since its proposal. A live core relays each
+validation outward; an abandoned one relays nothing (see `runtime`).
 """
 
 from __future__ import annotations
@@ -40,11 +41,8 @@ class CruxParams:
         return 2 * self.delta
 
     @property
-    def delta1(self) -> int:
-        return GC_DEPTH * self.delta
-
-    @property
-    def delta2(self) -> int:
+    def gate_window(self) -> int:
+        """A graded consensus's gate timer runs delta_shift + this."""
         return GC_DEPTH * self.delta
 
     @property
@@ -65,9 +63,8 @@ class CruxParams:
 
     @property
     def delta_total(self) -> int:
-        return ((self.delta_shift + self.delta1)
-                + self.R * self.delta_sync
-                + (self.delta_shift + self.delta2))
+        return (2 * (self.delta_shift + self.gate_window)
+                + self.R * self.delta_sync)
 
 
 def est_rule(own, v1, g1, v_a, pred: ValidityPredicate):
@@ -85,78 +82,63 @@ class CruxCore(Automaton):
         self.params = params
         self.pred = pred
         self.own = None
-        self.gc1_out = None       # (v1, g1)
-        self.v_a = None           # sync BA's value, indicated after R rounds
-        self.gc2_out = None       # (v2, g2)
-        self.timer1_done = False
-        self.timer2_done = False
+        self.decisions = {}     # "gc1"/"gc2" -> (value, grade)
+        self.gates = {}         # gate timer id -> "gc1"/"gc2"
+        self.fired = set()      # tags whose gate timer has fired
         self.gc2_started = False
         self.decided = False
-        self._timer1 = None
-        self._timer2 = None
 
     def on_event(self, event):
         cls = type(event)
         if cls is Request:
             return self._request(event)
-        if cls is TimerFired:
-            if event.timer_id == self._timer1:
-                self.timer1_done = True
-                return self._after_gc1()
-            if event.timer_id == self._timer2:
-                self.timer2_done = True
-                return self._after_gc2()
+        if cls is TimerFired:   # a gate timer: the core sets no other
+            tag = self.gates[event.timer_id]
+            self.fired.add(tag)
+            return self._gate(tag)
         return []
 
     def _request(self, event):
         name, args = event.name, event.args
         if name == "propose":
-            return self._propose(args[0])
+            self.own = args[0]
+            return self._start("gc1", args[0])
         # child indications, tag-prefixed; each child guards its own
         # one-shot indications (validate comes once per value)
-        if name == "decide" and args[0] == "gc1":
-            self.gc1_out = (args[1], args[2])
-            return self._after_gc1()
-        if name == "sync-done" and args[0] == "as":
-            self.v_a = args[1]
-            return self._after_sync()
-        if name == "decide" and args[0] == "gc2":
-            self.gc2_out = (args[1], args[2])
-            return self._after_gc2()
-        if name == "validate" and args[0] == "vb":
+        if name == "decide":   # gc1's or gc2's, possibly before its start
+            self.decisions[args[0]] = (args[1], args[2])
+            return self._gate(args[0])
+        if name == "sync-done":
+            self.gc2_started = True
+            v1, g1 = self.decisions["gc1"]
+            return self._start(
+                "gc2", est_rule(self.own, v1, g1, args[1], self.pred))
+        if name == "validate":
             return [Indicate("validate", (args[1],))]
         # the one request left: vb's completed
         return [Indicate("completed")]
 
-    def _propose(self, v):
-        self.own = v
-        timer, self._timer1 = self.new_timer(
-            self.params.delta_shift + self.params.delta1)
-        return [ToChild("gc1", Request("propose", (v,))), timer]
+    def _start(self, tag, v):
+        """Propose v to graded consensus `tag` and set its gate timer."""
+        timer, timer_id = self.new_timer(
+            self.params.delta_shift + self.params.gate_window)
+        self.gates[timer_id] = tag
+        return [ToChild(tag, Request("propose", (v,))), timer]
 
-    def _after_gc1(self):
-        if not (self.timer1_done and self.gc1_out is not None):
+    def _gate(self, tag):
+        """Act on `tag`'s (value, grade) once its gate timer has fired and
+        it has decided: gc1's value goes to the sync BA; gc2's is decided on
+        grade 1 and broadcast through vb."""
+        if tag not in self.fired or tag not in self.decisions:
             return []
-        v1, _ = self.gc1_out
-        return [ToChild("as", Request("propose", (v1,)))]
-
-    def _after_sync(self):
-        self.gc2_started = True
-        v1, g1 = self.gc1_out
-        est = est_rule(self.own, v1, g1, self.v_a, self.pred)
-        timer, self._timer2 = self.new_timer(
-            self.params.delta_shift + self.params.delta2)
-        return [ToChild("gc2", Request("propose", (est,))), timer]
-
-    def _after_gc2(self):
-        if not (self.timer2_done and self.gc2_out is not None):
-            return []
-        v2, g2 = self.gc2_out
+        v, g = self.decisions[tag]
+        if tag == "gc1":
+            return [ToChild("as", Request("propose", (v,)))]
         out = []
-        if g2 == 1:
+        if g == 1:
             self.decided = True
-            out.append(Indicate("decide", (v2,)))
-        out.append(ToChild("vb", Request("broadcast", (v2,))))
+            out.append(Indicate("decide", (v,)))
+        out.append(ToChild("vb", Request("broadcast", (v,))))
         return out
 
 

@@ -36,10 +36,7 @@ class Finisher(Automaton):
 
     def _evaluate(self, v, support):
         """Thresholds crossed as value v's support grew to `support`."""
-        out = []
-        if not self.started and support >= self.t + 1:
-            self.started = True
-            out.append(Broadcast(Payload("FINISH", value=v), self.path))
+        out = self._to_finish(v) if support >= self.t + 1 else []
         if not self.finished and support >= 2 * self.t + 1:
             self.finished = True
             out.append(Indicate("finish", (v,)))

@@ -84,9 +84,7 @@ class OperCore(Automaton):
         if name == "decide":
             return [ToChild("fin", Request("to_finish", (args[1],)))]
         # the finisher's finish, once; the Halt ends every later event
-        return [Indicate("decide", (args[1],)),
-                ToChild(crux_tag(self.view), Request("abandon")),
-                Halt()]
+        return [Indicate("decide", (args[1],)), Halt()]
 
     def _start_view(self, sender, v):
         if v < 2:

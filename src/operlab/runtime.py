@@ -36,9 +36,9 @@ view loop's is `Composite.on_event`, held as `Oper`'s own class entry: the
 benchmark's tracer would leave a wrapper on a subclass that inherits it.
 
 Abandon is a runtime operation. The view loop sends Request("abandon") to a
-per-view core when it moves to a later view or finishes; `Automaton.step`
-answers it with [] after `abandon()`, which a Composite applies to its core
-and every child, down the whole tree, since routing reaches each directly.
+per-view core when it moves to a later view; `Automaton.step` answers it
+with [] after `abandon()`, which a Composite applies to its core and every
+child, down the whole tree, since routing reaches each directly.
 `abandon()` swaps in `stopped`, the no-op handler of a halted process too:
 the state stays as it is, and every later event, a timer included, gets [].
 

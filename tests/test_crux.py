@@ -1,3 +1,5 @@
+import pytest
+
 from operlab.core import BOT, ValidityPredicate
 from operlab.crux import CruxCore, CruxParams, est_rule, make_crux
 from operlab.runtime import Indicate, Request, TimerFired, ToChild
@@ -11,7 +13,7 @@ def params(n=4, t=1, delta=10):
 
 def test_timing_parameters():
     p = params()
-    assert p.delta1 == 70 and p.delta2 == 70
+    assert p.gate_window == 70
     assert p.delta_sync == 30
     assert p.R == 18
     assert p.B == 30 * 40
@@ -87,15 +89,50 @@ def test_completed_suppressed_after_abandon():
     assert silent(core, [Request("completed", ("vb",))])
 
 
+def start(core, tag):
+    """Drive a fresh core with real steps until it proposes 5 to `tag`
+    (for gc2: propose, gc1's decision, gc1's timer, sync-done); returns
+    the firing of `tag`'s gate timer."""
+    out = core.step(Request("propose", (5,)))
+    if tag == "gc2":
+        core.step(Request("decide", ("gc1", 5, 1)))
+        core.step(TimerFired(out[1].timer_id))
+        out = core.step(Request("sync-done", ("as", 5)))
+    assert out[0] == ToChild(tag, Request("propose", (5,)))
+    return TimerFired(out[1].timer_id)
+
+
 def test_decide_requires_strong_second_grade():
     core = CruxCore(params(), ValidityPredicate.always_true())
-    core.step(Request("propose", (5,)))
-    core.timer2_done = True
-    out = core.step(Request("decide", ("gc2", 8, 0)))
-    assert not any(isinstance(a, Indicate) and a.name == "decide"
-                   for a in out)
-    # still broadcasts the weak value
-    assert ToChild("vb", Request("broadcast", (8,))) in out
+    assert core.step(start(core, "gc2")) == []
+    # a weak second grade decides nothing; its value is still broadcast
+    assert core.step(Request("decide", ("gc2", 8, 0))) == [
+        ToChild("vb", Request("broadcast", (8,)))]
+
+
+GATE_STEP = {
+    "gc1": [ToChild("as", Request("propose", (8,)))],
+    "gc2": [Indicate("decide", (8,)),
+            ToChild("vb", Request("broadcast", (8,)))],
+}
+
+
+@pytest.mark.parametrize("order", ["decision", "timer", "early decision"])
+@pytest.mark.parametrize("tag", ["gc1", "gc2"])
+def test_each_gate_opens_once_on_its_second_event(tag, order):
+    """A gate opens on the later of its instance's decision and its timer,
+    whichever comes first; a decision may also come before the core's
+    proposal (views >= 2 can get one)."""
+    core = CruxCore(params(), ValidityPredicate.always_true())
+    decision = Request("decide", (tag, 8, 1))
+    if order == "early decision":
+        assert core.step(decision) == []
+    timer = start(core, tag)
+    *earlier, last = {"decision": [decision, timer],
+                      "timer": [timer, decision],
+                      "early decision": [timer]}[order]
+    assert all(core.step(e) == [] for e in earlier)
+    assert core.step(last) == GATE_STEP[tag]
 
 
 def test_abandon_reaches_every_instance_of_the_view():
@@ -124,5 +161,6 @@ def test_abandoned_core_ignores_its_gc_timer():
     comp.step(Request("propose", (5,)))
     comp.step(Request("decide", ("gc1", 5, 1)))
     comp.step(Request("abandon"))
-    assert comp.step(TimerFired(("crux@1", 1))) == []   # the gc1 timer
-    assert not comp.core.timer1_done and comp.children["as"].machine is None
+    gc1_timer = TimerFired(("crux@1", 1))
+    assert silent(comp.core, [gc1_timer])
+    assert comp.step(gc1_timer) == [] and comp.children["as"].machine is None
