@@ -32,8 +32,6 @@ def _build_parser():
                        help="run a single seed instead of the scenario's range")
     p_run.add_argument("--trace", metavar="DIR", default=None,
                        help="write per-run trace files into DIR")
-    p_run.add_argument("--accounting", choices=("payload", "full"),
-                       default=None)
     p_run.add_argument("--csv", metavar="FILE", default=None,
                        help="write the metrics CSV to FILE instead of stdout")
 
@@ -58,10 +56,6 @@ def _seed(arg) -> int:   # random.Random(-s) is random.Random(s)
     return int(arg)
 
 
-def _accounting(arg):   # None: the scenario's own
-    return {"payload": "payload-only", "full": "full"}.get(arg)
-
-
 def _report_violations(violations) -> int:
     """Print each violation to stderr; exit code 1 if there are any."""
     for v in violations:
@@ -74,9 +68,7 @@ def cmd_run(args) -> int:
     seeds = [args.seed] if args.seed is not None else \
         [scn.get("seed", 0) + k for k in range(scn.get("seeds", 1))]
     adversary = scenario_adversary(scn)
-    configs = [scenario_config(scn, seed=seed,
-                               accounting=_accounting(args.accounting))
-               for seed in seeds]
+    configs = [scenario_config(scn, seed=seed) for seed in seeds]
     violations = []
     # an unwritable --trace or --csv path fails before the first seed runs
     if args.trace is not None:

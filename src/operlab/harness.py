@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import DEFAULT_VALUE_WIDTH, KIND_TAG_BITS, ValidityPredicate
+from .core import KIND_TAG_BITS, ValidityPredicate
 from .crux import CruxParams
 from .oper import make_oper
 from .simnet import AdversarySpec, SimConfig, Trace, check_adversary, run
@@ -49,6 +49,8 @@ def _unique_keys(pairs) -> dict:
 
 
 def load_scenario(path: str) -> dict:
+    """The scenario object in the JSON file at `path`, checked as
+    `scenario_config` and `simnet.check_adversary` check it."""
     try:
         with open(path) as f:
             scn = json.load(f, object_pairs_hook=_unique_keys)
@@ -58,28 +60,8 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(f"invalid JSON in {path}: {e}")
     if not isinstance(scn, dict):
         raise ScenarioError("scenario must be a JSON object")
-    for key in scn:
-        if key not in _SCENARIO_KEYS:
-            raise ScenarioError(f"unknown scenario key {key!r}")
-    for key in ("n", "delta"):
-        if key not in scn:
-            raise ScenarioError(f"missing required scenario key {key!r}")
-    for key, kind in _KEY_TYPES.items():
-        if key in scn and type(scn[key]) is not kind:   # a bool is no int
-            raise ScenarioError(f"{key} must be a {kind.__name__}, "
-                                f"not {scn[key]!r}")
-    if "proposal" in scn and "proposals" in scn:
-        raise ScenarioError("give either 'proposal' or 'proposals', not both")
-    if scn.get("seeds", 1) < 1:
-        raise ScenarioError(f"seeds must be >= 1, not {scn['seeds']!r}")
-    if scn.get("seed", 0) < 0:   # random.Random(-s) is random.Random(s)
-        raise ScenarioError(f"seed must be >= 0, not {scn['seed']!r}")
-    faulty = scn.get("faulty", [])
-    if any(type(p) is not int or faulty.count(p) > 1 for p in faulty):
-        raise ScenarioError(f"faulty must hold distinct ints, not {faulty!r}")
-    try:   # both raise on malformed input
-        check_adversary(scenario_adversary(scn), faulty)
-        _build_validity(scn.get("validity"))
+    try:   # raises on a malformed spec
+        check_adversary(scenario_adversary(scn), scenario_config(scn).faulty)
     except ValueError as e:
         raise ScenarioError(str(e))
     return scn
@@ -122,25 +104,40 @@ def _int_key_map(m) -> dict:
     return out
 
 
-def scenario_config(scn: dict, seed=None, accounting=None) -> SimConfig:
+def scenario_config(scn: dict, seed=None) -> SimConfig:
+    """The run configuration of `scn`, at `seed` if given. Every scenario,
+    read from a file or built in code, takes this one fail-closed path; a
+    key `scn` leaves out takes `SimConfig`'s default."""
+    for key in scn:
+        if key not in _SCENARIO_KEYS:
+            raise ScenarioError(f"unknown scenario key {key!r}")
+    for key in ("n", "delta"):
+        if key not in scn:
+            raise ScenarioError(f"missing required scenario key {key!r}")
+    for key, kind in _KEY_TYPES.items():
+        if key in scn and type(scn[key]) is not kind:   # a bool is no int
+            raise ScenarioError(f"{key} must be a {kind.__name__}, "
+                                f"not {scn[key]!r}")
+    if "proposal" in scn and "proposals" in scn:
+        raise ScenarioError("give either 'proposal' or 'proposals', not both")
+    if scn.get("seeds", 1) < 1:
+        raise ScenarioError(f"seeds must be >= 1, not {scn['seeds']!r}")
+    faulty = scn.get("faulty", [])
+    if any(type(p) is not int or faulty.count(p) > 1 for p in faulty):
+        raise ScenarioError(f"faulty must hold distinct ints, not {faulty!r}")
     n = scn["n"]
-    t = scn.get("t", (n - 1) // 3)
     proposals = _int_key_map(scn.get("proposals"))
     if "proposal" in scn:
         proposals = {p: scn["proposal"] for p in range(n)}
     try:
         return SimConfig(
-            n=n, t=t,
-            faulty=frozenset(scn.get("faulty", ())),
-            delta=scn["delta"],
-            gst=scn.get("gst", 0),
+            n=n, t=scn.get("t", (n - 1) // 3), faulty=frozenset(faulty),
             seed=scn.get("seed", 0) if seed is None else seed,
-            accounting=accounting or scn.get("accounting", "payload-only"),
-            value_width=scn.get("value_width", DEFAULT_VALUE_WIDTH),
             validity=_build_validity(scn.get("validity")),
             proposals=proposals,
             propose_at=_int_key_map(scn.get("propose_at")),
-        )
+            **{k: scn[k] for k in ("delta", "gst", "accounting",
+                                   "value_width") if k in scn})
     except ValueError as e:
         raise ScenarioError(str(e))
 

@@ -51,6 +51,8 @@ class SimConfig:
             raise ValueError("delta must be a positive tick count")
         if self.gst < 0:
             raise ValueError("gst must be >= 0")
+        if self.seed < 0:   # random.Random(-s) is random.Random(s)
+            raise ValueError(f"seed must be >= 0, not {self.seed!r}")
         if self.accounting not in ("payload-only", "full"):
             raise ValueError(f"unknown accounting policy {self.accounting!r}")
         for pid in (*self.faulty, *self.proposals, *self.propose_at):

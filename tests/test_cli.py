@@ -51,16 +51,16 @@ def test_run_bad_validity_exits_2(tmp_path, capsys):
 
 def test_run_accounting_full_charges_more_bits(tmp_path, capsys):
     # pre-GST drift takes seed 0 into view 2, so START-VIEW is broadcast
-    scn = write_scn(tmp_path, harness.scenario(
-        4, [["silent"]], delta=10, gst=1620, drift=["uniform"],
-        proposals={"0": 1, "1": 2, "2": 3, "3": 4}))
+    scn = harness.scenario(4, [["silent"]], delta=10, gst=1620,
+                           drift=["uniform"],
+                           proposals={"0": 1, "1": 2, "2": 3, "3": 4})
 
-    def row(*flags):
-        assert main(["run", scn, *flags]) == 0
+    def row(**keys):
+        assert main(["run", write_scn(tmp_path, {**scn, **keys})]) == 0
         header, line = capsys.readouterr().out.splitlines()
         return dict(zip(header.split(","), line.split(",")))
-    payload, full = row("--accounting", "payload"), row("--accounting", "full")
-    assert row() == payload   # the scenario's own policy is payload-only
+    payload, full = row(accounting="payload-only"), row(accounting="full")
+    assert row() == payload   # a scenario's default policy is payload-only
     assert payload["views_max"] == "2"
     # view numbers and path segments add bits; nothing else changes
     for column in ("pbit_max", "pbit_mean"):

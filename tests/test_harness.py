@@ -13,7 +13,8 @@ from operlab.harness import (ScenarioError, check_trace, final_view,
                              run_and_check, scenario, scenario_adversary,
                              scenario_config, sweep)
 from operlab.oracle import oracle_sim
-from operlab.simnet import SimConfig, Trace
+from operlab.runtime import Automaton
+from operlab.simnet import SimConfig, Trace, run
 from operlab.sync_ba import RoundSimAdapter
 
 from lockstep import BASE, ORACLE, ParityFlipAdapter, write_scn
@@ -27,7 +28,7 @@ def test_load_scenario_roundtrip(tmp_path):
     assert scn == BASE
 
 
-@pytest.mark.parametrize("obj", [
+FAILS_CLOSED = [
     {**BASE, "bogus": 1},                                 # unknown key
     {"delta": 10},                                        # missing n
     {**BASE, "proposals": {"0": 1}},                      # both proposal forms
@@ -84,10 +85,36 @@ def test_load_scenario_roundtrip(tmp_path):
     {**BASE, "faulty": [3, 3], "strategies": {"3": ["silent"]}},   # repeated
     {**BASE, "seed": -3},                 # random.Random(-3) is Random(3)
     {**BASE, "validity": {"kind": "always-true", "members": [1], "divisr": 3}},
-])
+]
+
+
+@pytest.mark.parametrize("obj", FAILS_CLOSED)
 def test_load_scenario_fails_closed(tmp_path, obj):
     with pytest.raises(ScenarioError):
         scenario_config(load_scenario(write_scn(tmp_path, obj)))
+
+
+@pytest.mark.parametrize("obj", FAILS_CLOSED)
+def test_a_scenario_dict_fails_closed_before_the_first_event(obj):
+    # a scenario built in code takes the checks a file gets
+    stepped = []
+
+    def factory(pid):
+        stepped.append(pid)
+        return Automaton()
+    with pytest.raises(ValueError):   # a ScenarioError is a ValueError
+        run(scenario_config(obj), scenario_adversary(obj), factory,
+            max_time=100)
+    assert stepped == []
+
+
+@pytest.mark.parametrize("obj, error", [
+    ({**BASE, "drfit": ["max"]}, "unknown scenario key 'drfit'"),
+    ({**BASE, "gst": "0"}, "gst must be"),
+])
+def test_scenario_config_checks_keys_and_types(obj, error):
+    with pytest.raises(ScenarioError, match=error):
+        scenario_config(obj)
 
 
 def test_load_scenario_rejects_bad_json(tmp_path):

@@ -212,6 +212,8 @@ def test_config_rejects_bad_parameters():
         SimConfig(n=4, t=-1)
     with pytest.raises(ValueError, match="value_width must be >= 1"):
         SimConfig(n=4, t=1, value_width=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SimConfig(n=4, t=1, seed=-3)   # random.Random(-3) is Random(3)
 
 
 @pytest.mark.parametrize("adversary", [
