@@ -1,7 +1,7 @@
 """Lock-step equivalence oracle: once a view is synchronized, the
 `RecordingMachine` each adapter builds must replay a lock-step run of plain
-`SyncMachine`s fed the faulty inputs it recorded, digest for digest, round
-by round."""
+`SyncMachine`s fed the faulty inputs it recorded, digest for digest, active
+round by active round."""
 
 from __future__ import annotations
 
@@ -12,17 +12,17 @@ from .sync_ba import RoundSimAdapter, SyncMachine
 
 
 class RecordingMachine(SyncMachine):
-    """SyncMachine that keeps, per absorbed round, its input and its state
-    digest afterwards: what the oracle compares."""
+    """SyncMachine that keeps, per absorbed round, the round, its input and
+    its state digest afterwards: what the oracle compares."""
 
     def __init__(self, pid, members, proposal):
         super().__init__(pid, members, proposal)
-        self.absorbed: list = []   # per round: [(sender, payload)]
+        self.absorbed: list = []   # (r, [(sender, payload)]) per absorb
         self.digests: list = []
 
     def absorb(self, r, received):
         super().absorb(r, received)
-        self.absorbed.append(received)
+        self.absorbed.append((r, received))
         self.digests.append(self.state_digest())
 
 
@@ -30,21 +30,23 @@ def lockstep_run(machines: dict, total_rounds: int, inject=None):
     """Reference lock-step execution of round machines.
 
     machines: pid -> round machine for the correct processes, each run sent
-    to its destinations in order. inject maps (round, receiver_pid) ->
-    [(sender, payload)] for Byzantine round inputs. Returns pid -> [digest
-    per round].
+    to its destinations in order; a machine takes part only in its active
+    rounds, and a copy to a machine in an idle round is dropped. inject
+    maps (round, receiver_pid) -> [(sender, payload)] for Byzantine round
+    inputs. Returns pid -> [digest per active round].
     """
     inject = inject or {}
     digests = {pid: [] for pid in machines}
     for r in range(total_rounds):
-        outs = {pid: m.outbound(r) for pid, m in machines.items()}
-        inboxes = {pid: [] for pid in machines}
+        live = {pid: m for pid, m in machines.items() if m.active(r)}
+        outs = {pid: m.outbound(r) for pid, m in live.items()}
+        inboxes = {pid: [] for pid in live}
         for sender, runs in outs.items():
             for payload, dests in runs:
                 for dest in dests:
                     if dest in inboxes:
                         inboxes[dest].append((sender, payload))
-        for pid, m in machines.items():
+        for pid, m in live.items():
             m.absorb(r, inboxes[pid] + list(inject.get((r, pid), ())))
             digests[pid].append(m.state_digest())
     return digests
@@ -76,10 +78,11 @@ def oracle_sim(scn: dict, seed=None):
         + config.gst)
 
     # reference: identical machines in perfect lock-step, with the Byzantine
-    # round inputs observed by each correct process injected verbatim
+    # round inputs observed by each correct process injected verbatim at the
+    # rounds it absorbed them in
     inject: dict = {}
     for pid in config.correct:
-        for r, batch in enumerate(adapters[pid].machine.absorbed):
+        for r, batch in adapters[pid].machine.absorbed:
             bad = [(s, p) for (s, p) in batch if s in config.faulty]
             if bad:
                 inject[(r, pid)] = bad
@@ -92,9 +95,9 @@ def oracle_sim(scn: dict, seed=None):
         got = adapters[pid].machine.digests
         want = ref[pid]
         if len(got) != len(want):
-            return False, (f"process {pid}: {len(got)} simulated rounds vs "
-                           f"{len(want)} reference rounds")
-        for r, (g, w) in enumerate(zip(got, want)):
+            return False, (f"process {pid}: {len(got)} simulated active "
+                           f"rounds vs {len(want)} reference active rounds")
+        for (r, _), g, w in zip(adapters[pid].machine.absorbed, got, want):
             if g != w:
                 return False, f"process {pid}: state diverges at round {r}"
     return True, f"{len(config.correct)} processes, {total} rounds bit-exact"

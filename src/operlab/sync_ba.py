@@ -2,30 +2,39 @@
 round-simulation adapter.
 
 A round machine is all that the adapter and `oracle.lockstep_run` call:
+`active(r)` is False for a round in which it neither sends nor reads, and
+both callers call `outbound` and `absorb` only on the other rounds;
 `outbound(r)` returns round r's messages as `(payload, dests)` runs, one per
 payload, `dests` a tuple of process ids; `absorb(r, received)` takes round
 r's `(sender, payload)` inputs; `decision()` is the value it holds.
 
 The lock-step machine halves the member set recursively: a two-round graded
-consensus over S (`LockstepGC`), the first half recursing and reporting, a
-majority update gated on grade 0, then the same with the second half. So
-rounds(1)=0 and rounds(n)=2*GC_ROUNDS+2+rounds of both halves. Whatever it
-receives, a member sends its two graded-consensus payloads and one report to
-every member per level, so mc(1)=0 and mc(n)=5n+mc(larger half) bound its
-copies. Each member follows one plan, built once per member count and
-position (`round_plan`): its step in each round, or None when it is idle, in
-a "half" round of the half it is not in at some depth of the recursion. On an
-idle round `outbound` returns `[]` and `absorb` returns at once, without
-walking down the recursion; in the other half's report round it only reads.
+consensus over S (`LockstepGC`, active in both), the first half recursing
+and reporting, a majority update gated on grade 0, then the same with the
+second half. So rounds(1)=0 and rounds(n)=2*GC_ROUNDS+2+rounds of both
+halves. Whatever it receives, a member sends its two graded-consensus
+payloads and one report to every member per level, so mc(1)=0 and
+mc(n)=5n+mc(larger half) bound its copies. Each member follows one plan,
+built once per member count and position (`round_plan`): its step in each
+round, or None when it is idle, in a "half" round of the half it is not in
+at some depth of the recursion. A `SyncMachine` is active where its plan has
+a step, so a parent calls its child only on the child's active rounds; in
+the other half's report round it only reads.
 
 The adapter builds `machine(pid, range(params.n), proposal)` at its
 proposal (`SyncMachine` by default) and takes R, delta_sync, the bit cap and
 the value width from the same `CruxParams`. It stretches each round to
 delta_sync virtual time, tags wire messages with the round parity bit, and
-refuses to exceed the cumulative bit cap. A round's timer closes it in one
-step: the adapter hands `absorb` the round's arrivals as a new list, every
-round, idle ones included, since the machine may keep it (the oracle's
-recording machine does), then opens the next round in `_next_round`.
+refuses to exceed the cumulative bit cap. An active round's timer closes it
+in one step: the adapter hands `absorb` the round's arrivals as a new list,
+since the machine may keep it (the oracle's recording machine does). A run
+of idle rounds up to the next active round w (or R) is one timer, which
+drops the arrivals of parity (w-1)&1, as closing round w-1 would, and keeps
+those of parity w&1 for round w. Correct members send a member nothing in
+its idle rounds, so what the wake keeps beyond a round-by-round walk is
+junk of parity w&1 sent during the run, which a faulty sender could as well
+have sent in round w. After GST every round opens, and sync-done comes, at
+the tick a timer per round would give.
 """
 
 from __future__ import annotations
@@ -129,6 +138,9 @@ class LockstepGC:
         self.vote = None       # what round 1 sends
         self.decision = None
 
+    def active(self, r):
+        return True
+
     def outbound(self, r):
         p = Payload("ECHO2", value=self.vote) if r \
             else Payload("ECHO", value=self.own)
@@ -162,10 +174,11 @@ class SyncMachine:
         self.halves = {1: self.members[:split], 2: self.members[split:]}
         self.plan = round_plan(n, self.members.index(pid))  # non-member: error
 
+    def active(self, r):
+        return self.plan[r] is not None
+
     def outbound(self, r):
-        if (step := self.plan[r]) is None:
-            return []
-        kind, local, idx = step
+        kind, local, idx = self.plan[r]
         if kind == "gc":
             if local == 0:
                 self.gc = LockstepGC(self.members, self.b)
@@ -181,9 +194,7 @@ class SyncMachine:
         return [(Payload("HALF-REPORT", value=v), self.members)]
 
     def absorb(self, r, received):
-        if (step := self.plan[r]) is None:
-            return
-        kind, local, idx = step
+        kind, local, idx = self.plan[r]
         if kind == "half":
             self.child.absorb(local, received)
         elif kind == "gc":
@@ -211,10 +222,12 @@ class SyncMachine:
 class RoundSimAdapter(Automaton):
     """Runs machine(pid, range(params.n), proposal) over the network.
 
-    Per simulated round: send the machine's outbound messages tagged with the
+    Per active round: send the machine's outbound messages tagged with the
     round parity, wait delta_sync, then feed back every arrival of that
-    parity, kept until the last round closes. Copies stop silently once the
-    cumulative inner-message bit count would exceed the cap.
+    parity, kept until the last round closes. A run of k idle rounds is one
+    timer of k * delta_sync, whose firing closes the run's last round.
+    Copies stop silently once the cumulative inner-message bit count would
+    exceed the cap.
     """
 
     def __init__(self, params, pid, machine=SyncMachine):
@@ -227,7 +240,7 @@ class RoundSimAdapter(Automaton):
         self.bit_cap = params.bit_cap
         self.value_width = params.value_width
         self.machine = None
-        self.round = 0
+        self.round = 0   # the round the pending timer closes
         self.sent_bits = 0
         # parity -> [(sender, inner payload)] in arrival order
         self.received = {0: [], 1: []}
@@ -243,21 +256,30 @@ class RoundSimAdapter(Automaton):
             self.machine = self.machine_class(
                 self.pid, range(self.params.n), event.args[0])
             return self._next_round()
-        # timer: hand the machine this round's arrivals and open the next
+        # timer: close round r, handing an active round's arrivals to the
+        # machine and dropping an idle one's, then open the next
         r = self.round
         current, self.received[r & 1] = self.received[r & 1], []
-        self.machine.absorb(r, current)
+        if self.machine.active(r):
+            self.machine.absorb(r, current)
         self.round = r + 1
         return self._next_round()
 
     def _next_round(self):
         """Open round `self.round`, or indicate sync-done after the last.
-        A round sends one SYNC-ROUND Multicast and one bit count per run of
-        the machine's outbound, holding the first destinations that fit
-        under the cumulative bit cap (a payload that fits none is not
-        sent), and sets the round's timer."""
-        r = self.round
-        if r >= self.total_rounds:
+        An idle run up to the next active round w (or R) sets one timer
+        that closes round w-1. An active round sends one SYNC-ROUND
+        Multicast and one bit count per run of the machine's outbound,
+        holding the first destinations that fit under the cumulative bit
+        cap (a payload that fits none is not sent), and sets its timer."""
+        r = w = self.round
+        total, active = self.total_rounds, self.machine.active
+        while w < total and not active(w):
+            w += 1
+        if w > r:
+            self.round = w - 1
+            return [self.new_timer((w - r) * self.delta_sync)[0]]
+        if r >= total:
             return [Indicate("sync-done", (self.machine.decision(),))]
         out = []
         for inner, dests in self.machine.outbound(r):
@@ -271,4 +293,3 @@ class RoundSimAdapter(Automaton):
                                                 inner=inner), self.path))
         out.append(self.new_timer(self.delta_sync)[0])
         return out
-

@@ -1,6 +1,7 @@
 """Shared test drivers: asynchronous-round lock-step execution of automata
 networks, a request-renaming wrapper, the lock-step oracle's negative
-control, and the scenarios the harness and CLI tests share."""
+control, a probe for arrivals during an adapter's idle run, and the
+scenarios the harness and CLI tests share."""
 
 import json
 from dataclasses import replace
@@ -47,6 +48,18 @@ class ParityFlipAdapter(RoundSimAdapter):
             p = event.payload
             event = replace(event, payload=replace(p, parity=p.parity ^ 1))
         return super().on_event(event)
+
+
+def wake_round(adapter, event):
+    """The round that `adapter`, waiting out an idle run, wakes for, if
+    `event` is a SYNC-ROUND arrival in that round's parity; else None."""
+    r = adapter.round
+    if type(event) is MessageArrival and adapter.machine is not None \
+            and r < adapter.total_rounds and not adapter.machine.active(r) \
+            and event.payload.kind == "SYNC-ROUND" \
+            and event.payload.parity == (r + 1) & 1:
+        return r + 1
+    return None
 
 
 def lockstep_sent(machines, total_rounds, inject=None):

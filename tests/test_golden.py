@@ -7,7 +7,8 @@ trace that `operlab run FILE --seed S --trace DIR` writes. A refactor that
 claims to keep behaviour must leave every pin as it is; a change that alters
 behaviour on purpose updates the pins and says why. Each file under
 `scenarios/repro/` is an open defect: `operlab run` on it exits 1 until the
-defect is mended.
+defect is mended. Each file under `scenarios/regression/` guards a mended
+one: `operlab run` on it exits 0 at seeds 0-2.
 """
 
 import gc
@@ -28,9 +29,12 @@ from operlab.runtime import Indicate, Request
 from operlab.simnet import CSV_HEADER
 from operlab.sync_ba import RoundSimAdapter
 
+from lockstep import wake_round
+
 ROOT = Path(__file__).resolve().parent.parent
 PINS = json.loads((ROOT / "tests" / "golden_pins.json").read_text())
 REPROS = sorted((ROOT / "scenarios" / "repro").glob("*.json"))
+REGRESSIONS = sorted((ROOT / "scenarios" / "regression").glob("*.json"))
 
 
 def pinned_run(label):
@@ -59,6 +63,32 @@ def test_golden_trace(label, tmp_path):
     for path in REPROS], ids=[path.stem for path in REPROS])
 def test_repro_passes_every_check(path, tmp_path):
     assert main(["run", str(path), "--csv", str(tmp_path / "out.csv")]) == 0
+
+
+@pytest.mark.parametrize("path", REGRESSIONS,
+                         ids=[path.stem for path in REGRESSIONS])
+def test_regression_passes_every_check(path, tmp_path):
+    for seed in range(3):
+        assert main(["run", str(path), "--seed", str(seed),
+                     "--csv", str(tmp_path / "out.csv")]) == 0, seed
+
+
+def test_sync_junk_reaches_members_across_an_idle_run(monkeypatch):
+    # the regression's point: before GST, faulty junk of the parity of the
+    # round a member wakes for comes while it waits out an idle run
+    kept = Counter()
+    on_event = RoundSimAdapter.on_event
+
+    def logging(self, event):
+        if wake_round(self, event):
+            kept[event.sender] += 1
+        return on_event(self, event)
+    monkeypatch.setattr(RoundSimAdapter, "on_event", logging)
+    scn = load_scenario(ROOT / "scenarios" / "regression" / "sync-junk.json")
+    report = run_and_check(scenario_config(scn, seed=0),
+                           scenario_adversary(scn))
+    assert report.violations == []
+    assert any(kept[pid] for pid in scn["faulty"])
 
 
 def test_golden_set_covers_view_change():

@@ -11,8 +11,9 @@ one step, fails here even where no full-protocol run reaches that step.
 The recursive sync BA is pinned the same way, one lock-step round at a time:
 a `SyncMachine` at n=7 and at n=10 absorbs seeded random round batches
 (messages from members in the kinds it sends that round, plus junk senders,
-a junk kind and BOT values, shuffled), and the repr of each round's outbound
-copies, as (dest, payload) pairs, and state digest is hashed.
+a junk kind and BOT values, shuffled) in its active rounds, and the repr of
+each round's outbound copies, as (dest, payload) pairs, and state digest is
+hashed; an idle round's batch is drawn and dropped.
 """
 
 import hashlib
@@ -172,10 +173,14 @@ def test_sync_machine_round_pin(n, sha):
         favourite = rng.choice(VALUES)
         machine = SyncMachine(rng.randrange(n), members, rng.choice((1, 2, 3)))
         for r in range(rounds(n)):
-            # (dest, payload) per copy, the shape these hashes were taken in
+            # (dest, payload) per copy, the shape these hashes were taken in;
+            # an idle round sends nothing and drops its batch unread
+            active = machine.active(r)
             out = [(dest, p) for p, dests in machine.outbound(r)
-                   for dest in dests]
-            machine.absorb(r, _round_batch(rng, members, out, favourite))
+                   for dest in dests] if active else []
+            batch = _round_batch(rng, members, out, favourite)
+            if active:
+                machine.absorb(r, batch)
             h.update(repr((out, machine.state_digest())).encode() + b"\n")
             grades.add(machine.gc_grade)
     # the batches must reach both graded-consensus outcomes

@@ -1,5 +1,6 @@
 import functools
 import random
+from collections import Counter
 from itertools import groupby
 
 import pytest
@@ -115,6 +116,58 @@ def test_active_rounds_match_a_walk_of_the_schedule():
                                   for r in range(rounds(m))]
 
 
+def idle_runs(plan):
+    """The number of maximal runs of idle rounds in a plan."""
+    return sum(step is None and (r == 0 or plan[r - 1] is not None)
+               for r, step in enumerate(plan))
+
+
+def timers_per_view(plan):
+    """Timers an adapter sets over a plan: one per active round and one per
+    run of idle rounds."""
+    return sum(step is not None for step in plan) + idle_runs(plan)
+
+
+def test_no_copy_reaches_a_member_in_its_idle_rounds():
+    # the premise of skipping idle rounds: in a lock-step walk, no member
+    # sends a copy to one that sits the round out, so the adapter may leave
+    # a member's idle rounds out of the event loop
+    for m in range(1, 65):
+        machines = {p: SyncMachine(p, range(m), p % 3 + 1) for p in range(m)}
+        stray = []
+        for pid, machine in machines.items():
+            def outbound(r, pid=pid, inner=machine.outbound):
+                out = inner(r)
+                stray.extend((r, pid, dest) for _, dests in out
+                             for dest in dests
+                             if not machines[dest].active(r))
+                return out
+            machine.outbound = outbound
+        lockstep_run(machines, rounds(m))
+        assert stray == [], m
+
+
+def lone_adapter_timers(m, pos):
+    """TimerFired events a lone adapter at position pos of m takes, with no
+    arrivals, from its proposal to sync-done."""
+    adapter = RoundSimAdapter(CruxParams(m, (m - 1) // 3, 10), pos)
+    out, fired = adapter.step(Request("propose", (1,))), 0
+    while not any(isinstance(a, Indicate) for a in out):
+        (timer,) = out[-1:]
+        out = adapter.step(TimerFired(timer.timer_id))
+        fired += 1
+    return fired
+
+
+def test_an_adapter_sets_one_timer_per_active_round_and_idle_run():
+    for m in range(1, 65):
+        for pos in range(m):
+            plan = round_plan(m, pos)
+            assert lone_adapter_timers(m, pos) == timers_per_view(plan)
+    assert max(timers_per_view(round_plan(31, pos))
+               for pos in range(31)) == 34   # against rounds(31) = 180
+
+
 def test_a_machine_is_built_for_a_member_only():
     with pytest.raises(ValueError):
         SyncMachine(4, [0, 1, 2, 3], 1)
@@ -157,8 +210,9 @@ SYNC_KINDS = ("INIT", "ECHO", "ECHO2", "ECHO3", "ECHO4", "ECHO5", "HALF-REPORT")
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 16), st.data(), st.integers(0, 2 ** 32))
 def test_idle_rounds_change_no_outbound_and_no_state(n, data, seed):
-    """Random batches every round, junk at idle rounds too: the machine that
-    skips its idle rounds sends and holds what the full walk does."""
+    """Random batches every round, junk at idle rounds too: the machine
+    called only on its active rounds sends and holds what the full walk,
+    called on every round, does."""
     pid = data.draw(st.integers(0, n - 1), label="pid")
     proposal = data.draw(st.sampled_from((1, 2, 3)), label="proposal")
     members = list(range(n))
@@ -167,7 +221,8 @@ def test_idle_rounds_change_no_outbound_and_no_state(n, data, seed):
     rng = random.Random(seed)
     favourite = rng.choice((1, 2, 3, BOT))
     for r in range(rounds(n)):
-        out = fast.outbound(r)
+        active = fast.active(r)
+        out = fast.outbound(r) if active else []
         assert out == full.outbound(r), r
         # members answer in the kinds sent this round (any kind when
         # idle), mostly with one value; junk from non-members rides along
@@ -179,7 +234,8 @@ def test_idle_rounds_change_no_outbound_and_no_state(n, data, seed):
                                                  value=favourite))
                   for _ in range(rng.randrange(3))]
         rng.shuffle(batch)
-        fast.absorb(r, batch)
+        if active:
+            fast.absorb(r, batch)
         full.absorb(r, batch)
         assert fast.state_digest() == full.state_digest(), r
 
@@ -510,8 +566,9 @@ class SnapshotMachine(RecordingMachine):
 
 def test_adapter_hands_the_machine_a_fresh_batch_every_round():
     # the oracle's recording machine keeps each batch it absorbs, so the
-    # adapter must never append to one afterwards, idle rounds included; a
-    # faulty process sends in rounds where the others are idle
+    # adapter must never append to one afterwards; it hands one batch per
+    # active round and none in an idle one, where a faulty process still
+    # sends
     n, delta_sync = 4, 20
     config = SimConfig(n=n, t=1, faulty=frozenset({3}), seed=4)
     adapters = {p: RoundSimAdapter(CruxParams(n, 1, 10), p, SnapshotMachine)
@@ -522,9 +579,34 @@ def test_adapter_hands_the_machine_a_fresh_batch_every_round():
     run(config, AdversarySpec(strategies={3: ("random",)}),
         adapters.__getitem__, max_time=(rounds(n) + 2) * delta_sync)
     machines = {p: a.machine for p, a in adapters.items()}
-    batches = [b for m in machines.values() for b in m.absorbed]
-    assert len(batches) == n * rounds(n)
+    for p, m in machines.items():
+        assert [r for r, _ in m.absorbed] == [
+            r for r, step in enumerate(round_plan(n, p)) if step], p
+    batches = [b for m in machines.values() for _, b in m.absorbed]
     assert len({id(b) for b in batches}) == len(batches)
     assert any(batches) and not all(batches)
     for m in machines.values():
-        assert [list(b) for b in m.absorbed] == m.snapshots
+        assert [list(b) for _, b in m.absorbed] == m.snapshots
+
+
+def test_after_gst_an_idle_run_keeps_the_round_ticks():
+    # starting after GST, each adapter takes one timer per active round and
+    # per idle run, and its sync-done comes at start + R * delta_sync, the
+    # tick a timer per round gives
+    n, gst = 7, 100
+    starts = {p: gst + 3 * p for p in range(n)}
+    config = SimConfig(n=n, t=2, seed=1, gst=gst, propose_at=starts)
+    params = CruxParams(n, 2, 10)
+    adapters = {p: RoundSimAdapter(params, p) for p in range(n)}
+    trace = run(config, AdversarySpec(drift=("uniform",)),
+                adapters.__getitem__,
+                max_time=gst + (params.R + 2) * params.delta_sync,
+                collect_rows=True)
+    fired = Counter(pid for _, pid, kind, *_ in trace.rows
+                    if kind == "timer-fire")
+    done = {pid: time for time, pid, kind, *_ in trace.rows
+            if kind == "indicate:sync-done"}
+    assert fired == {p: timers_per_view(round_plan(n, p)) for p in range(n)}
+    assert done == {p: at + params.R * params.delta_sync
+                    for p, at in starts.items()}
+    assert all(a.round == params.R for a in adapters.values())
