@@ -244,12 +244,13 @@ class RandomStrategy(Strategy):
 
 class SyncJunkStrategy(Strategy):
     """Runs the sync BA honestly and, after each SYNC-ROUND multicast,
-    multicasts `k` more to the same destinations: the same round parity and
-    inner kind, each with an inner value drawn from the run's rng."""
+    multicasts `COPIES` more to the same destinations: the same round parity
+    and inner kind, each with an inner value drawn from the run's rng."""
 
-    def __init__(self, inner, config, k):
+    COPIES = 3
+
+    def __init__(self, inner, config):
         super().__init__(inner, config)
-        self.k = k
         self.max_value = (1 << config.value_width) - 1
 
     def rewrite(self, actions):
@@ -259,7 +260,7 @@ class SyncJunkStrategy(Strategy):
             out.append(a)
             if type(a) is Multicast and a.payload.kind == "SYNC-ROUND":
                 p = a.payload
-                for _ in range(self.k):
+                for _ in range(self.COPIES):
                     inner = replace(p.inner, value=draw(
                         getrandbits, 0, self.max_value + 1))
                     out.append(Multicast(a.dests, replace(p, inner=inner),
@@ -271,7 +272,7 @@ STRATEGIES = {   # builder(inner, config, *args)
     "silent": ((0,), SilentStrategy), "crash": ((1,), CrashStrategy),
     "equivocate": ((0,), EquivocateStrategy),
     "delayer": ((0,), Strategy), "flood": ((0, 1), FloodStrategy),
-    "random": ((0,), RandomStrategy), "sync-junk": ((1,), SyncJunkStrategy)}
+    "random": ((0,), RandomStrategy), "sync-junk": ((0,), SyncJunkStrategy)}
 
 
 def _check_spec(name, table, spec):

@@ -31,10 +31,19 @@ since the machine may keep it (the oracle's recording machine does). A run
 of idle rounds up to the next active round w (or R) is one timer, which
 drops the arrivals of parity (w-1)&1, as closing round w-1 would, and keeps
 those of parity w&1 for round w. Correct members send a member nothing in
-its idle rounds, so what the wake keeps beyond a round-by-round walk is
-junk of parity w&1 sent during the run, which a faulty sender could as well
-have sent in round w. After GST every round opens, and sync-done comes, at
-the tick a timer per round would give.
+its idle rounds, and a round-by-round walk would have cleared parity w&1
+when round w-2 closed, so the wake also keeps two kinds of arrival that
+walk dropped: junk of parity w&1 sent during the run, which a faulty sender
+could as well have sent in round w; and, for an idle run of two rounds or
+more, late copies from correct members of parity w&1, sent before the run
+and arriving before round w-2 would have closed. A copy is late only if it
+was sent before GST or, with starts spread by exactly delta_shift, reaches
+the member at the very tick its round closes. Round w is always one
+in which the member only listens, reading the HALF-REPORTs of the half it
+waited for, so the graded-consensus copies that precede a run are ignored;
+a late HALF-REPORT of an earlier stage is read as a round-by-round walk
+reads one that arrives in rounds w-1 or w. After GST every round opens, and
+sync-done comes, at the tick a timer per round would give.
 """
 
 from __future__ import annotations

@@ -192,16 +192,16 @@ def test_random_strategy_rolls_a_multicast_as_its_sends():
     assert sent[-1][1] != 2 and all(value == 2 for _, value in sent[:-1])
 
 
-def test_sync_junk_strategy_adds_k_multicasts_after_each_sync_round():
+def test_sync_junk_strategy_adds_three_multicasts_after_each_sync_round():
     config = SimConfig(n=4, t=1, faulty=frozenset({3}), value_width=8)
     echo = Payload("SYNC-ROUND", parity=1, inner=Payload("ECHO", value=5))
     script = [Multicast((0, 1, 2, 3), echo, ("crux@1", "as")),
               Multicast((2,), Payload("INIT", value=1)), SetTimer(5, ("t",))]
-    strategy = make_strategy(("sync-junk", 2), Pinger(script), config,
+    strategy = make_strategy(("sync-junk",), Pinger(script), config,
                              random.Random(7), lambda: 0)
     out = strategy.on_event(Request("propose", (1,)))
     rng = random.Random(7)
-    values = [draw(rng.getrandbits, 0, 256) for _ in range(2)]
+    values = [draw(rng.getrandbits, 0, 256) for _ in range(3)]
     # the honest actions pass as they are, each junk copy right after its
     # SYNC-ROUND multicast: same destinations, path, parity and inner kind
     assert out == script[:1] + [
