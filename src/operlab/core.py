@@ -1,4 +1,5 @@
-"""Shared protocol vocabulary: values, validity predicates, payloads, bit accounting.
+"""Shared protocol vocabulary: values, sender tallies, validity predicates,
+payloads, bit accounting.
 
 Values are plain ints constrained to a configurable bit width L (default 32).
 The distinguished "no value" symbol used by the reducer and the echo cascades
@@ -44,40 +45,40 @@ def value_sort_key(v):
 
 class Tally:
     """Support per value: each (sender, value) pair counts once, or with
-    first_only a sender's first message only (its `senders`, kept with
-    first_only alone). `add` returns v's new support, or 0 if the message
-    does not count, so `support == k` marks a crossing. `total` (counted
-    messages) and `top` (plurality) serve the gap rules."""
+    first_only a sender's first message only. Senders are process ids >= 0,
+    held as int bit masks: bit s of `backers[v]` is set once sender s backs
+    v, and with first_only bit s of `senders` once s is counted. `add`
+    returns v's new support, or 0 if the message does not count, so
+    `support == k` marks a crossing. `total` (counted messages) and `top`
+    (plurality) serve the gap rules."""
 
     __slots__ = ("first_only", "backers", "senders", "total", "top")
 
     def __init__(self, first_only: bool = False):
         self.first_only = first_only
-        self.backers: dict = {}     # value -> senders
-        self.senders: set = set()
+        self.backers: dict = {}     # value -> mask of senders
+        self.senders = 0
         self.total = 0
         self.top = 0
 
     def add(self, sender, v) -> int:
+        bit = 1 << sender
         if self.first_only:
-            if sender in self.senders:
+            if self.senders & bit:
                 return 0
-            self.senders.add(sender)
-        backers = self.backers.get(v)
-        if backers is None:
-            self.backers[v] = backers = {sender}
-        elif sender in backers:
+            self.senders |= bit
+        backers = self.backers.get(v, 0)
+        if backers & bit:
             return 0
-        else:
-            backers.add(sender)
+        self.backers[v] = backers = backers | bit
         self.total += 1
-        support = len(backers)
+        support = backers.bit_count()
         if support > self.top:
             self.top = support
         return support
 
     def count(self, v) -> int:
-        return len(self.backers.get(v, ()))
+        return self.backers.get(v, 0).bit_count()
 
     def __len__(self):   # distinct values named
         return len(self.backers)

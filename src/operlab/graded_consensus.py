@@ -162,8 +162,8 @@ class GradedConsensus(Automaton):
 
     def state_digest(self):
         """Canonical snapshot used by the lock-step equivalence oracle."""
-        def freeze(m):
-            return tuple((value_sort_key(v), tuple(sorted(s)))
+        def freeze(m):   # a sender mask is already canonical
+            return tuple((value_sort_key(v), s)
                          for v, s in sorted(m.items(),
                                             key=lambda kv: value_sort_key(kv[0])))
         return (

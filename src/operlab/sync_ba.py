@@ -50,13 +50,14 @@ from __future__ import annotations
 
 import functools
 
-from .core import BOT, KIND_TAG_BITS, Payload, Tally, payload_bits
+from .core import BOT, KIND_TAG_BITS, Payload, payload_bits
 from .runtime import Automaton, Indicate, MessageArrival, Multicast, Request
 
 # Lock-step rounds of one graded consensus (`LockstepGC`).
 GC_ROUNDS = 2
 
 
+@functools.cache
 def rounds(n: int) -> int:
     """Total lock-step rounds of the recursive agreement among n processes."""
     if n < 1:
@@ -66,6 +67,7 @@ def rounds(n: int) -> int:
     return 2 * GC_ROUNDS + 2 + rounds((n + 1) // 2) + rounds(n // 2)
 
 
+@functools.cache
 def mc(n: int) -> int:
     """Per-process message budget: 5n per level along the deeper half."""
     if n < 1:
@@ -100,35 +102,47 @@ def round_plan(m: int, pos: int) -> tuple:
     return tuple(plan)
 
 
-def _batch_key(item):
-    """Canonical in-round ordering; lock-step state must not depend on
-    arrival order within a round. `value_sort_key`, inlined."""
-    sender, p = item
-    v = p.value
-    return (sender, p.kind, v is not None,
-            (0, 0) if v is None else (1, 0) if v is BOT else (0, v))
+def _id_range(members):
+    """The member tuple as a range, whose `in` costs O(1) and holds no set:
+    members are ascending, evenly spaced ids, as range(n) and its halves
+    are."""
+    step = members[1] - members[0] if len(members) > 1 else 1
+    ids = range(members[0], members[-1] + 1, step) if step > 0 else ()
+    if tuple(ids) != members:
+        raise ValueError(f"members {members} are not evenly spaced ids")
+    return ids
 
 
-def _lead(received, kind, senders):
-    """The value other than BOT that most of `senders` sent as their first
-    `kind` message in `_batch_key` order, and its count."""
-    tally = Tally(first_only=True)
+def _lead(received, kind, ids):
+    """The value other than BOT that most members of the range `ids` sent
+    as their least `kind` value (`value_sort_key` order, BOT last), and its
+    count, in one pass over the round's batch. Members count in id order,
+    and of values tied at the top count the first to reach it leads, so
+    lock-step state does not depend on arrival order within a round."""
+    least = {}   # member -> its least value of the kind
+    for sender, p in received:
+        if p.kind == kind and sender in ids:
+            v = p.value
+            w = least.get(sender, v)
+            least[sender] = v if w is BOT or (v is not BOT and v < w) else w
+    count = {}
     lead, top = BOT, 0
-    for sender, p in sorted(received, key=_batch_key):
-        if p.kind == kind and sender in senders:
-            support = tally.add(sender, p.value)
-            if support > top and p.value is not BOT:
-                lead, top = p.value, support
+    for sender in ids:
+        v = least.get(sender, BOT)
+        if v is not BOT:
+            count[v] = c = count.get(v, 0) + 1
+            if c > top:
+                lead, top = v, c
     return lead, top
 
 
 class LockstepGC:
     """Two-round graded consensus among `members`, all of which propose (the
     problem PAPER.md quotes from Attiya and Welch 2023), in lock-step. Of m
-    members at most t = (m-1)//3 are faulty; only a member's first message
-    of the round's kind counts. Round 0 sends the proposal as ECHO and votes
-    x on m-t ECHOs of x, else BOT. Round 1 sends the vote as ECHO2 and
-    decides (x, 1) on m-t ECHO2s of x, (x, 0) on t+1, else (own, 0).
+    members at most t = (m-1)//3 are faulty; only a member's least value of
+    the round's kind counts (`_lead`). Round 0 sends the proposal as ECHO
+    and votes x on m-t ECHOs of x, else BOT. Round 1 sends the vote as ECHO2
+    and decides (x, 1) on m-t ECHO2s of x, (x, 0) on t+1, else (own, 0).
 
     As m > 3t, two sets of m-t members share a correct one, which sent both
     the same ECHO: correct members vote at most one x other than BOT, and
@@ -142,6 +156,7 @@ class LockstepGC:
 
     def __init__(self, members, proposal):
         self.members = tuple(members)
+        self.ids = _id_range(self.members)
         self.t = (len(self.members) - 1) // 3
         self.own = proposal
         self.vote = None       # what round 1 sends
@@ -156,7 +171,7 @@ class LockstepGC:
         return [(p, self.members)]
 
     def absorb(self, r, received):
-        x, support = _lead(received, "ECHO2" if r else "ECHO", self.members)
+        x, support = _lead(received, "ECHO2" if r else "ECHO", self.ids)
         quorum = len(self.members) - self.t
         if not r:
             self.vote = x if support >= quorum else BOT
@@ -169,19 +184,21 @@ class LockstepGC:
 
 
 class SyncMachine:
-    """Member pid's view of the recursive agreement among ordered members."""
+    """Member pid's view of the recursive agreement among members, ascending
+    evenly spaced ids (see `_id_range`)."""
 
     def __init__(self, pid, members, proposal):
         self.pid = pid
         self.members = tuple(members)
+        self.ids = _id_range(self.members)
         self.b = proposal
         n = len(self.members)
         self.gc = None
         self.gc_grade = None
         self.child = None
         split = (n + 1) // 2
-        self.halves = {1: self.members[:split], 2: self.members[split:]}
-        self.plan = round_plan(n, self.members.index(pid))  # non-member: error
+        self.halves = {1: self.ids[:split], 2: self.ids[split:]}
+        self.plan = round_plan(n, self.ids.index(pid))  # non-member: error
 
     def active(self, r):
         return self.plan[r] is not None
@@ -244,7 +261,7 @@ class RoundSimAdapter(Automaton):
         self.params = params
         self.pid = pid
         self.machine_class = machine
-        self.total_rounds = params.R   # read per arrival; R recurses
+        self.total_rounds = params.R   # read per arrival
         self.delta_sync = params.delta_sync
         self.bit_cap = params.bit_cap
         self.value_width = params.value_width

@@ -77,9 +77,10 @@ def test_validity_predicate_rejects_an_unknown_kind_when_built():
 
 
 @given(st.booleans(),
-       st.lists(st.tuples(st.integers(0, 6),
+       st.lists(st.tuples(st.integers(0, 200),
                           st.sampled_from((1, 2, 3, BOT))), max_size=40))
 def test_tally_matches_dict_of_sets(first_only, messages):
+    # ids up to 200: a sender mask spans several 30-bit int digits
     tally = Tally(first_only=first_only)
     backers: dict = {}   # reference: value -> senders
     seen: set = set()

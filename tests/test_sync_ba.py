@@ -6,14 +6,15 @@ from itertools import groupby
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from operlab.core import BOT, Payload
+from operlab.core import BOT, Payload, Tally
 from operlab.crux import CruxParams
 from operlab.runtime import (Automaton, Halt, Indicate, MessageArrival,
                              Multicast, Request, SetTimer, TimerFired)
 from operlab.oracle import RecordingMachine, lockstep_run
 from operlab.simnet import AdversarySpec, SimConfig, run
 from operlab.sync_ba import (GC_ROUNDS, LockstepGC, RoundSimAdapter,
-                             SyncMachine, budget, mc, round_plan, rounds)
+                             SyncMachine, _lead, budget, mc, round_plan,
+                             rounds)
 
 from lockstep import lockstep_network, lockstep_sent
 
@@ -539,6 +540,48 @@ def test_lockstep_gc_validity_and_consistency(m, data, seed):
     noisy = {key: batch + junk(rng, (0, 11, 99))
              for key, batch in inject.items()}
     assert run_gc(members, proposals, noisy) == decisions
+
+
+def sorted_lead(received, kind, senders):
+    """The round tally as it read before it took one pass: the batch sorted
+    by sender, kind and value, each sender's first `kind` message counted in
+    a first-only `Tally`, the lead the first value other than BOT to reach
+    the top count."""
+    def key(item):
+        sender, p = item
+        v = p.value
+        return (sender, p.kind, v is not None,
+                (0, 0) if v is None else (1, 0) if v is BOT else (0, v))
+    tally = Tally(first_only=True)
+    lead, top = BOT, 0
+    for sender, p in sorted(received, key=key):
+        if p.kind == kind and sender in senders:
+            support = tally.add(sender, p.value)
+            if support > top and p.value is not BOT:
+                lead, top = p.value, support
+    return lead, top
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.integers(0, 3), st.integers(1, 2),
+       st.sampled_from(("ECHO", "ECHO2", "HALF-REPORT")), st.data())
+def test_lead_matches_the_sorted_tally(m, lo, step, kind, data):
+    """Duplicate senders, BOT, tied counts, non-members (between and beyond
+    the ids) and other kinds: the one-pass lead equals the sorted one."""
+    ids = range(lo, lo + m * step, step)
+    batch = data.draw(st.lists(st.tuples(
+        st.integers(0, ids[-1] + 2),
+        st.sampled_from(("ECHO", "ECHO2", "HALF-REPORT", "INIT")),
+        st.sampled_from((1, 2, 3, 2 ** 32 - 1, BOT))), max_size=3 * m))
+    received = [(s, Payload(k, value=v)) for s, k, v in batch]
+    assert _lead(received, kind, ids) == sorted_lead(received, kind, tuple(ids))
+
+
+def test_members_must_be_evenly_spaced_ids():
+    with pytest.raises(ValueError, match="not evenly spaced"):
+        SyncMachine(0, [0, 1, 3], 1)
+    with pytest.raises(ValueError, match="not evenly spaced"):
+        LockstepGC((2, 1, 0), 1)
 
 
 def test_report_round_sends_one_payload_object():
