@@ -28,7 +28,7 @@ def _build_parser():
     p_run = sub.add_parser("run", help="execute a scenario and check it")
     p_run.set_defaults(handler=cmd_run)
     p_run.add_argument("scenario")
-    p_run.add_argument("--seed", type=_seed, default=None,
+    p_run.add_argument("--seed", type=int, default=None,
                        help="run a single seed instead of the scenario's range")
     p_run.add_argument("--trace", metavar="DIR", default=None,
                        help="write per-run trace files into DIR")
@@ -46,14 +46,8 @@ def _build_parser():
         "oracle-sim", help="lock-step vs simulated equivalence check")
     p_oracle.set_defaults(handler=cmd_oracle)
     p_oracle.add_argument("scenario")
-    p_oracle.add_argument("--seed", type=_seed, default=None)
+    p_oracle.add_argument("--seed", type=int, default=None)
     return parser
-
-
-def _seed(arg) -> int:   # random.Random(-s) is random.Random(s)
-    if int(arg) < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, not {arg}")
-    return int(arg)
 
 
 def _report_violations(violations) -> int:

@@ -104,12 +104,6 @@ KINDS = (
 )
 _KIND_SET = frozenset(KINDS)
 
-# Which optional fields each kind carries.
-_VALUE_KINDS = frozenset(
-    {"INIT", "ECHO", "ECHO2", "ECHO3", "ECHO4", "ECHO5", "FINISH", "HALF-REPORT"}
-)
-_VIEW_KINDS = frozenset({"START-VIEW"})
-
 
 @dataclass(slots=True)
 class Payload:
@@ -128,12 +122,11 @@ class Payload:
         if self.kind == "SYNC-ROUND":
             if self.parity not in (0, 1) or self.inner is None:
                 raise PayloadError("SYNC-ROUND needs a parity bit and an inner payload")
-        elif self.kind in _VIEW_KINDS:
+        elif self.kind == "START-VIEW":
             if self.view is None or self.view < 1:
-                raise PayloadError(f"{self.kind} needs a view >= 1")
-        elif self.kind in _VALUE_KINDS:
-            if self.value is None:
-                raise PayloadError(f"{self.kind} needs a value (or BOT)")
+                raise PayloadError("START-VIEW needs a view >= 1")
+        elif self.value is None:   # every other kind carries a value
+            raise PayloadError(f"{self.kind} needs a value (or BOT)")
 
 
 @dataclass(frozen=True)

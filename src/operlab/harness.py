@@ -29,16 +29,12 @@ class ScenarioError(ValueError):
     """Malformed scenario file (fails closed on anything unrecognized)."""
 
 
-_SCENARIO_KEYS = {
-    "n", "t", "delta", "gst", "seed", "seeds", "value_width", "accounting",
-    "proposal", "proposals", "propose_at", "faulty", "strategies",
-    "pre_gst_delay", "drift", "validity",
-}
-
 _KEY_TYPES = {**dict.fromkeys(("n", "t", "delta", "gst", "seed", "seeds",
                                "value_width"), int),
               "faulty": list, "proposals": dict, "propose_at": dict,
               "strategies": dict}
+_SCENARIO_KEYS = {*_KEY_TYPES, "accounting", "proposal", "pre_gst_delay",
+                  "drift", "validity"}
 
 
 def _unique_keys(pairs) -> dict:

@@ -10,7 +10,7 @@ Paths are absolute. When a Composite is attached (as the root or as a
 child) it records its path, once, on itself, its core and its children, down
 the whole tree. An automaton builds each Multicast, Broadcast and SetTimer
 with its own `path` in front, so a parent passes its children's actions up
-unchanged. A Multicast is one payload to a tuple of destinations; a
+unchanged. A Multicast is one payload to a tuple or range of ids; a
 message to one process is a Multicast to a one-tuple. A timer id is its
 owner's path plus a sequence number, and the owner stores and compares
 that absolute id.
@@ -103,7 +103,7 @@ class Request:
 
 @dataclass(slots=True)
 class Multicast:
-    """One copy of `payload` to each of `dests`, a tuple, in order."""
+    """One copy of `payload` per id of `dests`, a tuple or range, in order."""
 
     dests: tuple
     payload: Payload

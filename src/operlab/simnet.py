@@ -125,13 +125,15 @@ DRIFTS = {
 
 class Strategy:
     """Driver for a faulty process, not an automaton: steps the wrapped root
-    and rewrites its actions, if it has any. `make_strategy` gives it the
-    run's `rng` and a `clock` that returns the current virtual time. A
-    wrapper costs its process one frame per event; flood hands every event
-    but its own timer straight to the root."""
+    `inner` and rewrites its actions, if it has any. It is built with the
+    run's `config`, `rng` and a `clock` that returns the virtual time, then
+    its spec's arguments. A wrapper costs its process one frame per event;
+    flood hands every event but its own timer straight to the root."""
 
-    def __init__(self, inner, config):
-        self.inner = inner
+    def __init__(self, inner, config, rng, clock):
+        self.inner, self.rng, self.clock = inner, rng, clock
+        self.n, self.gst = config.n, config.gst
+        self.max_value = (1 << config.value_width) - 1
 
     def on_event(self, event):
         actions = self.inner.on_event(event)
@@ -147,8 +149,8 @@ class SilentStrategy(Strategy):
 
 
 class CrashStrategy(Strategy):
-    def __init__(self, inner, config, at):
-        super().__init__(inner, config)
+    def __init__(self, inner, config, rng, clock, at):
+        super().__init__(inner, config, rng, clock)
         self.at = at
 
     def rewrite(self, actions):
@@ -163,16 +165,12 @@ class EquivocateStrategy(Strategy):
     single-destination multicast per process; all else passes as it is, so
     SYNC-ROUND multicasts, and the sync BA in them, see it behave honestly."""
 
-    def __init__(self, inner, config):
-        super().__init__(inner, config)
-        self.n = config.n
-        self.mask = (1 << config.value_width) - 1
-
     def rewrite(self, actions):
         out = []
         for a in actions:
             if isinstance(a, Broadcast) and isinstance(a.payload.value, int):
-                alt = replace(a.payload, value=(a.payload.value + 1) & self.mask)
+                alt = replace(a.payload,
+                              value=(a.payload.value + 1) & self.max_value)
                 for dest in range(self.n):
                     out.append(Multicast((dest,), a.payload if dest % 2 == 0
                                          else alt, a.path))
@@ -185,11 +183,9 @@ class FloodStrategy(Strategy):
     """Broadcasts random well-formed payloads every `interval` ticks (delta
     by default) pre-GST."""
 
-    def __init__(self, inner, config, interval=None):
-        super().__init__(inner, config)
-        self.gst = config.gst
+    def __init__(self, inner, config, rng, clock, interval=None):
+        super().__init__(inner, config, rng, clock)
         self.interval = config.delta if interval is None else interval
-        self.max_value = (1 << config.value_width) - 1
 
     def on_event(self, event):
         cls = type(event)
@@ -215,10 +211,6 @@ class RandomStrategy(Strategy):
     """Keeps, drops, duplicates, or value-mutates each outgoing message;
     a multicast is rolled copy by copy, as single-destination multicasts."""
 
-    def __init__(self, inner, config):
-        super().__init__(inner, config)
-        self.mask = (1 << config.value_width) - 1
-
     def rewrite(self, actions):
         out = []
         for a in actions:
@@ -234,7 +226,7 @@ class RandomStrategy(Strategy):
                 continue  # drop
             if roll < 0.3 and isinstance(a.payload.value, int):
                 mutated = replace(a.payload,
-                                  value=self.rng.randint(0, self.mask))
+                                  value=self.rng.randint(0, self.max_value))
                 a = replace(a, payload=mutated)
             out.append(a)
             if roll > 0.9:
@@ -248,10 +240,6 @@ class SyncJunkStrategy(Strategy):
     and inner kind, each with an inner value drawn from the run's rng."""
 
     COPIES = 3
-
-    def __init__(self, inner, config):
-        super().__init__(inner, config)
-        self.max_value = (1 << config.value_width) - 1
 
     def rewrite(self, actions):
         out = []
@@ -268,7 +256,7 @@ class SyncJunkStrategy(Strategy):
         return out
 
 
-STRATEGIES = {   # builder(inner, config, *args)
+STRATEGIES = {   # builder(inner, config, rng, clock, *args)
     "silent": ((0,), SilentStrategy), "crash": ((1,), CrashStrategy),
     "equivocate": ((0,), EquivocateStrategy),
     "delayer": ((0,), Strategy), "flood": ((0, 1), FloodStrategy),
@@ -309,9 +297,7 @@ def _build(table, spec, *context):
 def make_strategy(spec, inner, config, rng, clock):
     """Strategy `spec` = (kind, *args) wrapping `inner`; it draws from `rng`
     and reads the virtual time from `clock()`."""
-    strategy = _build(STRATEGIES, spec, inner, config)
-    strategy.rng, strategy.clock = rng, clock
-    return strategy
+    return _build(STRATEGIES, spec, inner, config, rng, clock)
 
 
 # -- trace ------------------------------------------------------------------

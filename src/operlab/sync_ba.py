@@ -5,8 +5,10 @@ A round machine is all that the adapter and `oracle.lockstep_run` call:
 `active(r)` is False for a round in which it neither sends nor reads, and
 both callers call `outbound` and `absorb` only on the other rounds;
 `outbound(r)` returns round r's messages as `(payload, dests)` runs, one per
-payload, `dests` a tuple of process ids; `absorb(r, received)` takes round
-r's `(sender, payload)` inputs; `decision()` is the value it holds.
+payload, `dests` a tuple or range of process ids; `absorb(r, received)`
+takes round r's `(sender, payload)` inputs; `decision()` is the value it
+holds. Its `members` are a range (`in` costs O(1)), which `dests` may be:
+the adapter passes range(n), and the halves of a range are ranges.
 
 The lock-step machine halves the member set recursively: a two-round graded
 consensus over S (`LockstepGC`, active in both), the first half recursing
@@ -102,32 +104,21 @@ def round_plan(m: int, pos: int) -> tuple:
     return tuple(plan)
 
 
-def _id_range(members):
-    """The member tuple as a range, whose `in` costs O(1) and holds no set:
-    members are ascending, evenly spaced ids, as range(n) and its halves
-    are."""
-    step = members[1] - members[0] if len(members) > 1 else 1
-    ids = range(members[0], members[-1] + 1, step) if step > 0 else ()
-    if tuple(ids) != members:
-        raise ValueError(f"members {members} are not evenly spaced ids")
-    return ids
-
-
-def _lead(received, kind, ids):
-    """The value other than BOT that most members of the range `ids` sent
+def _lead(received, kind, members):
+    """The value other than BOT that most of `members`, a range, sent
     as their least `kind` value (`value_sort_key` order, BOT last), and its
     count, in one pass over the round's batch. Members count in id order,
     and of values tied at the top count the first to reach it leads, so
     lock-step state does not depend on arrival order within a round."""
     least = {}   # member -> its least value of the kind
     for sender, p in received:
-        if p.kind == kind and sender in ids:
+        if p.kind == kind and sender in members:
             v = p.value
             w = least.get(sender, v)
             least[sender] = v if w is BOT or (v is not BOT and v < w) else w
     count = {}
     lead, top = BOT, 0
-    for sender in ids:
+    for sender in members:
         v = least.get(sender, BOT)
         if v is not BOT:
             count[v] = c = count.get(v, 0) + 1
@@ -155,9 +146,8 @@ class LockstepGC:
     """
 
     def __init__(self, members, proposal):
-        self.members = tuple(members)
-        self.ids = _id_range(self.members)
-        self.t = (len(self.members) - 1) // 3
+        self.members = members
+        self.t = (len(members) - 1) // 3
         self.own = proposal
         self.vote = None       # what round 1 sends
         self.decision = None
@@ -171,7 +161,7 @@ class LockstepGC:
         return [(p, self.members)]
 
     def absorb(self, r, received):
-        x, support = _lead(received, "ECHO2" if r else "ECHO", self.ids)
+        x, support = _lead(received, "ECHO2" if r else "ECHO", self.members)
         quorum = len(self.members) - self.t
         if not r:
             self.vote = x if support >= quorum else BOT
@@ -184,21 +174,20 @@ class LockstepGC:
 
 
 class SyncMachine:
-    """Member pid's view of the recursive agreement among members, ascending
-    evenly spaced ids (see `_id_range`)."""
+    """Member pid's view of the recursive agreement among `members`, a
+    range."""
 
     def __init__(self, pid, members, proposal):
         self.pid = pid
-        self.members = tuple(members)
-        self.ids = _id_range(self.members)
+        self.members = members
         self.b = proposal
-        n = len(self.members)
+        n = len(members)
         self.gc = None
         self.gc_grade = None
         self.child = None
         split = (n + 1) // 2
-        self.halves = {1: self.ids[:split], 2: self.ids[split:]}
-        self.plan = round_plan(n, self.ids.index(pid))  # non-member: error
+        self.halves = {1: members[:split], 2: members[split:]}
+        self.plan = round_plan(n, members.index(pid))  # non-member: error
 
     def active(self, r):
         return self.plan[r] is not None

@@ -15,16 +15,18 @@ def test_run_clean_scenario(tmp_path, capsys):
     assert len(out) == 2
 
 
-def test_run_seed_range_and_csv_file(tmp_path):
+def test_run_seed_range_and_csv_file(tmp_path, capsys):
     scn = write_scn(tmp_path, {**BASE, "seeds": 3})
     csv = tmp_path / "out.csv"
     rc = main(["run", scn, "--csv", str(csv)])
     assert rc == 0
     lines = csv.read_text().splitlines()
     assert lines[0] == CSV_HEADER and len(lines) == 4
+    capsys.readouterr()
     for command in ("run", "oracle-sim"):   # -3 would run seed 3's run
-        with pytest.raises(SystemExit, match="^2$"):
-            main([command, scn, "--seed", "-3"])
+        assert main([command, scn, "--seed", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error: seed must be >= 0, not -3" in err
 
 
 def test_run_writes_trace_files(tmp_path):

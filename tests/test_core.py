@@ -43,6 +43,10 @@ def test_bot_is_singleton():
     assert repr(BOT) == "BOT"
 
 
+VALUE_KINDS = ("INIT", "ECHO", "ECHO2", "ECHO3", "ECHO4", "ECHO5", "FINISH",
+               "HALF-REPORT")
+
+
 @pytest.mark.parametrize("kind,kwargs", [
     ("ECHO", {}),                       # missing value
     ("START-VIEW", {}),                 # missing view
@@ -50,10 +54,21 @@ def test_bot_is_singleton():
     ("SYNC-ROUND", {"parity": 0}),      # missing inner
     ("SYNC-ROUND", {"inner": Payload("ECHO", value=1)}),  # missing parity
     ("NOPE", {"value": 1}),             # unknown kind
+    # every other value kind without its value
+    *((kind, {}) for kind in VALUE_KINDS if kind != "ECHO"),
 ])
 def test_malformed_payload_rejected(kind, kwargs):
     with pytest.raises(PayloadError):
         Payload(kind, **kwargs)
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    *((kind, {"value": BOT}) for kind in VALUE_KINDS),
+    ("START-VIEW", {"view": 1}),        # a view and no value
+])
+def test_well_formed_payload_accepted(kind, kwargs):
+    p = Payload(kind, **kwargs)
+    assert (p.value, p.view) == (kwargs.get("value"), kwargs.get("view"))
 
 
 def test_validity_predicates():

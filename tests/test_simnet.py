@@ -367,6 +367,34 @@ def test_equivocator_splits_a_value_broadcast_by_receiver_parity():
         start]
 
 
+
+def test_strategies_keep_values_in_the_run_width():
+    """At value_width 3 the values 0..7: an equivocator's 7 wraps to 0 for
+    the odd receivers, and over 200 seeds random's mutated values and
+    sync-junk's inner values fill 0..7 and go no further."""
+    config = SimConfig(n=4, t=1, faulty=frozenset({3}), value_width=3)
+    equivocate = make_strategy(("equivocate",),
+                               Held([Broadcast(Payload("ECHO", value=7))]),
+                               config, random.Random(0), lambda: 0)
+    assert [(a.dests, a.payload.value) for a in equivocate.on_event(
+        Request("propose", (7,)))] == [((0,), 7), ((1,), 0), ((2,), 7),
+                                       ((3,), 0)]
+    init = Multicast((0, 1, 2, 3), Payload("INIT", value=7))
+    sync = Multicast((0, 1, 2, 3), Payload("SYNC-ROUND", parity=0,
+                                           inner=Payload("ECHO", value=7)))
+    mutated, junk = set(), set()
+    for seed in range(200):
+        out = make_strategy(("random",), Held([init]), config,
+                            random.Random(seed), lambda: 0).on_event(
+            Request("propose", (7,)))
+        mutated |= {a.payload.value for a in out}
+        out = make_strategy(("sync-junk",), Held([sync]), config,
+                            random.Random(seed), lambda: 0).on_event(
+            Request("propose", (7,)))
+        assert out[0] is sync and len(out) == 1 + 3
+        junk |= {a.payload.inner.value for a in out[1:]}
+    assert mutated == junk == set(range(8))
+
 @pytest.mark.parametrize("seed,width", [(0, 32), (1, 32), (2, 5)])
 def test_flood_draws_match_stdlib_choice_and_randint(seed, width):
     """1,000 floods: kind, value and path as rng.choice, rng.randint and
