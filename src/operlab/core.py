@@ -47,10 +47,13 @@ class Tally:
     """Support per value: each (sender, value) pair counts once, or with
     first_only a sender's first message only. Senders are process ids >= 0,
     held as int bit masks: bit s of `backers[v]` is set once sender s backs
-    v, and with first_only bit s of `senders` once s is counted. `add`
-    returns v's new support, or 0 if the message does not count, so
-    `support == k` marks a crossing. `total` (counted messages) and `top`
-    (plurality) serve the gap rules."""
+    v, and bit s of `senders` once s is counted. `add` returns v's new
+    support, or 0 if the message does not count, so `support == k` marks a
+    crossing. `total` (distinct senders counted) and `top` (plurality)
+    serve the gap rules: `total - top` senders back no plurality value.
+    Counting senders, not pairs, keeps a faulty sender that names many
+    values at one sender's weight: if every correct sender backs v, the
+    senders outside v's backers are faulty, at most t of them."""
 
     __slots__ = ("first_only", "backers", "senders", "total", "top")
 
@@ -63,15 +66,15 @@ class Tally:
 
     def add(self, sender, v) -> int:
         bit = 1 << sender
-        if self.first_only:
-            if self.senders & bit:
-                return 0
+        if not self.senders & bit:
             self.senders |= bit
+            self.total += 1
+        elif self.first_only:
+            return 0
         backers = self.backers.get(v, 0)
         if backers & bit:
             return 0
         self.backers[v] = backers = backers | bit
-        self.total += 1
         support = backers.bit_count()
         if support > self.top:
             self.top = support

@@ -3,6 +3,8 @@
 to_finish broadcasts FINISH once; t+1 matching FINISH messages from others
 trigger an adopt-and-broadcast (unless already started); 2t+1 trigger the
 finish indication. Both react to the `Tally` support of the value that moved.
+A correct process sends FINISH once, so only a sender's first FINISH counts:
+a faulty sender's later values are dropped, not tracked.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ class Finisher(Automaton):
         self.t = t
         self.started = False
         self.finished = False
-        self.finish_from = Tally()
+        self.finish_from = Tally(first_only=True)
 
     def on_event(self, event):
         if type(event) is MessageArrival:

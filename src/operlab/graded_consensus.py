@@ -11,6 +11,16 @@ module boundary maps it onto (value, grade) with grade in {0,1}:
 
 Each stage counts in a `Tally`; an arrival runs only the rules that read its
 stage, and they react to the crossings of the one value that moved.
+
+The spread rule counts senders, not (sender, value) pairs: BOT is echoed
+once at least t+1 stage-1 senders back no plurality value. If every correct
+process proposes v, every correct sender backs v, so the senders outside
+v's backers are faulty, at most t of them, and BOT is never echoed however
+many values a faulty sender names. Otherwise, once the n-t correct echoes
+are in, either some value has n-2t >= t+1 backers and every correct process
+amplifies it to n-t, or the plurality has at most n-2t-1 backers, the
+distinct senders minus the plurality are at least t+1, and every correct
+process echoes BOT.
 """
 
 from __future__ import annotations
@@ -87,8 +97,8 @@ class GradedConsensus(Automaton):
         out = []
         if support >= self.t + 1 and v not in self.sent1:   # amplify
             out += self._echo(v)
-        # spread evidence: the non-plurality echoes alone exceed the fault
-        # budget, so the proposers cannot have been unanimous
+        # spread evidence: at least t+1 senders back no plurality value,
+        # more than the fault budget, so the proposers were not unanimous
         if BOT not in self.sent1 and echo1.total - echo1.top >= self.t + 1:
             out += self._echo(BOT)
         if support < self.n - self.t or v in self.approved:

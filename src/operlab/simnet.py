@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import islice
 
 from .core import (DEFAULT_VALUE_WIDTH, Payload, ValidityPredicate, path_bits,
                    payload_bits)
@@ -256,11 +257,33 @@ class SyncJunkStrategy(Strategy):
         return out
 
 
+class GcSprayStrategy(Strategy):
+    """Runs its root honestly and, after each ECHO broadcast on a `gc1` or
+    `gc2` path, broadcasts `k` more ECHOs there, one for each of the `k`
+    least values of the run's width that no correct process proposes."""
+
+    def __init__(self, inner, config, rng, clock, k):
+        super().__init__(inner, config, rng, clock)
+        proposed = {config.proposals.get(p, 0) for p in config.correct}
+        self.spray = [Payload("ECHO", value=v) for v in islice(
+            (v for v in range(self.max_value + 1) if v not in proposed), k)]
+
+    def rewrite(self, actions):
+        out = []
+        for a in actions:
+            out.append(a)
+            if type(a) is Broadcast and a.payload.kind == "ECHO" \
+                    and a.path[-1:] in (("gc1",), ("gc2",)):
+                out += [Broadcast(p, a.path) for p in self.spray]
+        return out
+
+
 STRATEGIES = {   # builder(inner, config, rng, clock, *args)
     "silent": ((0,), SilentStrategy), "crash": ((1,), CrashStrategy),
     "equivocate": ((0,), EquivocateStrategy),
     "delayer": ((0,), Strategy), "flood": ((0, 1), FloodStrategy),
-    "random": ((0,), RandomStrategy), "sync-junk": ((0,), SyncJunkStrategy)}
+    "random": ((0,), RandomStrategy), "sync-junk": ((0,), SyncJunkStrategy),
+    "gc-spray": ((1,), GcSprayStrategy)}
 
 
 def _check_spec(name, table, spec):

@@ -225,7 +225,9 @@ def test_both_sides_run_in_equally_long_checkouts(stash, change, tmp_path,
         elif args[:2] == ("worktree", "remove"):
             del added[args[3]]
         return {("rev-parse", "base"): "parent", ("rev-parse", "HEAD"): "head",
-                ("stash", "create"): stash}.get(args, "")
+                ("stash", "create"): stash,
+                ("rev-parse", f"{change}^{{tree}}"): f"tree of {change}"}.get(
+                    args, "")
 
     def bench(checkout, workload, seed, seconds):
         ran.append(checkout)
@@ -243,3 +245,4 @@ def test_both_sides_run_in_equally_long_checkouts(stash, change, tmp_path,
     assert len(parent) == len(first)
     out = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert (out["parent"], out["change_rev"]) == ("parent", change)
+    assert out["change_tree"] == f"tree of {change}"

@@ -110,6 +110,8 @@ def test_tally_matches_dict_of_sets(first_only, messages):
             assert tally.add(sender, v) == (len(backers[v]) if counted else 0)
         for w in (1, 2, 3, BOT):
             assert tally.count(w) == len(backers.get(w, ()))
-        assert tally.total == sum(len(s) for s in backers.values())
+        # senders, not (sender, value) pairs
+        assert tally.total == len(seen)
+        assert tally.senders == sum(1 << s for s in seen)
         assert tally.top == max((len(s) for s in backers.values()), default=0)
         assert len(tally) == len(backers)

@@ -36,11 +36,12 @@ def test_adopt_and_rebroadcast_without_own_start():
 
 
 def test_thresholds_fire_amid_junk_values():
-    # n=7, t=2: junk values from every sender, some with t supporters, are
-    # interleaved with FINISH(7); adoption comes on the 3rd matching message
-    # (t+1) and the finish indication on the 5th (2t+1), nowhere else
+    # n=7, t=2: the faulty senders 5 and 6 name junk values, their first one
+    # with t supporters, interleaved with FINISH(7) from 0-4; adoption comes
+    # on the 3rd matching message (t+1) and the finish indication on the
+    # 5th (2t+1), nowhere else
     f = Finisher(2)
-    junk = [(s, v) for v in (3, 9, 11) for s in (5, 6)] + [(0, 20), (1, 21)]
+    junk = [(5, 3), (6, 3), (5, 9), (6, 11), (5, 20), (6, 21), (5, 7), (6, 7)]
     adopt_at = finish_at = None
     for k, sender in enumerate((0, 1, 2, 3, 4), start=1):
         for s, v in junk[2 * k - 2:2 * k]:
@@ -53,7 +54,8 @@ def test_thresholds_fire_amid_junk_values():
             assert finish_at is None
             finish_at = k
     assert (adopt_at, finish_at) == (3, 5)
-    assert len(f.finish_from) == 6
+    # only a sender's first FINISH counts: later values add no entry
+    assert len(f.finish_from) == 2 and f.finish_from.count(7) == 5
 
 
 def test_finishes_at_most_once():

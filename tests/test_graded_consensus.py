@@ -189,6 +189,43 @@ def test_consistency_under_byzantine_noise(props, seed):
         assert v in proposals.values()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_unanimous_proposals_decide_grade_one_whatever_faulty_processes_echo(
+        data):
+    """AW-Validity: n-t correct instances all propose v; the t faulty ids
+    echo any stage-1 values to any instances, delivered at any points of a
+    seeded random delivery order. Every correct instance decides (v, 1)."""
+    n = data.draw(st.integers(4, 10))
+    t = (n - 1) // 3
+    faulty = sorted(data.draw(st.sets(st.integers(0, n - 1),
+                                      min_size=t, max_size=t)))
+    v = data.draw(st.integers(0, 3))
+    spray = data.draw(st.lists(st.tuples(   # (sender, dest, value, step)
+        st.sampled_from(faulty), st.integers(0, n - 1),
+        st.integers(0, 20) | st.just(BOT), st.integers(0, 300)), max_size=80))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    autos = {p: GradedConsensus(n, t) for p in range(n) if p not in faulty}
+    pending = [(p, Request("propose", (v,))) for p in autos]
+    spray.sort(key=lambda m: m[3])
+    decisions = {p: [] for p in autos}
+    step = 0
+    while pending or spray:
+        if spray and (spray[0][3] <= step or not pending):
+            sender, dest, w, _ = spray.pop(0)
+            event = MessageArrival(sender, Payload("ECHO", value=w))
+        else:
+            dest, event = pending.pop(rng.randrange(len(pending)))
+        step += 1
+        for act in autos[dest].step(event) if dest in autos else ():
+            if isinstance(act, Broadcast):
+                pending += [(q, MessageArrival(dest, act.payload))
+                            for q in autos]
+            elif isinstance(act, Indicate):
+                decisions[dest].append(act.args)
+    assert decisions == {p: [(v, 1)] for p in autos}
+
+
 def test_lockstep_latency_within_seven_rounds():
     for proposals in ({p: 7 for p in range(4)},
                       {0: 5, 1: 5, 2: 9, 3: 9},

@@ -310,9 +310,9 @@ def test_sweep_rows():
 
 
 def test_sync_phase_bits_within_cap_on_full_runs():
-    # n=10 with pre-GST drift and equivocators; seed 0 enters view 2, so two
+    # n=10 with pre-GST drift and equivocators; seed 1 enters view 2, so two
     # per-view sync phases are charged separately
-    scn = scenario(10, [["equivocate"]], delta=10, gst=36000, seed=0,
+    scn = scenario(10, [["equivocate"]], delta=10, gst=36000, seed=1,
                    proposals={str(p): (p % 3) + 1 for p in range(10)},
                    drift=["uniform"])
     config = scenario_config(scn)

@@ -95,13 +95,13 @@ def _oper_core(rng):
 # (layer, sequence builder, sha256 of every step's output repr)
 PINS = [
     ("graded_consensus", _graded_consensus,
-     "03451f3a0de825f6b1bef1df588efdda9f2c543dc475ce1c3de186e22bb38ecc"),
+     "77149626818a19d5b39b1ce37017b5c64f5edf25a3598e2e451439a8bcb3e4a9"),
     ("reducing_broadcast", _reducing_broadcast,
      "a645c6b9292c42179fa9df0675b7e52fb6b7d5a7ca96713c65a30643eac2a5c1"),
     ("validation_core", _validation_core,
      "5cba0d5d06b8275931fbf55ccf525eb1f4c1f2c68ebf5c5113ec68f6b57f9654"),
     ("finisher", _finisher,
-     "7191cac10e1ef8f3317562d29931fdf46fecc959ea57d7cb027fb7d9de4d4450"),
+     "1e69116792daedbccb235a4e6245271e94b1b6595e4e1ffb3c36fedcc81f1e40"),
     ("oper_core", _oper_core,
      "a6f80f2a92b0383333b032343a338f635ef5af25efe9119498657ac3dc1f29bb"),
 ]

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from operlab.core import Payload
+from operlab.core import BOT, Payload
 from operlab.harness import oper_params
 from operlab.oper import make_oper
 from operlab.runtime import (Automaton, Broadcast, Composite, Halt, Indicate,
@@ -210,6 +210,25 @@ def test_sync_junk_strategy_adds_three_multicasts_after_each_sync_round():
                   ("crux@1", "as")) for v in values] \
         + script[1:] + [Broadcast(Payload("INIT", value=1))]
     assert strategy.rng.getstate() == rng.getstate()
+
+
+def test_gc_spray_strategy_adds_k_echoes_after_each_graded_consensus_echo():
+    # correct processes propose 0, 2 (and 0 by default): the spray takes
+    # the least unproposed values of the 2-bit width, 1 and 3, and no more
+    config = SimConfig(n=4, t=1, faulty=frozenset({3}), value_width=2,
+                       proposals={1: 2, 3: 1})
+    gc1, gc2 = ("crux@1", "gc1"), ("crux@2", "gc2")
+    script = [Broadcast(Payload("ECHO", value=0), gc1),
+              Broadcast(Payload("ECHO2", value=0), gc1),
+              Broadcast(Payload("ECHO", value=0), ("crux@1", "vb")),
+              Broadcast(Payload("ECHO", value=BOT), gc2)]
+    sprayed = [make_strategy(("gc-spray", k), Held(script), config,
+                             random.Random(0), lambda: 0).on_event(
+        Request("propose", (0,))) for k in (2, 3)]
+    assert sprayed[0] == sprayed[1] == script[:1] + [
+        Broadcast(Payload("ECHO", value=v), gc1) for v in (1, 3)] \
+        + script[1:] + [Broadcast(Payload("ECHO", value=v), gc2)
+                        for v in (1, 3)]
 
 
 # -- configuration guards ----------------------------------------------------

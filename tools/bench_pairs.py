@@ -14,7 +14,10 @@ slow spell of the host hits both sides alike. Both checkouts are made with
 their paths are equally long and `peak_rss_mb` compares code, not where it
 lives, and removed at the end: the parent at REV (default HEAD), the change
 at the working tree's tracked files (`git stash create`, or HEAD when
-nothing changed; a new file must be added to the index to count).
+nothing changed; a new file must be added to the index to count). The
+change's stash commit is kept by no branch, so BENCH_<label>.json also
+records its tree (`change_tree`): the tree of the commit the change lands
+as, when that commit holds the files measured.
 Without --workload every workload in BENCHMARK.json runs. Bad arguments
 (a label that is not a plain file-name part, a workload BENCHMARK.json does
 not list, fewer than one pair, a negative run length) exit 2 before any
@@ -182,6 +185,7 @@ def main(argv=None):
     workloads = args.workload or listed
     parent = git("rev-parse", args.parent)
     change = git("stash", "create") or git("rev-parse", "HEAD")
+    change_tree = git("rev-parse", f"{change}^{{tree}}")
 
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {"parent": str(Path(tmp) / "parent"),
@@ -215,6 +219,7 @@ def main(argv=None):
         "change": args.change,
         "parent": parent,
         "change_rev": change,
+        "change_tree": change_tree,
         "command": f"python3 perfbench/run.py --workload W --seed "
                    f"{args.seed} --seconds {args.seconds:g} --trace 0",
         "python": platform.python_version(),
