@@ -201,9 +201,12 @@ def test_unanimous_proposals_decide_grade_one_whatever_faulty_processes_echo(
     faulty = sorted(data.draw(st.sets(st.integers(0, n - 1),
                                       min_size=t, max_size=t)))
     v = data.draw(st.integers(0, 3))
-    spray = data.draw(st.lists(st.tuples(   # (sender, dest, value, step)
+    # (sender, dest, value, step); a run takes about 5 (n-t)^2 deliveries,
+    # so steps up to 5 n^2 land mostly before the correct instances decide
+    spray = data.draw(st.lists(st.tuples(
         st.sampled_from(faulty), st.integers(0, n - 1),
-        st.integers(0, 20) | st.just(BOT), st.integers(0, 300)), max_size=80))
+        st.integers(0, 20) | st.just(BOT), st.integers(0, 5 * n * n)),
+        max_size=80))
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     autos = {p: GradedConsensus(n, t) for p in range(n) if p not in faulty}
     pending = [(p, Request("propose", (v,))) for p in autos]
