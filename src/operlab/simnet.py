@@ -259,14 +259,15 @@ class SyncJunkStrategy(Strategy):
 
 class GcSprayStrategy(Strategy):
     """Runs its root honestly and, after each ECHO broadcast on a `gc1` or
-    `gc2` path, broadcasts `k` more ECHOs there, one for each of the `k`
+    `gc2` path, broadcasts t+1 more ECHOs there, one for each of the t+1
     least values of the run's width that no correct process proposes."""
 
-    def __init__(self, inner, config, rng, clock, k):
+    def __init__(self, inner, config, rng, clock):
         super().__init__(inner, config, rng, clock)
         proposed = {config.proposals.get(p, 0) for p in config.correct}
         self.spray = [Payload("ECHO", value=v) for v in islice(
-            (v for v in range(self.max_value + 1) if v not in proposed), k)]
+            (v for v in range(self.max_value + 1) if v not in proposed),
+            config.t + 1)]
 
     def rewrite(self, actions):
         out = []
@@ -283,7 +284,7 @@ STRATEGIES = {   # builder(inner, config, rng, clock, *args)
     "equivocate": ((0,), EquivocateStrategy),
     "delayer": ((0,), Strategy), "flood": ((0, 1), FloodStrategy),
     "random": ((0,), RandomStrategy), "sync-junk": ((0,), SyncJunkStrategy),
-    "gc-spray": ((1,), GcSprayStrategy)}
+    "gc-spray": ((0,), GcSprayStrategy)}
 
 
 def _check_spec(name, table, spec):

@@ -24,8 +24,8 @@ from operlab.crux import CruxCore
 from operlab.graded_consensus import GradedConsensus
 from operlab.harness import (load_scenario, run_and_check, scenario_adversary,
                              scenario_config)
-from operlab.oper import OperCore, _tag_view
-from operlab.runtime import Indicate, Request
+from operlab.oper import Oper, OperCore, _tag_view
+from operlab.runtime import Indicate, MessageArrival, Request
 from operlab.simnet import CSV_HEADER
 from operlab.sync_ba import RoundSimAdapter
 
@@ -138,10 +138,20 @@ def test_no_validation_of_an_abandoned_view_reaches_the_view_loop(
     # a process abandons a view only to enter a later one, so a validation
     # of a view below its current one comes from an abandoned instance,
     # which is silent; and only a proposed view completes or decides, so
-    # those come from the current view alone
+    # those come from the current view alone. The pinned run's abandoned
+    # view-1 instances get messages after the abandon (see its note)
     stale = []   # (indication, view it names, view the process was in)
     seen = set()
+    late = Counter()   # messages to a view below the process's current one
     request = OperCore._request
+    on_event = Oper.on_event
+
+    def counting(self, event):
+        if type(event) is MessageArrival and event.path:
+            w = _tag_view(event.path[0])
+            if w is not None and w < self.core.view:
+                late[event.path[:2]] += 1
+        return on_event(self, event)
 
     def recording(self, event):
         name = event.name
@@ -152,8 +162,10 @@ def test_no_validation_of_an_abandoned_view_reaches_the_view_loop(
                 stale.append((name, w, self.view))
         return request(self, event)
     monkeypatch.setattr(OperCore, "_request", recording)
+    monkeypatch.setattr(Oper, "on_event", counting)
     report = pinned_run("view-change-29")
     assert max(v for (_, _, v) in report.trace.enters) == 2
+    assert late[("crux@1", "vb")] > 0
     assert seen == {"completed", "validate", "decide"}
     assert stale == []
 

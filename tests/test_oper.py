@@ -329,9 +329,10 @@ def test_a_view_change_abandons_every_instance_of_the_old_view():
         old = oper.children[crux_tag(1)]
         assert all(silent(a, pokes(a))
                    for a in automata(old) + composites(old))
-        # the view loop's own automata still count what reaches them; the
-        # finisher counts a sender's first FINISH only, and every process
-        # may have sent its one, so that probe comes from a fresh sender id
+        # the view loop's own automata still count what reaches them. The
+        # finisher counts a sender's first FINISH only, and process 1 has
+        # counted one from each of the run's ids 0-3, so its probe comes
+        # from id 4, outside the run on purpose: a Tally counts any id >= 0
         live = ((oper.core, 0, Payload("START-VIEW", view=9)),
                 (oper.children["fin"], 4, Payload("FINISH", value=9)))
         assert not any(silent(a, [MessageArrival(s, p, a.path)])

@@ -212,20 +212,21 @@ def test_sync_junk_strategy_adds_three_multicasts_after_each_sync_round():
     assert strategy.rng.getstate() == rng.getstate()
 
 
-def test_gc_spray_strategy_adds_k_echoes_after_each_graded_consensus_echo():
-    # correct processes propose 0, 2 (and 0 by default): the spray takes
-    # the least unproposed values of the 2-bit width, 1 and 3, and no more
-    config = SimConfig(n=4, t=1, faulty=frozenset({3}), value_width=2,
+def test_gc_spray_strategy_adds_t_plus_1_echoes_after_each_gc_echo():
+    # correct processes propose 0, 2 (and 0 by default), the faulty 3 its
+    # own 1: the spray takes the t+1 = 2 least unproposed values of the
+    # 3-bit width, 1 and 3, of the six there are
+    config = SimConfig(n=4, t=1, faulty=frozenset({3}), value_width=3,
                        proposals={1: 2, 3: 1})
     gc1, gc2 = ("crux@1", "gc1"), ("crux@2", "gc2")
     script = [Broadcast(Payload("ECHO", value=0), gc1),
               Broadcast(Payload("ECHO2", value=0), gc1),
               Broadcast(Payload("ECHO", value=0), ("crux@1", "vb")),
               Broadcast(Payload("ECHO", value=BOT), gc2)]
-    sprayed = [make_strategy(("gc-spray", k), Held(script), config,
-                             random.Random(0), lambda: 0).on_event(
-        Request("propose", (0,))) for k in (2, 3)]
-    assert sprayed[0] == sprayed[1] == script[:1] + [
+    sprayed = make_strategy(("gc-spray",), Held(script), config,
+                            random.Random(0), lambda: 0).on_event(
+        Request("propose", (0,)))
+    assert sprayed == script[:1] + [
         Broadcast(Payload("ECHO", value=v), gc1) for v in (1, 3)] \
         + script[1:] + [Broadcast(Payload("ECHO", value=v), gc2)
                         for v in (1, 3)]
