@@ -126,9 +126,10 @@ DRIFTS = {
 
 class Strategy:
     """Driver for a faulty process, not an automaton: steps the wrapped root
-    `inner` and rewrites its actions, if it has any. It is built with the
-    run's `config`, `rng` and a `clock` that returns the virtual time, then
-    its spec's arguments. A wrapper costs its process one frame per event;
+    `inner` and sends the list `self.rewrite(a)` in place of each action `a`
+    of its output. It is built with the run's `config`, `rng` and a `clock`
+    that returns the virtual time, then its spec's arguments. A wrapper costs
+    its process one frame per event: a delayer is its root, unwrapped, and
     flood hands every event but its own timer straight to the root."""
 
     def __init__(self, inner, config, rng, clock):
@@ -137,11 +138,11 @@ class Strategy:
         self.max_value = (1 << config.value_width) - 1
 
     def on_event(self, event):
-        actions = self.inner.on_event(event)
-        return self.rewrite(actions) if actions else []
-
-    def rewrite(self, actions):
-        return actions
+        out = []
+        rewrite = self.rewrite
+        for a in self.inner.on_event(event) or ():
+            out += rewrite(a)
+        return out
 
 
 class SilentStrategy(Strategy):
@@ -154,11 +155,11 @@ class CrashStrategy(Strategy):
         super().__init__(inner, config, rng, clock)
         self.at = at
 
-    def rewrite(self, actions):
-        if self.clock() >= self.at:
-            return [a for a in actions if not isinstance(
-                a, (Multicast, Broadcast, Indicate))]
-        return actions
+    def rewrite(self, a):
+        if self.clock() >= self.at and isinstance(
+                a, (Multicast, Broadcast, Indicate)):
+            return []
+        return [a]
 
 
 class EquivocateStrategy(Strategy):
@@ -166,18 +167,12 @@ class EquivocateStrategy(Strategy):
     single-destination multicast per process; all else passes as it is, so
     SYNC-ROUND multicasts, and the sync BA in them, see it behave honestly."""
 
-    def rewrite(self, actions):
-        out = []
-        for a in actions:
-            if isinstance(a, Broadcast) and isinstance(a.payload.value, int):
-                alt = replace(a.payload,
-                              value=(a.payload.value + 1) & self.max_value)
-                for dest in range(self.n):
-                    out.append(Multicast((dest,), a.payload if dest % 2 == 0
-                                         else alt, a.path))
-            else:
-                out.append(a)
-        return out
+    def rewrite(self, a):
+        if not (isinstance(a, Broadcast) and isinstance(a.payload.value, int)):
+            return [a]
+        alt = replace(a.payload, value=(a.payload.value + 1) & self.max_value)
+        return [Multicast((dest,), a.payload if dest % 2 == 0 else alt, a.path)
+                for dest in range(self.n)]
 
 
 class FloodStrategy(Strategy):
@@ -212,27 +207,20 @@ class RandomStrategy(Strategy):
     """Keeps, drops, duplicates, or value-mutates each outgoing message;
     a multicast is rolled copy by copy, as single-destination multicasts."""
 
-    def rewrite(self, actions):
-        out = []
-        for a in actions:
-            if isinstance(a, Multicast) and len(a.dests) != 1:   # per copy
-                out += self.rewrite([Multicast((dest,), a.payload, a.path)
-                                     for dest in a.dests])
-                continue
-            if not isinstance(a, (Multicast, Broadcast)):
-                out.append(a)
-                continue
-            roll = self.rng.random()
-            if roll < 0.2:
-                continue  # drop
-            if roll < 0.3 and isinstance(a.payload.value, int):
-                mutated = replace(a.payload,
-                                  value=self.rng.randint(0, self.max_value))
-                a = replace(a, payload=mutated)
-            out.append(a)
-            if roll > 0.9:
-                out.append(a)  # duplicate
-        return out
+    def rewrite(self, a):
+        if isinstance(a, Multicast) and len(a.dests) != 1:   # per copy
+            return [b for dest in a.dests for b in self.rewrite(
+                Multicast((dest,), a.payload, a.path))]
+        if not isinstance(a, (Multicast, Broadcast)):
+            return [a]
+        roll = self.rng.random()
+        if roll < 0.2:
+            return []  # drop
+        if roll < 0.3 and isinstance(a.payload.value, int):
+            mutated = replace(a.payload,
+                              value=self.rng.randint(0, self.max_value))
+            a = replace(a, payload=mutated)
+        return [a, a] if roll > 0.9 else [a]  # duplicate
 
 
 class SyncJunkStrategy(Strategy):
@@ -242,18 +230,14 @@ class SyncJunkStrategy(Strategy):
 
     COPIES = 3
 
-    def rewrite(self, actions):
-        out = []
-        getrandbits = self.rng.getrandbits
-        for a in actions:
-            out.append(a)
-            if type(a) is Multicast and a.payload.kind == "SYNC-ROUND":
-                p = a.payload
-                for _ in range(self.COPIES):
-                    inner = replace(p.inner, value=draw(
-                        getrandbits, 0, self.max_value + 1))
-                    out.append(Multicast(a.dests, replace(p, inner=inner),
-                                         a.path))
+    def rewrite(self, a):
+        out = [a]
+        if type(a) is Multicast and a.payload.kind == "SYNC-ROUND":
+            p = a.payload
+            for _ in range(self.COPIES):
+                inner = replace(p.inner, value=draw(
+                    self.rng.getrandbits, 0, self.max_value + 1))
+                out.append(Multicast(a.dests, replace(p, inner=inner), a.path))
         return out
 
 
@@ -269,22 +253,19 @@ class GcSprayStrategy(Strategy):
             (v for v in range(self.max_value + 1) if v not in proposed),
             config.t + 1)]
 
-    def rewrite(self, actions):
-        out = []
-        for a in actions:
-            out.append(a)
-            if type(a) is Broadcast and a.payload.kind == "ECHO" \
-                    and a.path[-1:] in (("gc1",), ("gc2",)):
-                out += [Broadcast(p, a.path) for p in self.spray]
-        return out
+    def rewrite(self, a):
+        if type(a) is Broadcast and a.payload.kind == "ECHO" \
+                and a.path[-1:] in (("gc1",), ("gc2",)):
+            return [a] + [Broadcast(p, a.path) for p in self.spray]
+        return [a]
 
 
 STRATEGIES = {   # builder(inner, config, rng, clock, *args)
     "silent": ((0,), SilentStrategy), "crash": ((1,), CrashStrategy),
     "equivocate": ((0,), EquivocateStrategy),
-    "delayer": ((0,), Strategy), "flood": ((0, 1), FloodStrategy),
-    "random": ((0,), RandomStrategy), "sync-junk": ((0,), SyncJunkStrategy),
-    "gc-spray": ((0,), GcSprayStrategy)}
+    "delayer": ((0,), lambda inner, config, rng, clock: inner),
+    "flood": ((0, 1), FloodStrategy), "random": ((0,), RandomStrategy),
+    "sync-junk": ((0,), SyncJunkStrategy), "gc-spray": ((0,), GcSprayStrategy)}
 
 
 def _check_spec(name, table, spec):
@@ -319,8 +300,8 @@ def _build(table, spec, *context):
 
 
 def make_strategy(spec, inner, config, rng, clock):
-    """Strategy `spec` = (kind, *args) wrapping `inner`; it draws from `rng`
-    and reads the virtual time from `clock()`."""
+    """Strategy `spec` = (kind, *args) wrapping `inner` (a delayer is `inner`
+    itself); it draws from `rng` and reads the virtual time from `clock()`."""
     return _build(STRATEGIES, spec, inner, config, rng, clock)
 
 
@@ -357,8 +338,8 @@ def run(config: SimConfig, adversary: AdversarySpec, root_factory,
         max_time: int, collect_rows=False) -> Trace:
     """Execute one deterministic simulation, up to virtual time max_time.
 
-    root_factory(pid) builds the protocol automaton for each process; faulty
-    processes get theirs wrapped in their strategy.
+    root_factory(pid) builds the protocol automaton for each process; a
+    faulty process's is wrapped in its strategy, unless it is a delayer.
     """
     check_adversary(adversary, config.faulty)
     rng = random.Random(config.seed)

@@ -288,6 +288,9 @@ def test_all_strategy_kinds_construct():
         for count in counts:   # every argument count a scenario may give
             strategy = make_strategy((kind,) + (5,) * count, inner, config,
                                      rng, lambda: 0)
+            if kind == "delayer":   # its root, unwrapped
+                assert strategy is inner
+                continue
             assert type(strategy) is cls
             assert strategy.rng is rng and strategy.clock() == 0
 
@@ -467,6 +470,51 @@ def test_strategies_copy_the_inner_broadcast_and_never_edit_it():
     assert rewrite(("crash", 0)) == []
     assert action == Broadcast(Payload("INIT", value=5), ("a",))
     assert action.payload is payload
+
+
+# one action of each kind a faulty step may carry, on a path or timer id
+# that names `tag`, so every action a rewrite makes of it traces back to it
+ACTIONS = {
+    "value": lambda tag, v: Broadcast(Payload("INIT", value=v), (tag,)),
+    "sync-round": lambda tag, v: Multicast(
+        (0, 2, 3), Payload("SYNC-ROUND", parity=v & 1,
+                           inner=Payload("ECHO", value=v)), (tag, "as")),
+    "gc-echo": lambda tag, v: Broadcast(Payload("ECHO", value=v),
+                                        (tag, "gc2")),
+    "timer": lambda tag, v: SetTimer(5, (tag, v)),
+    "indicate": lambda tag, v: Indicate("decide", (v,)),
+    "halt": lambda tag, v: Halt(),
+}
+
+
+@pytest.mark.parametrize("spec", [("crash", 5), ("equivocate",), ("random",),
+                                  ("sync-junk",), ("gc-spray",)])
+@given(draws=st.lists(st.tuples(st.sampled_from(sorted(ACTIONS)),
+                                st.integers(0, 7)), max_size=12),
+    now=st.integers(0, 10), seed=st.integers(0, 2 ** 16))
+def test_a_rewrite_never_reorders_a_step(spec, draws, now, seed):
+    """Each action is rewritten in its place: whatever a kind sends for
+    action i comes after what it sends for every earlier action, and timers
+    and halts come out as they went in. A crash drops sends and
+    indications from its time on, and nothing before it."""
+    config = SimConfig(n=4, t=1, faulty=frozenset({3}), value_width=3)
+    script = [ACTIONS[kind](f"p{i}", v) for i, (kind, v) in enumerate(draws)]
+    out = make_strategy(spec, Held(script), config, random.Random(seed),
+                        lambda: now).on_event(TimerFired(("p", 0)))
+    index = {id(a): i for i, a in enumerate(script)}
+
+    def origin(a):
+        if isinstance(a, (Multicast, Broadcast)):
+            return int(a.path[0][1:])
+        return index[id(a)]   # a timer, halt or indication: the input object
+    origins = [origin(a) for a in out]
+    assert origins == sorted(origins)
+    control = (SetTimer, Halt)
+    assert [a for a in out if isinstance(a, control)] == \
+        [a for a in script if isinstance(a, control)]
+    if spec[0] == "crash":
+        assert out == [a for a in script if now < spec[1]
+                       or isinstance(a, control)]
 
 
 # -- event-loop behavior -----------------------------------------------------
