@@ -8,8 +8,6 @@ is the module-level sentinel BOT, which is never a member of the value domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 DEFAULT_VALUE_WIDTH = 32
 
 # Widths used by the "full" accounting policy for fields that the default
@@ -108,39 +106,68 @@ KINDS = (
 _KIND_SET = frozenset(KINDS)
 
 
-@dataclass(slots=True)
-class Payload:
+class Record:
+    """Base of the value records. A record's `__slots__` lists its fields in
+    order, and its `__init__` takes each by name and runs its checks.
+    Records are equal by class and fields, print as a dataclass does (the
+    layer pins hash that repr) and are not hashable; `replace(**changes)`
+    rebuilds through `__init__`, checks included. See `runtime`."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        return type(self)(
+            **({f: getattr(self, f) for f in self.__slots__} | changes))
+
+
+class Payload(Record):
     """A typed wire message. `value` may be an int, BOT, or None (absent).
-    A record: slotted, never edited once built (see `runtime`)."""
+    A record: never edited once built (see `runtime`)."""
 
-    kind: str
-    value: object = None
-    view: int | None = None
-    parity: int | None = None
-    inner: "Payload | None" = None
+    __slots__ = ("kind", "value", "view", "parity", "inner")
 
-    def __post_init__(self):
-        if self.kind not in _KIND_SET:
-            raise PayloadError(f"unknown payload kind {self.kind!r}")
-        if self.kind == "SYNC-ROUND":
-            if self.parity not in (0, 1) or self.inner is None:
+    def __init__(self, kind: str, value=None, view: int | None = None,
+                 parity: int | None = None, inner: Payload | None = None):
+        if kind not in _KIND_SET:
+            raise PayloadError(f"unknown payload kind {kind!r}")
+        if kind == "SYNC-ROUND":
+            if parity not in (0, 1) or inner is None:
                 raise PayloadError("SYNC-ROUND needs a parity bit and an inner payload")
-        elif self.kind == "START-VIEW":
-            if self.view is None or self.view < 1:
+        elif kind == "START-VIEW":
+            if view is None or view < 1:
                 raise PayloadError("START-VIEW needs a view >= 1")
-        elif self.value is None:   # every other kind carries a value
-            raise PayloadError(f"{self.kind} needs a value (or BOT)")
+        elif value is None:   # every other kind carries a value
+            raise PayloadError(f"{kind} needs a value (or BOT)")
+        self.kind, self.value, self.view = kind, value, view
+        self.parity, self.inner = parity, inner
 
 
-@dataclass(frozen=True)
-class ValidityPredicate:
+class ValidityPredicate(Record):
     """Pure predicate over values: always-true, membership, or modulo.
-    `check(v)` is built once, for the kind, when the predicate is built."""
+    `check(v)` reads `kind`, so a predicate holds its four fields alone."""
 
-    kind: str = "always-true"
-    members: frozenset = field(default_factory=frozenset)
-    divisor: int = 0
-    residue: int = 0
+    __slots__ = ("kind", "members", "divisor", "residue")
+
+    def __init__(self, kind: str = "always-true", members=frozenset(),
+                 divisor: int = 0, residue: int = 0):
+        if kind not in ("always-true", "membership", "modulo"):
+            raise ValueError(f"unknown predicate kind {kind!r}")
+        if kind == "modulo" and not (   # an int divisor >= 1, int residue
+                type(divisor) is type(residue) is int and divisor >= 1):
+            raise ValueError(f"bad modulo fields {divisor!r}, {residue!r}")
+        self.kind, self.members = kind, members
+        self.divisor, self.residue = divisor, residue
 
     @classmethod
     def always_true(cls):
@@ -154,17 +181,10 @@ class ValidityPredicate:
     def modulo(cls, divisor, residue):
         return cls("modulo", divisor=divisor, residue=residue)
 
-    def __post_init__(self):
-        divisor, residue = self.divisor, self.residue
-        checks = {"always-true": lambda v: True,
-                  "membership": self.members.__contains__,
-                  "modulo": lambda v: v % divisor == residue}
-        if self.kind not in checks:
-            raise ValueError(f"unknown predicate kind {self.kind!r}")
-        if self.kind == "modulo" and not (   # an int divisor >= 1, int residue
-                type(divisor) is type(residue) is int and divisor >= 1):
-            raise ValueError(f"bad modulo fields {divisor!r}, {residue!r}")
-        object.__setattr__(self, "check", checks[self.kind])
+    def check(self, v) -> bool:
+        if self.kind == "modulo":
+            return v % self.divisor == self.residue
+        return self.kind == "always-true" or v in self.members
 
 
 def payload_bits(p: Payload, policy: str = "payload-only",

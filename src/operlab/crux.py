@@ -14,9 +14,7 @@ validation outward; an abandoned one relays nothing (see `runtime`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import BOT, DEFAULT_VALUE_WIDTH, ValidityPredicate
+from .core import BOT, DEFAULT_VALUE_WIDTH, Record, ValidityPredicate
 from .graded_consensus import GradedConsensus
 from .runtime import (Automaton, Composite, Indicate, Request, TimerFired,
                       ToChild)
@@ -28,12 +26,12 @@ from .validation_broadcast import make_validation_broadcast
 GC_DEPTH = 7
 
 
-@dataclass(frozen=True)
-class CruxParams:
-    n: int
-    t: int
-    delta: int
-    value_width: int = DEFAULT_VALUE_WIDTH
+class CruxParams(Record):
+    __slots__ = ("n", "t", "delta", "value_width")
+
+    def __init__(self, n: int, t: int, delta: int,
+                 value_width: int = DEFAULT_VALUE_WIDTH):
+        self.n, self.t, self.delta, self.value_width = n, t, delta, value_width
 
     @property
     def delta_shift(self) -> int:

@@ -16,10 +16,9 @@ that sweeps and test batteries share: the last t ids faulty.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import KIND_TAG_BITS, ValidityPredicate
+from .core import KIND_TAG_BITS, Record, ValidityPredicate
 from .crux import CruxParams
 from .oper import make_oper
 from .simnet import AdversarySpec, SimConfig, Trace, check_adversary, run
@@ -242,10 +241,12 @@ def check_trace(trace: Trace, params: CruxParams) -> list:
     return out
 
 
-@dataclass
-class RunReport:
-    trace: Trace
-    violations: list = field(default_factory=list)
+class RunReport(Record):
+    __slots__ = ("trace", "violations")
+
+    def __init__(self, trace: Trace, violations=None):
+        self.trace = trace
+        self.violations = [] if violations is None else violations
 
 
 def run_and_check(config: SimConfig, adversary: AdversarySpec,

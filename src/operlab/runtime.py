@@ -64,81 +64,88 @@ once; `OperCore` to view 1 at its own proposal and to a later view only in
 gc2, and asks vb to broadcast, once each, each step gated on a one-shot
 timer and a one-shot indication.
 
-Records: the events and actions below and `core.Payload` are slotted
-dataclasses, equal by class and fields. The simulator shares one payload
-and one arrival among the copies of a send, so none is edited once built
-(`dataclasses.replace` copies). None is frozen: that would set each field
-through `object.__setattr__`, making a record 2-4 times as costly to build.
+Records: the events and actions below and `core.Payload` are
+`core.Record`s: slotted, equal by class and fields, and printed as a
+dataclass prints them (the layer pins hash the repr of actions). The
+simulator shares one payload and one arrival among the copies of a send,
+so none is edited once built; `record.replace(...)` builds a changed copy
+through `__init__`, checks included. None is frozen: that would set each
+field through `object.__setattr__`, making a record 2-4 times as costly to
+build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Payload
+from .core import Record
 
 # -- events -----------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class MessageArrival:
-    sender: int
-    payload: Payload
-    path: tuple = ()
+class MessageArrival(Record):
+    __slots__ = ("sender", "payload", "path")
+
+    def __init__(self, sender: int, payload, path: tuple = ()):
+        self.sender, self.payload, self.path = sender, payload, path
 
 
-@dataclass(slots=True)
-class TimerFired:
-    timer_id: tuple
+class TimerFired(Record):
+    __slots__ = ("timer_id",)
+
+    def __init__(self, timer_id: tuple):
+        self.timer_id = timer_id
 
 
-@dataclass(slots=True)
-class Request:
-    name: str
-    args: tuple = ()
+class Request(Record):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple = ()):
+        self.name, self.args = name, args
 
 
 # -- actions ----------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class Multicast:
+class Multicast(Record):
     """One copy of `payload` per id of `dests`, a tuple or range, in order."""
 
-    dests: tuple
-    payload: Payload
-    path: tuple = ()
+    __slots__ = ("dests", "payload", "path")
+
+    def __init__(self, dests, payload, path: tuple = ()):
+        self.dests, self.payload, self.path = dests, payload, path
 
 
-@dataclass(slots=True)
-class Broadcast:
-    payload: Payload
-    path: tuple = ()
+class Broadcast(Record):
+    __slots__ = ("payload", "path")
+
+    def __init__(self, payload, path: tuple = ()):
+        self.payload, self.path = payload, path
 
 
-@dataclass(slots=True)
-class SetTimer:
-    duration: int
-    timer_id: tuple
+class SetTimer(Record):
+    __slots__ = ("duration", "timer_id")
+
+    def __init__(self, duration: int, timer_id: tuple):
+        self.duration, self.timer_id = duration, timer_id
 
 
-@dataclass(slots=True)
-class Indicate:
-    name: str
-    args: tuple = ()
+class Indicate(Record):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple = ()):
+        self.name, self.args = name, args
 
 
-@dataclass(slots=True)
-class Halt:
-    pass
+class Halt(Record):
+    __slots__ = ()
 
 
-@dataclass(slots=True)
-class ToChild:
+class ToChild(Record):
     """Core-internal action: deliver an event to the named child."""
 
-    tag: str
-    event: object
+    __slots__ = ("tag", "event")
+
+    def __init__(self, tag: str, event):
+        self.tag, self.event = tag, event
 
 
 # action types a parent passes up from a child unchanged

@@ -12,32 +12,31 @@ function of (config, adversary, seed).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import islice
 
-from .core import (DEFAULT_VALUE_WIDTH, Payload, ValidityPredicate, path_bits,
-                   payload_bits)
+from .core import (DEFAULT_VALUE_WIDTH, Payload, Record, ValidityPredicate,
+                   path_bits, payload_bits)
 from .runtime import (Broadcast, Halt, Indicate, MessageArrival, Multicast,
                       Request, SetTimer, TimerFired, stopped)
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    n: int
-    t: int
-    faulty: frozenset = frozenset()
-    delta: int = 10
-    gst: int = 0
-    seed: int = 0
-    accounting: str = "payload-only"
-    value_width: int = DEFAULT_VALUE_WIDTH
-    validity: ValidityPredicate = field(default_factory=ValidityPredicate.always_true)
-    proposals: dict = field(default_factory=dict)
-    propose_at: dict = field(default_factory=dict)
+class SimConfig(Record):
+    __slots__ = ("n", "t", "faulty", "delta", "gst", "seed", "accounting",
+                 "value_width", "validity", "proposals", "propose_at")
 
-    def __post_init__(self):
+    def __init__(self, n: int, t: int, faulty=frozenset(), delta: int = 10,
+                 gst: int = 0, seed: int = 0, accounting="payload-only",
+                 value_width: int = DEFAULT_VALUE_WIDTH,
+                 validity=ValidityPredicate(), proposals=None,
+                 propose_at=None):
+        self.n, self.t, self.faulty, self.delta, self.gst, self.seed = \
+            n, t, faulty, delta, gst, seed
+        self.accounting, self.value_width, self.validity = \
+            accounting, value_width, validity
+        self.proposals = {} if proposals is None else proposals
+        self.propose_at = {} if propose_at is None else propose_at
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.t < 0:
@@ -77,11 +76,15 @@ class SimConfig:
         return [p for p in range(self.n) if p not in self.faulty]
 
 
-@dataclass(frozen=True)
-class AdversarySpec:
-    pre_gst_delay: tuple = ("uniform",)   # a spec of DELAYS
-    drift: tuple = ("none",)              # a spec of DRIFTS
-    strategies: dict = field(default_factory=dict)  # pid -> a STRATEGIES spec
+class AdversarySpec(Record):
+    """A spec of DELAYS, a spec of DRIFTS and pid -> a STRATEGIES spec."""
+
+    __slots__ = ("pre_gst_delay", "drift", "strategies")
+
+    def __init__(self, pre_gst_delay=("uniform",), drift=("none",),
+                 strategies=None):
+        self.pre_gst_delay, self.drift = pre_gst_delay, drift
+        self.strategies = {} if strategies is None else strategies
 
 
 def draw(getrandbits, low, width):
@@ -170,7 +173,7 @@ class EquivocateStrategy(Strategy):
     def rewrite(self, a):
         if not (isinstance(a, Broadcast) and isinstance(a.payload.value, int)):
             return [a]
-        alt = replace(a.payload, value=(a.payload.value + 1) & self.max_value)
+        alt = a.payload.replace(value=(a.payload.value + 1) & self.max_value)
         return [Multicast((dest,), a.payload if dest % 2 == 0 else alt, a.path)
                 for dest in range(self.n)]
 
@@ -217,9 +220,9 @@ class RandomStrategy(Strategy):
         if roll < 0.2:
             return []  # drop
         if roll < 0.3 and isinstance(a.payload.value, int):
-            mutated = replace(a.payload,
-                              value=self.rng.randint(0, self.max_value))
-            a = replace(a, payload=mutated)
+            mutated = a.payload.replace(
+                value=self.rng.randint(0, self.max_value))
+            a = a.replace(payload=mutated)
         return [a, a] if roll > 0.9 else [a]  # duplicate
 
 
@@ -235,9 +238,9 @@ class SyncJunkStrategy(Strategy):
         if type(a) is Multicast and a.payload.kind == "SYNC-ROUND":
             p = a.payload
             for _ in range(self.COPIES):
-                inner = replace(p.inner, value=draw(
+                inner = p.inner.replace(value=draw(
                     self.rng.getrandbits, 0, self.max_value + 1))
-                out.append(Multicast(a.dests, replace(p, inner=inner), a.path))
+                out.append(Multicast(a.dests, p.replace(inner=inner), a.path))
         return out
 
 
@@ -308,14 +311,21 @@ def make_strategy(spec, inner, config, rng, clock):
 # -- trace ------------------------------------------------------------------
 
 
-@dataclass
-class Trace:
-    config: SimConfig
-    rows: list = field(default_factory=list)   # (time, pid, kind, path, pkind, bits)
-    decisions: dict = field(default_factory=dict)      # pid -> (value, time)
-    enters: list = field(default_factory=list)         # (time, pid, view)
-    sv_counts: dict = field(default_factory=dict)      # (pid, view) -> broadcasts
-    pbit: dict = field(default_factory=dict)           # pid -> bits sent >= gst
+class Trace(Record):
+    """`rows` (time, pid, kind, path, pkind, bits), `decisions` pid -> (value,
+    time), `enters` (time, pid, view), `sv_counts` (pid, view) -> broadcasts,
+    `pbit` pid -> bits sent >= gst."""
+
+    __slots__ = ("config", "rows", "decisions", "enters", "sv_counts", "pbit")
+
+    def __init__(self, config: SimConfig, rows=None, decisions=None,
+                 enters=None, sv_counts=None, pbit=None):
+        self.config = config
+        self.rows = [] if rows is None else rows
+        self.decisions = {} if decisions is None else decisions
+        self.enters = [] if enters is None else enters
+        self.sv_counts = {} if sv_counts is None else sv_counts
+        self.pbit = {} if pbit is None else pbit
 
     @property
     def terminated(self) -> bool:

@@ -4,7 +4,6 @@ control, a probe for arrivals during an adapter's idle run, and the
 scenarios the harness and CLI tests share."""
 
 import json
-from dataclasses import replace
 
 from operlab.oracle import lockstep_run
 from operlab.runtime import (Automaton, Broadcast, Indicate, MessageArrival,
@@ -46,7 +45,7 @@ class ParityFlipAdapter(RoundSimAdapter):
         if isinstance(event, MessageArrival) \
                 and event.payload.kind == "SYNC-ROUND":
             p = event.payload
-            event = replace(event, payload=replace(p, parity=p.parity ^ 1))
+            event = event.replace(payload=p.replace(parity=p.parity ^ 1))
         return super().on_event(event)
 
 

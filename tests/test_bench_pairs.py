@@ -204,11 +204,10 @@ def test_plain_arguments_pass_every_check(label, tmp_path, monkeypatch):
         bench_pairs.main(args(label, "1", "0", "--workload", "flood"))
 
 
-@pytest.mark.parametrize("stash,change", [("c0ffee", "c0ffee"), ("", "head")])
-def test_both_sides_run_in_equally_long_checkouts(stash, change, tmp_path,
-                                                  monkeypatch):
-    """The parent at --parent and the change at the working tree's tracked
-    files (HEAD when nothing changed), each a worktree beside the other."""
+def run_stubbed(tmp_path, monkeypatch, stash, change):
+    """main() for 2 pairs of flood with git and bench stubbed out: the
+    worktrees still added (revision per checkout name), the checkouts in
+    the order they ran, and the BENCH file written."""
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "workloads": [{"name": "flood"}],
         "end_to_end": [{"name": "runs_per_s", "better": "higher",
@@ -236,6 +235,16 @@ def test_both_sides_run_in_equally_long_checkouts(stash, change, tmp_path,
     monkeypatch.setattr(bench_pairs, "bench", bench)
     bench_pairs.main(args("t", "2", "0", "--workload", "flood",
                           "--parent", "base"))
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    return added, revs, ran, out
+
+
+@pytest.mark.parametrize("stash,change", [("c0ffee", "c0ffee"), ("", "head")])
+def test_both_sides_run_in_equally_long_checkouts(stash, change, tmp_path,
+                                                  monkeypatch):
+    """The parent at --parent and the change at the working tree's tracked
+    files (HEAD when nothing changed), each a worktree beside the other."""
+    added, revs, ran, out = run_stubbed(tmp_path, monkeypatch, stash, change)
     assert added == {}   # both worktrees removed
     assert revs == {"parent": "parent", "change": change}
     parent, first = ran[0], ran[1]
@@ -243,6 +252,18 @@ def test_both_sides_run_in_equally_long_checkouts(stash, change, tmp_path,
     assert Path(parent).name == "parent" and Path(first).name == "change"
     assert Path(parent).parent == Path(first).parent
     assert len(parent) == len(first)
-    out = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert (out["parent"], out["change_rev"]) == ("parent", change)
     assert out["change_tree"] == f"tree of {change}"
+
+
+@pytest.mark.parametrize("setting,cache", [(None, True), ("", True),
+                                           ("1", False), ("x", False)])
+def test_bench_file_records_whether_runs_write_bytecode(
+        setting, cache, tmp_path, monkeypatch):
+    # the runs inherit the environment; a non-empty setting stops the caches
+    if setting is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", setting)
+    out = run_stubbed(tmp_path, monkeypatch, "", "head")[3]
+    assert out["bytecode_cache"] is cache

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from operlab import cli, harness, oracle
@@ -167,3 +172,16 @@ def test_oracle_sim_start_before_gst_exits_2(tmp_path, capsys):
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith("operlab: scenario error: oracle scenario: "
                                    "process 0 starts at 0 before GST")
+
+
+def test_importing_the_cli_loads_no_code_generation():
+    # records write their own methods, so the import needs neither
+    # `dataclasses` nor the `inspect` it imports; a fresh interpreter, and
+    # only what the import adds counts
+    code = ("import sys; before = set(sys.modules); import operlab.cli; "
+            "print(sorted({'dataclasses', 'inspect'} "
+            "& (set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert out.stdout == "[]\n", out.stderr

@@ -1,7 +1,6 @@
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -268,9 +267,9 @@ def test_check_trace_flags_a_third_start_view_broadcast():
 def test_check_trace_flags_an_invalid_decision():
     # proposals that are not unanimous, so strong validity does not apply
     trace = clean_trace()
-    trace.config = replace(trace.config,
-                           validity=ValidityPredicate.modulo(2, 1),
-                           proposals={0: 7, 1: 9, 2: 7, 3: 9})
+    trace.config = trace.config.replace(
+        validity=ValidityPredicate.modulo(2, 1),
+        proposals={0: 7, 1: 9, 2: 7, 3: 9})
     params = oper_params(trace.config)
     assert check_trace(trace, params) == []
     trace.decisions = {p: (8, 5) for p in range(4)}

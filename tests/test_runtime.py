@@ -1,13 +1,15 @@
 import gc
 from collections import deque
-from dataclasses import replace
 
 import pytest
 
-from operlab.core import Payload, PayloadError
+from operlab.core import Payload, PayloadError, ValidityPredicate
+from operlab.crux import CruxParams
+from operlab.harness import RunReport
 from operlab.runtime import (Automaton, Broadcast, Composite, Halt, Indicate,
                              MessageArrival, Multicast, Request, SetTimer,
                              TimerFired, ToChild)
+from operlab.simnet import AdversarySpec, SimConfig, Trace
 
 
 class Echoer(Automaton):
@@ -418,11 +420,15 @@ def test_depth_two_indication_reaches_its_parent_core_in_order():
 
 
 INIT = Payload("INIT", value=1)
+CONFIG = SimConfig(n=4, t=1, faulty=frozenset({3}), proposals={0: 7})
 RECORDS = [MessageArrival(3, INIT, ("a",)), TimerFired(("a", 1)),
            Request("kick", (1,)), Multicast((2, 0), INIT, ("a",)),
            Broadcast(INIT, ("a",)), SetTimer(5, ("a", 1)),
            Indicate("saw", (3,)), Halt(), ToChild("a", Request("kick")),
-           Payload("SYNC-ROUND", parity=1, inner=INIT)]
+           Payload("SYNC-ROUND", parity=1, inner=INIT),
+           ValidityPredicate.modulo(2, 1), CONFIG,
+           AdversarySpec(strategies={3: ("crash", 5)}), Trace(CONFIG),
+           CruxParams(4, 1, 10), RunReport(Trace(CONFIG), ["a violation"])]
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -430,12 +436,31 @@ def test_records_are_slotted_values(record):
     assert not hasattr(record, "__dict__")
     with pytest.raises(AttributeError):
         record.misspelt = 1   # a misspelt field write has nowhere to go
-    copy = replace(record)   # the same fields, built anew
+    copy = record.replace()   # the same fields, built anew
     assert copy == record and copy is not record
+    with pytest.raises(TypeError):
+        record.replace(misspelt=1)   # no such field
+    with pytest.raises(TypeError):
+        hash(record)
 
 
 def test_record_equality_checks_the_class():
     assert Request("x") != Indicate("x")
     assert Multicast((1,), INIT) != Broadcast(INIT)
-    with pytest.raises(PayloadError):   # __post_init__ still checks
+    for record in RECORDS:
+        cls = type(record)
+        twin = type(cls.__name__, (cls,), {"__slots__": ()})   # same fields
+        fields = {f: getattr(record, f) for f in cls.__slots__}
+        assert twin(**fields) != record and record != twin(**fields)
+
+
+def test_replace_runs_the_checks_again():
+    with pytest.raises(PayloadError):
         Payload("SYNC-ROUND", inner=INIT)
+    with pytest.raises(PayloadError):
+        Payload("ECHO", value=1).replace(value=None)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        CONFIG.replace(n=0)
+    assert ValidityPredicate.modulo(2, 1).replace(residue=0).check(4)
+    with pytest.raises(ValueError, match="bad modulo fields"):
+        ValidityPredicate.modulo(2, 1).replace(divisor=0)

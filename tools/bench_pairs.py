@@ -30,7 +30,10 @@ pairs in which the change did better (the direction each metric improves in
 is read from BENCHMARK.json), per metric a verdict (`better`, `worse`,
 `flat` or `unresolved`, from its bound in BENCHMARK.json; see `verdict`)
 and, per pair, whether both sides printed the same csv_digest line. That
-last is a report, not a gate. Then prints one line per workload: each
+last is a report, not a gate. Beside `python` and `host` it records
+`bytecode_cache`: whether the runs could write bytecode caches (false when
+PYTHONDONTWRITEBYTECODE is set). A cache halves `setup_s`, so BENCH files
+compare only in the same setting. Then prints one line per workload: each
 metric's verdict with the pairs the change won, and the pairs with equal
 csv_digest lines. Exits 1 if a run fails or reports an incorrect result.
 """
@@ -224,6 +227,7 @@ def main(argv=None):
                    f"{args.seed} --seconds {args.seconds:g} --trace 0",
         "python": platform.python_version(),
         "host": args.host,
+        "bytecode_cache": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "order": "pairs alternate which side runs first: odd pairs run the "
                  "parent first, even pairs the change first",
         "workloads": entries,
